@@ -13,8 +13,9 @@
 //! the shared pool's single-worker overhead.
 //!
 //! Each `(scheduler, jobs)` cell is additionally swept with the
-//! cross-worker shared solver-cache fabric off and on
-//! (`SolverConfig::shared_cache`); runs generate canonical-model tests
+//! cross-worker verdict store off and on (`SolverConfig::shared_cache`;
+//! the workers share one expression pool either way); runs generate
+//! canonical-model tests
 //! and every point is asserted byte-identical to the sequential
 //! reference cell, the same contract `tier_sweep` pins for the
 //! cache-tier axis.
@@ -62,7 +63,7 @@ fn main() {
         "tool,symbolic_bytes,scheduler,jobs,shared,wall_ms,speedup,steps,completed_paths,sat_calls,\
          sat_time_ms,cache_time_ms,route_time_ms,ctx_hits,ctx_rebuilds,ctx_forks,ctx_evictions,\
          clauses_resident,clauses_evicted,clauses_compacted,sched_picks,sched_heap_repairs,\
-         steals,stolen_states,idle_waits,envelope_exports,envelope_nodes,\
+         steals,stolen_states,idle_waits,envelope_exports,\
          shared_query_hits,shared_cex_hits,shared_publishes,dropped_unknown",
     );
     println!("# parallel_scaling: exhaustive MergeMode::None exploration, bsp vs steal scheduler");
@@ -71,13 +72,13 @@ fn main() {
     );
     println!("# cache_time: fleet cache-tier bookkeeping; route_time: query routing/blast prep");
     println!("# ctx columns: fleet context-tree totals (hits/rebuilds/forks/evictions)");
-    println!("# steals/idle: steal-scheduler traffic; envelopes: BSP serialization the steal");
-    println!("#   scheduler avoids (steal rows must read 0/0 — direct Send over the shared pool)");
-    println!("# shared axis: cross-worker solver-cache fabric off/on; shr q/c/p =");
+    println!("# steal s/w/i: steal-scheduler traffic; envelope_exports: states migrated at BSP");
+    println!("#   barriers (both schedulers hand states over directly on the shared pool)");
+    println!("# shared axis: off = no verdict store, on = shared verdict store; shr q/c/p =");
     println!("#   shared_query_hits/shared_cex_hits/shared_publishes (fleet totals); every");
     println!("#   point's canonical tests are asserted byte-identical to the off/bsp/jobs=1 cell");
     println!(
-        "{:10} {:>6} {:>6} {:>5} {:>4} {:>12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>22} {:>14} {:>17} {:>13} {:>15}",
+        "{:10} {:>6} {:>6} {:>5} {:>4} {:>12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>22} {:>14} {:>17} {:>8} {:>15}",
         "tool",
         "bytes",
         "sched",
@@ -94,7 +95,7 @@ fn main() {
         "ctx h/r/f/e",
         "steal s/w/i",
         "sched p/r",
-        "env e/n",
+        "env",
         "shr q/c/p"
     );
     let mut dropped_total = 0u64;
@@ -120,16 +121,6 @@ fn main() {
                     let t0 = Instant::now();
                     let report = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
                     let wall = t0.elapsed();
-                    if std::env::var_os("SYMMERGE_PAR_DEBUG").is_some() {
-                        eprintln!(
-                        "# {tool} {scheduler:?} jobs={jobs} shared={shared}: solver.time={:?} ctx={}/{} cache={} reuse={}",
-                        report.solver.time,
-                        report.solver.ctx_hits,
-                        report.solver.ctx_rebuilds,
-                        report.solver.cache_hits,
-                        report.solver.model_reuse_hits
-                    );
-                    }
                     assert!(
                         !report.hit_budget,
                         "{tool} {scheduler:?} jobs={jobs}: raise --budget-ms, scaling needs \
@@ -161,13 +152,6 @@ fn main() {
                          diverged from the sequential reference"
                         );
                     }
-                    if scheduler == SchedulerKind::Steal {
-                        assert_eq!(
-                            (report.envelope_exports, report.envelope_nodes),
-                            (0, 0),
-                            "{tool} jobs={jobs}: steal mode serialized a PortableState envelope"
-                        );
-                    }
                     let speedup = t1.as_secs_f64() / wall.as_secs_f64().max(1e-9);
                     let s = &report.solver;
                     let sched_label = match scheduler {
@@ -181,14 +165,13 @@ fn main() {
                     let stealing =
                         format!("{}/{}/{}", report.steals, report.stolen_states, report.idle_waits);
                     let sched = format!("{}/{}", report.sched_picks, report.sched_heap_repairs);
-                    let env = format!("{}/{}", report.envelope_exports, report.envelope_nodes);
                     let shr = format!(
                         "{}/{}/{}",
                         s.shared_query_hits, s.shared_cex_hits, s.shared_publishes
                     );
                     let shared_label = if shared { "on" } else { "off" };
                     println!(
-                    "{tool:10} {:>6} {sched_label:>6} {jobs:>5} {shared_label:>4} {:>12.2?} {:>8.2}x {:>10} {:>10} {:>10} {:>10.2?} {:>10.2?} {:>10.2?} {ctx:>22} {stealing:>14} {sched:>17} {env:>13} {shr:>15}",
+                    "{tool:10} {:>6} {sched_label:>6} {jobs:>5} {shared_label:>4} {:>12.2?} {:>8.2}x {:>10} {:>10} {:>10} {:>10.2?} {:>10.2?} {:>10.2?} {ctx:>22} {stealing:>14} {sched:>17} {:>8} {shr:>15}",
                     cfg.symbolic_bytes(),
                     wall,
                     speedup,
@@ -197,10 +180,11 @@ fn main() {
                     s.sat_calls,
                     s.sat_time,
                     s.cache_time,
-                    s.route_time
+                    s.route_time,
+                    report.envelope_exports
                 );
                     csv.row(&format!(
-                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                    "{tool},{},{sched_label},{jobs},{shared_label},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                     cfg.symbolic_bytes(),
                     wall.as_secs_f64() * 1e3,
                     speedup,
@@ -223,7 +207,6 @@ fn main() {
                     report.stolen_states,
                     report.idle_waits,
                     report.envelope_exports,
-                    report.envelope_nodes,
                     s.shared_query_hits,
                     s.shared_cex_hits,
                     s.shared_publishes,

@@ -4,17 +4,16 @@
 //! continue and still produce the *same* final report as the
 //! uninterrupted run would have: the result accumulators (completed
 //! paths, tests, failures, coverage, drop counters), the RNG stream,
-//! and the whole live frontier as [`PortableState`] envelopes. The
-//! envelopes reuse the migration codec from [`crate::shard`], so a
-//! checkpoint written by a 4-worker fleet can be resumed sequentially
-//! and vice versa — an envelope does not care which scheduler re-hosts
-//! it.
+//! and the whole live frontier as [`PortableState`]s ([`crate::shard`]):
+//! states flattened to pool-free DAGs, so a checkpoint written by a
+//! 4-worker fleet can be resumed sequentially and vice versa — a
+//! portable state does not care which scheduler re-hosts it.
 //!
 //! Sequential engines write checkpoints themselves every
 //! [`CheckpointConfig::every`] picks ([`SYMMERGE_CHECKPOINT_PATH`] /
 //! [`SYMMERGE_CHECKPOINT_EVERY`]); BSP fleets checkpoint at round
 //! barriers through their coordinator, which merges per-worker
-//! snapshots with the coordinator's own pending envelopes via
+//! snapshots with the coordinator's own pending states via
 //! `merge_parts`. Files are written atomically (sibling temp file +
 //! rename), so a kill mid-write leaves the previous checkpoint intact.
 //!
@@ -129,7 +128,7 @@ pub struct Checkpoint {
     /// path condition does not survive the pool boundary and the
     /// failures' tests are already in `tests`.
     pub failures: Vec<(String, (u32, u32, u32))>,
-    /// The live frontier as portable envelopes.
+    /// The live frontier in portable form.
     pub frontier: Vec<PortableState>,
 }
 
@@ -161,7 +160,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
 }
 
 /// Merges per-worker checkpoint parts (and the coordinator's own
-/// pending envelopes) into one fleet checkpoint. Counters are summed,
+/// pending states) into one fleet checkpoint. Counters are summed,
 /// coverage is unioned, test/failure lists concatenated, frontiers
 /// concatenated after `extra`; `max_worklist` takes the per-part
 /// maximum and `next_id` the maximum (resume only needs fresh ids,

@@ -7,7 +7,7 @@ use crate::dsm::{DsmConfig, DsmStats, DsmStrategy};
 use crate::exec::{AssertFailure, Completion, ExecCtx};
 use crate::merge::{classify_pair, merge_signature, merge_states, similar_qce, MergeConfig};
 use crate::qce::{HotSet, QceAnalysis, QceConfig};
-use crate::shard::{PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
 use crate::state::{State, StateId};
 use crate::strategy::{make_strategy, Oracle, StateMeta, Strategy, StrategyKind};
 use crate::testgen::{TestCase, TestKind};
@@ -76,12 +76,12 @@ pub struct EngineConfig {
     /// seed; under [`MergeMode::None`] the explored path set is
     /// schedule-invariant, so results are identical with it off.
     pub affinity_scheduling: bool,
-    /// Warm-context migration (shard mode only): when a migrated state
-    /// arrives with a warm-prefix seed (the pc-conjunct prefix that was
-    /// resident in the *donor's* context tree, see
-    /// [`crate::shard::PortableState`]), pre-warm the local solver's
-    /// context tree for the round's whole inbox in one batch before any
-    /// of the states run. Batching is what makes it pay: shared prefixes
+    /// Warm-context migration (fleet workers only): when a migrated
+    /// state arrives with a warm-prefix seed (the pc-conjunct prefix that
+    /// was resident in the *donor's* context tree, see
+    /// [`crate::shard::StolenState`]), pre-warm the local solver's
+    /// context tree for the whole incoming batch before any of the
+    /// states run. Batching is what makes it pay: shared prefixes
     /// and divergence points across the inbox are bit-blasted **once**
     /// and forked, instead of once per migrated lineage at first query.
     /// Purely a solver-residency (and affinity-stamp) effect — results
@@ -243,9 +243,9 @@ impl EngineBuilder {
     /// Interns this engine's expressions into `pool` (a fleet-shared
     /// concurrent pool) instead of a private per-engine table. `ExprId`s
     /// then resolve identically on every engine built over the same
-    /// pool, so states cross worker threads directly — the
-    /// work-stealing scheduler's substrate (see
-    /// [`crate::parallel::SchedulerKind::Steal`]).
+    /// pool, so states cross worker threads directly — the substrate of
+    /// every [`crate::parallel::ParallelEngine`] fleet, under both
+    /// schedulers.
     pub fn shared_pool(mut self, pool: Arc<SharedExprPool>) -> Self {
         self.shared_pool = Some(pool);
         self
@@ -257,8 +257,10 @@ impl EngineBuilder {
     /// miss. Requires globally stable `ExprId`s — i.e. every engine
     /// over the store must be built over the same
     /// [`EngineBuilder::shared_pool`] — since cache keys are `ExprId`
-    /// sets. A no-op when [`SolverConfig::shared_cache`] is off, which
-    /// is how `SYMMERGE_SHARED_CACHE=0` ablates the fabric.
+    /// sets. A no-op when [`SolverConfig::shared_cache`] is off (the
+    /// fleet then builds no store at all, though its workers still
+    /// share the pool), which is how `SYMMERGE_SHARED_CACHE=0` ablates
+    /// the verdict store.
     pub fn shared_solver_cache(mut self, cache: Arc<SharedSolverCache>) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -314,14 +316,14 @@ pub struct RunReport {
     pub max_worklist: usize,
     /// States remaining unexplored when the run stopped.
     pub leftover_states: usize,
-    /// States serialized into [`PortableState`] envelopes for
-    /// cross-worker migration (BSP rounds only). Structurally zero under
-    /// the steal scheduler, which ships states directly through the
-    /// shared expression pool.
+    /// States handed between workers at BSP round barriers (zero for a
+    /// sequential run and under the steal scheduler, which counts its
+    /// traffic in `stolen_states`). Kept under its historical name for
+    /// the benchmark harness.
     pub envelope_exports: u64,
-    /// Total [`symmerge_expr::PortableDag`] nodes serialized into those
-    /// envelopes — the serialize-and-re-intern traffic the shared pool
-    /// eliminates.
+    /// Always 0: fleet states cross workers as [`StolenState`]s over one
+    /// shared expression pool, so nothing is serialized. Kept for the
+    /// benchmark harness.
     pub envelope_nodes: u64,
     /// Successful steal batches (steal scheduler only; zero elsewhere).
     pub steals: u64,
@@ -398,7 +400,7 @@ struct ShardCtl {
     /// for [`MergeMode::None`], where no states ever merge and therefore
     /// no two states ever need to be co-located.
     free: bool,
-    outbox: Vec<PortableState>,
+    outbox: Vec<StolenState>,
     by_region: BTreeMap<RegionId, BTreeSet<StateId>>,
     seq: u64,
 }
@@ -484,8 +486,6 @@ pub struct Engine {
     merge_rejects: u64,
     max_worklist: usize,
     ff_merged: u64,
-    envelope_exports: u64,
-    envelope_nodes: u64,
     quarantined_states: u64,
 }
 
@@ -662,8 +662,6 @@ impl Engine {
             merge_rejects: 0,
             max_worklist: 0,
             ff_merged: 0,
-            envelope_exports: 0,
-            envelope_nodes: 0,
             quarantined_states: 0,
             config,
         }
@@ -745,23 +743,13 @@ impl Engine {
     /// with a matching state (Algorithm 1, lines 17–22).
     ///
     /// In shard mode, a state whose region this engine does not own is
-    /// exported to the outbox instead; the owning worker integrates it
+    /// handed off to the outbox instead; the owning worker integrates it
     /// (and marks its coverage) on the next round.
     fn integrate(&mut self, mut state: State, mut history: VecDeque<u64>, ff: bool) {
         let region = self.region_of(&state);
         if self.shard.as_ref().is_some_and(|ctl| !ctl.owns(region)) {
-            // Warm-prefix seed: how much of this state's pc is resident
-            // locally — the receiving worker pre-warms its own tree for
-            // it (computed before borrowing the shard control block).
-            let warm = self.solver.resident_prefix_len(&state.pc) as u32;
-            let ctl = self.shard.as_mut().expect("checked above");
-            ctl.seq += 1;
-            let env =
-                PortableState::export(&self.pool, &state, &history, ff, region, ctl.me, ctl.seq)
-                    .with_warm_len(warm);
-            self.envelope_exports += 1;
-            self.envelope_nodes += env.dag_nodes() as u64;
-            ctl.outbox.push(env);
+            let out = self.hand_off(state, history, ff);
+            self.shard.as_mut().expect("checked above").outbox.push(out);
             return;
         }
         self.mark_covered(&state);
@@ -1130,7 +1118,7 @@ impl Engine {
     ///
     /// Soundness: the snapshot is taken before execution and cleared
     /// after the step's results are recorded, so re-running the state —
-    /// here or, after re-envelopment, on another worker — repeats no
+    /// here or, after a hand-off, on another worker — repeats no
     /// completed work. Under [`MergeMode::None`] with canonical models
     /// the final test set is therefore byte-identical to the fault-free
     /// run's; quarantine changes *which* worker finishes a state, never
@@ -1140,15 +1128,6 @@ impl Engine {
         self.quarantined_states += 1;
         self.integrate(state, history, ff);
         1
-    }
-
-    /// Serializes the *entire* worklist into envelopes in deterministic
-    /// (id) order, emptying it — the crash path's hand-off of a dead
-    /// worker's remaining work to the coordinator for redistribution.
-    pub(crate) fn drain_to_envelopes(&mut self) -> Vec<PortableState> {
-        let mut ids: Vec<StateId> = self.states.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().filter_map(|id| self.export_state(id)).collect()
     }
 
     /// Snapshots the run accumulators into a [`RunReport`]. Called by
@@ -1172,11 +1151,11 @@ impl Engine {
             merge_rejects: self.merge_rejects,
             max_worklist: self.max_worklist,
             leftover_states: self.states.len(),
-            envelope_exports: self.envelope_exports,
-            envelope_nodes: self.envelope_nodes,
-            // Fleet-level steal counters live in the scheduler's shared
-            // block, not in any one engine; `run_steal` fills them in
-            // after reduction.
+            // Fleet-level hand-off counters belong to the scheduler, not
+            // to any one engine; `ParallelEngine` fills them in after
+            // reduction.
+            envelope_exports: 0,
+            envelope_nodes: 0,
             steals: 0,
             stolen_states: 0,
             idle_waits: 0,
@@ -1230,9 +1209,9 @@ impl Engine {
         });
     }
 
-    /// Evicts worklist states beyond `keep` in deterministic order — the
-    /// free-placement steal primitive. The coordinator routes the
-    /// envelopes to underloaded workers.
+    /// The deterministic order steals serve states in
+    /// ([`Engine::shed_states`]), so `steal_newest` means the same thing
+    /// to the BSP free-placement stealer and the steal-scheduler deques.
     ///
     /// The direction matters. *Oldest*-first (the default, the Cilk
     /// convention of stealing from the cold end) ships shallow states
@@ -1243,37 +1222,15 @@ impl Engine {
     /// of all steps stayed on the victim), but the victim's solver
     /// contexts stay warmer — a throughput-over-balance trade a
     /// single-core host can prefer.
-    pub(crate) fn evict_excess(&mut self, keep: u64, newest_first: bool) -> Vec<PortableState> {
-        debug_assert!(
-            self.shard.as_ref().is_some_and(|c| c.free),
-            "count eviction needs free mode"
-        );
-        let excess = (self.states.len() as u64).saturating_sub(keep);
-        if excess == 0 {
-            return Vec::new();
-        }
-        let mut ids = self.steal_order(newest_first);
-        ids.truncate(excess as usize);
-        ids.into_iter().filter_map(|id| self.export_state(id)).collect()
-    }
-
-    /// The deterministic order steals serve states in — shared by the
-    /// BSP free-placement stealer ([`Engine::evict_excess`]) and the
-    /// steal-scheduler deques ([`Engine::shed_states`]), so
-    /// `steal_newest` means the same thing under both schedulers.
     ///
-    /// Oldest-id first by default (the Cilk cold-end convention —
-    /// shallow subtree roots transfer the most work); with
-    /// `warm_migration` on, cold-affinity states go first among
+    /// With `warm_migration` on, cold-affinity states go first among
     /// non-newest orders: a state whose prefix context is long gone
     /// pays a rebuild wherever it runs, so shipping it costs the fleet
     /// nothing extra, while warm states keep exploiting the donor's
     /// resident contexts. Among equal warmth, oldest id first, so the
-    /// work-transfer property is preserved. `newest_first` reverses to
-    /// the hot end (descending id), starving thieves but keeping the
-    /// victim's contexts warm. Deterministic: ids are per-engine
-    /// integration counters and affinity tokens derive from the
-    /// solver's counters.
+    /// work-transfer property is preserved. Deterministic: ids are
+    /// per-engine integration counters and affinity tokens derive from
+    /// the solver's counters.
     fn steal_order(&self, newest_first: bool) -> Vec<StateId> {
         let mut ids: Vec<StateId> = self.states.keys().copied().collect();
         if newest_first {
@@ -1286,29 +1243,35 @@ impl Engine {
         ids
     }
 
-    /// Removes `id` from the worklist (with its DSM history and
-    /// fast-forward flag) and serializes it into an envelope — the shared
-    /// body of both eviction paths.
-    fn export_state(&mut self, id: StateId) -> Option<PortableState> {
-        let history = self.histories.get(&id).cloned().unwrap_or_default();
-        let ff = self.ff_active.contains(&id);
-        let state = self.remove_from_worklist(id)?;
+    /// Packages a state leaving this engine for another worker: its
+    /// routing region, its warm-prefix seed (how much of its pc is
+    /// resident here) and, in shard mode, the next BSP integration key.
+    fn hand_off(&mut self, state: State, history: VecDeque<u64>, ff: bool) -> StolenState {
         let region = self.region_of(&state);
-        let warm = self.solver.resident_prefix_len(&state.pc) as u32;
-        let ctl = self.shard.as_mut().expect("export_state outside shard mode");
-        ctl.seq += 1;
-        let env = PortableState::export(&self.pool, &state, &history, ff, region, ctl.me, ctl.seq)
-            .with_warm_len(warm);
-        self.envelope_exports += 1;
-        self.envelope_nodes += env.dag_nodes() as u64;
-        Some(env)
+        let warm_len = self.solver.resident_prefix_len(&state.pc) as u32;
+        let (origin_shard, origin_seq) = match self.shard.as_mut() {
+            Some(ctl) => {
+                ctl.seq += 1;
+                (ctl.me, ctl.seq)
+            }
+            None => (self.fault_worker, 0),
+        };
+        StolenState { state, history, ff, warm_len, region, origin_shard, origin_seq }
     }
 
-    /// Installs a new region assignment and evicts every held state whose
-    /// region this worker no longer owns, in deterministic (region, id)
-    /// order. The envelopes are routed to the new owners by the
-    /// coordinator.
-    pub(crate) fn set_region_map(&mut self, map: RegionMap) -> Vec<PortableState> {
+    /// Takes `id` out of the worklist, with its DSM history and
+    /// fast-forward flag, for hand-off to another worker.
+    fn take_for_hand_off(&mut self, id: StateId) -> Option<StolenState> {
+        let history = self.histories.remove(&id).unwrap_or_default();
+        let ff = self.ff_active.contains(&id);
+        let state = self.remove_from_worklist(id)?;
+        Some(self.hand_off(state, history, ff))
+    }
+
+    /// Installs a new region assignment and hands off every held state
+    /// whose region this worker no longer owns, in deterministic
+    /// (region, id) order. The coordinator routes them to the new owners.
+    pub(crate) fn set_region_map(&mut self, map: RegionMap) -> Vec<StolenState> {
         let ctl = self.shard.as_mut().expect("set_region_map outside shard mode");
         ctl.owner = map;
         let me = ctl.me;
@@ -1318,11 +1281,30 @@ impl Engine {
             .filter(|(&r, _)| ctl.owner.owner_of(r) != me)
             .flat_map(|(_, ids)| ids.iter().copied())
             .collect();
-        lost.into_iter().filter_map(|id| self.export_state(id)).collect()
+        lost.into_iter().filter_map(|id| self.take_for_hand_off(id)).collect()
     }
 
-    /// Integrates one round's migrated states from other workers, in the
-    /// caller-given (deterministic) order.
+    /// Number of states currently in the worklist.
+    pub(crate) fn worklist_len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Removes up to `n` states in [`Engine::steal_order`] for hand-off
+    /// to other workers — the BSP free-placement steal, the
+    /// steal-scheduler shed, and both schedulers' crash drain. The
+    /// expression pool is shared, so every `ExprId` stays valid on the
+    /// receiving worker.
+    pub(crate) fn shed_states(&mut self, n: usize, newest_first: bool) -> Vec<StolenState> {
+        debug_assert!(self.pool.is_shared(), "direct state transfer needs the shared pool");
+        let mut ids = self.steal_order(newest_first);
+        ids.truncate(n);
+        ids.into_iter().filter_map(|id| self.take_for_hand_off(id)).collect()
+    }
+
+    /// Integrates states handed over by other workers (or imported from
+    /// a checkpoint frontier), in the caller-given order. The pool is
+    /// synced once so every shipped `ExprId` resolves locally, and each
+    /// state gets a fresh local id.
     ///
     /// With [`EngineConfig::warm_migration`] on, the whole batch's
     /// warm-prefix seeds are pre-warmed into the solver's context tree
@@ -1334,23 +1316,32 @@ impl Engine {
     /// affinity token for it, so ranking strategies run them while their
     /// context is still resident. Both effects are deterministic and
     /// purely residency-side: results are unchanged.
-    pub(crate) fn inject_all(&mut self, envs: &[PortableState]) {
-        let mut imported: Vec<(State, VecDeque<u64>, bool, usize)> = Vec::with_capacity(envs.len());
-        for env in envs {
-            let id = self.fresh_id();
-            let (state, history, ff) = env.import(&mut self.pool, id);
-            imported.push((state, history, ff, env.warm_len()));
+    pub(crate) fn inject_direct(&mut self, batch: Vec<StolenState>) {
+        if batch.is_empty() {
+            return;
         }
-        self.prewarm_and_integrate(imported);
-    }
-
-    /// The shared tail of both migration paths ([`Engine::inject_all`]
-    /// for envelopes, [`Engine::inject_direct`] for shared-pool steals):
-    /// batch-prewarm the solver's context tree from the warm-prefix
-    /// seeds, stamp materialized affinity tokens, and integrate.
-    fn prewarm_and_integrate(&mut self, mut imported: Vec<(State, VecDeque<u64>, bool, usize)>) {
-        if self.config.warm_migration && !imported.is_empty() {
-            // The frontier is about to grow by the whole inbox; let the
+        // Donor workers may have interned nodes this handle has not yet
+        // mirrored; make every shipped ExprId resolvable first. The
+        // shared-cache mirror catches up too: the donor likely solved
+        // along these states' prefixes, so its published verdicts are
+        // exactly the entries the prewarm and next steps will ask for.
+        self.pool.sync();
+        self.solver.sync_shared_cache();
+        let mut imported: Vec<(State, VecDeque<u64>, bool, usize)> = batch
+            .into_iter()
+            .map(|stolen| {
+                let StolenState { mut state, history, ff, warm_len, .. } = stolen;
+                state.id = self.fresh_id();
+                // Affinity tokens index the donor's solver clock; the
+                // prefix context is cold here by definition. The prewarm
+                // below re-stamps whatever materializes locally.
+                state.affinity = 0;
+                let warm = (warm_len as usize).min(state.pc.len());
+                (state, history, ff, warm)
+            })
+            .collect();
+        if self.config.warm_migration {
+            // The frontier is about to grow by the whole batch; let the
             // adaptive capacity see it before the batch builds.
             self.solver.set_frontier_hint(self.states.len() + imported.len());
             // Each seed travels with the state's next pc conjunct beyond
@@ -1374,70 +1365,8 @@ impl Engine {
         }
     }
 
-    // ----- steal-mode plumbing (work-stealing scheduler) ----------------
-
-    /// Number of states currently in the worklist.
-    pub(crate) fn worklist_len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Removes up to `n` states for direct (same-pool) transfer to
-    /// another worker — the steal-scheduler counterpart of
-    /// [`Engine::evict_excess`], serving states in the identical
-    /// [`Engine::steal_order`] but skipping the envelope entirely: with
-    /// a shared expression pool the state's `ExprId`s are valid on every
-    /// worker, so nothing is serialized or re-interned.
-    pub(crate) fn shed_states(&mut self, n: usize, newest_first: bool) -> Vec<StolenState> {
-        debug_assert!(self.pool.is_shared(), "direct state transfer needs the shared pool");
-        let mut ids = self.steal_order(newest_first);
-        ids.truncate(n);
-        ids.into_iter()
-            .filter_map(|id| {
-                let history = self.histories.get(&id).cloned().unwrap_or_default();
-                let ff = self.ff_active.contains(&id);
-                let state = self.remove_from_worklist(id)?;
-                let warm_len = self.solver.resident_prefix_len(&state.pc) as u32;
-                Some(StolenState { state, history, ff, warm_len })
-            })
-            .collect()
-    }
-
-    /// Integrates states stolen from another worker's deque — the
-    /// direct counterpart of [`Engine::inject_all`]. No import step:
-    /// the shared pool is synced once so every shipped `ExprId`
-    /// resolves locally, each state gets a fresh local id (preserving
-    /// the oldest-first steal-order semantics of per-engine ids), and
-    /// the batch's warm-prefix seeds pre-warm the local context tree
-    /// together, exactly as envelope migration does.
-    pub(crate) fn inject_direct(&mut self, batch: Vec<StolenState>) {
-        if batch.is_empty() {
-            return;
-        }
-        // Donor workers may have interned nodes this handle has not yet
-        // mirrored; make every shipped ExprId resolvable first. The
-        // shared-cache mirror catches up too: the donor likely solved
-        // along these states' prefixes, so its published verdicts are
-        // exactly the entries the prewarm and next steps will ask for.
-        self.pool.sync();
-        self.solver.sync_shared_cache();
-        let imported: Vec<(State, VecDeque<u64>, bool, usize)> = batch
-            .into_iter()
-            .map(|stolen| {
-                let StolenState { mut state, history, ff, warm_len } = stolen;
-                state.id = self.fresh_id();
-                // Affinity tokens index the donor's solver clock; the
-                // prefix context is cold here by definition. The prewarm
-                // below re-stamps whatever materializes locally.
-                state.affinity = 0;
-                let warm = (warm_len as usize).min(state.pc.len());
-                (state, history, ff, warm)
-            })
-            .collect();
-        self.prewarm_and_integrate(imported);
-    }
-
     /// Drains the outbox of states that crossed into foreign regions.
-    pub(crate) fn take_outbox(&mut self) -> Vec<PortableState> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<StolenState> {
         match self.shard.as_mut() {
             Some(ctl) => std::mem::take(&mut ctl.outbox),
             None => Vec::new(),
@@ -1472,10 +1401,8 @@ impl Engine {
 
     /// Snapshots the run into a [`crate::checkpoint::Checkpoint`]:
     /// result accumulators, coverage, the RNG stream, and the whole
-    /// frontier as [`PortableState`] envelopes (in deterministic id
-    /// order). Read-only — exploration continues unchanged afterwards,
-    /// and none of the envelope counters move (these envelopes are not
-    /// migration traffic).
+    /// frontier as [`PortableState`]s (in deterministic id order).
+    /// Read-only — exploration continues unchanged afterwards.
     pub(crate) fn snapshot(&self) -> crate::checkpoint::Checkpoint {
         let mut ids: Vec<StateId> = self.states.keys().copied().collect();
         ids.sort_unstable();
@@ -1522,8 +1449,8 @@ impl Engine {
 
     /// Restores a checkpoint into a freshly built engine: result
     /// accumulators, coverage, tests and failures, the RNG stream, and
-    /// the frontier (re-imported through `Engine::inject_all`, so
-    /// warm-prefix prewarming applies as for any migration batch). The
+    /// the frontier (imported and integrated like any hand-off batch, so
+    /// warm-prefix prewarming applies). The
     /// next [`Engine::run`] then *continues* the interrupted
     /// exploration instead of starting over.
     ///
@@ -1562,10 +1489,15 @@ impl Engine {
             .iter()
             .map(|(msg, loc)| AssertFailure { msg: msg.clone(), loc: *loc, pc: Vec::new() })
             .collect();
-        let mut frontier = ck.frontier.clone();
-        frontier.sort_by_key(|env| env.order_key());
-        self.inject_all(&frontier);
+        self.inject_frontier(&ck.frontier);
         self.resumed = true;
+    }
+
+    /// Imports a checkpoint frontier into this engine's pool and
+    /// integrates it as one hand-off batch.
+    pub(crate) fn inject_frontier(&mut self, frontier: &[PortableState]) {
+        let batch = import_frontier(frontier, &mut self.pool);
+        self.inject_direct(batch);
     }
 }
 
@@ -1870,10 +1802,9 @@ mod tests {
     #[test]
     fn steal_newest_order_is_pinned_and_shared_across_schedulers() {
         // `steal_newest` must mean the same thing to the BSP
-        // free-placement stealer (envelope eviction) and the
-        // steal-scheduler deques (direct shedding): oldest id first by
-        // default, descending id when set. Pinned here against the one
-        // shared ordering both paths serve states in.
+        // free-placement stealer and the steal-scheduler deques: both
+        // take states through `shed_states`, oldest id first by default,
+        // descending id when set. Pinned here in both modes.
         const SRC: &str = r#"
             fn main() {
                 let a = sym_int("a");
@@ -1882,59 +1813,45 @@ mod tests {
                 if (b > 10) { putchar(3); } else { putchar(4); }
             }
         "#;
-        let prep = |shared: Option<std::sync::Arc<SharedExprPool>>| {
+        let prep = |shard: bool| {
             let program = minic::compile_with_width(SRC, 8).unwrap();
-            let mut b = Engine::builder(program)
+            let mut e = Engine::builder(program)
                 .merging(MergeMode::None)
                 .strategy(crate::strategy::StrategyKind::Bfs)
                 .warm_migration(false)
-                .seed(3);
-            if let Some(p) = shared {
-                b = b.shared_pool(p);
+                .seed(3)
+                .shared_pool(SharedExprPool::new(8))
+                .build()
+                .unwrap();
+            if shard {
+                e.enable_shard(1, RegionMap::all_to_zero(2), true);
             }
-            let mut e = b.build().unwrap();
             e.seed_initial();
             while e.worklist_len() < 3 {
                 assert_eq!(e.explore_step(), ExploreStep::Progressed, "ran out before 3 states");
             }
             e
         };
-        for newest in [false, true] {
-            // Steal-scheduler path: direct shed out of the shared pool.
-            let mut direct = prep(Some(SharedExprPool::new(8)));
-            let n = direct.worklist_len();
-            let shed = direct.shed_states(n, newest);
-            assert_eq!(shed.len(), n);
-            let shed_ids: Vec<u64> = shed.iter().map(|s| s.state.id.0).collect();
-            let mut expect = shed_ids.clone();
-            expect.sort_unstable();
-            if newest {
-                expect.reverse();
+        for shard in [false, true] {
+            for newest in [false, true] {
+                let mut e = prep(shard);
+                let n = e.worklist_len();
+                let shed = e.shed_states(n, newest);
+                assert_eq!(shed.len(), n);
+                let shed_ids: Vec<u64> = shed.iter().map(|s| s.state.id.0).collect();
+                let mut expect = shed_ids.clone();
+                expect.sort_unstable();
+                if newest {
+                    expect.reverse();
+                }
+                assert_eq!(shed_ids, expect, "shard={shard} newest={newest}: pinned id order");
+                if shard {
+                    // BSP integrates by (origin worker, sequence): the
+                    // keys follow the hand-off order.
+                    let keys: Vec<(u32, u64)> = shed.iter().map(StolenState::order_key).collect();
+                    assert_eq!(keys, (1..=n as u64).map(|q| (1, q)).collect::<Vec<_>>());
+                }
             }
-            assert_eq!(
-                shed_ids, expect,
-                "newest={newest}: deque order must follow the pinned id order"
-            );
-            // BSP free-placement path: envelope eviction, same order.
-            let mut bsp = prep(None);
-            bsp.enable_shard(0, RegionMap::all_to_zero(2), true);
-            let envs = bsp.evict_excess(0, newest);
-            assert_eq!(envs.len(), n);
-            let mut dst = ExprPool::new(8);
-            let bsp_keys: Vec<(u64, usize)> = envs
-                .iter()
-                .enumerate()
-                .map(|(i, env)| {
-                    let (s, _, _) = env.import(&mut dst, StateId(i as u64));
-                    (s.steps, s.pc.len())
-                })
-                .collect();
-            let direct_keys: Vec<(u64, usize)> =
-                shed.iter().map(|s| (s.state.steps, s.state.pc.len())).collect();
-            assert_eq!(
-                direct_keys, bsp_keys,
-                "newest={newest}: both stealers must serve states in the same order"
-            );
         }
     }
 

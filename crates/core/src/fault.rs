@@ -24,7 +24,7 @@
 //!
 //! Injected faults never change *results*: a forced `Unknown` always
 //! gets an injection-free retry at the base budget, and a panicked
-//! worker's states are re-enveloped and finished elsewhere — under
+//! worker's states are handed off and finished elsewhere — under
 //! [`MergeMode::None`](crate::MergeMode) with canonical models the
 //! final test set is byte-identical to the fault-free run, which
 //! `tests/fault_prop.rs` pins differentially.

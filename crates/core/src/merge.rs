@@ -214,7 +214,7 @@ mod tests {
         assert_send::<crate::qce::HotSet>();
         assert_send::<symmerge_expr::ExprPool>();
         assert_send::<symmerge_solver::Solver>();
-        assert_send::<crate::shard::PortableState>();
+        assert_send::<crate::shard::StolenState>();
         assert_send::<crate::engine::RunReport>();
         assert_send::<symmerge_ir::Program>();
     }

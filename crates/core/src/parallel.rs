@@ -1,26 +1,28 @@
 //! The sharded, work-stealing parallel exploration engine.
 //!
 //! [`ParallelEngine`] runs the same exploration [`Engine::run`] performs,
-//! split across `jobs` worker threads, under one of two scheduling
-//! disciplines ([`SchedulerKind`]):
+//! split across `jobs` worker threads. Every worker owns a full engine —
+//! its own [`symmerge_solver::Solver`] with its own incremental-context
+//! LRU pool, its own scheduler and RNG stream — built over one
+//! fleet-shared [`symmerge_expr::SharedExprPool`], so `ExprId`s are
+//! globally stable and a state moves between workers directly, as a
+//! [`StolenState`], with nothing serialized or re-interned. With
+//! [`SolverConfig::shared_cache`](symmerge_solver::SolverConfig) on (the
+//! default) the workers also share one verdict store. Two scheduling
+//! disciplines ([`SchedulerKind`]) drive the fleet:
 //!
 //! * **BSP** (the default, and the deterministic reference oracle):
-//!   each worker owns a full engine — its own
-//!   [`symmerge_expr::ExprPool`], its own [`symmerge_solver::Solver`]
-//!   with its own incremental-context LRU pool, its own scheduler and
-//!   RNG stream — so workers share *nothing* on the hot path; states
-//!   cross worker boundaries only as pool-independent
-//!   [`PortableState`] envelopes, at round barriers.
-//! * **Steal** ([`MergeMode::None`] only): all workers build their
-//!   engines over one fleet-shared [`symmerge_expr::SharedExprPool`],
-//!   so `ExprId`s are globally stable and states cross threads
-//!   *directly* — zero envelopes, zero re-interning — through
-//!   per-worker deques ([`StolenState`]); idle workers steal instead of
-//!   waiting at a barrier. Results are set-identical to BSP
-//!   (schedule-invariant path set + canonical models); only
-//!   per-`(seed, jobs)` trace reproducibility relaxes.
+//!   bulk-synchronous rounds; states change workers only at round
+//!   barriers, in a deterministic order.
+//! * **Steal** ([`MergeMode::None`] only): per-worker deques; idle
+//!   workers steal instead of waiting at a barrier. Results are
+//!   set-identical to BSP (schedule-invariant path set + canonical
+//!   models); only per-`(seed, jobs)` trace reproducibility relaxes.
 //!
-//! Placement follows the merge mode:
+//! A [`PortableState`] is only the checkpoint form of a state: fleet
+//! checkpoints write the frontier in it, and resuming reads it back.
+//!
+//! Under BSP, placement follows the merge mode:
 //!
 //! * **Merging modes** partition the worklist by **topological region**
 //!   (the outermost frame's topo index, see [`crate::shard`]): states
@@ -36,7 +38,7 @@
 //! # Execution model: deterministic rounds
 //!
 //! The coordinator drives bulk-synchronous rounds. In each round every
-//! worker (in parallel) integrates the envelopes routed to it — in the
+//! worker (in parallel) integrates the states routed to it — in the
 //! deterministic `(origin worker, sequence)` order — and advances its
 //! local exploration by at most a fixed step quota; under region
 //! placement, successors that cross into a region the worker does not
@@ -56,9 +58,9 @@
 //! Context-affinity scheduling does not weaken any layer of the
 //! contract: affinity tokens are derived from each worker's solver
 //! clock (a deterministic counter), and a migrating state **drops** its
-//! token at export — the importing worker re-derives it as 0 ("context
+//! token at hand-off — the receiving worker re-derives it as 0 ("context
 //! cold here"), so no cross-solver clock value can leak into scheduling
-//! (see [`crate::shard::PortableState`]).
+//! (see [`crate::shard`]).
 //!
 //! * `jobs = 1` takes the exact legacy sequential path (same code, same
 //!   report, byte for byte).
@@ -119,7 +121,7 @@
 use crate::checkpoint::{merge_parts, write_checkpoint, Checkpoint};
 use crate::engine::{Budgets, Engine, EngineConfig, ExploreStep, MergeMode, RunReport};
 use crate::exec::AssertFailure;
-use crate::shard::{PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -130,19 +132,17 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
-use symmerge_solver::{SharedSolverCache, SolverConfig};
+use symmerge_solver::SharedSolverCache;
 
 /// Which scheduling discipline [`ParallelEngine`] drives the fleet with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Deterministic bulk-synchronous rounds over per-worker pools — the
-    /// reference oracle. States cross workers as [`PortableState`]
-    /// envelopes; results are a pure function of `(program, config,
-    /// jobs)`.
+    /// Deterministic bulk-synchronous rounds — the reference oracle.
+    /// States change workers at round barriers; results are a pure
+    /// function of `(program, config, jobs)`.
     Bsp,
-    /// Work stealing over a fleet-shared
-    /// [`symmerge_expr::SharedExprPool`]: per-worker deques, no barrier,
-    /// no envelopes — idle workers steal directly. Only active under
+    /// Work stealing: per-worker deques, no barrier — idle workers
+    /// steal directly. Only active under
     /// [`MergeMode::None`] (merging modes silently fall back to BSP,
     /// whose region placement they need for merge-candidate
     /// co-location); promises *set-identical* results vs BSP, not
@@ -152,11 +152,20 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Reads the `SYMMERGE_SCHEDULER` environment knob (`bsp` or
-    /// `steal`); anything else — including unset — is BSP.
+    /// `steal`; unset is BSP) — for binaries that take their
+    /// configuration from the environment. The library itself never
+    /// calls this.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, so a misspelled scheduler cannot
+    /// silently run BSP.
     pub fn from_env() -> SchedulerKind {
-        match std::env::var("SYMMERGE_SCHEDULER").as_deref() {
-            Ok("steal") => SchedulerKind::Steal,
-            _ => SchedulerKind::Bsp,
+        match std::env::var("SYMMERGE_SCHEDULER") {
+            Err(std::env::VarError::NotPresent) => SchedulerKind::Bsp,
+            Ok(v) if v == "bsp" => SchedulerKind::Bsp,
+            Ok(v) if v == "steal" => SchedulerKind::Steal,
+            other => panic!("SYMMERGE_SCHEDULER takes `bsp` or `steal`, got {other:?}"),
         }
     }
 }
@@ -184,8 +193,7 @@ pub struct ParallelConfig {
     /// keeps the victim's incremental solver contexts warm — worth it
     /// only when workers outnumber usable cores.
     pub steal_newest: bool,
-    /// The scheduling discipline. Defaults from the `SYMMERGE_SCHEDULER`
-    /// environment knob ([`SchedulerKind::from_env`]), BSP when unset.
+    /// The scheduling discipline (default BSP).
     pub scheduler: SchedulerKind,
 }
 
@@ -195,7 +203,7 @@ impl Default for ParallelConfig {
             jobs: 1,
             steps_per_round: 512,
             steal_newest: false,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::Bsp,
         }
     }
 }
@@ -334,7 +342,7 @@ fn base_output(ck: &Checkpoint) -> ShardOutput {
 }
 
 /// The inverse wrapping: a crashed worker's final [`ShardOutput`] as a
-/// [`Checkpoint`] part (no frontier — its states were re-enveloped at
+/// [`Checkpoint`] part (no frontier — its states were handed off at
 /// crash time and live on inside the surviving workers), so fleet
 /// checkpoints written after a crash still carry its results. The RNG
 /// field is a fresh seed-derived stream: it is only consumed if this
@@ -370,7 +378,7 @@ enum ToWorker {
         /// Region assignment for this round (region policy only).
         map: RegionMap,
         /// Migrated states this worker now owns.
-        inbox: Vec<PortableState>,
+        inbox: Vec<StolenState>,
         /// Scheduler-step quota for the round.
         quota: u64,
         /// Seed the initial state this round (worker 0, round 0).
@@ -388,8 +396,8 @@ enum ToWorker {
 /// A worker's end-of-round reply.
 struct RoundDone {
     shard: u32,
-    /// Evicted + outbox envelopes, to be routed next round.
-    envelopes: Vec<PortableState>,
+    /// Evicted + outbox states, to be routed next round.
+    handoffs: Vec<StolenState>,
     /// Post-round worklist sizes per held region.
     held: Vec<(RegionId, u64)>,
     /// Cumulative engine totals (for coordinator-side budget tracking).
@@ -401,13 +409,13 @@ struct RoundDone {
 enum FromWorker {
     Done(RoundDone),
     /// The worker panicked mid-round (with panic isolation armed). Its
-    /// quarantined in-flight state and remaining worklist travel out as
-    /// envelopes for the surviving workers; its final report comes
-    /// along so its pre-crash results are not lost. The worker thread
-    /// exits after sending this — the fleet degrades from N to N−1.
+    /// quarantined in-flight state and remaining worklist travel out
+    /// for the surviving workers; its final report comes along so its
+    /// pre-crash results are not lost. The worker thread exits after
+    /// sending this — the fleet degrades from N to N−1.
     Crashed {
         shard: u32,
-        envelopes: Vec<PortableState>,
+        handoffs: Vec<StolenState>,
         output: Box<ShardOutput>,
     },
     /// Reply to [`ToWorker::Checkpoint`].
@@ -435,13 +443,55 @@ fn shard_seed(seed: u64, shard: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds the fleet's [`SharedSolverCache`]. The counterexample logs
-/// are append-only (no eviction — mirrors must never lose entries), so
-/// they get 4× the private per-worker capacity: the store serves the
-/// whole fleet, and refusing publications early would waste its best
-/// tier (the private caches FIFO-churn instead).
-fn shared_cache_for(solver: &SolverConfig) -> Arc<SharedSolverCache> {
-    SharedSolverCache::new(solver.cex_capacity.saturating_mul(4))
+/// What every fleet worker's engine is built from, under either
+/// scheduler.
+struct Substrate {
+    /// The worker configuration: budgets and checkpointing cleared, since
+    /// the coordinator (BSP) or the shared counters (steal) enforce the
+    /// real budgets and only the BSP coordinator writes checkpoints.
+    config: EngineConfig,
+    /// The one expression pool every worker interns into.
+    pool: Arc<SharedExprPool>,
+    /// The fleet's verdict store, withheld when
+    /// [`symmerge_solver::SolverConfig::shared_cache`] is off.
+    cache: Option<Arc<SharedSolverCache>>,
+}
+
+impl Substrate {
+    fn new(config: &EngineConfig, width: u32) -> Substrate {
+        let mut worker = config.clone();
+        worker.budgets = Budgets::default();
+        worker.checkpoint = None;
+        // The counterexample logs are append-only (no eviction — mirrors
+        // must never lose entries), so they get 4× the private per-worker
+        // capacity: the store serves the whole fleet, and refusing
+        // publications early would waste its best tier.
+        let cache = config
+            .solver
+            .shared_cache
+            .then(|| SharedSolverCache::new(config.solver.cex_capacity.saturating_mul(4)));
+        Substrate { config: worker, pool: SharedExprPool::new(width), cache }
+    }
+
+    /// Worker `shard`'s engine (built on the worker's own thread: an
+    /// engine is not `Send`), on the shard's own RNG stream.
+    fn engine(
+        config: EngineConfig,
+        pool: Arc<SharedExprPool>,
+        cache: Option<Arc<SharedSolverCache>>,
+        program: Program,
+        shard: u32,
+    ) -> Engine {
+        let mut config = config;
+        config.seed = shard_seed(config.seed, shard);
+        let mut builder = Engine::builder(program).config(config).shared_pool(pool);
+        if let Some(cache) = cache {
+            builder = builder.shared_solver_cache(cache);
+        }
+        let mut engine = builder.build().expect("program validated in ParallelEngine::new");
+        engine.set_fault_worker(shard);
+        engine
+    }
 }
 
 /// The sharded parallel exploration engine. See the [module docs](self).
@@ -516,28 +566,17 @@ impl ParallelEngine {
         // frontier clusters in a few regions (e.g. one hot loop).
         let free = self.config.merge_mode == crate::engine::MergeMode::None;
 
-        // Worker engines run with budgets cleared; the coordinator
-        // enforces the real budgets at round granularity. Likewise
-        // checkpointing: the coordinator snapshots the whole fleet at
-        // round barriers, so workers must not self-write.
-        let mut worker_config = self.config.clone();
-        worker_config.budgets = Budgets::default();
-        worker_config.checkpoint = None;
+        // The coordinator enforces the budgets at round granularity and
+        // snapshots the whole fleet at round barriers. Every worker
+        // interns into one pool, merging modes included: every engine
+        // decision that could see interning order goes through
+        // id-invariant fingerprints. `jobs = 1` never reaches this path,
+        // so the sequential engine keeps its private pool bit for bit.
         let ck_cfg = self.config.checkpoint.as_ref().filter(|c| c.every > 0);
-
-        // Shared solver-cache fabric: build the workers over one shared
-        // expression pool — the cache keys are `ExprId` sets, so ids
-        // must be globally stable — plus one shared verdict store.
-        // Merging modes ride too: their merged path conditions are
-        // where prefix-death and superset-refutation structure actually
-        // lives, every engine decision that could see interning order
-        // goes through id-invariant fingerprints, and envelope imports
-        // re-intern into the shared pool so migrated sets keep their
-        // global ids. `jobs = 1` never reaches this path, so the
-        // sequential engine keeps the private caches bit for bit.
-        let shared = self.config.solver.shared_cache.then(|| {
-            (SharedExprPool::new(self.program.width), shared_cache_for(&self.config.solver))
-        });
+        let Substrate { config, pool, cache } = Substrate::new(&self.config, self.program.width);
+        // The coordinator's own view of the pool: it imports a resumed
+        // frontier and exports `pending` into fleet checkpoints.
+        let mut view = pool.handle();
 
         let (to_coord, from_workers): (Sender<FromWorker>, Receiver<FromWorker>) = channel();
         let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(jobs as usize);
@@ -546,21 +585,24 @@ impl ParallelEngine {
             for shard in 0..jobs {
                 let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = channel();
                 to_workers.push(tx);
-                let program = self.program.clone();
-                let mut config = worker_config.clone();
-                config.seed = shard_seed(self.config.seed, shard);
+                let (program, config) = (self.program.clone(), config.clone());
+                let (pool, cache) = (Arc::clone(&pool), cache.clone());
                 let reply = to_coord.clone();
                 let spec = WorkerSpec { shard, jobs, free, par: self.par };
-                let shared = shared.clone();
-                scope.spawn(move || worker_main(spec, program, config, shared, rx, reply));
+                scope.spawn(move || {
+                    let engine = Substrate::engine(config, pool, cache, program, shard);
+                    worker_main(spec, engine, rx, reply)
+                });
             }
             drop(to_coord);
 
             let mut map = RegionMap::all_to_zero(jobs);
             // Resume: the checkpointed frontier replaces the seed state;
             // the checkpoint's accumulated results fold in at reduction.
-            let mut pending: Vec<PortableState> =
-                resume.map(|ck| ck.frontier.clone()).unwrap_or_default();
+            let mut pending: Vec<StolenState> =
+                resume.map(|ck| import_frontier(&ck.frontier, &mut view)).unwrap_or_default();
+            // States handed between workers (`RunReport::envelope_exports`).
+            let mut handed_off = 0u64;
             let mut held: Vec<Vec<(RegionId, u64)>> = vec![Vec::new(); jobs as usize];
             // Counters carried by workers no longer in the round loop:
             // the resumed-from checkpoint and crashed workers' final
@@ -617,7 +659,7 @@ impl ParallelEngine {
                     break;
                 }
 
-                let mut inboxes: Vec<Vec<PortableState>> = vec![Vec::new(); jobs as usize];
+                let mut inboxes: Vec<Vec<StolenState>> = (0..jobs).map(|_| Vec::new()).collect();
                 let mut keeps: Vec<Option<u64>> = vec![None; jobs as usize];
                 if free {
                     // Count-based stealing: spread pending states over the
@@ -627,15 +669,15 @@ impl ParallelEngine {
                         held.iter().map(|h| h.iter().map(|&(_, n)| n).sum()).collect();
                     let total: u64 = counts.iter().sum::<u64>() + pending.len() as u64;
                     let desired = total.div_ceil(n_live).max(1);
-                    pending.sort_by_key(|env| env.order_key());
+                    pending.sort_by_key(StolenState::order_key);
                     let mut fill: Vec<u64> = counts.clone();
-                    for env in pending.drain(..) {
+                    for s in pending.drain(..) {
                         let target = (0..jobs as usize)
                             .filter(|&w| live[w])
                             .min_by_key(|&w| (fill[w], w))
                             .expect("a live worker");
                         fill[target] += 1;
-                        inboxes[target].push(env);
+                        inboxes[target].push(s);
                     }
                     for w in 0..jobs as usize {
                         if live[w] && counts[w] * 2 > desired * 3 {
@@ -652,14 +694,14 @@ impl ParallelEngine {
                                 *loads.entry(r).or_default() += n;
                             }
                         }
-                        for env in &pending {
-                            *loads.entry(env.region).or_default() += 1;
+                        for s in &pending {
+                            *loads.entry(s.region).or_default() += 1;
                         }
                         let loads: Vec<(RegionId, u64)> = loads.into_iter().collect();
                         map = RegionMap::balance_live(&loads, jobs, &live);
                     }
-                    for env in pending.drain(..) {
-                        inboxes[map.owner_of(env.region) as usize].push(env);
+                    for s in pending.drain(..) {
+                        inboxes[map.owner_of(s.region) as usize].push(s);
                     }
                 }
 
@@ -691,19 +733,22 @@ impl ParallelEngine {
                 for _ in 0..round_sent {
                     match from_workers.recv().expect("worker alive") {
                         FromWorker::Done(done) => {
-                            pending.extend(done.envelopes);
+                            handed_off += done.handoffs.len() as u64;
+                            pending.extend(done.handoffs);
                             held[done.shard as usize] = done.held;
                             steps += done.steps;
                             picks += done.picks;
                             completed += done.completed;
                         }
-                        FromWorker::Crashed { shard, envelopes, output } => {
-                            // Quarantined + drained states come back as
-                            // envelopes; the fleet degrades to N−1 and
-                            // the worker's results fold in at reduction.
+                        FromWorker::Crashed { shard, handoffs, output } => {
+                            // Quarantined + drained states come back for
+                            // redistribution; the fleet degrades to N−1
+                            // and the worker's results fold in at
+                            // reduction.
                             live[shard as usize] = false;
                             held[shard as usize] = Vec::new();
-                            pending.extend(envelopes);
+                            handed_off += handoffs.len() as u64;
+                            pending.extend(handoffs);
                             carry.0 += output.report.steps;
                             carry.1 += output.report.picks;
                             carry.2 += output.report.completed_paths;
@@ -719,7 +764,7 @@ impl ParallelEngine {
 
                 // Fleet checkpoint at the (quiescent) round barrier:
                 // per-worker snapshots merged with the coordinator's
-                // pending envelopes and, when resumed, the base
+                // pending states and, when resumed, the base
                 // checkpoint's accumulated results.
                 if let Some(ckc) = ck_cfg {
                     let mark = totals.1 / ckc.every;
@@ -753,7 +798,23 @@ impl ParallelEngine {
                                 })
                             })
                             .collect();
-                        let merged = merge_parts(&parts, pending.clone(), resume);
+                        view.sync();
+                        let extra: Vec<PortableState> = pending
+                            .iter()
+                            .map(|s| {
+                                PortableState::export(
+                                    &view,
+                                    &s.state,
+                                    &s.history,
+                                    s.ff,
+                                    s.region,
+                                    s.origin_shard,
+                                    s.origin_seq,
+                                )
+                                .with_warm_len(s.warm_len)
+                            })
+                            .collect();
+                        let merged = merge_parts(&parts, extra, resume);
                         if let Err(e) = write_checkpoint(&ckc.path, &merged) {
                             eprintln!(
                                 "symmerge: checkpoint write to {} failed: {e}",
@@ -764,7 +825,7 @@ impl ParallelEngine {
                 }
             }
 
-            // Envelopes stranded by a budget stop (or by every worker
+            // States stranded by a budget stop (or by every worker
             // crashing) are unexplored work.
             let stranded = pending.len();
 
@@ -793,34 +854,9 @@ impl ParallelEngine {
             if let Some(ck) = resume {
                 parts.push(base_output(ck));
             }
-            if std::env::var_os("SYMMERGE_PAR_DEBUG").is_some() {
-                for (w, part) in parts.iter().enumerate() {
-                    eprintln!(
-                        "# shard {w}: steps={} paths={} queries={} sat_calls={} cache={} reuse={} cex={}/{} shared={}/{}/{} ctx={}/{}/{}/{} solver_time={:?} sat_time={:?} cache_time={:?} wall={:?}",
-                        part.report.steps,
-                        part.report.completed_paths,
-                        part.report.solver.queries,
-                        part.report.solver.sat_calls,
-                        part.report.solver.cache_hits,
-                        part.report.solver.model_reuse_hits,
-                        part.report.solver.cex_sat_hits,
-                        part.report.solver.cex_unsat_hits,
-                        part.report.solver.shared_query_hits,
-                        part.report.solver.shared_cex_hits,
-                        part.report.solver.shared_publishes,
-                        part.report.solver.ctx_hits,
-                        part.report.solver.ctx_rebuilds,
-                        part.report.solver.ctx_forks,
-                        part.report.solver.ctx_evictions,
-                        part.report.solver.time,
-                        part.report.solver.sat_time,
-                        part.report.solver.cache_time,
-                        part.report.wall_time,
-                    );
-                }
-            }
             let mut report = reduce_reports(&parts, self.program.num_blocks());
             report.leftover_states += stranded;
+            report.envelope_exports = handed_off;
             report.wall_time = start.elapsed();
             report.hit_budget = hit_budget;
             report
@@ -865,11 +901,9 @@ fn steal_budget_tripped(b: &Budgets, start: Instant, fleet: &Fleet) -> bool {
 }
 
 impl ParallelEngine {
-    /// The work-stealing run ([`SchedulerKind::Steal`]): every worker
-    /// builds its engine over one fleet-shared [`SharedExprPool`], so
-    /// states cross threads directly (zero [`PortableState`] envelopes —
-    /// asserted by the differential suite) and idle workers steal from
-    /// per-worker deques instead of waiting at a round barrier.
+    /// The work-stealing run ([`SchedulerKind::Steal`]): idle workers
+    /// steal [`StolenState`]s from per-worker deques instead of waiting
+    /// at a round barrier.
     ///
     /// Runs the full multi-worker machinery even at `jobs = 1`, so the
     /// shared pool's single-thread overhead is honestly measurable
@@ -878,29 +912,15 @@ impl ParallelEngine {
         let jobs = self.par.jobs.max(1);
         let start = Instant::now();
         let budgets = self.config.budgets;
-        let pool = SharedExprPool::new(self.program.width);
-        // The steal fleet already shares the expression pool, so the
-        // verdict store rides along whenever the knob is on (even at
-        // jobs = 1, where — like the pool — its overhead is then
-        // honestly measurable against the BSP/sequential baseline).
-        let cache = self.config.solver.shared_cache.then(|| shared_cache_for(&self.config.solver));
-
-        // Worker engines run with budgets cleared; the fleet enforces
-        // the real budgets through the shared counters. The steal
-        // fleet has no quiescent point to snapshot at, so it never
-        // writes checkpoints — it can *resume* one (below), but
-        // periodic checkpointing needs the BSP or sequential path.
-        let mut worker_config = self.config.clone();
-        worker_config.budgets = Budgets::default();
-        worker_config.checkpoint = None;
-
-        // Resume: worker 0 injects the checkpointed frontier instead of
-        // seeding; sorted so injection order is checkpoint-determined.
-        let resume_frontier: Option<Vec<PortableState>> = resume.map(|ck| {
-            let mut front = ck.frontier.clone();
-            front.sort_by_key(|env| env.order_key());
-            front
-        });
+        // The pool and verdict store are built even at jobs = 1, so
+        // their overhead is honestly measurable against the
+        // BSP/sequential baseline. The steal fleet has no quiescent
+        // point to snapshot at, so it never writes checkpoints — it can
+        // *resume* one (worker 0 injects the frontier instead of
+        // seeding), but periodic checkpointing needs the BSP or
+        // sequential path.
+        let Substrate { config, pool, cache } = Substrate::new(&self.config, self.program.width);
+        let resume_frontier: Option<&[PortableState]> = resume.map(|ck| ck.frontier.as_slice());
 
         let fleet = Fleet {
             queues: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -922,27 +942,13 @@ impl ParallelEngine {
         let parts: Vec<ShardOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|shard| {
-                    let program = self.program.clone();
-                    let mut config = worker_config.clone();
-                    config.seed = shard_seed(self.config.seed, shard);
-                    let pool = Arc::clone(&pool);
-                    let cache = cache.clone();
-                    let par = self.par;
-                    let fleet = &fleet;
-                    let seed_frontier = if shard == 0 { resume_frontier.as_deref() } else { None };
+                    let (program, config) = (self.program.clone(), config.clone());
+                    let (pool, cache) = (Arc::clone(&pool), cache.clone());
+                    let (par, fleet) = (self.par, &fleet);
+                    let seed_frontier = if shard == 0 { resume_frontier } else { None };
                     scope.spawn(move || {
-                        steal_worker(
-                            shard,
-                            par,
-                            budgets,
-                            start,
-                            program,
-                            config,
-                            pool,
-                            cache,
-                            fleet,
-                            seed_frontier,
-                        )
+                        let engine = Substrate::engine(config, pool, cache, program, shard);
+                        steal_worker(shard, par, budgets, start, engine, fleet, seed_frontier)
                     })
                 })
                 .collect();
@@ -985,30 +991,20 @@ fn lock_deque<'q>(q: &'q Mutex<VecDeque<StolenState>>) -> MutexGuard<'q, VecDequ
 ///
 /// `seed_frontier` is worker 0's resume payload: a checkpointed
 /// frontier to inject instead of seeding the initial state.
-#[allow(clippy::too_many_arguments)] // one-shot thread entry point
 fn steal_worker(
     shard: u32,
     par: ParallelConfig,
     budgets: Budgets,
     start: Instant,
-    program: Program,
-    config: EngineConfig,
-    pool: Arc<SharedExprPool>,
-    cache: Option<Arc<SharedSolverCache>>,
+    mut engine: Engine,
     fleet: &Fleet,
     seed_frontier: Option<&[PortableState]>,
 ) -> ShardOutput {
     let jobs = fleet.queues.len() as u32;
-    let mut builder = Engine::builder(program).config(config).shared_pool(pool);
-    if let Some(cache) = cache {
-        builder = builder.shared_solver_cache(cache);
-    }
-    let mut engine = builder.build().expect("program validated in ParallelEngine::new");
-    engine.set_fault_worker(shard);
     if shard == 0 {
         // The matching pre-count is in `Fleet::outstanding`.
         match seed_frontier {
-            Some(front) => engine.inject_all(front),
+            Some(front) => engine.inject_frontier(front),
             None => engine.seed_initial(),
         }
     }
@@ -1138,26 +1134,16 @@ struct WorkerSpec {
     par: ParallelConfig,
 }
 
-/// A worker thread: owns one shard-mode [`Engine`] and serves rounds
-/// until told to finish. With the shared cache fabric on (`shared`),
-/// the engine is built over the fleet's expression pool and verdict
-/// store; states still travel as [`PortableState`] envelopes.
+/// A BSP worker thread: puts its fleet [`Engine`] into shard mode and
+/// serves rounds until told to finish.
 fn worker_main(
     spec: WorkerSpec,
-    program: Program,
-    config: EngineConfig,
-    shared: Option<(Arc<SharedExprPool>, Arc<SharedSolverCache>)>,
+    mut engine: Engine,
     rx: Receiver<ToWorker>,
     reply: Sender<FromWorker>,
 ) {
     let WorkerSpec { shard, jobs, free, par } = spec;
-    let mut builder = Engine::builder(program).config(config);
-    if let Some((pool, cache)) = shared {
-        builder = builder.shared_pool(pool).shared_solver_cache(cache);
-    }
-    let mut engine = builder.build().expect("program validated in ParallelEngine::new");
     engine.enable_shard(shard, RegionMap::all_to_zero(jobs), free);
-    engine.set_fault_worker(shard);
 
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -1168,9 +1154,12 @@ fn worker_main(
                 // while panic isolation is armed; otherwise the panic
                 // propagates exactly as before.
                 let round = catch_unwind(AssertUnwindSafe(|| {
-                    let mut envelopes = match keep {
+                    let mut handoffs = match keep {
                         // Free placement: steal by count, regions ignored.
-                        Some(keep) => engine.evict_excess(keep, par.steal_newest),
+                        Some(keep) => {
+                            let excess = engine.worklist_len().saturating_sub(keep as usize);
+                            engine.shed_states(excess, par.steal_newest)
+                        }
                         // Region policy: install the new map, evict lost regions.
                         None if free => Vec::new(),
                         None => engine.set_region_map(map),
@@ -1180,11 +1169,11 @@ fn worker_main(
                     }
                     // Deterministic integration order regardless of the
                     // timing-dependent order replies reached the coordinator.
-                    // The batch integrates through `inject_all` so the
-                    // round's warm-prefix seeds pre-warm the local context
-                    // tree together (shared prefixes blasted once).
-                    inbox.sort_by_key(|env| env.order_key());
-                    engine.inject_all(&inbox);
+                    // The inbox integrates as one batch so its warm-prefix
+                    // seeds pre-warm the local context tree together
+                    // (shared prefixes blasted once).
+                    inbox.sort_by_key(StolenState::order_key);
+                    engine.inject_direct(inbox);
                     let mut steps = 0u64;
                     while steps < quota {
                         match engine.explore_step() {
@@ -1195,11 +1184,11 @@ fn worker_main(
                             ExploreStep::BudgetExhausted => break,
                         }
                     }
-                    envelopes.extend(engine.take_outbox());
+                    handoffs.extend(engine.take_outbox());
                     let (steps, picks, completed) = engine.progress_counters();
                     RoundDone {
                         shard,
-                        envelopes,
+                        handoffs,
                         held: engine.held_counts(),
                         steps,
                         picks,
@@ -1217,20 +1206,21 @@ fn worker_main(
                             resume_unwind(payload);
                         }
                         // Crash protocol: quarantine the in-flight
-                        // state, re-envelope everything this worker
-                        // still holds (worklist and outbox), and send
-                        // it all out with the final report. The thread
-                        // then retires — the fleet runs on at N−1.
+                        // state, hand off everything this worker still
+                        // holds (worklist and outbox), and send it all
+                        // out with the final report. The thread then
+                        // retires — the fleet runs on at N−1.
                         engine.recover_from_panic();
-                        let mut envelopes = engine.drain_to_envelopes();
-                        envelopes.extend(engine.take_outbox());
+                        let mut handoffs =
+                            engine.shed_states(engine.worklist_len(), par.steal_newest);
+                        handoffs.extend(engine.take_outbox());
                         let output = ShardOutput {
                             report: engine.report(false),
                             covered: engine.covered_pairs(),
                         };
                         let _ = reply.send(FromWorker::Crashed {
                             shard,
-                            envelopes,
+                            handoffs,
                             output: Box::new(output),
                         });
                         return;
@@ -1287,11 +1277,21 @@ mod tests {
     }
 
     fn run_jobs(src: &str, cfg: EngineConfig, jobs: u32, quota: u64) -> RunReport {
+        run_sched(src, cfg, jobs, quota, SchedulerKind::Bsp)
+    }
+
+    fn run_sched(
+        src: &str,
+        cfg: EngineConfig,
+        jobs: u32,
+        quota: u64,
+        scheduler: SchedulerKind,
+    ) -> RunReport {
         let program = minic::compile_with_width(src, 8).unwrap();
         ParallelEngine::new(
             program,
             cfg,
-            ParallelConfig { jobs, steps_per_round: quota, ..Default::default() },
+            ParallelConfig { jobs, steps_per_round: quota, scheduler, ..Default::default() },
         )
         .unwrap()
         .run()
@@ -1327,19 +1327,25 @@ mod tests {
 
     #[test]
     fn parallel_runs_are_deterministic() {
-        for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
-            let strategy = match mode {
-                MergeMode::Static => StrategyKind::Topological,
-                _ => StrategyKind::CoverageOptimized,
-            };
-            let cfg = config(mode, strategy);
-            let a = run_jobs(BRANCHY, cfg.clone(), 4, 3);
-            let b = run_jobs(BRANCHY, cfg.clone(), 4, 3);
-            assert_eq!(a.completed_paths, b.completed_paths, "{mode:?}");
-            assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{mode:?}");
-            assert_eq!(a.merges, b.merges, "{mode:?}");
-            assert_eq!(a.steps, b.steps, "{mode:?}");
-            assert_eq!(test_bytes(&a), test_bytes(&b), "{mode:?}: tests must be byte-identical");
+        // Steal is not trace-reproducible, but its results (and, under
+        // MergeMode::None, its step count) are; merging modes fall back
+        // to BSP.
+        for scheduler in [SchedulerKind::Bsp, SchedulerKind::Steal] {
+            for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
+                let strategy = match mode {
+                    MergeMode::Static => StrategyKind::Topological,
+                    _ => StrategyKind::CoverageOptimized,
+                };
+                let cfg = config(mode, strategy);
+                let a = run_sched(BRANCHY, cfg.clone(), 4, 3, scheduler);
+                let b = run_sched(BRANCHY, cfg.clone(), 4, 3, scheduler);
+                let who = format!("{scheduler:?} {mode:?}");
+                assert_eq!(a.completed_paths, b.completed_paths, "{who}");
+                assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{who}");
+                assert_eq!(a.merges, b.merges, "{who}");
+                assert_eq!(a.steps, b.steps, "{who}");
+                assert_eq!(test_bytes(&a), test_bytes(&b), "{who}: tests must be byte-identical");
+            }
         }
     }
 
@@ -1372,18 +1378,28 @@ mod tests {
         // with it off — and the fleet's rebuild count must not regress.
         let cfg = config(MergeMode::None, StrategyKind::Bfs);
         let cold_cfg = EngineConfig { warm_migration: false, ..cfg.clone() };
-        // Tiny quota → many rounds → real migration traffic.
-        let warm = run_jobs(BRANCHY, cfg, 4, 2);
-        let cold = run_jobs(BRANCHY, cold_cfg, 4, 2);
-        assert_eq!(warm.completed_paths, cold.completed_paths);
-        assert_eq!(warm.steps, cold.steps);
-        assert_eq!(test_bytes(&warm), test_bytes(&cold), "results must not depend on warmth");
-        assert!(
-            warm.solver.ctx_rebuilds <= cold.solver.ctx_rebuilds,
-            "prewarming must not add rebuilds ({} > {})",
-            warm.solver.ctx_rebuilds,
-            cold.solver.ctx_rebuilds
-        );
+        for scheduler in [SchedulerKind::Bsp, SchedulerKind::Steal] {
+            // Tiny quota → many rounds → real migration traffic.
+            let warm = run_sched(BRANCHY, cfg.clone(), 4, 2, scheduler);
+            let cold = run_sched(BRANCHY, cold_cfg.clone(), 4, 2, scheduler);
+            assert_eq!(warm.completed_paths, cold.completed_paths, "{scheduler:?}");
+            assert_eq!(warm.steps, cold.steps, "{scheduler:?}");
+            assert_eq!(
+                test_bytes(&warm),
+                test_bytes(&cold),
+                "{scheduler:?}: warmth changed results"
+            );
+            if scheduler == SchedulerKind::Bsp {
+                // Only BSP's migration schedule is deterministic, so only
+                // there can rebuild counts be compared run against run.
+                assert!(
+                    warm.solver.ctx_rebuilds <= cold.solver.ctx_rebuilds,
+                    "prewarming must not add rebuilds ({} > {})",
+                    warm.solver.ctx_rebuilds,
+                    cold.solver.ctx_rebuilds
+                );
+            }
+        }
     }
 
     #[test]
@@ -1432,26 +1448,26 @@ mod tests {
     }
 
     fn run_steal_jobs(src: &str, cfg: EngineConfig, jobs: u32) -> RunReport {
-        let program = minic::compile_with_width(src, 8).unwrap();
-        ParallelEngine::new(
-            program,
-            cfg,
-            ParallelConfig { jobs, scheduler: SchedulerKind::Steal, ..Default::default() },
-        )
-        .unwrap()
-        .run()
+        run_sched(src, cfg, jobs, 512, SchedulerKind::Steal)
     }
 
     #[test]
     fn steal_scheduler_is_set_identical_to_bsp_with_zero_envelopes() {
         let cfg = config(MergeMode::None, StrategyKind::Bfs);
         let seq = run_jobs(BRANCHY, cfg.clone(), 1, 512);
-        // BSP with real migration traffic serializes envelopes...
-        let bsp = run_jobs(BRANCHY, cfg.clone(), 4, 2);
-        assert!(bsp.envelope_exports > 0, "tiny-quota BSP must migrate through envelopes");
-        assert!(bsp.envelope_nodes > 0);
-        // ...the steal path never does, and still lands on the same
-        // path set, coverage and test bytes.
+        // Tiny-quota BSP migrates states at its barriers, under free
+        // placement and under region placement alike, and serializes
+        // none of them.
+        let region_cfg = config(MergeMode::Static, StrategyKind::Topological);
+        for (placement, cfg) in [("free", &cfg), ("region", &region_cfg)] {
+            for jobs in [2, 4] {
+                let bsp = run_jobs(BRANCHY, cfg.clone(), jobs, 2);
+                assert!(bsp.envelope_exports > 0, "{placement} jobs={jobs}: BSP must migrate");
+                assert_eq!(bsp.envelope_nodes, 0, "{placement} jobs={jobs}: nothing serialized");
+            }
+        }
+        // The steal path lands on the same path set, coverage and test
+        // bytes as the sequential engine.
         for jobs in [1, 2, 4] {
             let par = run_steal_jobs(BRANCHY, cfg.clone(), jobs);
             assert_eq!(par.completed_paths, seq.completed_paths, "jobs={jobs}");
@@ -1464,11 +1480,7 @@ mod tests {
             assert_eq!(par.merges, 0);
             assert_eq!(par.leftover_states, 0);
             assert!(!par.hit_budget);
-            assert_eq!(
-                par.envelope_exports, 0,
-                "jobs={jobs}: the steal path must never serialize a PortableDag"
-            );
-            assert_eq!(par.envelope_nodes, 0, "jobs={jobs}");
+            assert_eq!(par.envelope_exports, 0, "jobs={jobs}: steal counts no BSP hand-offs");
         }
     }
 
@@ -1516,6 +1528,25 @@ mod tests {
         assert_eq!(steal.steps, bsp.steps);
         assert_eq!(test_bytes(&steal), test_bytes(&bsp));
         assert_eq!(steal.steals, 0, "fallback must not run the steal machinery");
+    }
+
+    #[test]
+    fn scheduler_env_parse_rejects_unknown_values() {
+        // The only test in this binary that touches SYMMERGE_SCHEDULER
+        // (the library never reads it), so setting it here races nothing.
+        std::env::remove_var("SYMMERGE_SCHEDULER");
+        assert_eq!(SchedulerKind::from_env(), SchedulerKind::Bsp, "unset is BSP");
+        for (value, kind) in [("bsp", SchedulerKind::Bsp), ("steal", SchedulerKind::Steal)] {
+            std::env::set_var("SYMMERGE_SCHEDULER", value);
+            assert_eq!(SchedulerKind::from_env(), kind, "{value}");
+        }
+        for value in ["Steal", "", "work-stealing"] {
+            std::env::set_var("SYMMERGE_SCHEDULER", value);
+            let parsed = std::panic::catch_unwind(SchedulerKind::from_env);
+            assert!(parsed.is_err(), "{value:?} must be refused, not run as {parsed:?}");
+        }
+        std::env::remove_var("SYMMERGE_SCHEDULER");
+        assert_eq!(ParallelConfig::default().scheduler, SchedulerKind::Bsp);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sharding substrate for the parallel exploration engine: topological
-//! regions, the region → worker assignment, and the portable state
-//! envelopes that cross worker (and therefore [`ExprPool`]) boundaries.
+//! regions, the region → worker assignment, the [`StolenState`] hand-off
+//! that moves a state between workers, and the [`PortableState`] form a
+//! checkpoint stores it in.
 //!
 //! # Regions
 //!
@@ -26,23 +27,26 @@
 //! never individual states, so mergeable groups stay together — and the
 //! decision depends only on deterministic load counts, never on timing.
 //!
-//! # Envelopes
+//! # Hand-off and checkpoints
 //!
-//! [`PortableState`] is a [`State`] flattened onto a [`PortableDag`]:
-//! every expression the state references (path condition, stores,
-//! outputs) is exported into one shared pool-free DAG, together with the
-//! DSM history and fast-forward flag the engine tracks alongside the
-//! state. Importing re-interns the expressions into the receiving
-//! worker's pool. Host-local scheduling hints are deliberately *not*
-//! part of the envelope: the solver affinity token
-//! ([`State::affinity`](crate::state::State)) indexes the origin
-//! worker's solver clock, so it is dropped at export and
-//! deterministically re-derived at import — as 0 ("context cold here"),
-//! or, under warm-context migration, from the *receiving* solver's
-//! clock after its context tree is pre-warmed. The one migration hint
-//! that does travel is portable by construction: the **warm-prefix
-//! seed** ([`PortableState::warm_len`]) is a length into the state's
-//! own pc-conjunct sequence, meaningful on any worker.
+//! Every worker of a fleet interns into one
+//! [`symmerge_expr::SharedExprPool`], so a state's `ExprId`s mean the
+//! same thing on every worker and a state moves between workers as
+//! plain `Send` data: a [`StolenState`], under both schedulers. Besides
+//! the state it carries the engine-side DSM history and fast-forward
+//! flag, the routing region, the `(origin_shard, origin_seq)` key BSP
+//! integrates by, and the **warm-prefix seed** — how many leading pc
+//! conjuncts were resident in the donor's solver-context tree, a length
+//! into the state's own pc and so meaningful on any worker. The solver
+//! affinity token ([`State::affinity`](crate::state::State)) indexes the
+//! donor's solver clock, so the receiver resets it to 0 ("context cold
+//! here") and re-derives it from its own prewarmed context tree.
+//!
+//! [`PortableState`] is the checkpoint form of the same hand-off: the
+//! state flattened onto a pool-free [`PortableDag`], so a checkpoint
+//! outlives the process and resumes under any scheduler or job count.
+//! It is written only when a checkpoint is taken and read only when one
+//! is resumed.
 
 use crate::state::{Frame, Slot, State, StateId};
 use std::collections::{HashMap, VecDeque};
@@ -142,7 +146,7 @@ impl RegionMap {
 }
 
 /// One local slot of a [`PortableState`]. Crate-visible so the
-/// checkpoint codec ([`crate::checkpoint`]) can serialize envelopes.
+/// checkpoint codec ([`crate::checkpoint`]) can serialize it.
 #[derive(Debug, Clone)]
 pub(crate) enum PortableSlot {
     Int(PortableRef),
@@ -159,17 +163,17 @@ pub(crate) struct PortableFrame {
     pub(crate) locals: Vec<PortableSlot>,
 }
 
-/// A [`State`] (plus its engine-side DSM bookkeeping) serialized into a
-/// pool-independent envelope for cross-worker migration.
+/// A [`State`] (plus its engine-side DSM bookkeeping) flattened into a
+/// pool-independent form for a checkpoint frontier (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PortableState {
-    /// The state's region at export time (destination routing key).
+    /// The state's region when it was written.
     pub region: RegionId,
-    /// The exporting worker's index.
+    /// The writing worker's index.
     pub origin_shard: u32,
-    /// Monotonic per-worker sequence number; `(origin_shard,
-    /// origin_seq)` totally orders a round's envelopes, which is what
-    /// makes the receiving worker's integration order deterministic.
+    /// Per-worker sequence number; `(origin_shard, origin_seq)` orders
+    /// a frontier deterministically when it is resumed.
     pub origin_seq: u64,
     pub(crate) dag: PortableDag,
     pub(crate) frames: Vec<PortableFrame>,
@@ -181,23 +185,16 @@ pub struct PortableState {
     pub(crate) sym_counters: Vec<(String, u32)>,
     pub(crate) history: Vec<u64>,
     pub(crate) ff: bool,
-    /// The **warm-prefix seed**: how many leading `pc` conjuncts were
-    /// resident in the *donor's* solver-context tree at export time
-    /// (`Solver::resident_prefix_len`). A prefix of an
-    /// already-serialized field, so it costs one integer — maximally
-    /// compact. The receiving worker batches the seeds of a whole
-    /// migration round and pre-warms its own context tree for them
-    /// (shared conjuncts blasted once, divergences forked), instead of
-    /// every migrated lineage re-blasting its prefix cold at first
-    /// query. Purely a residency hint: results never depend on it.
+    /// The warm-prefix seed ([`StolenState::warm_len`]), clamped to the
+    /// pc length.
     pub(crate) warm_len: u32,
 }
 
 impl PortableState {
     /// Serializes `state` (with its DSM `history` and fast-forward flag)
-    /// into an envelope addressed by `region`, with a cold (0) warm-prefix
-    /// seed — chain [`PortableState::with_warm_len`] to attach the donor's
-    /// resident-prefix length.
+    /// under the given routing region and origin key, with a cold (0)
+    /// warm-prefix seed — chain [`PortableState::with_warm_len`] to keep
+    /// a hand-off's seed.
     pub fn export(
         pool: &ExprPool,
         state: &State,
@@ -247,24 +244,16 @@ impl PortableState {
         }
     }
 
-    /// Attaches the warm-prefix seed: how many leading `pc` conjuncts the
-    /// donor still had resident in its solver-context tree (clamped to
-    /// the pc length — the seed can never claim more than the pc itself).
+    /// Attaches the warm-prefix seed, clamped to the pc length (the seed
+    /// can never claim more than the pc itself).
     pub fn with_warm_len(mut self, warm_len: u32) -> PortableState {
         self.warm_len = warm_len.min(self.pc.len() as u32);
         self
     }
 
-    /// The warm-prefix seed length, clamped to the pc length (see the
-    /// field docs): `pc[..warm_len]` was resident on the donor.
-    pub fn warm_len(&self) -> usize {
-        self.warm_len as usize
-    }
-
-    /// Rebuilds the state in the receiving worker's pool, under a fresh
-    /// local `id`. Returns the state together with its DSM history and
-    /// fast-forward flag.
-    pub fn import(&self, pool: &mut ExprPool, id: StateId) -> (State, VecDeque<u64>, bool) {
+    /// Rebuilds the state in `pool` as a hand-off, ready for the
+    /// receiving engine to integrate (which gives it a fresh local id).
+    pub fn import(&self, pool: &mut ExprPool) -> StolenState {
         let ids = self.dag.import(pool);
         let slot = |s: &PortableSlot| match s {
             PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),
@@ -284,7 +273,7 @@ impl PortableState {
             })
             .collect();
         let state = State {
-            id,
+            id: StateId(0),
             frames,
             globals: self.globals.iter().map(slot).collect(),
             pc: self.pc.iter().map(|&c| ids[c as usize]).collect(),
@@ -296,36 +285,36 @@ impl PortableState {
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect::<HashMap<String, u32>>(),
-            // Affinity tokens index into the *origin* worker's solver
-            // clock; on this worker the prefix context is cold by
-            // definition. The envelope therefore never carries affinity
-            // — it is deterministically re-derived as 0 on import, which
-            // keeps the parallel ≡ sequential byte-identity contract
-            // independent of migration history.
+            // Affinity never travels (see the module docs).
             affinity: 0,
         };
-        (state, self.history.iter().copied().collect(), self.ff)
-    }
-
-    /// The deterministic ordering key envelopes are integrated in.
-    pub fn order_key(&self) -> (u32, u64) {
-        (self.origin_shard, self.origin_seq)
-    }
-
-    /// Number of DAG nodes serialized into this envelope — the
-    /// re-interning cost the importer pays, and the traffic the
-    /// shared-pool steal scheduler eliminates.
-    pub fn dag_nodes(&self) -> usize {
-        self.dag.len()
+        StolenState {
+            state,
+            history: self.history.iter().copied().collect(),
+            ff: self.ff,
+            warm_len: self.warm_len,
+            region: self.region,
+            origin_shard: self.origin_shard,
+            origin_seq: self.origin_seq,
+        }
     }
 }
 
-/// A state crossing worker threads *directly* under the work-stealing
-/// scheduler: plain `Send` data whose `ExprId`s resolve in the
-/// fleet-shared [`symmerge_expr::SharedExprPool`] — no [`PortableDag`]
-/// serialization, no re-interning. Carries the same engine-side
-/// bookkeeping an envelope does (DSM history, fast-forward flag) plus
-/// the warm-prefix seed (see [`PortableState::warm_len`]).
+/// Imports a checkpoint frontier into `pool` in its deterministic
+/// `(origin_shard, origin_seq)` order — the one place a
+/// [`PortableState`] is read. The result integrates like any other
+/// hand-off batch.
+pub(crate) fn import_frontier(frontier: &[PortableState], pool: &mut ExprPool) -> Vec<StolenState> {
+    let mut sorted: Vec<&PortableState> = frontier.iter().collect();
+    sorted.sort_by_key(|p| (p.origin_shard, p.origin_seq));
+    sorted.into_iter().map(|p| p.import(pool)).collect()
+}
+
+/// A state handed from one worker to another: plain `Send` data whose
+/// `ExprId`s resolve in the fleet-shared
+/// [`symmerge_expr::SharedExprPool`] — nothing is serialized or
+/// re-interned. Both schedulers move states this way (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct StolenState {
     /// The state itself, ids intact (the receiver re-ids it locally).
@@ -335,8 +324,23 @@ pub struct StolenState {
     /// Whether the state was being fast-forwarded (paper §5.5).
     pub ff: bool,
     /// How many leading `pc` conjuncts were resident in the donor's
-    /// solver-context tree, for batch prewarming on the thief.
+    /// solver-context tree, for batch prewarming on the receiver.
     pub warm_len: u32,
+    /// The state's region when it left the donor (BSP routing key).
+    pub region: RegionId,
+    /// The donor worker's index.
+    pub origin_shard: u32,
+    /// The donor's hand-off sequence number; `(origin_shard,
+    /// origin_seq)` totally orders a BSP round's hand-offs, which makes
+    /// the receiver's integration order deterministic.
+    pub origin_seq: u64,
+}
+
+impl StolenState {
+    /// The deterministic order BSP integrates a round's hand-offs in.
+    pub fn order_key(&self) -> (u32, u64) {
+        (self.origin_shard, self.origin_seq)
+    }
 }
 
 #[cfg(test)]
@@ -437,19 +441,17 @@ mod tests {
 
         let hist: VecDeque<u64> = vec![11, 22].into();
         let ps = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(1);
-        assert_eq!(ps.region, 4);
-        assert_eq!(ps.order_key(), (1, 9));
-        assert_eq!(ps.warm_len(), 1);
         // The seed can never claim more than the pc itself.
         let clamped = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(99);
-        assert_eq!(clamped.warm_len(), state.pc.len());
+        assert_eq!(clamped.warm_len as usize, state.pc.len());
 
         let mut dst = ExprPool::new(8);
         let _ = dst.input("y", 8); // different interning history
-        let (back, hist2, ff) = ps.import(&mut dst, StateId(42));
-        assert_eq!(back.id, StateId(42));
-        assert_eq!(hist2, hist);
-        assert!(ff);
+        let moved = ps.import(&mut dst);
+        assert_eq!((moved.region, moved.order_key(), moved.warm_len), (4, (1, 9), 1));
+        assert_eq!(moved.history, hist);
+        assert!(moved.ff);
+        let back = moved.state;
         assert_eq!(back.multiplicity, 2.0);
         assert_eq!(back.steps, 17);
         assert_eq!(back.sym_counters.get("x"), Some(&1));

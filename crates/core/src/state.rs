@@ -84,9 +84,9 @@ pub struct State {
     /// monotone counters — never wall-clock — so it is reproducible per
     /// seed; it is meaningless across solvers and therefore dropped when
     /// a state migrates to another shard and re-derived *locally* on
-    /// import: 0 ("context cold here"), or the receiving solver's stamp
-    /// for the warm-prefix trunk the inject round pre-warmed (see
-    /// [`crate::shard::PortableState`]).
+    /// arrival: 0 ("context cold here"), or the receiving solver's stamp
+    /// for the warm-prefix trunk the incoming batch pre-warmed (see
+    /// [`crate::shard::StolenState`]).
     pub affinity: u64,
 }
 
@@ -248,9 +248,10 @@ mod tests {
         // The parallel engine moves programs and reports between threads
         // and rebuilds states inside worker threads; everything a state
         // holds must therefore be `Send`. `ExprId`s are plain indices
-        // (meaningful only with their pool, which never crosses threads —
-        // `PortableState` is the cross-thread form), so `State` itself is
-        // `Send` by composition; this is the compile-time audit.
+        // (meaningful on every worker of a fleet, which all intern into
+        // one shared pool — `StolenState` is the cross-thread form), so
+        // `State` itself is `Send` by composition; this is the
+        // compile-time audit.
         fn assert_send<T: Send>() {}
         assert_send::<State>();
         assert_send::<Frame>();

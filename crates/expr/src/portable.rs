@@ -1,13 +1,12 @@
 //! Pool-independent expression transport.
 //!
 //! [`ExprId`]s are only meaningful relative to the [`ExprPool`] that
-//! created them, which is exactly right for a single-threaded engine and
-//! exactly wrong for a sharded one: the parallel exploration engine runs
-//! one pool per worker, and a state that migrates between shards must
-//! carry its expressions across the pool boundary. A [`PortableDag`] is
-//! the wire format for that trip: a self-contained, pool-free rendering
-//! of an expression DAG (symbols by *name*, nodes in child-before-parent
-//! order) that any pool can re-intern.
+//! created them, which is exactly wrong for anything that outlives the
+//! pool: a checkpoint written by one process and resumed by another
+//! must carry its expressions across the pool boundary. A
+//! [`PortableDag`] is the format for that trip: a self-contained,
+//! pool-free rendering of an expression DAG (symbols by *name*, nodes in
+//! child-before-parent order) that any pool can re-intern.
 //!
 //! Importing goes through the ordinary smart constructors, so the
 //! destination pool re-canonicalizes operand order and re-runs the local
@@ -20,8 +19,8 @@
 //! (symbol names, structure, constants); anything that indexes host-local
 //! machinery must not (raw [`ExprId`]s, and by the same token the
 //! engine-side solver-affinity stamps, which index one solver's context
-//! clock — their envelope, `symmerge-core`'s `PortableState`, drops them
-//! at export and re-derives them on import).
+//! clock — `symmerge-core`'s `PortableState`, the checkpoint form of a
+//! state, drops them at export and re-derives them on import).
 //!
 //! ```
 //! use symmerge_expr::{DagExporter, ExprPool, Value};

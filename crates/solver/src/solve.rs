@@ -211,6 +211,8 @@ pub struct SolverConfig {
     /// (`jobs = 1`) keeps the private path bit-for-bit regardless of
     /// this flag — and the shared cex tiers sit behind the same
     /// warm-route [`SolverConfig::tier_gate`] as the private ones.
+    /// Turning it off withholds only the verdict store: a fleet's
+    /// workers still share one expression pool.
     /// `SYMMERGE_SHARED_CACHE=0` is the ablation leg.
     pub shared_cache: bool,
 }

@@ -335,8 +335,7 @@ fn run_parallel_program(
 }
 
 /// [`run_parallel_program`] with an explicit [`ParallelConfig`], for the
-/// scheduler-differential legs that pin the scheduler regardless of the
-/// `SYMMERGE_SCHEDULER` environment.
+/// scheduler-differential legs.
 fn run_parallel_program_with(
     program: Program,
     workload: &str,
@@ -367,11 +366,7 @@ fn run_parallel_program_with(
     report
 }
 
-/// Runs a workload on the work-stealing scheduler with `jobs` workers,
-/// pinning `SchedulerKind::Steal` regardless of the environment. Steal
-/// mode migrates states by direct `Send` over the shared expression
-/// pool, so the run must complete with **zero** `PortableState` envelope
-/// serializations — asserted here for every steal-differential leg.
+/// Runs a workload on the work-stealing scheduler with `jobs` workers.
 pub fn run_parallel_steal(
     workload: &str,
     cfg: InputConfig,
@@ -382,7 +377,7 @@ pub fn run_parallel_steal(
 ) -> RunReport {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    let report = run_parallel_program_with(
+    run_parallel_program_with(
         program,
         workload,
         mode,
@@ -394,14 +389,7 @@ pub fn run_parallel_steal(
             scheduler: SchedulerKind::Steal,
             ..Default::default()
         },
-    );
-    assert_eq!(
-        (report.envelope_exports, report.envelope_nodes),
-        (0, 0),
-        "{workload} {mode:?}/{strategy:?} jobs={jobs}: steal mode must never \
-         serialize a PortableState envelope"
-    );
-    report
+    )
 }
 
 /// Asserts the parallel engine's strongest contract: under

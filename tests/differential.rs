@@ -274,13 +274,10 @@ fn parallel_differential_stdin_and_mixed_workloads() {
     parallel_differential_for(&WORKLOADS[8..]);
 }
 
-/// The scheduler differential: the work-stealing scheduler shares one
-/// hash-consed expression pool and migrates states by direct `Send`, so
-/// under `MergeMode::None` with canonical models it must reproduce the
-/// sequential engine's result set exactly — same counters, verdicts,
-/// coverage and generated-test bytes — at every worker count, while
-/// serializing **zero** `PortableState` envelopes (`run_parallel_steal`
-/// asserts the envelope counters). Unlike the BSP rounds, steal-mode
+/// The scheduler differential: under `MergeMode::None` with canonical
+/// models the work-stealing scheduler must reproduce the sequential
+/// engine's result set exactly — same counters, verdicts, coverage and
+/// generated-test bytes — at every worker count. Unlike the BSP rounds, steal-mode
 /// scheduling is timing-dependent; `MergeMode::None`'s schedule-invariant
 /// path set is what keeps the *results* byte-comparable anyway.
 fn steal_differential_for(workloads: &[(&str, InputConfig)]) {
@@ -340,29 +337,37 @@ fn parallel_merged_modes_preserve_mode_invariance() {
 /// Sharded runs are deterministic per `(seed, jobs)`: re-running the
 /// exact configuration — including a merging mode, where the round
 /// structure influences *which* merges happen — reproduces the report
-/// byte for byte.
+/// byte for byte. The steal scheduler, whose trace is not reproducible,
+/// must still reproduce its results under `MergeMode::None`.
 #[test]
 fn parallel_runs_are_reproducible_per_seed_and_jobs() {
     let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
     for &(name, cfg) in &[WORKLOADS[1], WORKLOADS[9]] {
-        for (mode, strategy) in [
-            (MergeMode::None, StrategyKind::Random),
-            (MergeMode::Static, StrategyKind::Topological),
+        for (mode, strategy, scheduler) in [
+            (MergeMode::None, StrategyKind::Random, SchedulerKind::Bsp),
+            (MergeMode::None, StrategyKind::Random, SchedulerKind::Steal),
+            (MergeMode::Static, StrategyKind::Topological, SchedulerKind::Bsp),
         ] {
-            let a = run_parallel(name, cfg, mode, strategy, solver.clone(), 4);
-            let b = run_parallel(name, cfg, mode, strategy, solver.clone(), 4);
-            assert_eq!(a.completed_paths, b.completed_paths, "{name} {mode:?}");
-            assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{name} {mode:?}");
-            assert_eq!(a.merges, b.merges, "{name} {mode:?}: merge structure must reproduce");
-            assert_eq!(a.steps, b.steps, "{name} {mode:?}");
-            assert_eq!(a.covered_blocks, b.covered_blocks, "{name} {mode:?}");
+            let run = || match scheduler {
+                SchedulerKind::Bsp => run_parallel(name, cfg, mode, strategy, solver.clone(), 4),
+                SchedulerKind::Steal => {
+                    run_parallel_steal(name, cfg, mode, strategy, solver.clone(), 4)
+                }
+            };
+            let (a, b) = (run(), run());
+            let mode = format!("{mode:?}/{scheduler:?}");
+            assert_eq!(a.completed_paths, b.completed_paths, "{name} {mode}");
+            assert_eq!(a.completed_multiplicity, b.completed_multiplicity, "{name} {mode}");
+            assert_eq!(a.merges, b.merges, "{name} {mode}: merge structure must reproduce");
+            assert_eq!(a.steps, b.steps, "{name} {mode}");
+            assert_eq!(a.covered_blocks, b.covered_blocks, "{name} {mode}");
             let bytes = |r: &RunReport| {
                 r.tests
                     .iter()
                     .map(|t| (t.inputs.clone(), t.predicted_outputs.clone()))
                     .collect::<Vec<_>>()
             };
-            assert_eq!(bytes(&a), bytes(&b), "{name} {mode:?}: reports must be byte-identical");
+            assert_eq!(bytes(&a), bytes(&b), "{name} {mode}: reports must be byte-identical");
         }
     }
 }

@@ -294,6 +294,43 @@ fn bsp_kill_and_resume_reproduces_the_run() {
     assert_eq!(resumed.steps, uninterrupted.steps, "{who}: step counts differ");
 }
 
+/// BSP resume from a barrier where the coordinator still holds states
+/// between workers: the fleet checkpoint writes them out of the
+/// coordinator's own pending list, and resuming must still reproduce
+/// the uninterrupted run.
+#[test]
+fn bsp_resume_carries_the_coordinators_pending_states() {
+    let (workload, cfg) = WORKLOADS[2];
+    let program = by_name(workload).unwrap().program(&cfg);
+    let path = ck_path("bsp-pending");
+    let par = || ParallelConfig { jobs: 4, steps_per_round: 8, ..Default::default() };
+
+    let uninterrupted =
+        ParallelEngine::new(program.clone(), engine_config(None), par()).unwrap().run();
+
+    // BSP is deterministic per (seed, jobs), so the barrier a pick
+    // budget stops at is fixed. At 10 picks it is the barrier right
+    // after worker 0's first hand-off, with that state still pending;
+    // checkpointing every pick writes exactly that barrier.
+    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 1), 10);
+    let killed = ParallelEngine::new(program.clone(), killed_cfg, par()).unwrap().run();
+    assert!(killed.hit_budget, "{workload}: the killed run must stop early");
+
+    let ck = read_checkpoint(&path).expect("coordinator checkpoint written before the kill");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ck.picks, 10, "{workload}: checkpoint at the last barrier");
+    // Worker 0's first hand-off and its own snapshot both carry the key
+    // (0, 1), so two copies show the pending state was written.
+    let firsts = ck.frontier.iter().filter(|s| (s.origin_shard, s.origin_seq) == (0, 1)).count();
+    assert_eq!(firsts, 2, "{workload}: the checkpoint must carry the pending state");
+
+    let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
+    let who = format!("{workload} bsp jobs=4 resume with pending states");
+    assert_equivalent(&who, &uninterrupted, &resumed);
+    assert_eq!(resumed.picks, uninterrupted.picks, "{who}: pick counts differ");
+    assert_eq!(resumed.steps, uninterrupted.steps, "{who}: step counts differ");
+}
+
 /// Cross-scheduler resume: a checkpoint written by the *sequential*
 /// engine resumes on the work-stealing fleet (and vice versa is covered
 /// by the schedulers sharing `Checkpoint`). Under `MergeMode::None` the
