@@ -23,6 +23,7 @@
 //! back to the fixed-capacity count policy, and
 //! `SYMMERGE_MAX_CTX_CLAUSES` probes the clause budget.
 
+use symmerge_bench::env_config;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, ParallelConfig, ParallelEngine, QceConfig,
@@ -119,11 +120,8 @@ fn main() {
             budgets: Budgets { max_time: Some(opts.budget), ..Budgets::default() },
             generate_tests: true,
             seed: opts.seed,
-            ..EngineConfig::default()
+            ..env_config().engine.clone()
         };
-        if let Ok(n) = std::env::var("SYMMERGE_MAX_CONTEXTS") {
-            config.solver.max_contexts = n.parse().expect("SYMMERGE_MAX_CONTEXTS takes a count");
-        }
         config.solver.shared_cache = shared;
         config.solver.use_incremental = incremental;
         let report = if jobs > 1 {

@@ -21,6 +21,7 @@
 //! cargo run --release -p symmerge-bench --bin tier_sweep
 //! ```
 
+use symmerge_bench::env_config;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, QceConfig, RunReport, SolverConfig, StrategyKind,
@@ -38,7 +39,7 @@ fn run(opts: &HarnessOpts, solver: SolverConfig) -> RunReport {
         generate_tests: true,
         seed: opts.seed,
         solver,
-        ..EngineConfig::default()
+        ..env_config().engine.clone()
     };
     let engine = Engine::builder(by_name("wc").unwrap().program(&cfg))
         .config(config)
@@ -79,7 +80,7 @@ fn main() {
         tier_gate: gate,
         cex_prefilter: prefilter,
         canonical_models: canonical,
-        ..SolverConfig::default()
+        ..env_config().engine.solver.clone()
     };
 
     let mut csv = CsvOut::create(

@@ -5,12 +5,21 @@
 //! plots, at laptop-scale budgets (see `DESIGN.md` for the substitution
 //! rationale and `EXPERIMENTS.md` for recorded outcomes).
 
+use std::sync::OnceLock;
 use std::time::Duration;
+use symmerge::config::EnvConfig;
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, ParallelConfig, ParallelEngine, QceConfig, RunReport,
     SchedulerKind, StrategyKind,
 };
 use symmerge_workloads::{InputConfig, Workload};
+
+/// The `SYMMERGE_*` environment configuration ([`symmerge::config`]),
+/// parsed once per process: the base every harness run starts from.
+pub fn env_config() -> &'static EnvConfig {
+    static CONFIG: OnceLock<EnvConfig> = OnceLock::new();
+    CONFIG.get_or_init(symmerge::config::from_env)
+}
 
 /// A named engine setup used across the figure harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,15 +65,15 @@ pub struct RunOpts {
     /// sequential engine; `> 1` runs the sharded [`ParallelEngine`].
     pub jobs: u32,
     /// Which parallel scheduler to use (BSP rounds or work stealing).
-    /// Defaults from `SYMMERGE_SCHEDULER`; steal mode routes through the
-    /// [`ParallelEngine`] even at `jobs = 1`.
+    /// Defaults from [`env_config`] (`SYMMERGE_SCHEDULER`); steal mode
+    /// routes through the [`ParallelEngine`] even at `jobs = 1`.
     pub scheduler: SchedulerKind,
     /// Force canonical minimal models — the byte-identity reference
     /// mode the differential sweeps compare generated tests under.
     pub canonical: bool,
     /// Cross-worker shared solver-cache override: `Some(on)` pins the
-    /// fabric for an ablation axis, `None` keeps the
-    /// `SYMMERGE_SHARED_CACHE` default.
+    /// fabric for an ablation axis, `None` keeps the [`env_config`]
+    /// value (`SYMMERGE_SHARED_CACHE`).
     pub shared_cache: Option<bool>,
 }
 
@@ -79,15 +88,17 @@ impl Default for RunOpts {
             generate_tests: false,
             incremental: true,
             jobs: 1,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: env_config().parallel.scheduler,
             canonical: false,
             shared_cache: None,
         }
     }
 }
 
-/// Builds the engine configuration for a setup.
+/// Builds the engine configuration for a setup, on top of
+/// [`env_config`].
 pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
+    let base = &env_config().engine;
     let mut config = EngineConfig {
         merge_mode: match setup {
             Setup::Baseline => MergeMode::None,
@@ -104,7 +115,7 @@ pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
         solver: {
             let mut solver = symmerge_core::SolverConfig {
                 use_incremental: opts.incremental,
-                ..symmerge_core::SolverConfig::default()
+                ..base.solver.clone()
             };
             if opts.canonical {
                 solver.canonical_models = true;
@@ -116,7 +127,7 @@ pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
         },
         generate_tests: opts.generate_tests,
         seed: opts.seed,
-        ..EngineConfig::default()
+        ..base.clone()
     };
     // Exhaustive-exploration harnesses use random search for the baseline
     // (like the paper's complete explorations); the coverage strategy only
@@ -141,22 +152,10 @@ pub fn run_workload(
     let program = workload.program(cfg);
     let config = config_for(setup, opts);
     if opts.jobs > 1 || opts.scheduler == SchedulerKind::Steal {
-        // Experiment overrides for the scaling sweeps (see EXPERIMENTS.md):
-        // SYMMERGE_PAR_QUOTA sets the per-round step quota,
-        // SYMMERGE_PAR_STEAL_NEWEST flips the steal direction,
-        // SYMMERGE_SCHEDULER selects the BSP or work-stealing scheduler,
-        // and SYMMERGE_WARM_MIGRATION=0 ablates warm-context migration
-        // (cold imports + unbiased steals — the pre-PR-5 behaviour).
-        let mut config = config;
-        if matches!(std::env::var("SYMMERGE_WARM_MIGRATION").as_deref(), Ok("0")) {
-            config.warm_migration = false;
-        }
-        let mut par =
-            ParallelConfig { jobs: opts.jobs, scheduler: opts.scheduler, ..Default::default() };
-        if let Ok(q) = std::env::var("SYMMERGE_PAR_QUOTA") {
-            par.steps_per_round = q.parse().expect("SYMMERGE_PAR_QUOTA takes a step count");
-        }
-        par.steal_newest = std::env::var_os("SYMMERGE_PAR_STEAL_NEWEST").is_some();
+        // The round quota and steal direction come from the environment
+        // (SYMMERGE_PAR_QUOTA, SYMMERGE_PAR_STEAL_NEWEST; see EXPERIMENTS.md).
+        let par =
+            ParallelConfig { jobs: opts.jobs, scheduler: opts.scheduler, ..env_config().parallel };
         return ParallelEngine::new(program, config, par)
             .expect("workload programs validate")
             .run();

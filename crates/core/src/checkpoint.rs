@@ -10,8 +10,7 @@
 //! portable state does not care which scheduler re-hosts it.
 //!
 //! Sequential engines write checkpoints themselves every
-//! [`CheckpointConfig::every`] picks ([`SYMMERGE_CHECKPOINT_PATH`] /
-//! [`SYMMERGE_CHECKPOINT_EVERY`]); BSP fleets checkpoint at round
+//! [`CheckpointConfig::every`] picks; BSP fleets checkpoint at round
 //! barriers through their coordinator, which merges per-worker
 //! snapshots with the coordinator's own pending states via
 //! `merge_parts`. Files are written atomically (sibling temp file +
@@ -30,9 +29,6 @@
 //! *result*: the sorted test set, completed-path counters, coverage,
 //! and failure list. Scheduling artifacts — `max_worklist`, wall time,
 //! solver timings — are not part of that contract.
-//!
-//! [`SYMMERGE_CHECKPOINT_PATH`]: CheckpointConfig::from_env
-//! [`SYMMERGE_CHECKPOINT_EVERY`]: CheckpointConfig::from_env
 
 use std::fs;
 use std::io;
@@ -55,37 +51,6 @@ pub struct CheckpointConfig {
     pub path: PathBuf,
     /// Write a checkpoint every this many picks.
     pub every: u64,
-}
-
-impl CheckpointConfig {
-    /// Builds a config from `SYMMERGE_CHECKPOINT_PATH` (the file to
-    /// write) and `SYMMERGE_CHECKPOINT_EVERY` (pick interval, default
-    /// 256). Returns `None` — checkpointing off — when the path is
-    /// unset or empty, or when the interval is explicitly `0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `SYMMERGE_CHECKPOINT_EVERY` is set but not a
-    /// number: a typo'd interval silently never checkpointing would
-    /// defeat the point of setting one.
-    pub fn from_env() -> Option<CheckpointConfig> {
-        let path = std::env::var("SYMMERGE_CHECKPOINT_PATH").ok()?;
-        let path = path.trim();
-        if path.is_empty() {
-            return None;
-        }
-        let every = match std::env::var("SYMMERGE_CHECKPOINT_EVERY") {
-            Ok(v) => v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("SYMMERGE_CHECKPOINT_EVERY: `{v}` is not a number")),
-            Err(_) => 256,
-        };
-        if every == 0 {
-            return None;
-        }
-        Some(CheckpointConfig { path: PathBuf::from(path), every })
-    }
 }
 
 /// A resumable snapshot of an exploration (see the [module docs](self)

@@ -16,7 +16,7 @@ use crate::strategy::{topo_cmp, Oracle, SchedStats, StateMeta, Strategy};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// DSM tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsmConfig {
     /// History depth `δ` (paper default: 8 basic blocks).
     pub delta: usize,

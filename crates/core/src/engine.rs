@@ -36,7 +36,7 @@ pub enum MergeMode {
 }
 
 /// Exploration budgets; exploration stops at whichever hits first.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budgets {
     /// Wall-clock limit.
     pub max_time: Option<Duration>,
@@ -49,7 +49,11 @@ pub struct Budgets {
 }
 
 /// Full engine configuration.
-#[derive(Debug, Clone)]
+///
+/// [`EngineConfig::default`] is a constant and never reads the
+/// environment; binaries that take `SYMMERGE_*` variables map them onto
+/// these fields at their edge.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Merging mode.
     pub merge_mode: MergeMode,
@@ -89,24 +93,22 @@ pub struct EngineConfig {
     pub warm_migration: bool,
     /// Seeded fault-injection plan ([`crate::fault`]): deterministic
     /// worker panics and forced solver `Unknown`s, for exercising the
-    /// fault-tolerance layer. `None` (the default when
-    /// `SYMMERGE_FAULT_PLAN` is unset) injects nothing. Injected faults
-    /// never change results — see the [`crate::fault`] module docs.
+    /// fault-tolerance layer. `None` (the default) injects nothing.
+    /// Injected faults never change results — see the [`crate::fault`]
+    /// module docs.
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
     /// Panic isolation: snapshot each picked state *before* executing
     /// it, so a panic caught anywhere in the step can quarantine and
     /// re-queue the state (`Engine::recover_from_panic`) instead of
     /// losing it. The snapshot clones the state every step, so it is
-    /// armed only when asked for: this flag (`SYMMERGE_PANIC_ISOLATION`
-    /// sets it), or a [`EngineConfig::fault_plan`] that schedules
-    /// panics.
+    /// armed only when asked for: this flag, or a
+    /// [`EngineConfig::fault_plan`] that schedules panics.
     pub panic_isolation: bool,
     /// Periodic checkpointing ([`crate::checkpoint`]): snapshot the
     /// run's results and frontier to a file every
     /// [`CheckpointConfig::every`] picks, so a killed run can resume
     /// and still produce the uninterrupted run's final results. `None`
-    /// (the default when `SYMMERGE_CHECKPOINT_PATH` is unset) writes
-    /// nothing.
+    /// (the default) writes nothing.
     ///
     /// [`CheckpointConfig::every`]: crate::checkpoint::CheckpointConfig
     pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
@@ -128,9 +130,9 @@ impl Default for EngineConfig {
             generate_tests: true,
             affinity_scheduling: true,
             warm_migration: true,
-            fault_plan: crate::fault::FaultPlan::from_env(),
-            panic_isolation: std::env::var("SYMMERGE_PANIC_ISOLATION").is_ok_and(|v| v == "1"),
-            checkpoint: crate::checkpoint::CheckpointConfig::from_env(),
+            fault_plan: None,
+            panic_isolation: false,
+            checkpoint: None,
             seed: 0,
         }
     }
@@ -1509,6 +1511,35 @@ mod tests {
     fn engine_for(src: &str, f: impl FnOnce(EngineBuilder) -> EngineBuilder) -> Engine {
         let program = minic::compile_with_width(src, 8).unwrap();
         f(Engine::builder(program)).build().unwrap()
+    }
+
+    /// The default is a constant, field for field the literal the
+    /// `mergebench` harness writes out (exhaustive literals, so a new
+    /// field fails to compile here until its default is pinned).
+    #[test]
+    fn default_equals_the_benchmark_literal() {
+        let literal = EngineConfig {
+            merge_mode: MergeMode::None,
+            strategy: StrategyKind::CoverageOptimized,
+            qce: QceConfig { alpha: 1e-12, beta: 0.8, kappa: 10, zeta: None },
+            dsm: DsmConfig { delta: 8 },
+            merge: MergeConfig { factor_common_prefix: true },
+            solver: SolverConfig::default(),
+            budgets: Budgets {
+                max_time: None,
+                max_steps: None,
+                max_completed: None,
+                max_picks: None,
+            },
+            generate_tests: true,
+            affinity_scheduling: true,
+            warm_migration: true,
+            fault_plan: None,
+            panic_isolation: false,
+            checkpoint: None,
+            seed: 0,
+        };
+        assert_eq!(EngineConfig::default(), literal);
     }
 
     // `y` feeds the second branch condition, so QCE sees future queries

@@ -16,11 +16,9 @@
 //!   from the plan seed and the worker index, so the same plan hits
 //!   different queries on different workers — deterministically.
 //!
-//! Plans are parsed from the `SYMMERGE_FAULT_PLAN` environment variable
-//! (see [`FaultPlan::parse`] for the grammar) or installed
-//! programmatically via [`EngineConfig::fault_plan`]
-//! (tests must use the latter: the test harness runs tests concurrently
-//! in one process, and env vars are process-global).
+//! A plan is installed through [`EngineConfig::fault_plan`]; binaries
+//! parse it from text with [`FaultPlan::parse`] (the grammar the
+//! `SYMMERGE_FAULT_PLAN` variable takes at the command-line edge).
 //!
 //! Injected faults never change *results*: a forced `Unknown` always
 //! gets an injection-free retry at the base budget, and a panicked
@@ -30,8 +28,6 @@
 //! `tests/fault_prop.rs` pins differentially.
 //!
 //! [`EngineConfig::fault_plan`]: crate::EngineConfig
-
-use std::sync::Arc;
 
 /// A deterministic fault-injection plan (see the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -46,21 +42,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses a plan from `SYMMERGE_FAULT_PLAN`, if set. Panics on a
-    /// malformed value (a typo'd fault plan silently running fault-free
-    /// would defeat the CI leg that sets it).
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let v = std::env::var("SYMMERGE_FAULT_PLAN").ok()?;
-        let v = v.trim();
-        if v.is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(v) {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(e) => panic!("SYMMERGE_FAULT_PLAN: {e}"),
-        }
-    }
-
     /// Parses a comma-separated list of fault clauses:
     ///
     /// * `panic=<worker>:<step>` — worker `<worker>` panics at its

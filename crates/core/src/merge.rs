@@ -7,7 +7,7 @@ use std::hash::{Hash, Hasher};
 use symmerge_expr::{ExprId, ExprPool};
 
 /// Options controlling the merge operation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeConfig {
     /// Factor the common prefix out of the two path conditions instead of
     /// disjoining them wholesale (paper §2.1); disabling this is an

@@ -150,28 +150,8 @@ pub enum SchedulerKind {
     Steal,
 }
 
-impl SchedulerKind {
-    /// Reads the `SYMMERGE_SCHEDULER` environment knob (`bsp` or
-    /// `steal`; unset is BSP) — for binaries that take their
-    /// configuration from the environment. The library itself never
-    /// calls this.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value, so a misspelled scheduler cannot
-    /// silently run BSP.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("SYMMERGE_SCHEDULER") {
-            Err(std::env::VarError::NotPresent) => SchedulerKind::Bsp,
-            Ok(v) if v == "bsp" => SchedulerKind::Bsp,
-            Ok(v) if v == "steal" => SchedulerKind::Steal,
-            other => panic!("SYMMERGE_SCHEDULER takes `bsp` or `steal`, got {other:?}"),
-        }
-    }
-}
-
 /// Parallelism knobs for [`ParallelEngine`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
     /// Number of worker threads. Under [`SchedulerKind::Bsp`], `1` (the
     /// default) bypasses the round machinery entirely and runs the
@@ -1528,25 +1508,6 @@ mod tests {
         assert_eq!(steal.steps, bsp.steps);
         assert_eq!(test_bytes(&steal), test_bytes(&bsp));
         assert_eq!(steal.steals, 0, "fallback must not run the steal machinery");
-    }
-
-    #[test]
-    fn scheduler_env_parse_rejects_unknown_values() {
-        // The only test in this binary that touches SYMMERGE_SCHEDULER
-        // (the library never reads it), so setting it here races nothing.
-        std::env::remove_var("SYMMERGE_SCHEDULER");
-        assert_eq!(SchedulerKind::from_env(), SchedulerKind::Bsp, "unset is BSP");
-        for (value, kind) in [("bsp", SchedulerKind::Bsp), ("steal", SchedulerKind::Steal)] {
-            std::env::set_var("SYMMERGE_SCHEDULER", value);
-            assert_eq!(SchedulerKind::from_env(), kind, "{value}");
-        }
-        for value in ["Steal", "", "work-stealing"] {
-            std::env::set_var("SYMMERGE_SCHEDULER", value);
-            let parsed = std::panic::catch_unwind(SchedulerKind::from_env);
-            assert!(parsed.is_err(), "{value:?} must be refused, not run as {parsed:?}");
-        }
-        std::env::remove_var("SYMMERGE_SCHEDULER");
-        assert_eq!(ParallelConfig::default().scheduler, SchedulerKind::Bsp);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use symmerge_ir::{
 pub const MAX_UNROLL: u64 = 12;
 
 /// Tunable parameters of QCE (paper §3.2 “Parameters”).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QceConfig {
     /// The hot-variable threshold. `0` ⇒ any variable with future queries
     /// is hot (states with differing concrete values never merge);

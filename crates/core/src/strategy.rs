@@ -162,16 +162,6 @@ pub trait Strategy {
     }
 }
 
-/// Reads a boolean ablation flag from the environment (the same
-/// convention as the solver's `SYMMERGE_SOLVER_*` flags: `0`/`false`/
-/// `off`/`no` disables).
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => default,
-    }
-}
-
 /// Instantiates a boxed strategy from its kind.
 pub fn make_strategy(kind: StrategyKind) -> Box<dyn Strategy> {
     match kind {
@@ -333,9 +323,9 @@ const GEN_UNKNOWN: u64 = u64::MAX;
 /// coverage grows (see [`Oracle::distance_to_uncovered`]): every stored
 /// key is a lower bound of the state's current key, so a popped entry
 /// whose recomputed key is unchanged is the true minimum — byte-for-byte
-/// the state the O(n) scan would have chosen. The scan is retained
-/// (`pick_ranked_scan`), both as the reference the property suite
-/// compares against and as the `SYMMERGE_COV_HEAP=0` ablation.
+/// the state the O(n) scan would have chosen. The scan lives on in the
+/// test module (`pick_ranked_scan`), as the oracle the
+/// `cov_heap_pick_sequence_matches_scan` property compares against.
 #[derive(Debug)]
 pub struct CoverageOptimized {
     metas: HashMap<StateId, StateMeta>,
@@ -352,9 +342,6 @@ pub struct CoverageOptimized {
     /// location must invalidate the old entry even when `steps` and
     /// `affinity` happen to collide.
     heap: BinaryHeap<Reverse<CovEntry>>,
-    /// `false` selects the retained O(n) reference scan
-    /// (`SYMMERGE_COV_HEAP=0`).
-    use_heap: bool,
     /// Probability of a random pick.
     epsilon: f64,
     stats: SchedStats,
@@ -367,7 +354,6 @@ impl Default for CoverageOptimized {
             order: Vec::new(),
             pos: HashMap::new(),
             heap: BinaryHeap::new(),
-            use_heap: env_flag("SYMMERGE_COV_HEAP", true),
             epsilon: 0.25,
             stats: SchedStats::default(),
         }
@@ -375,15 +361,6 @@ impl Default for CoverageOptimized {
 }
 
 impl CoverageOptimized {
-    /// Builds the strategy with the ranked-pick implementation pinned
-    /// (`true` = heap, `false` = the O(n) reference scan), ignoring the
-    /// `SYMMERGE_COV_HEAP` environment default. The property suite uses
-    /// this to drive both implementations side by side and assert their
-    /// pick sequences are byte-identical.
-    pub fn with_heap(use_heap: bool) -> Self {
-        CoverageOptimized { use_heap, ..Default::default() }
-    }
-
     fn drop_from_order(&mut self, id: StateId) {
         if let Some(i) = self.pos.remove(&id) {
             self.order.swap_remove(i);
@@ -395,22 +372,6 @@ impl CoverageOptimized {
 
     fn dist_of(oracle: &mut dyn Oracle, meta: &StateMeta) -> u64 {
         oracle.distance_to_uncovered(meta.func, meta.block).map(u64::from).unwrap_or(u64::MAX / 2)
-    }
-
-    /// The retained O(n) reference implementation: scan every live meta
-    /// with current distances and take the key minimum. The heap path
-    /// must match this pick-for-pick (asserted by the
-    /// `cov_heap_matches_scan` property suite).
-    fn pick_ranked_scan(&self, oracle: &mut dyn Oracle) -> StateId {
-        let mut best: Option<CovKey> = None;
-        for (&id, meta) in &self.metas {
-            let dist = Self::dist_of(oracle, meta);
-            let key = (dist, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
-            if best.map_or(true, |b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.expect("non-empty").3
     }
 
     /// The O(log n) heap pick. Pops until an entry survives validation:
@@ -453,16 +414,37 @@ impl CoverageOptimized {
             self.heap.push(Reverse(((dist_now, rsteps, raff, id), cur_gen, loc)));
         }
     }
+
+    /// One pick: an ε-fraction uniformly at random, the rest through
+    /// `ranked` (the heap in production; the test oracle passes the scan).
+    fn pick_with(
+        &mut self,
+        oracle: &mut dyn Oracle,
+        ranked: impl FnOnce(&mut Self, &mut dyn Oracle) -> StateId,
+    ) -> Option<StateId> {
+        if self.metas.is_empty() {
+            return None;
+        }
+        let random_pick = oracle.rng().gen_bool(self.epsilon);
+        let chosen = if random_pick {
+            let k = oracle.rng().gen_range(0..self.order.len());
+            self.order[k]
+        } else {
+            self.stats.sched_picks += 1;
+            ranked(self, oracle)
+        };
+        self.drop_from_order(chosen);
+        self.metas.remove(&chosen);
+        Some(chosen)
+    }
 }
 
 impl Strategy for CoverageOptimized {
     fn add(&mut self, id: StateId, meta: StateMeta) {
-        if self.use_heap {
-            // Distance 0 is a lower bound (no oracle at add time); the
-            // GEN_UNKNOWN stamp forces a recompute when popped.
-            let key = (0, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
-            self.heap.push(Reverse((key, GEN_UNKNOWN, (meta.func.0, meta.block.0))));
-        }
+        // Distance 0 is a lower bound (no oracle at add time); the
+        // GEN_UNKNOWN stamp forces a recompute when popped.
+        let key = (0, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
+        self.heap.push(Reverse((key, GEN_UNKNOWN, (meta.func.0, meta.block.0))));
         self.metas.insert(id, meta);
         self.pos.insert(id, self.order.len());
         self.order.push(id);
@@ -474,24 +456,7 @@ impl Strategy for CoverageOptimized {
     }
 
     fn pick(&mut self, oracle: &mut dyn Oracle) -> Option<StateId> {
-        if self.metas.is_empty() {
-            return None;
-        }
-        let random_pick = oracle.rng().gen_bool(self.epsilon);
-        let chosen = if random_pick {
-            let k = oracle.rng().gen_range(0..self.order.len());
-            self.order[k]
-        } else {
-            self.stats.sched_picks += 1;
-            if self.use_heap {
-                self.pick_ranked_heap(oracle)
-            } else {
-                self.pick_ranked_scan(oracle)
-            }
-        };
-        self.drop_from_order(chosen);
-        self.metas.remove(&chosen);
-        Some(chosen)
+        self.pick_with(oracle, Self::pick_ranked_heap)
     }
 
     fn len(&self) -> usize {
@@ -560,7 +525,40 @@ impl Strategy for Topological {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig};
+    use proptest::strategy::Strategy as _;
     use rand::SeedableRng;
+
+    /// The O(n) reference implementation of the ranked pick: scan every
+    /// live meta with current distances and take the key minimum. The
+    /// heap must match it pick-for-pick
+    /// (`cov_heap_pick_sequence_matches_scan`).
+    fn pick_ranked_scan(cov: &CoverageOptimized, oracle: &mut dyn Oracle) -> StateId {
+        let mut best: Option<CovKey> = None;
+        for (&id, meta) in &cov.metas {
+            let dist = CoverageOptimized::dist_of(oracle, meta);
+            let key = (dist, u64::MAX - meta.steps, u64::MAX - meta.affinity, id);
+            if best.map_or(true, |b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.expect("non-empty").3
+    }
+
+    /// One `CoverageOptimized` pick on the heap (`heap = true`, the
+    /// production path) or on the O(n) reference scan, sharing the
+    /// ε-random path and its RNG stream.
+    fn cov_pick(
+        cov: &mut CoverageOptimized,
+        oracle: &mut dyn Oracle,
+        heap: bool,
+    ) -> Option<StateId> {
+        if heap {
+            cov.pick(oracle)
+        } else {
+            cov.pick_with(oracle, |s, o| pick_ranked_scan(s, o))
+        }
+    }
 
     struct TestOracle {
         rng: StdRng,
@@ -728,23 +726,22 @@ mod tests {
             for b in 0..6u32 {
                 oracle.distances.insert((FuncId(0), BlockId(b)), b + 1);
             }
-            let mut cov =
-                CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(use_heap) };
+            let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
             for i in 0..6u64 {
                 cov.add(StateId(i), meta(i as u32, 0, i));
             }
             let mut picks = Vec::new();
-            picks.push(cov.pick(&mut oracle).unwrap());
+            picks.push(cov_pick(&mut cov, &mut oracle, use_heap).unwrap());
             // New coverage: the closest remaining block's distance grows
             // past everything else (non-decreasing, per the contract).
             oracle.distances.insert((FuncId(0), BlockId(1)), 40);
             oracle.gen += 1;
-            picks.push(cov.pick(&mut oracle).unwrap());
+            picks.push(cov_pick(&mut cov, &mut oracle, use_heap).unwrap());
             // Remove one state, raise another distance, drain.
             cov.remove(StateId(3));
             oracle.distances.insert((FuncId(0), BlockId(2)), 41);
             oracle.gen += 1;
-            while let Some(id) = cov.pick(&mut oracle) {
+            while let Some(id) = cov_pick(&mut cov, &mut oracle, use_heap) {
                 picks.push(id);
             }
             picks
@@ -764,15 +761,15 @@ mod tests {
             oracle.distances.insert((FuncId(0), BlockId(1)), 5);
             oracle.distances.insert((FuncId(0), BlockId(2)), 0);
             oracle.distances.insert((FuncId(0), BlockId(3)), 3);
-            let mut cov =
-                CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(use_heap) };
+            let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
             cov.add(StateId(1), meta(0, 0, 0));
             cov.add(StateId(2), meta(2, 0, 0));
-            let first = cov.pick(&mut oracle); // leaves a current-gen entry for id 1
+            // Leaves a current-gen entry for id 1.
+            let first = cov_pick(&mut cov, &mut oracle, use_heap);
             cov.remove(StateId(1));
             cov.add(StateId(1), meta(1, 0, 0)); // same steps/affinity, new block
             cov.add(StateId(3), meta(3, 0, 0));
-            (first, cov.pick(&mut oracle))
+            (first, cov_pick(&mut cov, &mut oracle, use_heap))
         };
         assert_eq!(run(true), run(false), "stale relocated entry must be discarded");
         assert_eq!(run(false), (Some(StateId(2)), Some(StateId(3))));
@@ -782,7 +779,7 @@ mod tests {
     fn coverage_heap_counts_picks_and_repairs() {
         let mut oracle = TestOracle::new();
         oracle.distances.insert((FuncId(0), BlockId(0)), 5);
-        let mut cov = CoverageOptimized { epsilon: 0.0, ..CoverageOptimized::with_heap(true) };
+        let mut cov = CoverageOptimized { epsilon: 0.0, ..Default::default() };
         cov.add(StateId(1), meta(0, 0, 0));
         cov.add(StateId(2), meta(0, 0, 0));
         cov.remove(StateId(1)); // leaves a lazy-deleted heap entry
@@ -855,5 +852,134 @@ mod tests {
         };
         assert_eq!(picks(3), picks(3));
         assert_ne!(picks(3), picks(4));
+    }
+
+    /// An oracle with mutable per-block distances that honours the heap
+    /// contract: distances only ever *grow* (coverage only shrinks the
+    /// uncovered set) and every mutation bumps the generation.
+    struct CovOracle {
+        rng: StdRng,
+        gen: u64,
+        dist: HashMap<u32, u32>,
+    }
+
+    impl CovOracle {
+        fn new(seed: u64) -> Self {
+            CovOracle { rng: StdRng::seed_from_u64(seed), gen: 0, dist: HashMap::new() }
+        }
+
+        /// Simulates new coverage near `block`: its distance grows by
+        /// `delta` (None stays None — unreachable stays unreachable).
+        fn cover_near(&mut self, block: u32, delta: u32) {
+            if let Some(d) = self.dist.get_mut(&block) {
+                *d = d.saturating_add(delta);
+            }
+            self.gen += 1;
+        }
+    }
+
+    impl Oracle for CovOracle {
+        fn distance_to_uncovered(&mut self, _f: FuncId, block: BlockId) -> Option<u32> {
+            self.dist.get(&block.0).copied()
+        }
+
+        fn coverage_generation(&self) -> u64 {
+            self.gen
+        }
+
+        fn rng(&mut self) -> &mut StdRng {
+            &mut self.rng
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum CovOp {
+        /// `(id, block, steps, initial distance, affinity)`. Affinity is
+        /// drawn from a *small* range on purpose: a removed-and-re-added id
+        /// must be able to collide with its old registration on steps and
+        /// affinity while differing in block, so the heap's stale-entry
+        /// validation of the distance-determining location gets exercised
+        /// (a monotone affinity counter would mask it).
+        Add(u64, u32, u64, u32, u64),
+        Remove(u64),
+        Pick,
+        /// Coverage invalidation: raise `block`'s distance by the delta.
+        Cover(u32, u32),
+    }
+
+    fn cov_ops() -> impl proptest::strategy::Strategy<Value = Vec<CovOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u64..30, 0u32..8, 0u64..4, 0u32..6, 0u64..3)
+                    .prop_map(|(id, b, s, d, a)| CovOp::Add(id, b, s, d, a)),
+                (0u64..30).prop_map(CovOp::Remove),
+                Just(CovOp::Pick),
+                (0u32..8, 1u32..5).prop_map(|(b, d)| CovOp::Cover(b, d)),
+            ],
+            1..150,
+        )
+    }
+
+    proptest! {
+        // Cases and seed are pinned so CI runs are exactly reproducible.
+        #![proptest_config(ProptestConfig::with_cases(64).seed(0x5EED_C04E))]
+
+        /// The heapified `CoverageOptimized` pick sequence is byte-identical
+        /// to the retained O(n) reference scan across random workloads:
+        /// interleaved adds (with affinity-token churn — re-registered ids
+        /// carry fresh affinity/steps), removes, picks (both the ranked and
+        /// the ε-random path, driven by the same RNG stream), and mid-run
+        /// coverage invalidation (distances raised monotonically, generation
+        /// bumped). This is the tentpole's correctness contract: the heap is
+        /// an optimization, never a behaviour change.
+        #[test]
+        fn cov_heap_pick_sequence_matches_scan(
+            script in cov_ops(),
+            seed in 0u64..500,
+        ) {
+            let run = |use_heap: bool| {
+                let mut strategy = CoverageOptimized::default();
+                let mut oracle = CovOracle::new(seed);
+                let mut live: HashSet<u64> = HashSet::new();
+                let mut picks: Vec<Option<StateId>> = Vec::new();
+                for op in &script {
+                    match *op {
+                        CovOp::Add(id, block, steps, dist, affinity) => {
+                            if live.insert(id) {
+                                oracle.dist.entry(block).or_insert(dist);
+                                strategy.add(
+                                    StateId(id),
+                                    StateMeta {
+                                        func: FuncId(0),
+                                        block: BlockId(block),
+                                        topo: vec![(block, 0)],
+                                        steps,
+                                        affinity,
+                                    },
+                                );
+                            }
+                        }
+                        CovOp::Remove(id) => {
+                            strategy.remove(StateId(id));
+                            live.remove(&id);
+                        }
+                        CovOp::Pick => {
+                            let picked = cov_pick(&mut strategy, &mut oracle, use_heap);
+                            if let Some(StateId(id)) = picked {
+                                live.remove(&id);
+                            }
+                            picks.push(picked);
+                        }
+                        CovOp::Cover(block, delta) => oracle.cover_near(block, delta),
+                    }
+                }
+                while let Some(id) = cov_pick(&mut strategy, &mut oracle, use_heap) {
+                    live.remove(&id.0);
+                    picks.push(Some(id));
+                }
+                picks
+            };
+            prop_assert_eq!(run(true), run(false));
+        }
     }
 }

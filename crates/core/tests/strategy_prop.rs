@@ -1,16 +1,14 @@
 //! Property tests for scheduling: strategy bookkeeping under random
-//! add/remove/pick interleavings, the topological order's laws, and the
-//! byte-identity of the heapified `CoverageOptimized` against its
-//! retained O(n) reference scan.
+//! add/remove/pick interleavings and the topological order's laws. (The
+//! heap-vs-scan property of `CoverageOptimized` lives in `strategy.rs`'s
+//! test module, next to the `#[cfg(test)]` scan it compares against.)
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
-use symmerge_core::strategy::{
-    make_strategy, topo_cmp, CoverageOptimized, Oracle, StateMeta, Strategy as _,
-};
+use std::collections::HashSet;
+use symmerge_core::strategy::{make_strategy, topo_cmp, Oracle, StateMeta};
 use symmerge_core::{StateId, StrategyKind};
 use symmerge_ir::{BlockId, FuncId};
 
@@ -23,44 +21,6 @@ impl Oracle for NullOracle {
 
     fn rng(&mut self) -> &mut StdRng {
         &mut self.0
-    }
-}
-
-/// An oracle with mutable per-block distances that honours the heap
-/// contract: distances only ever *grow* (coverage only shrinks the
-/// uncovered set) and every mutation bumps the generation.
-struct CovOracle {
-    rng: StdRng,
-    gen: u64,
-    dist: HashMap<u32, u32>,
-}
-
-impl CovOracle {
-    fn new(seed: u64) -> Self {
-        CovOracle { rng: StdRng::seed_from_u64(seed), gen: 0, dist: HashMap::new() }
-    }
-
-    /// Simulates new coverage near `block`: its distance grows by
-    /// `delta` (None stays None — unreachable stays unreachable).
-    fn cover_near(&mut self, block: u32, delta: u32) {
-        if let Some(d) = self.dist.get_mut(&block) {
-            *d = d.saturating_add(delta);
-        }
-        self.gen += 1;
-    }
-}
-
-impl Oracle for CovOracle {
-    fn distance_to_uncovered(&mut self, _f: FuncId, block: BlockId) -> Option<u32> {
-        self.dist.get(&block.0).copied()
-    }
-
-    fn coverage_generation(&self) -> u64 {
-        self.gen
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 
@@ -80,34 +40,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![(0u64..40).prop_map(Op::Add), (0u64..40).prop_map(Op::Remove), Just(Op::Pick),],
         1..120,
-    )
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CovOp {
-    /// `(id, block, steps, initial distance, affinity)`. Affinity is
-    /// drawn from a *small* range on purpose: a removed-and-re-added id
-    /// must be able to collide with its old registration on steps and
-    /// affinity while differing in block, so the heap's stale-entry
-    /// validation of the distance-determining location gets exercised
-    /// (a monotone affinity counter would mask it).
-    Add(u64, u32, u64, u32, u64),
-    Remove(u64),
-    Pick,
-    /// Coverage invalidation: raise `block`'s distance by the delta.
-    Cover(u32, u32),
-}
-
-fn cov_ops() -> impl Strategy<Value = Vec<CovOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u64..30, 0u32..8, 0u64..4, 0u32..6, 0u64..3)
-                .prop_map(|(id, b, s, d, a)| CovOp::Add(id, b, s, d, a)),
-            (0u64..30).prop_map(CovOp::Remove),
-            Just(CovOp::Pick),
-            (0u32..8, 1u32..5).prop_map(|(b, d)| CovOp::Cover(b, d)),
-        ],
-        1..150,
     )
 }
 
@@ -164,64 +96,6 @@ proptest! {
             prop_assert!(drained.insert(id));
         }
         prop_assert_eq!(drained, live);
-    }
-
-    /// The heapified `CoverageOptimized` pick sequence is byte-identical
-    /// to the retained O(n) reference scan across random workloads:
-    /// interleaved adds (with affinity-token churn — re-registered ids
-    /// carry fresh affinity/steps), removes, picks (both the ranked and
-    /// the ε-random path, driven by the same RNG stream), and mid-run
-    /// coverage invalidation (distances raised monotonically, generation
-    /// bumped). This is the tentpole's correctness contract: the heap is
-    /// an optimization, never a behaviour change.
-    #[test]
-    fn cov_heap_pick_sequence_matches_scan(
-        script in cov_ops(),
-        seed in 0u64..500,
-    ) {
-        let run = |use_heap: bool| {
-            let mut strategy = CoverageOptimized::with_heap(use_heap);
-            let mut oracle = CovOracle::new(seed);
-            let mut live: HashSet<u64> = HashSet::new();
-            let mut picks: Vec<Option<StateId>> = Vec::new();
-            for op in &script {
-                match *op {
-                    CovOp::Add(id, block, steps, dist, affinity) => {
-                        if live.insert(id) {
-                            oracle.dist.entry(block).or_insert(dist);
-                            strategy.add(
-                                StateId(id),
-                                StateMeta {
-                                    func: FuncId(0),
-                                    block: BlockId(block),
-                                    topo: vec![(block, 0)],
-                                    steps,
-                                    affinity,
-                                },
-                            );
-                        }
-                    }
-                    CovOp::Remove(id) => {
-                        strategy.remove(StateId(id));
-                        live.remove(&id);
-                    }
-                    CovOp::Pick => {
-                        let picked = strategy.pick(&mut oracle);
-                        if let Some(StateId(id)) = picked {
-                            live.remove(&id);
-                        }
-                        picks.push(picked);
-                    }
-                    CovOp::Cover(block, delta) => oracle.cover_near(block, delta),
-                }
-            }
-            while let Some(id) = strategy.pick(&mut oracle) {
-                live.remove(&id.0);
-                picks.push(Some(id));
-            }
-            picks
-        };
-        prop_assert_eq!(run(true), run(false));
     }
 
     /// `topo_cmp` is a total preorder consistent with its intended law:

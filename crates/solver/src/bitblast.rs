@@ -49,26 +49,20 @@ const ITE_CHAIN_MAX: usize = 64;
 
 impl Default for BitBlaster {
     fn default() -> Self {
-        BitBlaster {
-            cnf: Cnf::new(),
-            cache: HashMap::new(),
-            inputs: HashMap::new(),
-            factor: crate::solve::env_flag("SYMMERGE_ITE_FACTOR", true),
-        }
+        BitBlaster { cnf: Cnf::new(), cache: HashMap::new(), inputs: HashMap::new(), factor: true }
     }
 }
 
 impl BitBlaster {
-    /// Creates an empty blaster. Ite-chain factoring and gate sharing
-    /// default to the `SYMMERGE_ITE_FACTOR` environment flag (on).
+    /// Creates an empty blaster with ite-chain factoring and gate
+    /// sharing on.
     pub fn new() -> Self {
         BitBlaster::default()
     }
 
     /// Creates an empty blaster with ite-chain factoring (and the
-    /// underlying hash-consed gate reuse) explicitly on or off,
-    /// independent of the environment. Both encodings compute the same
-    /// functions; only CNF size differs.
+    /// underlying hash-consed gate reuse) explicitly on or off. Both
+    /// encodings compute the same functions; only CNF size differs.
     pub fn with_ite_factor(on: bool) -> Self {
         let mut bb = BitBlaster { factor: on, ..BitBlaster::default() };
         bb.cnf.set_gate_sharing(on);

@@ -115,14 +115,13 @@ impl Default for Cnf {
 }
 
 impl Cnf {
-    /// Creates an empty formula with the constant-`true` variable asserted.
-    /// Gate sharing defaults to the `SYMMERGE_ITE_FACTOR` environment
-    /// flag (on).
+    /// Creates an empty formula with the constant-`true` variable asserted
+    /// and gate sharing on.
     pub fn new() -> Self {
         let mut cnf = Cnf {
             num_vars: 1,
             clauses: Vec::new(),
-            share: crate::solve::env_flag("SYMMERGE_ITE_FACTOR", true),
+            share: true,
             gate_memo: HashMap::new(),
             gates_reused: 0,
         };

@@ -71,10 +71,9 @@ impl Default for SolverContext {
 }
 
 impl SolverContext {
-    /// Creates a context with an empty prefix. The SAT-level ccmin and
-    /// blaster ite-factoring knobs take their environment defaults
-    /// (`SYMMERGE_SAT_CCMIN` / `SYMMERGE_ITE_FACTOR`, both on); see
-    /// [`SolverContext::with_options`] for explicit control.
+    /// Creates a context with an empty prefix, with SAT-level ccmin and
+    /// blaster ite-factoring both on; see [`SolverContext::with_options`]
+    /// for explicit control.
     pub fn new() -> Self {
         let blaster = BitBlaster::new();
         let sat = SatSolver::from_cnf(blaster.cnf());

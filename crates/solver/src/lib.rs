@@ -34,8 +34,8 @@
 //!   identical across solver configurations and runs.
 //!
 //! Each tier can be disabled through [`SolverConfig`] for ablation
-//! benchmarks (see also the `SYMMERGE_SOLVER_*` environment overrides it
-//! reads, which the CI feature matrix uses).
+//! benchmarks. The library never reads the environment; binaries map
+//! `SYMMERGE_*` variables onto the config at their edge.
 //!
 //! # Example
 //!

@@ -114,7 +114,7 @@ impl SatSolver {
             live_clauses: 0,
             conflict_budget: None,
             failed_assumptions: Vec::new(),
-            ccmin: crate::solve::env_flag("SYMMERGE_SAT_CCMIN", true),
+            ccmin: true,
             compacted_trail: 0,
             stats: SatStats::default(),
         };
@@ -164,10 +164,10 @@ impl SatSolver {
     }
 
     /// Enables or disables recursive conflict-clause minimization
-    /// (MiniSat-style ccmin). Defaults to the `SYMMERGE_SAT_CCMIN`
-    /// environment flag (on). Minimization only shrinks learnt clauses —
-    /// every dropped literal is implied by the remaining ones — so the
-    /// setting never changes verdicts, only clause widths.
+    /// (MiniSat-style ccmin), which is on by default. Minimization only
+    /// shrinks learnt clauses — every dropped literal is implied by the
+    /// remaining ones — so the setting never changes verdicts, only
+    /// clause widths.
     pub fn set_ccmin(&mut self, on: bool) {
         self.ccmin = on;
     }

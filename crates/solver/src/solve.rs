@@ -66,15 +66,14 @@ impl SatResult {
 
 /// Configuration for [`Solver`].
 ///
-/// [`SolverConfig::default`] reads the `SYMMERGE_SOLVER_*` environment
-/// variables (`CACHE`, `MODEL_REUSE`, `INDEPENDENCE`, `CEX_CACHE`,
-/// `CEX_PREFILTER`, `INCREMENTAL`, `CTX_FORK`; value `0`/`false`/`off`
-/// disables — plus `TIER_GATE`, a conjunct count where `0` disables the
-/// gate), which is how the CI feature-matrix job runs the whole test
-/// suite under each ablation.
-/// Tests that assert the behaviour of a specific tier pin that field
-/// explicitly.
-#[derive(Debug, Clone)]
+/// [`SolverConfig::default`] is a constant: every tier on, at the
+/// measured defaults. It never reads the environment. The `symmerge`
+/// facade's `config` module maps the `SYMMERGE_*` variables onto these
+/// fields for the command-line and benchmark binaries, and the
+/// workspace's `tests/ablation.rs` walks the ablation configurations
+/// (each tier off, and all of them off at once) in process, asserting
+/// every one result-invariant.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Enable the query result cache (exact match on the constraint set).
     pub use_cache: bool,
@@ -95,9 +94,8 @@ pub struct SolverConfig {
     /// AND/compare rejects most stored sets before the O(n·m) linear
     /// merge runs — the scan over up to [`SolverConfig::cex_capacity`]
     /// stored sets was a per-query cost charged even when the cache
-    /// never hit. `SYMMERGE_SOLVER_CEX_PREFILTER=0` restores the
-    /// unfiltered scans (the ablation leg; results are identical, only
-    /// the scan cost moves).
+    /// never hit. `false` restores the unfiltered scans (an ablation
+    /// row; results are identical, only the scan cost moves).
     pub cex_prefilter: bool,
     /// Query-size gate for the model-reuse and counterexample tiers on
     /// **warm context-served** queries: a prefix-shaped query whose
@@ -116,8 +114,7 @@ pub struct SolverConfig {
     /// jobs = 2 doubled the wall). The exact-match cache (tier 1)
     /// stays on for every query, and re-blast-path queries are never
     /// gated (there a tier hit still saves a full CNF build). `0`
-    /// disables the gate (`SYMMERGE_SOLVER_TIER_GATE` overrides; the
-    /// ablation leg). Default measured on `wc`@6 Random (`tier_sweep`):
+    /// disables the gate (an ablation row). Default measured on `wc`@6 Random (`tier_sweep`):
     /// see [`SolverConfig::default`].
     pub tier_gate: usize,
     /// Answer prefix-shaped queries ([`Solver::check_assuming`]) on
@@ -133,14 +130,14 @@ pub struct SolverConfig {
     /// the CDCL solver's first-UIP analysis: drop learnt literals whose
     /// reason antecedents are dominated by the clause. Shrinks learnt
     /// clauses — observable as `learnt_lits` — without changing any
-    /// verdict. `SYMMERGE_SAT_CCMIN=0` is the ablation leg.
+    /// verdict. `false` is an ablation row.
     pub sat_ccmin: bool,
     /// Ite-aware blasting for merge-produced ite-chains: factor the
     /// shared selector conditions into a one-hot arm vector encoded once
     /// per chain instead of per output bit, and hash-cons gates at the
     /// CNF level (`gates_reused`) so sibling chains share circuitry.
     /// Pure CNF-size lever; verdicts and canonical models are
-    /// unchanged. `SYMMERGE_ITE_FACTOR=0` is the ablation leg.
+    /// unchanged. `false` is an ablation row.
     pub ite_factor: bool,
     /// Return the *canonical minimal model* for every sat query (the
     /// lexicographically least model by symbol **name**, each value
@@ -163,8 +160,7 @@ pub struct SolverConfig {
     /// one fresh re-blast (escaping a degenerate incremental context,
     /// the warm-DB pathology). Retry fuel is *conflicts*, never
     /// wall-clock, so retries are deterministic. Empty disables the
-    /// ladder (`SYMMERGE_SOLVER_RETRY_LADDER=off`, the ablation leg;
-    /// `4,16` is the default). Unbounded-budget solvers never return
+    /// ladder (an ablation row; `[4, 16]` is the default). Unbounded-budget solvers never return
     /// budget `Unknown`s, so the ladder is inert for them.
     pub retry_ladder: Vec<u64>,
     /// How many recent models to retain for model reuse.
@@ -182,8 +178,7 @@ pub struct SolverConfig {
     /// longer churns forks through a fixed-size pool — residency is
     /// then bounded by [`SolverConfig::max_context_clauses`], the
     /// measure that actually tracks memory. With clause weighting off
-    /// (`SYMMERGE_CTX_EVICT=count`) this is the fixed capacity, exactly
-    /// the pre-PR-5 policy.
+    /// this is the fixed capacity, exactly the pre-PR-5 policy.
     pub max_contexts: usize,
     /// Charge context residency by **live SAT clauses** (CNF + learnt)
     /// instead of context count, and let the count capacity track the
@@ -191,11 +186,11 @@ pub struct SolverConfig {
     /// differ in size by orders of magnitude — a root context is a few
     /// clauses, a deep loop prefix tens of thousands — so counting them
     /// equally either wastes the budget on tiny contexts or blows the
-    /// memory bound on huge ones. `SYMMERGE_CTX_EVICT=count` restores
-    /// count-based eviction (the ablation leg).
+    /// memory bound on huge ones. `false` restores count-based
+    /// eviction (an ablation row).
     pub ctx_evict_by_clauses: bool,
     /// Total live-clause budget for resident contexts under
-    /// clause-weighted eviction (`SYMMERGE_MAX_CTX_CLAUSES` overrides).
+    /// clause-weighted eviction.
     /// Eviction frees least-recently-used leaves until the tree is back
     /// under budget; the budget may transiently overshoot by one
     /// context's growth between queries.
@@ -213,40 +208,32 @@ pub struct SolverConfig {
     /// warm-route [`SolverConfig::tier_gate`] as the private ones.
     /// Turning it off withholds only the verdict store: a fleet's
     /// workers still share one expression pool.
-    /// `SYMMERGE_SHARED_CACHE=0` is the ablation leg.
+    /// `false` is an ablation row.
     pub shared_cache: bool,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            use_cache: env_flag("SYMMERGE_SOLVER_CACHE", true),
-            use_model_reuse: env_flag("SYMMERGE_SOLVER_MODEL_REUSE", true),
-            use_independence: env_flag("SYMMERGE_SOLVER_INDEPENDENCE", true),
-            use_cex_cache: env_flag("SYMMERGE_SOLVER_CEX_CACHE", true),
-            cex_prefilter: env_flag("SYMMERGE_SOLVER_CEX_PREFILTER", true),
+            use_cache: true,
+            use_model_reuse: true,
+            use_independence: true,
+            use_cex_cache: true,
+            cex_prefilter: true,
             // Swept on `wc`@6 Random (`ctx_stats`): query sizes there
             // concentrate at 20–36 conjuncts and a context hit beats
             // the skipped tiers across the whole range, so the default
             // sits above the observed sizes; larger values were
             // indistinguishable (the tiers only start winning on
             // re-blast queries, which are never gated).
-            tier_gate: match std::env::var("SYMMERGE_SOLVER_TIER_GATE") {
-                Ok(v) => {
-                    v.trim().parse().expect("SYMMERGE_SOLVER_TIER_GATE takes a conjunct count")
-                }
-                Err(_) => 64,
-            },
-            use_incremental: env_flag("SYMMERGE_SOLVER_INCREMENTAL", true),
-            ctx_fork: env_flag("SYMMERGE_SOLVER_CTX_FORK", true),
-            sat_ccmin: env_flag("SYMMERGE_SAT_CCMIN", true),
-            ite_factor: env_flag("SYMMERGE_ITE_FACTOR", true),
+            tier_gate: 64,
+            use_incremental: true,
+            ctx_fork: true,
+            sat_ccmin: true,
+            ite_factor: true,
             canonical_models: false,
             max_conflicts: None,
-            retry_ladder: match std::env::var("SYMMERGE_SOLVER_RETRY_LADDER") {
-                Ok(v) => parse_retry_ladder(&v),
-                Err(_) => vec![4, 16],
-            },
+            retry_ladder: vec![4, 16],
             model_history: 32,
             // 4 → 16 in PR 3 (measured rebuild thrash under interleaving
             // strategies); 16 → 64 with the fork-aware tree: forked
@@ -259,47 +246,17 @@ impl Default for SolverConfig {
             // engine's frontier hint and residency is bounded by
             // `max_context_clauses`.
             max_contexts: 64,
-            ctx_evict_by_clauses: !matches!(
-                std::env::var("SYMMERGE_CTX_EVICT").as_deref().map(str::trim),
-                Ok("count")
-            ),
+            ctx_evict_by_clauses: true,
             // Measured on `wc`@Random stdin 6 (`ctx_stats`): the whole
             // live frontier's contexts fit in ~1M clauses (~tens of MB),
             // which eliminates the forks≈evictions churn of the fixed
             // 64-slot capacity while keeping residency bounded on
             // deeper runs.
-            max_context_clauses: match std::env::var("SYMMERGE_MAX_CTX_CLAUSES") {
-                Ok(v) => v.trim().parse().expect("SYMMERGE_MAX_CTX_CLAUSES takes a clause count"),
-                Err(_) => 1_000_000,
-            },
+            max_context_clauses: 1_000_000,
             cex_capacity: 256,
-            shared_cache: env_flag("SYMMERGE_SHARED_CACHE", true),
+            shared_cache: true,
         }
     }
-}
-
-/// Reads a boolean ablation flag from the environment.
-pub(crate) fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => default,
-    }
-}
-
-/// Parses a `SYMMERGE_SOLVER_RETRY_LADDER` value: comma-separated budget
-/// multipliers, or `0`/`off`/`false`/`no`/empty to disable the ladder.
-fn parse_retry_ladder(v: &str) -> Vec<u64> {
-    let v = v.trim();
-    if matches!(v, "" | "0" | "false" | "off" | "no") {
-        return Vec::new();
-    }
-    v.split(',')
-        .map(|m| {
-            m.trim()
-                .parse()
-                .expect("SYMMERGE_SOLVER_RETRY_LADDER takes comma-separated multipliers")
-        })
-        .collect()
 }
 
 /// Hard ceiling on any retry rung's conflict budget — the ladder
@@ -1037,9 +994,8 @@ impl Solver {
 
     /// Joins a cross-worker [`SharedSolverCache`]: builds this solver's
     /// private read mirror and enables verdict publication. A no-op
-    /// when [`SolverConfig::shared_cache`] is off, so the env ablation
-    /// (`SYMMERGE_SHARED_CACHE=0`) reaches through engines that attach
-    /// unconditionally. Call [`Solver::sync_shared_cache`] at step
+    /// when [`SolverConfig::shared_cache`] is off, so the ablation
+    /// reaches through engines that attach unconditionally. Call [`Solver::sync_shared_cache`] at step
     /// boundaries to pull in what other workers published.
     pub fn attach_shared_cache(&mut self, cache: Arc<SharedSolverCache>) {
         if self.config.shared_cache {
@@ -3046,6 +3002,35 @@ mod tests {
         assert_eq!(s.stats().queries, queries, "trivial query must stay uncounted");
     }
 
+    /// The default is a constant, field for field the literal the
+    /// `mergebench` harness writes out (an exhaustive literal, so a new
+    /// field fails to compile here until its default is pinned).
+    #[test]
+    fn default_equals_the_benchmark_literal() {
+        let literal = SolverConfig {
+            use_cache: true,
+            use_model_reuse: true,
+            use_independence: true,
+            use_cex_cache: true,
+            cex_prefilter: true,
+            tier_gate: 64,
+            use_incremental: true,
+            ctx_fork: true,
+            sat_ccmin: true,
+            ite_factor: true,
+            canonical_models: false,
+            max_conflicts: None,
+            retry_ladder: vec![4, 16],
+            model_history: 32,
+            max_contexts: 64,
+            ctx_evict_by_clauses: true,
+            max_context_clauses: 1_000_000,
+            cex_capacity: 256,
+            shared_cache: true,
+        };
+        assert_eq!(SolverConfig::default(), literal);
+    }
+
     #[test]
     fn ladder_budgets_multiply_and_cap() {
         assert_eq!(ladder_budget(100, 4), 400);
@@ -3056,15 +3041,6 @@ mod tests {
         assert_eq!(ladder_budget(RETRY_BUDGET_CAP, 2), RETRY_BUDGET_CAP);
         assert_eq!(ladder_budget(u64::MAX, u64::MAX), RETRY_BUDGET_CAP);
         assert_eq!(ladder_budget((1 << 30) - 1, 1), (1 << 30) - 1);
-    }
-
-    #[test]
-    fn retry_ladder_parse_accepts_lists_and_off_values() {
-        assert_eq!(parse_retry_ladder("4,16"), vec![4, 16]);
-        assert_eq!(parse_retry_ladder(" 2 , 8 , 32 "), vec![2, 8, 32]);
-        assert_eq!(parse_retry_ladder("off"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder("0"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder(""), Vec::<u64>::new());
     }
 
     #[test]

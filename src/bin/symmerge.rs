@@ -7,6 +7,9 @@
 //! symmerge qce program.mc                      # dump QCE hot-variable tables
 //! symmerge workloads                           # list bundled mini-COREUTILS
 //! ```
+//!
+//! `run` takes its solver and fault-tolerance knobs from the `SYMMERGE_*`
+//! environment variables (see `symmerge::config`).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -103,6 +106,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         other => return Err(format!("--strategy: unknown strategy `{other}`")),
     };
     let mut builder = Engine::builder(program.clone())
+        .config(symmerge::config::from_env().engine)
         .merging(merge)
         .strategy(strategy)
         .qce(qce_config(args)?)

@@ -1,0 +1,308 @@
+//! Configuration from the environment, for binaries.
+//!
+//! The library crates never read the environment: every `Default` there
+//! is a constant. This module is the one place the `SYMMERGE_*`
+//! variables are parsed, and only binaries call it — the `symmerge`
+//! command-line tool and the `symmerge-bench` harnesses. Tests build
+//! their configurations as values instead.
+//!
+//! Unset variables keep the library default. A set variable that does
+//! not parse panics: a misspelled knob silently running the default
+//! would defeat the reason for setting it.
+//!
+//! [`from_lookup`] reads the variables in field order, one line per
+//! variable; the README's "Environment" section tables them.
+//!
+//! A bool is one of `1`/`0`, `true`/`false`, `on`/`off`, `yes`/`no`.
+
+use std::path::PathBuf;
+use std::str::FromStr;
+use std::sync::Arc;
+use symmerge_core::{CheckpointConfig, EngineConfig, FaultPlan, ParallelConfig, SchedulerKind};
+
+/// What a binary takes from the environment: the engine configuration
+/// (solver included) and the fleet's parallelism knobs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvConfig {
+    /// Engine configuration, starting from [`EngineConfig::default`].
+    pub engine: EngineConfig,
+    /// Fleet configuration, starting from [`ParallelConfig::default`].
+    pub parallel: ParallelConfig,
+}
+
+/// Reads the `SYMMERGE_*` process environment (see the
+/// [module docs](self)).
+///
+/// # Panics
+///
+/// Panics on a set variable whose value does not parse.
+pub fn from_env() -> EnvConfig {
+    from_lookup(|name| match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}: {v:?} is not UTF-8"),
+    })
+}
+
+/// [`from_env`] over an arbitrary variable lookup, so callers (and
+/// tests) can supply variables without touching the process
+/// environment.
+///
+/// # Panics
+///
+/// Panics on a set variable whose value does not parse.
+pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
+    let env = Env(&lookup);
+    let mut engine = EngineConfig::default();
+    let solver = &mut engine.solver;
+    env.flag("SYMMERGE_SOLVER_CACHE", &mut solver.use_cache);
+    env.flag("SYMMERGE_SOLVER_MODEL_REUSE", &mut solver.use_model_reuse);
+    env.flag("SYMMERGE_SOLVER_INDEPENDENCE", &mut solver.use_independence);
+    env.flag("SYMMERGE_SOLVER_CEX_CACHE", &mut solver.use_cex_cache);
+    env.flag("SYMMERGE_SOLVER_CEX_PREFILTER", &mut solver.cex_prefilter);
+    env.num("SYMMERGE_SOLVER_TIER_GATE", &mut solver.tier_gate);
+    env.flag("SYMMERGE_SOLVER_INCREMENTAL", &mut solver.use_incremental);
+    env.flag("SYMMERGE_SOLVER_CTX_FORK", &mut solver.ctx_fork);
+    env.flag("SYMMERGE_SAT_CCMIN", &mut solver.sat_ccmin);
+    env.flag("SYMMERGE_ITE_FACTOR", &mut solver.ite_factor);
+    if let Some(v) = env.get("SYMMERGE_SOLVER_RETRY_LADDER") {
+        solver.retry_ladder = parse_retry_ladder(&v);
+    }
+    if let Some(v) = env.get("SYMMERGE_CTX_EVICT") {
+        solver.ctx_evict_by_clauses = match v.as_str() {
+            "clauses" => true,
+            "count" => false,
+            _ => panic!("SYMMERGE_CTX_EVICT takes `clauses` or `count`, got `{v}`"),
+        };
+    }
+    env.num("SYMMERGE_MAX_CTX_CLAUSES", &mut solver.max_context_clauses);
+    env.num("SYMMERGE_MAX_CONTEXTS", &mut solver.max_contexts);
+    env.flag("SYMMERGE_SHARED_CACHE", &mut solver.shared_cache);
+
+    env.flag("SYMMERGE_WARM_MIGRATION", &mut engine.warm_migration);
+    if let Some(v) = env.get("SYMMERGE_FAULT_PLAN").filter(|v| !v.is_empty()) {
+        let plan = FaultPlan::parse(&v).unwrap_or_else(|e| panic!("SYMMERGE_FAULT_PLAN: {e}"));
+        engine.fault_plan = Some(Arc::new(plan));
+    }
+    env.flag("SYMMERGE_PANIC_ISOLATION", &mut engine.panic_isolation);
+    if let Some(path) = env.get("SYMMERGE_CHECKPOINT_PATH").filter(|p| !p.is_empty()) {
+        let mut every = 256;
+        env.num("SYMMERGE_CHECKPOINT_EVERY", &mut every);
+        if every > 0 {
+            engine.checkpoint = Some(CheckpointConfig { path: PathBuf::from(path), every });
+        }
+    }
+
+    let mut parallel = ParallelConfig::default();
+    if let Some(v) = env.get("SYMMERGE_SCHEDULER") {
+        parallel.scheduler = match v.as_str() {
+            "bsp" => SchedulerKind::Bsp,
+            "steal" => SchedulerKind::Steal,
+            _ => panic!("SYMMERGE_SCHEDULER takes `bsp` or `steal`, got `{v}`"),
+        };
+    }
+    env.num("SYMMERGE_PAR_QUOTA", &mut parallel.steps_per_round);
+    env.flag("SYMMERGE_PAR_STEAL_NEWEST", &mut parallel.steal_newest);
+
+    EnvConfig { engine, parallel }
+}
+
+/// A variable lookup with typed setters.
+struct Env<'a>(&'a dyn Fn(&str) -> Option<String>);
+
+impl Env<'_> {
+    /// The trimmed value of `name`, if set.
+    fn get(&self, name: &str) -> Option<String> {
+        (self.0)(name).map(|v| v.trim().to_owned())
+    }
+
+    /// Sets `field` from a bool variable, if set: the one boolean rule.
+    fn flag(&self, name: &str, field: &mut bool) {
+        if let Some(v) = self.get(name) {
+            *field = match v.as_str() {
+                "1" | "true" | "on" | "yes" => true,
+                "0" | "false" | "off" | "no" => false,
+                _ => panic!("{name} takes 1/0, true/false, on/off or yes/no, got `{v}`"),
+            };
+        }
+    }
+
+    /// Sets `field` from a numeric variable, if set.
+    fn num<T: FromStr>(&self, name: &str, field: &mut T) {
+        if let Some(v) = self.get(name) {
+            *field = v.parse().unwrap_or_else(|_| panic!("{name}: `{v}` is not a number"));
+        }
+    }
+}
+
+/// Parses a retry ladder: comma-separated budget multipliers, or
+/// `0`/`off`/`false`/`no`/empty to disable it.
+fn parse_retry_ladder(v: &str) -> Vec<u64> {
+    if matches!(v, "" | "0" | "false" | "off" | "no") {
+        return Vec::new();
+    }
+    v.split(',')
+        .map(|m| {
+            m.trim()
+                .parse()
+                .expect("SYMMERGE_SOLVER_RETRY_LADDER takes comma-separated multipliers")
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A lookup over a fixed variable list.
+    fn vars<'a>(list: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| list.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string())
+    }
+
+    fn parses(list: &[(&str, &str)]) -> bool {
+        catch_unwind(AssertUnwindSafe(|| from_lookup(vars(list)))).is_ok()
+    }
+
+    #[test]
+    fn empty_environment_is_the_library_default() {
+        let config = from_lookup(|_| None);
+        assert_eq!(config.engine, EngineConfig::default());
+        assert_eq!(config.parallel, ParallelConfig::default());
+    }
+
+    #[test]
+    fn bool_variables_follow_one_strict_rule() {
+        for (value, want) in [
+            ("1", Some(true)),
+            ("true", Some(true)),
+            ("on", Some(true)),
+            ("yes", Some(true)),
+            (" yes ", Some(true)),
+            ("0", Some(false)),
+            ("false", Some(false)),
+            ("off", Some(false)),
+            ("no", Some(false)),
+            ("flase", None),
+            ("", None),
+            ("2", None),
+            ("TRUE", None),
+            ("disabled", None),
+        ] {
+            let list = [("SYMMERGE_PANIC_ISOLATION", value)];
+            let got = catch_unwind(|| from_lookup(vars(&list)).engine.panic_isolation).ok();
+            assert_eq!(got, want, "{value:?}");
+        }
+        // The three misreadings the rule fixes: `0` used to turn
+        // steal-newest on (only presence was checked), `true` used to
+        // leave panic isolation off (only `1` counted), and a typo used
+        // to leave a solver tier on.
+        let steal = from_lookup(vars(&[("SYMMERGE_PAR_STEAL_NEWEST", "0")]));
+        assert!(!steal.parallel.steal_newest);
+        let isolation = from_lookup(vars(&[("SYMMERGE_PANIC_ISOLATION", "true")]));
+        assert!(isolation.engine.panic_isolation);
+        assert!(!parses(&[("SYMMERGE_SOLVER_CACHE", "flase")]));
+    }
+
+    #[test]
+    fn scheduler_env_parse_rejects_unknown_values() {
+        assert_eq!(from_lookup(|_| None).parallel.scheduler, SchedulerKind::Bsp, "unset is BSP");
+        for (value, kind) in [("bsp", SchedulerKind::Bsp), ("steal", SchedulerKind::Steal)] {
+            let parsed = from_lookup(vars(&[("SYMMERGE_SCHEDULER", value)]));
+            assert_eq!(parsed.parallel.scheduler, kind, "{value}");
+        }
+        for value in ["Steal", "", "work-stealing"] {
+            assert!(!parses(&[("SYMMERGE_SCHEDULER", value)]), "{value:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn retry_ladder_parse_accepts_lists_and_off_values() {
+        assert_eq!(parse_retry_ladder("4,16"), vec![4, 16]);
+        assert_eq!(parse_retry_ladder("2 , 8 , 32"), vec![2, 8, 32]);
+        assert_eq!(parse_retry_ladder("off"), Vec::<u64>::new());
+        assert_eq!(parse_retry_ladder("0"), Vec::<u64>::new());
+        assert_eq!(parse_retry_ladder(""), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn malformed_values_are_refused() {
+        for list in [
+            &[("SYMMERGE_SOLVER_TIER_GATE", "many")][..],
+            &[("SYMMERGE_CTX_EVICT", "lru")],
+            &[("SYMMERGE_FAULT_PLAN", "panic=oops")],
+            &[("SYMMERGE_SOLVER_RETRY_LADDER", "4,x")],
+            &[("SYMMERGE_CHECKPOINT_PATH", "ck"), ("SYMMERGE_CHECKPOINT_EVERY", "often")],
+        ] {
+            assert!(!parses(list), "{list:?} must be refused");
+        }
+    }
+
+    /// Each variable sets exactly its documented field, and the table
+    /// covers every variable the parser reads.
+    #[test]
+    fn every_variable_sets_its_documented_field() {
+        type Edit = fn(&mut EnvConfig);
+        let table: &[(&[(&str, &str)], Edit)] = &[
+            (&[("SYMMERGE_SOLVER_CACHE", "0")], |c| c.engine.solver.use_cache = false),
+            (&[("SYMMERGE_SOLVER_MODEL_REUSE", "off")], |c| {
+                c.engine.solver.use_model_reuse = false
+            }),
+            (&[("SYMMERGE_SOLVER_INDEPENDENCE", "no")], |c| {
+                c.engine.solver.use_independence = false
+            }),
+            (&[("SYMMERGE_SOLVER_CEX_CACHE", "false")], |c| c.engine.solver.use_cex_cache = false),
+            (&[("SYMMERGE_SOLVER_CEX_PREFILTER", "0")], |c| c.engine.solver.cex_prefilter = false),
+            (&[("SYMMERGE_SOLVER_TIER_GATE", "7")], |c| c.engine.solver.tier_gate = 7),
+            (&[("SYMMERGE_SOLVER_INCREMENTAL", "0")], |c| c.engine.solver.use_incremental = false),
+            (&[("SYMMERGE_SOLVER_CTX_FORK", "0")], |c| c.engine.solver.ctx_fork = false),
+            (&[("SYMMERGE_SAT_CCMIN", "0")], |c| c.engine.solver.sat_ccmin = false),
+            (&[("SYMMERGE_ITE_FACTOR", "0")], |c| c.engine.solver.ite_factor = false),
+            (&[("SYMMERGE_SOLVER_RETRY_LADDER", "2,8")], |c| {
+                c.engine.solver.retry_ladder = vec![2, 8]
+            }),
+            (&[("SYMMERGE_CTX_EVICT", "count")], |c| c.engine.solver.ctx_evict_by_clauses = false),
+            (&[("SYMMERGE_MAX_CTX_CLAUSES", "1000")], |c| {
+                c.engine.solver.max_context_clauses = 1000
+            }),
+            (&[("SYMMERGE_MAX_CONTEXTS", "16")], |c| c.engine.solver.max_contexts = 16),
+            (&[("SYMMERGE_SHARED_CACHE", "0")], |c| c.engine.solver.shared_cache = false),
+            (&[("SYMMERGE_WARM_MIGRATION", "0")], |c| c.engine.warm_migration = false),
+            (&[("SYMMERGE_FAULT_PLAN", "panic=1:40,unknown=1/16:7")], |c| {
+                let plan = FaultPlan::parse("panic=1:40,unknown=1/16:7").unwrap();
+                c.engine.fault_plan = Some(Arc::new(plan));
+            }),
+            (&[("SYMMERGE_PANIC_ISOLATION", "1")], |c| c.engine.panic_isolation = true),
+            (&[("SYMMERGE_CHECKPOINT_PATH", "run.ck")], |c| {
+                c.engine.checkpoint = Some(CheckpointConfig { path: "run.ck".into(), every: 256 })
+            }),
+            (&[("SYMMERGE_CHECKPOINT_PATH", "run.ck"), ("SYMMERGE_CHECKPOINT_EVERY", "9")], |c| {
+                c.engine.checkpoint = Some(CheckpointConfig { path: "run.ck".into(), every: 9 })
+            }),
+            (&[("SYMMERGE_CHECKPOINT_PATH", "run.ck"), ("SYMMERGE_CHECKPOINT_EVERY", "0")], |_| {}),
+            (&[("SYMMERGE_SCHEDULER", "steal")], |c| c.parallel.scheduler = SchedulerKind::Steal),
+            (&[("SYMMERGE_PAR_QUOTA", "48")], |c| c.parallel.steps_per_round = 48),
+            (&[("SYMMERGE_PAR_STEAL_NEWEST", "1")], |c| c.parallel.steal_newest = true),
+        ];
+        let mut covered = BTreeSet::new();
+        for &(list, edit) in table {
+            let mut want = from_lookup(|_| None);
+            edit(&mut want);
+            assert_eq!(from_lookup(vars(list)), want, "{list:?}");
+            covered.extend(list.iter().map(|&(name, _)| name));
+        }
+        // Record every name the parser asks for.
+        let read = RefCell::new(BTreeSet::new());
+        from_lookup(|name| {
+            read.borrow_mut().insert(name.to_owned());
+            // Let the path through, so the dependent interval is read.
+            (name == "SYMMERGE_CHECKPOINT_PATH").then(|| "run.ck".to_owned())
+        });
+        let read = read.into_inner();
+        let read: BTreeSet<&str> = read.iter().map(String::as_str).collect();
+        assert_eq!(read, covered, "the table must cover exactly the variables read");
+        assert_eq!(covered.len(), 23);
+    }
+}

@@ -15,6 +15,10 @@
 //! * [`core`] — the engine, QCE, SSM and DSM,
 //! * [`workloads`] — mini-COREUTILS benchmark programs.
 //!
+//! It adds one module of its own: [`config`], which maps the
+//! `SYMMERGE_*` environment variables onto the library configuration for
+//! binaries. The library crates never read the environment.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -44,6 +48,8 @@ pub use symmerge_expr as expr;
 pub use symmerge_ir as ir;
 pub use symmerge_solver as solver;
 pub use symmerge_workloads as workloads;
+
+pub mod config;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {

@@ -2,17 +2,67 @@
 //!
 //! The paper's core claim is that state merging changes *performance but
 //! never results*. This module makes that claim mechanically checkable:
-//! [`observe`] runs the engine under one `(MergeMode, StrategyKind)`
-//! configuration, replays **every** generated test case through the
-//! concrete interpreter, and condenses the run into an [`Observation`] of
-//! purely observable facts (assertion verdicts, concrete behaviours,
-//! coverage, path counts). [`assert_mode_invariant`] then compares a
-//! merged-mode observation against the unmerged baseline and asserts the
-//! paper's `∼qce`-soundness invariants.
+//! [`observe`] runs the engine under one explicit [`EngineConfig`],
+//! replays **every** generated test case through the concrete
+//! interpreter, and condenses the run into an [`Observation`] of purely
+//! observable facts (assertion verdicts, concrete behaviours, coverage,
+//! path counts). [`assert_mode_invariant`] then compares a merged-mode
+//! observation against the unmerged baseline and asserts the paper's
+//! `∼qce`-soundness invariants.
+//!
+//! Every run takes its configuration as a value; nothing here reads the
+//! environment.
+
+// Each test binary that includes this module uses a different subset.
+#![allow(dead_code)]
 
 use std::collections::BTreeSet;
 use symmerge::prelude::*;
 use symmerge::workloads::by_name;
+
+/// The differential core: 12 workloads covering every `InputKind`,
+/// shared by the mode, solver-config, parallel and ablation
+/// differentials.
+pub const WORKLOADS: &[(&str, InputConfig)] = &[
+    ("echo", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
+    ("link", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
+    ("sleep", InputConfig { n_args: 2, arg_len: 1, stdin_len: 0 }),
+    ("nice", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
+    ("basename", InputConfig { n_args: 1, arg_len: 3, stdin_len: 0 }),
+    ("dirname", InputConfig { n_args: 1, arg_len: 3, stdin_len: 0 }),
+    ("cut", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
+    ("test", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
+    ("wc", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
+    ("rev", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
+    ("sum", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
+    ("cat", InputConfig { n_args: 1, arg_len: 1, stdin_len: 2 }),
+];
+
+/// The engine configuration every harness run uses: `mode` and
+/// `strategy` with `solver`, QCE α = 1e-12 (so merging actually
+/// happens at these small sizes) and seed 11.
+pub fn harness_config(
+    mode: MergeMode,
+    strategy: StrategyKind,
+    solver: SolverConfig,
+) -> EngineConfig {
+    EngineConfig {
+        merge_mode: mode,
+        strategy,
+        qce: QceConfig { alpha: 1e-12, ..QceConfig::default() },
+        solver,
+        seed: 11,
+        ..EngineConfig::default()
+    }
+}
+
+/// A fleet of `jobs` workers under `scheduler`, with a deliberately tiny
+/// round quota so even the small differential workloads cross worker
+/// boundaries many times — the determinism claims are only interesting
+/// when states actually migrate.
+pub fn fleet(jobs: u32, scheduler: SchedulerKind) -> ParallelConfig {
+    ParallelConfig { jobs, steps_per_round: 48, scheduler, ..ParallelConfig::default() }
+}
 
 /// One concrete behaviour class: how a replay terminated (including the
 /// assertion message, if any) plus the exact output bytes.
@@ -38,6 +88,8 @@ pub struct Observation {
     pub behaviors: BTreeSet<Behavior>,
     /// Number of generated test cases.
     pub num_tests: usize,
+    /// The raw engine report the observation condenses.
+    pub report: RunReport,
 }
 
 impl Observation {
@@ -61,63 +113,51 @@ fn outcome_class(outcome: &ExecOutcome) -> String {
     }
 }
 
-/// Runs `workload` exhaustively under `(mode, strategy)` and replays every
-/// generated test concretely.
-///
-/// Panics if the run hits a budget (the oracle needs exhaustive
-/// exploration), if any generated test's concrete replay diverges from the
-/// symbolic prediction (the core differential check), or if a replay ends
-/// in a state the engine can never legitimately predict (`assume`
-/// violation or interpreter step limit).
-pub fn observe(
-    workload: &str,
-    cfg: InputConfig,
-    mode: MergeMode,
-    strategy: StrategyKind,
-) -> Observation {
+/// Runs `workload` exhaustively on the sequential engine under `config`
+/// and replays every generated test concretely (see [`condense`]).
+pub fn observe(workload: &str, cfg: InputConfig, config: EngineConfig) -> Observation {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    let report = Engine::builder(program.clone())
-        .merging(mode)
-        .strategy(strategy)
-        .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })
-        .seed(11)
-        .build()
-        .unwrap()
-        .run();
-    assert!(
-        !report.hit_budget,
-        "{workload} {mode:?}/{strategy:?}: oracle requires exhaustive exploration at {cfg:?}"
-    );
-    assert!(
-        !report.tests.is_empty(),
-        "{workload} {mode:?}/{strategy:?}: produced no test cases to replay"
-    );
+    let (mode, strategy) = (config.merge_mode, config.strategy);
+    let report = run_sequential(program.clone(), workload, config);
+    condense(&format!("{workload} {mode:?}/{strategy:?}"), mode, strategy, &program, report)
+}
+
+/// Condenses an exhaustive run's report into an [`Observation`],
+/// replaying every generated test through the concrete interpreter.
+///
+/// Panics if the run produced no tests, if any generated test's concrete
+/// replay diverges from the symbolic prediction (the core differential
+/// check), if a replay ends in a state the engine can never legitimately
+/// predict (`assume` violation or interpreter step limit), or if the
+/// reported and replayed assertion failures disagree.
+fn condense(
+    who: &str,
+    mode: MergeMode,
+    strategy: StrategyKind,
+    program: &Program,
+    report: RunReport,
+) -> Observation {
+    assert!(!report.tests.is_empty(), "{who}: produced no test cases to replay");
 
     let mut behaviors = BTreeSet::new();
     for (i, test) in report.tests.iter().enumerate() {
         // Differential check #1: the symbolic prediction (termination
         // class + output bytes) matches the concrete interpreter exactly.
-        if let Err(e) = test.validate(&program) {
-            panic!(
-                "{workload} {mode:?}/{strategy:?}: test {i} diverged from \
-                 concrete replay: {e}\ninputs: {:?}",
-                test.inputs
-            );
+        if let Err(e) = test.validate(program) {
+            panic!("{who}: test {i} diverged from concrete replay: {e}\ninputs: {:?}", test.inputs);
         }
-        let replay = test.replay(&program);
+        let replay = test.replay(program);
         assert!(
             !matches!(replay.outcome, ExecOutcome::AssumeViolated | ExecOutcome::StepLimit),
-            "{workload} {mode:?}/{strategy:?}: test {i} replayed to {:?}",
+            "{who}: test {i} replayed to {:?}",
             replay.outcome
         );
         behaviors.insert((outcome_class(&replay.outcome), replay.outputs));
     }
 
-    let mut failure_msgs = BTreeSet::new();
-    for f in &report.assert_failures {
-        failure_msgs.insert(f.msg.clone());
-    }
+    let failure_msgs: BTreeSet<String> =
+        report.assert_failures.iter().map(|f| f.msg.clone()).collect();
     // Differential check #2: the report's failure list and the replayed
     // failure behaviours must agree — an assertion the engine claims to
     // have broken must actually break concretely, and vice versa.
@@ -127,8 +167,7 @@ pub fn observe(
         .collect();
     assert_eq!(
         replayed_failures, failure_msgs,
-        "{workload} {mode:?}/{strategy:?}: reported assertion failures and \
-         concretely replayed failures disagree"
+        "{who}: reported assertion failures and concretely replayed failures disagree"
     );
 
     Observation {
@@ -140,6 +179,7 @@ pub fn observe(
         completed_multiplicity: report.completed_multiplicity,
         behaviors,
         num_tests: report.tests.len(),
+        report,
     }
 }
 
@@ -201,18 +241,17 @@ pub fn run_with_solver(
 ) -> RunReport {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    let report = Engine::builder(program)
-        .merging(mode)
-        .strategy(strategy)
-        .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })
-        .solver(solver)
-        .seed(11)
-        .build()
-        .unwrap()
-        .run();
+    run_sequential(program, workload, harness_config(mode, strategy, solver))
+}
+
+/// Runs `program` on the sequential engine under `config`, asserting the
+/// run was exhaustive and dropped no test on a solver `Unknown`.
+fn run_sequential(program: Program, workload: &str, config: EngineConfig) -> RunReport {
+    let (mode, strategy) = (config.merge_mode, config.strategy);
+    let report = Engine::builder(program).config(config).build().unwrap().run();
     assert!(
         !report.hit_budget,
-        "{workload} {mode:?}/{strategy:?}: solver differential requires exhaustive exploration"
+        "{workload} {mode:?}/{strategy:?}: the differential requires exhaustive exploration"
     );
     assert_eq!(
         report.tests_dropped_unknown, 0,
@@ -296,10 +335,8 @@ pub fn assert_exact_baseline(workload: &str, baseline: &Observation) {
     );
 }
 
-/// Runs a workload on the sharded parallel engine with `jobs` workers.
-/// Uses a deliberately tiny round quota so even the small differential
-/// workloads cross worker boundaries many times — the determinism claims
-/// are only interesting when states actually migrate.
+/// Runs a workload on the sharded parallel engine with `jobs` BSP
+/// workers (see [`fleet`]).
 pub fn run_parallel(
     workload: &str,
     cfg: InputConfig,
@@ -310,60 +347,8 @@ pub fn run_parallel(
 ) -> RunReport {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    run_parallel_program(program, workload, mode, strategy, solver, jobs)
-}
-
-/// [`run_parallel`] for callers that already compiled the program (the
-/// replay-based observers need the program themselves and should not
-/// compile it twice).
-fn run_parallel_program(
-    program: Program,
-    workload: &str,
-    mode: MergeMode,
-    strategy: StrategyKind,
-    solver: SolverConfig,
-    jobs: u32,
-) -> RunReport {
-    run_parallel_program_with(
-        program,
-        workload,
-        mode,
-        strategy,
-        solver,
-        ParallelConfig { jobs, steps_per_round: 48, ..Default::default() },
-    )
-}
-
-/// [`run_parallel_program`] with an explicit [`ParallelConfig`], for the
-/// scheduler-differential legs.
-fn run_parallel_program_with(
-    program: Program,
-    workload: &str,
-    mode: MergeMode,
-    strategy: StrategyKind,
-    solver: SolverConfig,
-    par: ParallelConfig,
-) -> RunReport {
-    let jobs = par.jobs;
-    let config = EngineConfig {
-        merge_mode: mode,
-        strategy,
-        qce: QceConfig { alpha: 1e-12, ..QceConfig::default() },
-        solver,
-        seed: 11,
-        ..EngineConfig::default()
-    };
-    let report =
-        ParallelEngine::new(program, config, par).expect("workload programs validate").run();
-    assert!(
-        !report.hit_budget,
-        "{workload} {mode:?}/{strategy:?} jobs={jobs}: differential requires exhaustive runs"
-    );
-    assert_eq!(
-        report.tests_dropped_unknown, 0,
-        "{workload} {mode:?}/{strategy:?} jobs={jobs}: no solver budget is set, nothing may drop"
-    );
-    report
+    let config = harness_config(mode, strategy, solver);
+    run_fleet(program, workload, config, fleet(jobs, SchedulerKind::Bsp))
 }
 
 /// Runs a workload on the work-stealing scheduler with `jobs` workers.
@@ -377,19 +362,30 @@ pub fn run_parallel_steal(
 ) -> RunReport {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    run_parallel_program_with(
-        program,
-        workload,
-        mode,
-        strategy,
-        solver,
-        ParallelConfig {
-            jobs,
-            steps_per_round: 48,
-            scheduler: SchedulerKind::Steal,
-            ..Default::default()
-        },
-    )
+    let config = harness_config(mode, strategy, solver);
+    run_fleet(program, workload, config, fleet(jobs, SchedulerKind::Steal))
+}
+
+/// Runs `program` on a [`ParallelEngine`] fleet, asserting the run was
+/// exhaustive and dropped no test on a solver `Unknown`.
+fn run_fleet(
+    program: Program,
+    workload: &str,
+    config: EngineConfig,
+    par: ParallelConfig,
+) -> RunReport {
+    let (mode, strategy, jobs) = (config.merge_mode, config.strategy, par.jobs);
+    let report =
+        ParallelEngine::new(program, config, par).expect("workload programs validate").run();
+    assert!(
+        !report.hit_budget,
+        "{workload} {mode:?}/{strategy:?} jobs={jobs}: differential requires exhaustive runs"
+    );
+    assert_eq!(
+        report.tests_dropped_unknown, 0,
+        "{workload} {mode:?}/{strategy:?} jobs={jobs}: no solver budget is set, nothing may drop"
+    );
+    report
 }
 
 /// Asserts the parallel engine's strongest contract: under
@@ -439,52 +435,19 @@ pub fn assert_parallel_matches_sequential(
 
 /// Observes a *parallel* run the way [`observe`] observes a sequential
 /// one: replays every generated test through the concrete interpreter and
-/// condenses the observable facts, so merged-mode sharded runs can be
-/// checked against the sequential unmerged baseline with
+/// condenses the observable facts, so sharded runs can be checked
+/// against the sequential unmerged baseline with
 /// [`assert_mode_invariant`].
 pub fn observe_parallel(
     workload: &str,
     cfg: InputConfig,
-    mode: MergeMode,
-    strategy: StrategyKind,
-    jobs: u32,
+    config: EngineConfig,
+    par: ParallelConfig,
 ) -> Observation {
     let program =
         by_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}")).program(&cfg);
-    let report = run_parallel_program(
-        program.clone(),
-        workload,
-        mode,
-        strategy,
-        SolverConfig::default(),
-        jobs,
-    );
-    assert!(
-        !report.tests.is_empty(),
-        "{workload} {mode:?}/{strategy:?} jobs={jobs}: produced no test cases to replay"
-    );
-    let mut behaviors = BTreeSet::new();
-    for (i, test) in report.tests.iter().enumerate() {
-        if let Err(e) = test.validate(&program) {
-            panic!(
-                "{workload} {mode:?}/{strategy:?} jobs={jobs}: test {i} diverged from \
-                 concrete replay: {e}\ninputs: {:?}",
-                test.inputs
-            );
-        }
-        let replay = test.replay(&program);
-        behaviors.insert((outcome_class(&replay.outcome), replay.outputs));
-    }
-    let failure_msgs: BTreeSet<String> =
-        report.assert_failures.iter().map(|f| f.msg.clone()).collect();
-    Observation {
-        mode,
-        strategy,
-        failure_msgs,
-        covered_blocks: report.covered_blocks,
-        completed_paths: report.completed_paths,
-        completed_multiplicity: report.completed_multiplicity,
-        behaviors,
-        num_tests: report.tests.len(),
-    }
+    let (mode, strategy) = (config.merge_mode, config.strategy);
+    let who = format!("{workload} {mode:?}/{strategy:?} {:?} jobs={}", par.scheduler, par.jobs);
+    let report = run_fleet(program.clone(), workload, config, par);
+    condense(&who, mode, strategy, &program, report)
 }

@@ -18,37 +18,32 @@
 //! the engine: the incremental prefix-context path vs the monolithic
 //! re-blast path, both in canonical-model mode, must produce
 //! byte-identical runs.
+//!
+//! Every run's configuration is a value built from the library's
+//! constant defaults, so no result here depends on the ambient
+//! environment: `SYMMERGE_DIFF_FULL` only selects how many workloads
+//! run. The per-knob ablations (each solver tier off, all of them off,
+//! fault injection, panic isolation) are walked in process by
+//! `tests/ablation.rs`.
 
 mod common;
 
 use common::{
     assert_exact_baseline, assert_mode_invariant, assert_parallel_matches_sequential,
-    assert_solver_config_invariant, observe, observe_parallel, run_parallel, run_parallel_steal,
-    run_with_solver,
+    assert_solver_config_invariant, fleet, harness_config, observe, observe_parallel, run_parallel,
+    run_parallel_steal, run_with_solver, WORKLOADS,
 };
 use symmerge::prelude::*;
 
-/// The original differential core: 12 workloads covering every
-/// `InputKind`, shared by the solver-config and parallel differentials.
-const WORKLOADS: &[(&str, InputConfig)] = &[
-    ("echo", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
-    ("link", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
-    ("sleep", InputConfig { n_args: 2, arg_len: 1, stdin_len: 0 }),
-    ("nice", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
-    ("basename", InputConfig { n_args: 1, arg_len: 3, stdin_len: 0 }),
-    ("dirname", InputConfig { n_args: 1, arg_len: 3, stdin_len: 0 }),
-    ("cut", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
-    ("test", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
-    ("wc", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
-    ("rev", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
-    ("sum", InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 }),
-    ("cat", InputConfig { n_args: 1, arg_len: 1, stdin_len: 2 }),
-];
+/// The harness configuration under the default solver.
+fn config(mode: MergeMode, strategy: StrategyKind) -> EngineConfig {
+    harness_config(mode, strategy, SolverConfig::default())
+}
 
 /// Second wave, run by default: the 9 workloads whose exhaustive
 /// explorations stay cheap at these sizes (each full mode × strategy
-/// sweep is well under a second in debug). Together with [`WORKLOADS`]
-/// the default suite covers 21 of the 26 workloads.
+/// sweep is well under a second in debug). Together with the core
+/// `WORKLOADS` the default suite covers 21 of the 26 workloads.
 const WORKLOADS_WAVE2: &[(&str, InputConfig)] = &[
     ("join", InputConfig { n_args: 2, arg_len: 2, stdin_len: 0 }),
     ("yes", InputConfig { n_args: 1, arg_len: 2, stdin_len: 0 }),
@@ -92,14 +87,14 @@ const STRATEGIES: &[StrategyKind] = &[
 
 fn differential_for(workloads: &[(&str, InputConfig)]) {
     for &(name, cfg) in workloads {
-        let baseline = observe(name, cfg, MergeMode::None, StrategyKind::Bfs);
+        let baseline = observe(name, cfg, config(MergeMode::None, StrategyKind::Bfs));
         assert_exact_baseline(name, &baseline);
         for &strategy in STRATEGIES {
             for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
                 if mode == MergeMode::None && strategy == StrategyKind::Bfs {
                     continue; // that's the baseline itself
                 }
-                let obs = observe(name, cfg, mode, strategy);
+                let obs = observe(name, cfg, config(mode, strategy));
                 assert_mode_invariant(name, &baseline, &obs);
             }
         }
@@ -321,13 +316,14 @@ fn steal_differential_stdin_and_mixed_workloads() {
 #[test]
 fn parallel_merged_modes_preserve_mode_invariance() {
     for &(name, cfg) in &[WORKLOADS[0], WORKLOADS[4], WORKLOADS[8], WORKLOADS[11]] {
-        let baseline = observe(name, cfg, MergeMode::None, StrategyKind::Bfs);
+        let baseline = observe(name, cfg, config(MergeMode::None, StrategyKind::Bfs));
         for (mode, strategy) in [
             (MergeMode::Static, StrategyKind::Topological),
             (MergeMode::Dynamic, StrategyKind::Bfs),
         ] {
             for jobs in [2, 4] {
-                let obs = observe_parallel(name, cfg, mode, strategy, jobs);
+                let par = fleet(jobs, SchedulerKind::Bsp);
+                let obs = observe_parallel(name, cfg, config(mode, strategy), par);
                 assert_mode_invariant(name, &baseline, &obs);
             }
         }
@@ -446,9 +442,9 @@ fn affinity_scheduling_is_result_invariant_without_merging() {
 #[test]
 fn unmerged_baseline_is_strategy_invariant() {
     for &(name, cfg) in &[WORKLOADS[0], WORKLOADS[8]] {
-        let baseline = observe(name, cfg, MergeMode::None, StrategyKind::Bfs);
+        let baseline = observe(name, cfg, config(MergeMode::None, StrategyKind::Bfs));
         for &strategy in &STRATEGIES[1..] {
-            let other = observe(name, cfg, MergeMode::None, strategy);
+            let other = observe(name, cfg, config(MergeMode::None, strategy));
             assert_eq!(
                 other.termination_classes(),
                 baseline.termination_classes(),
