@@ -34,7 +34,10 @@ enum Bits {
 /// [`SatSolver::fork`](crate::sat::SatSolver::fork) this is what makes a
 /// [`SolverContext`](crate::SolverContext) forkable — the clone keeps
 /// translating from where the original stood, without re-blasting any
-/// shared circuitry.
+/// shared circuitry. Inside a context the CNF is only a staging buffer:
+/// the context drains each new clause into its SAT solver
+/// ([`BitBlaster::drain_clauses`]), so a clone copies variables and the
+/// gate memo but no clauses.
 #[derive(Debug, Clone)]
 pub struct BitBlaster {
     cnf: Cnf,
@@ -78,6 +81,12 @@ impl BitBlaster {
     /// The CNF built so far.
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
+    }
+
+    /// Removes and yields the clauses emitted since the last drain (see
+    /// [`Cnf::drain_clauses`]).
+    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Vec<Lit>> {
+        self.cnf.drain_clauses()
     }
 
     /// Consumes the blaster, returning the CNF.

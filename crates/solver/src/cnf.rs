@@ -184,18 +184,21 @@ impl Cnf {
         self.num_vars as usize
     }
 
-    /// The clauses added so far.
+    /// The clauses added so far (since the last
+    /// [`Cnf::drain_clauses`]).
     pub fn clauses(&self) -> &[Vec<Lit>] {
         &self.clauses
     }
 
-    /// The clauses added at or after index `from` — the delta an
-    /// incremental consumer has not yet fed into a solver.
-    pub fn clauses_from(&self, from: usize) -> &[Vec<Lit>] {
-        &self.clauses[from..]
+    /// Removes and yields the clauses added so far, in order. An
+    /// incremental consumer drains the formula into its solver, so the
+    /// CNF is only a staging buffer: variables and the gate memo stay,
+    /// clauses are held once, by the solver.
+    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Vec<Lit>> {
+        self.clauses.drain(..)
     }
 
-    /// Number of clauses.
+    /// Number of clauses (since the last [`Cnf::drain_clauses`]).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
     }

@@ -33,7 +33,6 @@ use symmerge_expr::{ExprId, ExprPool, SymbolId};
 pub struct SolverContext {
     blaster: BitBlaster,
     sat: SatSolver,
-    clauses_fed: usize,
     prefix: Vec<ExprId>,
     /// The *normalized* view of `prefix` — sorted, deduplicated, with
     /// constant-`true` conjuncts dropped — maintained incrementally as
@@ -75,21 +74,7 @@ impl SolverContext {
     /// blaster ite-factoring both on; see [`SolverContext::with_options`]
     /// for explicit control.
     pub fn new() -> Self {
-        let blaster = BitBlaster::new();
-        let sat = SatSolver::from_cnf(blaster.cnf());
-        let clauses_fed = blaster.cnf().num_clauses();
-        SolverContext {
-            blaster,
-            sat,
-            clauses_fed,
-            prefix: Vec::new(),
-            norm_set: Vec::new(),
-            norm_hash: 0,
-            norm_false: false,
-            last_used: 0,
-            sat_extras: Vec::new(),
-            compacted: 0,
-        }
+        SolverContext::with_options(true, true)
     }
 
     /// Creates a context with conflict-clause minimization and ite-chain
@@ -97,14 +82,14 @@ impl SolverContext {
     /// Both knobs are pure query-shrinking levers: verdicts and canonical
     /// models are identical either way.
     pub fn with_options(sat_ccmin: bool, ite_factor: bool) -> Self {
-        let blaster = BitBlaster::with_ite_factor(ite_factor);
+        let mut blaster = BitBlaster::with_ite_factor(ite_factor);
         let mut sat = SatSolver::from_cnf(blaster.cnf());
         sat.set_ccmin(sat_ccmin);
-        let clauses_fed = blaster.cnf().num_clauses();
+        // The solver holds the constant's unit clause now.
+        blaster.drain_clauses();
         SolverContext {
             blaster,
             sat,
-            clauses_fed,
             prefix: Vec::new(),
             norm_set: Vec::new(),
             norm_hash: 0,
@@ -123,19 +108,22 @@ impl SolverContext {
     /// costs only the *new* conjuncts; the shared prefix is never
     /// re-blasted.
     ///
+    /// The clause database exists once, inside the SAT solver, as a few
+    /// flat buffers (the blaster's CNF holds no clauses between queries),
+    /// so a fork is a handful of `memcpy`s plus the blaster's caches —
+    /// no per-clause allocation, and dropping a context frees as few.
     /// Before snapshotting, the clause database is compacted
     /// ([`SatSolver::compact_learnts`]: a level-0 satisfied-clause sweep
     /// over the *whole* DB — original Tseitin clauses included — plus
-    /// self-subsumption over the learnt store), so parent and fork both
-    /// carry the smaller DB — the clause-weighted residency a warm fork
-    /// charges drops with it. The work is observable through
-    /// [`SolverContext::clauses_compacted`].
+    /// self-subsumption over the learnt store, then arena garbage
+    /// collection), so parent and fork both carry the smaller DB — the
+    /// clause-weighted residency a warm fork charges drops with it. The
+    /// work is observable through [`SolverContext::clauses_compacted`].
     pub fn fork(&mut self) -> SolverContext {
         self.compacted += self.sat.compact_learnts();
         SolverContext {
             blaster: self.blaster.clone(),
             sat: self.sat.fork(),
-            clauses_fed: self.clauses_fed,
             prefix: self.prefix.clone(),
             norm_set: self.norm_set.clone(),
             norm_hash: self.norm_hash,
@@ -261,13 +249,13 @@ impl SolverContext {
         self.sat.solve_under_assumptions(&lits)
     }
 
-    /// Feeds newly blasted variables and clauses into the SAT solver.
+    /// Moves newly blasted variables and clauses into the SAT solver,
+    /// leaving the blaster's CNF empty of clauses.
     fn sync(&mut self) {
         self.sat.ensure_vars(self.blaster.cnf().num_vars());
-        for clause in self.blaster.cnf().clauses_from(self.clauses_fed) {
-            self.sat.add_clause(clause);
+        for clause in self.blaster.drain_clauses() {
+            self.sat.add_clause(&clause);
         }
-        self.clauses_fed = self.blaster.cnf().num_clauses();
     }
 
     /// Extracts a model restricted to `syms` from a sat outcome.

@@ -43,22 +43,64 @@ pub struct SatStats {
     pub learnt_lits: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A stored clause's header. Its literals live in [`SatSolver`]'s arena at
+/// `start..start + len`; `lits[0]` and `lits[1]` are the watched pair.
+///
+/// Clause refs (indices into the header vector) are never renumbered:
+/// reasons, watch links and the learnt-clause sort all hold them, so a
+/// deleted clause keeps its header slot (with `len` 0) for good.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
+    /// The next clause in the watch list of `lits[0]` (`next[0]`) and of
+    /// `lits[1]` (`next[1]`), or [`NIL`]. A link belongs to its literal,
+    /// not its position: swapping `lits[0]` and `lits[1]` swaps `next`
+    /// too, so the other list's chain through this clause stays valid.
+    next: [u32; 2],
+    activity: f64,
     learnt: bool,
     deleted: bool,
-    activity: f64,
+}
+
+/// One literal's watch list: an intrusive singly linked chain of the
+/// clauses watching it, threaded through [`Clause::next`], in the order
+/// they were appended.
+#[derive(Debug, Clone, Copy)]
+struct WatchList {
+    head: u32,
+    tail: u32,
+}
+
+/// The empty link.
+const NIL: u32 = u32::MAX;
+
+const EMPTY_WATCHES: WatchList = WatchList { head: NIL, tail: NIL };
+
+/// The clause ref of header index `i`.
+fn cref(i: usize) -> u32 {
+    u32::try_from(i).expect("clause refs fit in u32")
 }
 
 const UNASSIGNED: i8 = -1;
 
 /// A CDCL SAT solver over a fixed CNF.
+///
+/// Every vector in the solver holds plain `Copy` data — clause headers,
+/// one literal arena, flat watch lists — so a [`SatSolver::fork`] is one
+/// `memcpy` per vector, and dropping a solver frees a fixed handful of
+/// buffers, however many clauses it holds.
 #[derive(Debug, Clone)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
-    watches: Vec<Vec<u32>>, // indexed by Lit::code(); clause refs watching that literal
-    assigns: Vec<i8>,       // UNASSIGNED / 0 (false) / 1 (true)
+    /// Every stored clause's literals, back to back.
+    arena: Vec<Lit>,
+    /// Arena literals no live clause owns (deleted clauses, literals
+    /// stripped by strengthening); [`SatSolver::compact_learnts`]
+    /// collects them.
+    garbage: usize,
+    watches: Vec<WatchList>, // indexed by Lit::code()
+    assigns: Vec<i8>,        // UNASSIGNED / 0 (false) / 1 (true)
     level: Vec<u32>,
     reason: Vec<Option<u32>>,
     trail: Vec<Lit>,
@@ -95,7 +137,9 @@ impl SatSolver {
         let n = cnf.num_vars();
         let mut s = SatSolver {
             clauses: Vec::with_capacity(cnf.num_clauses()),
-            watches: vec![Vec::new(); 2 * n],
+            arena: Vec::new(),
+            garbage: 0,
+            watches: vec![EMPTY_WATCHES; 2 * n],
             assigns: vec![UNASSIGNED; n],
             level: vec![0; n],
             reason: vec![None; n],
@@ -135,6 +179,12 @@ impl SatSolver {
     /// heap, saved phases, and the level-0 trail all carry over, so the
     /// fork resumes with the full heuristic state of the parent instead
     /// of relearning it.
+    ///
+    /// The copy costs one `memcpy` per internal vector: clause headers,
+    /// the literal arena and the watch lists are flat `Copy` data, and
+    /// nothing is shared, so parent and fork diverge freely. Call
+    /// [`SatSolver::compact_learnts`] first to leave the arena's garbage
+    /// behind.
     ///
     /// Forking is only meaningful between queries —
     /// [`SatSolver::solve_under_assumptions`] always backtracks to
@@ -176,7 +226,10 @@ impl SatSolver {
     /// by the original clause database (test hook: re-asserting its
     /// negation must be unsat even after minimization).
     pub fn learnt_clauses(&self) -> Vec<Vec<Lit>> {
-        self.clauses.iter().filter(|c| c.learnt && !c.deleted).map(|c| c.lits.clone()).collect()
+        (0..self.clauses.len())
+            .filter(|&i| self.clauses[i].learnt && !self.clauses[i].deleted)
+            .map(|i| self.lits(i).to_vec())
+            .collect()
     }
 
     /// Work counters.
@@ -217,8 +270,8 @@ impl SatSolver {
     pub fn ensure_vars(&mut self, n: usize) {
         while self.assigns.len() < n {
             let v = self.assigns.len() as u32;
-            self.watches.push(Vec::new());
-            self.watches.push(Vec::new());
+            self.watches.push(EMPTY_WATCHES);
+            self.watches.push(EMPTY_WATCHES);
             self.assigns.push(UNASSIGNED);
             self.level.push(0);
             self.reason.push(None);
@@ -241,6 +294,57 @@ impl SatSolver {
         self.trail_lim.len() as u32
     }
 
+    /// The literals of clause `i`.
+    fn lits(&self, i: usize) -> &[Lit] {
+        let c = &self.clauses[i];
+        &self.arena[c.start as usize..(c.start + c.len) as usize]
+    }
+
+    /// Stores a clause of at least two literals and watches its first two.
+    fn push_clause(&mut self, lits: &[Lit], learnt: bool, activity: f64) -> u32 {
+        debug_assert!(lits.len() >= 2);
+        let cref = cref(self.clauses.len());
+        let start = u32::try_from(self.arena.len()).expect("the clause arena fits in u32");
+        let len = u32::try_from(lits.len()).expect("clause lengths fit in u32");
+        self.arena.extend_from_slice(lits);
+        self.clauses.push(Clause { start, len, next: [NIL; 2], activity, learnt, deleted: false });
+        self.watch(cref, 0);
+        self.watch(cref, 1);
+        self.live_clauses += 1;
+        cref
+    }
+
+    /// Appends clause `cref` to the tail of the watch list of its
+    /// literal at `slot` (0 or 1) — the `Vec::push` of the flat layout.
+    fn watch(&mut self, cref: u32, slot: usize) {
+        let c = self.clauses[cref as usize];
+        let l = self.arena[c.start as usize + slot];
+        self.clauses[cref as usize].next[slot] = NIL;
+        let list = self.watches[l.code()];
+        if list.tail == NIL {
+            self.watches[l.code()].head = cref;
+        } else {
+            let t = self.clauses[list.tail as usize];
+            let tail_slot = usize::from(self.arena[t.start as usize] != l);
+            debug_assert_eq!(self.arena[t.start as usize + tail_slot], l, "watch invariant");
+            self.clauses[list.tail as usize].next[tail_slot] = cref;
+        }
+        self.watches[l.code()].tail = cref;
+    }
+
+    /// Rebuilds every watch list from the clause headers: each live
+    /// clause is appended to the lists of `lits[0]` and `lits[1]`, so
+    /// every list comes out in clause-ref order.
+    fn rebuild_watches(&mut self) {
+        self.watches.fill(EMPTY_WATCHES);
+        for i in 0..self.clauses.len() {
+            if !self.clauses[i].deleted && self.clauses[i].len >= 2 {
+                self.watch(cref(i), 0);
+                self.watch(cref(i), 1);
+            }
+        }
+    }
+
     /// Adds a clause at decision level 0. Usable between solves for
     /// incremental clause addition; all variables must already exist
     /// (see [`SatSolver::ensure_vars`]).
@@ -250,20 +354,16 @@ impl SatSolver {
             return;
         }
         // Canonicalize: drop duplicates / satisfied clauses / false lits.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut out = Vec::with_capacity(ls.len());
-        for &l in &ls {
-            if ls.contains(&!l) {
-                return; // tautology
-            }
-            match self.value(l) {
-                Some(true) => return, // already satisfied at level 0
-                Some(false) => {}     // drop the false literal
-                None => out.push(l),
-            }
+        // Sorting puts a literal next to its negation, so one pass over
+        // adjacent pairs finds tautologies.
+        let mut out = lits.to_vec();
+        out.sort_unstable();
+        out.dedup();
+        if out.windows(2).any(|w| w[0] == !w[1]) || out.iter().any(|&l| self.value(l) == Some(true))
+        {
+            return; // tautology, or already satisfied at level 0
         }
+        out.retain(|&l| self.value(l).is_none()); // drop the false literals
         match out.len() {
             0 => self.ok = false,
             1 => {
@@ -273,16 +373,7 @@ impl SatSolver {
                 }
             }
             _ => {
-                let cref = self.clauses.len() as u32;
-                self.watches[out[0].code()].push(cref);
-                self.watches[out[1].code()].push(cref);
-                self.clauses.push(Clause {
-                    lits: out,
-                    learnt: false,
-                    deleted: false,
-                    activity: 0.0,
-                });
-                self.live_clauses += 1;
+                self.push_clause(&out, false, 0.0);
             }
         }
     }
@@ -303,52 +394,60 @@ impl SatSolver {
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let ws = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut keep = Vec::with_capacity(ws.len());
-            let mut conflict = None;
-            let mut it = ws.into_iter();
-            for cref in it.by_ref() {
+            // Walk `false_lit`'s list in order. A clause that finds a new
+            // watch is unlinked and appended to that literal's tail; every
+            // other clause keeps its place, and after a conflict the
+            // unvisited rest stays linked as is. Order invariant: every
+            // list holds its clauses in append order minus those that
+            // moved away — the order per-literal vectors with push and
+            // retain would hold — because the search order (and so every
+            // model and counter) depends on it.
+            let mut prev = NIL; // the last clause kept in this list
+            let mut cref = self.watches[false_lit.code()].head;
+            while cref != NIL {
                 let ci = cref as usize;
-                if self.clauses[ci].deleted {
-                    continue;
+                debug_assert!(!self.clauses[ci].deleted, "deleted clauses are never watched");
+                let start = self.clauses[ci].start as usize;
+                // Ensure the falsified literal sits at position 1; its
+                // link moves with it.
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
+                    self.clauses[ci].next.swap(0, 1);
                 }
-                // Ensure the falsified literal sits at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
-                }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.arena[start + 1], false_lit, "watch invariant");
+                let next = self.clauses[ci].next[1];
+                let first = self.arena[start];
                 if self.value(first) == Some(true) {
-                    keep.push(cref);
+                    prev = cref;
+                    cref = next;
                     continue;
                 }
                 // Look for a replacement watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[lk.code()].push(cref);
-                        moved = true;
-                        break;
+                let end = start + self.clauses[ci].len as usize;
+                if let Some(k) =
+                    (start + 2..end).find(|&k| self.value(self.arena[k]) != Some(false))
+                {
+                    self.arena.swap(start + 1, k);
+                    if prev == NIL {
+                        self.watches[false_lit.code()].head = next;
+                    } else {
+                        // Kept clauses have `false_lit` at position 1.
+                        self.clauses[prev as usize].next[1] = next;
                     }
-                }
-                if moved {
+                    if next == NIL {
+                        self.watches[false_lit.code()].tail = prev;
+                    }
+                    self.watch(cref, 1);
+                    cref = next;
                     continue;
                 }
-                keep.push(cref);
                 if self.value(first) == Some(false) {
-                    conflict = Some(cref);
                     self.qhead = self.trail.len();
-                    break;
+                    return Some(cref);
                 }
                 self.enqueue(first, Some(cref));
-            }
-            // Put back any watches we did not visit after a conflict.
-            keep.extend(it);
-            self.watches[false_lit.code()] = keep;
-            if conflict.is_some() {
-                return conflict;
+                prev = cref;
+                cref = next;
             }
         }
         None
@@ -363,9 +462,10 @@ impl SatSolver {
             {
                 let ci = confl as usize;
                 self.bump_clause(ci);
-                let start = usize::from(p.is_some());
-                let lits = self.clauses[ci].lits.clone();
-                for &q in &lits[start..] {
+                let c = self.clauses[ci];
+                let from = c.start as usize + usize::from(p.is_some());
+                for k in from..(c.start + c.len) as usize {
+                    let q = self.arena[k];
                     let v = q.var().index();
                     if !self.seen[v] && self.level[v] > 0 {
                         self.seen[v] = true;
@@ -454,8 +554,9 @@ impl SatSolver {
             let cref = self.reason[l.var().index()].expect("redundancy probe requires a reason");
             // Reason clauses keep their implied literal at position 0
             // (see `propagate`), so the antecedents are `lits[1..]`.
-            let lits = self.clauses[cref as usize].lits.clone();
-            for &q in &lits[1..] {
+            let c = self.clauses[cref as usize];
+            for k in c.start as usize + 1..(c.start + c.len) as usize {
+                let q = self.arena[k];
                 let v = q.var().index();
                 if self.seen[v] || self.level[v] == 0 {
                     continue;
@@ -598,18 +699,22 @@ impl SatSolver {
 
     // ----- learnt-clause database reduction -------------------------------
 
+    /// Whether clause `i` is the reason of its first literal's current
+    /// assignment (such a clause must be kept).
+    fn locked(&self, i: usize) -> bool {
+        let l0 = self.arena[self.clauses[i].start as usize];
+        self.value(l0) == Some(true) && self.reason[l0.var().index()] == Some(cref(i))
+    }
+
     fn reduce_db(&mut self) {
         let mut cands: Vec<u32> = Vec::new();
         for (i, c) in self.clauses.iter().enumerate() {
-            if !c.learnt || c.deleted || c.lits.len() <= 2 {
+            if !c.learnt || c.deleted || c.len <= 2 {
                 continue;
             }
             // Locked clauses (currently a reason) must be kept.
-            let l0 = c.lits[0];
-            let locked =
-                self.value(l0) == Some(true) && self.reason[l0.var().index()] == Some(i as u32);
-            if !locked {
-                cands.push(i as u32);
+            if !self.locked(i) {
+                cands.push(cref(i));
             }
         }
         cands.sort_by(|&a, &b| {
@@ -620,30 +725,20 @@ impl SatSolver {
         });
         let to_remove = cands.len() / 2;
         for &cref in &cands[..to_remove] {
-            self.clauses[cref as usize].deleted = true;
-            self.num_learnt -= 1;
-            self.live_clauses -= 1;
+            self.delete_clause(cref as usize);
         }
         // Rebuild the watch lists from scratch (watch invariant: positions 0, 1).
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.deleted && c.lits.len() >= 2 {
-                self.watches[c.lits[0].code()].push(i as u32);
-                self.watches[c.lits[1].code()].push(i as u32);
-            }
-        }
+        self.rebuild_watches();
     }
 
     /// Fork-time clause-DB compaction: a level-0 satisfied-clause sweep
     /// over the whole clause database plus bounded self-subsumption over
-    /// the learnt store. Returns the number of clauses removed or
-    /// strengthened.
+    /// the learnt store, then garbage collection of the literal arena.
+    /// Returns the number of clauses removed or strengthened.
     ///
-    /// Forked contexts clone the whole clause database, so every clause
-    /// the parent carries is paid again in each child (the PR 5 "bigger
-    /// warm DB" tax). Compacting just before the snapshot drops clauses
+    /// A fork copies the whole clause database, so every clause the
+    /// parent carries is paid again in each child (the "bigger warm DB"
+    /// tax). Compacting just before the snapshot drops clauses
     /// already satisfied by level-0 facts, strips falsified literals,
     /// and applies self-subsumption (`C` strengthens `D` when
     /// `C ⊆ D ∪ {¬l}` for exactly one flipped literal `l` — `D` minus
@@ -653,17 +748,15 @@ impl SatSolver {
     /// and a merged prefix's satisfied clauses overwhelmingly live in
     /// the original CNF. Everything removed is redundant with the
     /// remaining database plus the trail, so verdicts are unchanged for
-    /// parent and fork alike. Must be called between queries (decision
-    /// level 0).
+    /// parent and fork alike. Deleted and strengthened clauses leave
+    /// their literals behind in the arena; the closing collection packs
+    /// the live clauses together so neither side of a fork copies them.
+    /// Must be called between queries (decision level 0).
     pub fn compact_learnts(&mut self) -> u64 {
         debug_assert_eq!(self.decision_level(), 0, "compact mid-query");
         if !self.ok {
             return 0;
         }
-        let locked = |s: &Self, i: usize| {
-            let l0 = s.clauses[i].lits[0];
-            s.value(l0) == Some(true) && s.reason[l0.var().index()] == Some(i as u32)
-        };
         let mut compacted = 0u64;
         let mut units: Vec<Lit> = Vec::new();
         // Pass 1: sweep against the level-0 trail — delete satisfied
@@ -674,34 +767,41 @@ impl SatSolver {
         // have changed, so repeated forks of one parent stay cheap.
         let sweep_originals = self.trail.len() > self.compacted_trail;
         for i in 0..self.clauses.len() {
-            let c = &self.clauses[i];
-            if c.deleted || (!c.learnt && !sweep_originals) || locked(self, i) {
+            let c = self.clauses[i];
+            if c.deleted || (!c.learnt && !sweep_originals) || self.locked(i) {
                 continue;
             }
+            // Unassigned literals slide down in place, keeping their
+            // order; a satisfied clause is deleted whatever was moved.
+            let start = c.start as usize;
             let mut satisfied = false;
-            let mut kept: Vec<Lit> = Vec::with_capacity(self.clauses[i].lits.len());
-            for &l in &self.clauses[i].lits {
+            let mut kept = 0;
+            for k in start..start + c.len as usize {
+                let l = self.arena[k];
                 match self.value(l) {
                     Some(true) => {
                         satisfied = true;
                         break;
                     }
                     Some(false) => {}
-                    None => kept.push(l),
+                    None => {
+                        self.arena[start + kept] = l;
+                        kept += 1;
+                    }
                 }
             }
             if satisfied {
                 self.delete_clause(i);
                 compacted += 1;
-            } else if kept.len() < self.clauses[i].lits.len() {
+            } else if kept < c.len as usize {
                 compacted += 1;
-                match kept.len() {
+                match kept {
                     0 => self.ok = false,
                     1 => {
-                        units.push(kept[0]);
+                        units.push(self.arena[start]);
                         self.delete_clause(i);
                     }
-                    _ => self.clauses[i].lits = kept,
+                    _ => self.shrink_clause(i, kept),
                 }
             }
         }
@@ -714,31 +814,36 @@ impl SatSolver {
         let mut check_budget: usize = 200_000;
         let var_sig =
             |lits: &[Lit]| lits.iter().fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64));
-        let mut refs: Vec<u32> = (0..self.clauses.len() as u32)
+        let mut refs: Vec<u32> = (0..self.clauses.len())
             .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && !locked(self, i as usize)
+                let c = &self.clauses[i];
+                c.learnt && !c.deleted && !self.locked(i)
             })
+            .map(cref)
             .collect();
-        refs.sort_by_key(|&r| self.clauses[r as usize].lits.len());
+        refs.sort_by_key(|&r| self.clauses[r as usize].len);
         let mut occ: std::collections::HashMap<usize, Vec<u32>> = std::collections::HashMap::new();
         for &r in &refs {
-            for &l in &self.clauses[r as usize].lits {
+            for &l in self.lits(r as usize) {
                 occ.entry(l.var().index()).or_default().push(r);
             }
         }
+        // The subsumer's literals, copied out once per subsumer so the
+        // candidates can be rewritten in place.
+        let mut c_lits: Vec<Lit> = Vec::new();
         for &cref in &refs {
             if check_budget == 0 {
                 break;
             }
-            let c = self.clauses[cref as usize].clone();
-            if c.deleted || c.lits.len() > SUBSUMER_MAX_LITS {
+            let c = self.clauses[cref as usize];
+            if c.deleted || c.len as usize > SUBSUMER_MAX_LITS {
                 continue;
             }
-            let csig = var_sig(&c.lits);
+            c_lits.clear();
+            c_lits.extend_from_slice(self.lits(cref as usize));
+            let csig = var_sig(&c_lits);
             // Probe via the clause's rarest variable.
-            let probe = c
-                .lits
+            let probe = c_lits
                 .iter()
                 .min_by_key(|l| occ.get(&l.var().index()).map_or(0, Vec::len))
                 .expect("stored clauses are non-empty")
@@ -750,19 +855,20 @@ impl SatSolver {
                     continue;
                 }
                 check_budget -= 1;
-                let d = &self.clauses[dref as usize];
-                if d.deleted || d.lits.len() < c.lits.len() || csig & !var_sig(&d.lits) != 0 {
+                let d = self.clauses[dref as usize];
+                let d_lits = self.lits(dref as usize);
+                if d.deleted || d_lits.len() < c_lits.len() || csig & !var_sig(d_lits) != 0 {
                     continue;
                 }
                 // C subsumes D if every C literal occurs in D; one
                 // polarity flip means D can drop the flipped literal.
                 let mut flipped: Option<Lit> = None;
                 let mut ok = true;
-                for &l in &c.lits {
-                    if d.lits.contains(&l) {
+                for &l in &c_lits {
+                    if d_lits.contains(&l) {
                         continue;
                     }
-                    if d.lits.contains(&!l) && flipped.is_none() {
+                    if d_lits.contains(&!l) && flipped.is_none() {
                         flipped = Some(!l);
                     } else {
                         ok = false;
@@ -778,11 +884,14 @@ impl SatSolver {
                         compacted += 1;
                     }
                     Some(drop) => {
-                        let d = &mut self.clauses[dref as usize];
-                        d.lits.retain(|&l| l != drop);
+                        // Remove `drop`, keeping the order of the rest.
+                        let start = d.start as usize;
+                        let at = d_lits.iter().position(|&l| l == drop).expect("flipped literal");
+                        self.arena.copy_within(start + at + 1..start + d.len as usize, start + at);
+                        self.shrink_clause(dref as usize, d.len as usize - 1);
                         compacted += 1;
-                        if self.clauses[dref as usize].lits.len() == 1 {
-                            units.push(self.clauses[dref as usize].lits[0]);
+                        if d.len == 2 {
+                            units.push(self.arena[start]);
                             self.delete_clause(dref as usize);
                         }
                     }
@@ -793,15 +902,7 @@ impl SatSolver {
             // Strengthened clauses may have lost a watched literal:
             // rebuild the watch lists wholesale, as `reduce_db` does,
             // before any propagation touches them.
-            for w in &mut self.watches {
-                w.clear();
-            }
-            for (i, c) in self.clauses.iter().enumerate() {
-                if !c.deleted && c.lits.len() >= 2 {
-                    self.watches[c.lits[0].code()].push(i as u32);
-                    self.watches[c.lits[1].code()].push(i as u32);
-                }
-            }
+            self.rebuild_watches();
             for l in units {
                 match self.value(l) {
                     Some(true) => {}
@@ -815,21 +916,51 @@ impl SatSolver {
                 }
             }
         }
+        if self.garbage > 0 {
+            self.collect_garbage();
+        }
         compacted
     }
 
-    /// Marks clause `i` deleted and frees its literal storage — forks
-    /// clone the clause vector, so a deleted clause that kept its
-    /// literals would keep paying for them in every descendant.
+    /// Shortens clause `i` to its first `len` literals; the rest of its
+    /// arena range becomes garbage.
+    fn shrink_clause(&mut self, i: usize, len: usize) {
+        let c = &mut self.clauses[i];
+        self.garbage += c.len as usize - len;
+        c.len = u32::try_from(len).expect("clause lengths fit in u32");
+    }
+
+    /// Marks clause `i` deleted. Its header slot stays (clause refs are
+    /// never renumbered); its literals become arena garbage until the
+    /// next [`SatSolver::compact_learnts`] collects them, so no fork
+    /// keeps paying for them.
     fn delete_clause(&mut self, i: usize) {
         debug_assert!(!self.clauses[i].deleted);
         if self.clauses[i].learnt {
             self.num_learnt -= 1;
         }
         self.live_clauses -= 1;
-        let c = &mut self.clauses[i];
-        c.deleted = true;
-        c.lits = Vec::new();
+        self.shrink_clause(i, 0);
+        self.clauses[i].deleted = true;
+    }
+
+    /// Packs the live clauses' literals to the front of the arena, in
+    /// place and in clause-ref order, and drops the freed tail (a fork
+    /// copies only the live length). Clauses are appended in ref order
+    /// and only ever shrink in place, so their starts ascend with their
+    /// refs and every move is downward. Only `start` fields change:
+    /// refs, literal order and watch links are untouched.
+    fn collect_garbage(&mut self) {
+        let mut to = 0;
+        for c in &mut self.clauses {
+            let (from, len) = (c.start as usize, c.len as usize);
+            debug_assert!(to <= from, "clause starts ascend with refs");
+            self.arena.copy_within(from..from + len, to);
+            c.start = u32::try_from(to).expect("the clause arena fits in u32");
+            to += len;
+        }
+        self.arena.truncate(to);
+        self.garbage = 0;
     }
 
     // ----- main loop -------------------------------------------------------
@@ -864,6 +995,8 @@ impl SatSolver {
         let mut restart_idx: u64 = 0;
         let mut conflicts_until_restart = luby(restart_idx) * 100;
         let mut conflicts_this_restart: u64 = 0;
+        // Counts clause slots, deleted ones included (refs are never
+        // renumbered): the reduction schedule is part of the search order.
         let mut max_learnt = (self.clauses.len() as f64 * 0.4).max(4000.0);
         let outcome = 'search: loop {
             if let Some(confl) = self.propagate() {
@@ -884,18 +1017,9 @@ impl SatSolver {
                 if learnt.len() == 1 {
                     self.enqueue(asserting, None);
                 } else {
-                    let cref = self.clauses.len() as u32;
-                    self.watches[learnt[0].code()].push(cref);
-                    self.watches[learnt[1].code()].push(cref);
                     self.stats.learnt_lits += learnt.len() as u64;
-                    self.clauses.push(Clause {
-                        lits: learnt,
-                        learnt: true,
-                        deleted: false,
-                        activity: self.cla_inc,
-                    });
+                    let cref = self.push_clause(&learnt, true, self.cla_inc);
                     self.num_learnt += 1;
-                    self.live_clauses += 1;
                     self.stats.learnt += 1;
                     self.enqueue(asserting, Some(cref));
                 }
@@ -993,8 +1117,9 @@ impl SatSolver {
                     }
                 }
                 Some(cref) => {
-                    let lits = self.clauses[cref as usize].lits.clone();
-                    for &q in &lits[1..] {
+                    let c = self.clauses[cref as usize];
+                    for k in c.start as usize + 1..(c.start + c.len) as usize {
+                        let q = self.arena[k];
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use symmerge_expr::{BvBinOp, CmpOp, ExprId, ExprPool};
-use symmerge_solver::{SatResult, Solver, SolverConfig};
+use symmerge_solver::{Cnf, Lit, SatResult, SatSolver, SolveOutcome, Solver, SolverConfig};
 
 const WIDTH: u32 = 8;
 const NUM_INPUTS: usize = 3;
@@ -449,5 +449,146 @@ proptest! {
                 "sat_time + cache_time + route_time exceed total solver time"
             );
         }
+    }
+}
+
+/// A deterministic xorshift stream for the SAT-level generators below.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A random literal over `vars` (positive literals).
+    fn lit(&mut self, vars: &[Lit]) -> Lit {
+        let v = vars[self.below(vars.len() as u64) as usize];
+        if self.next() & 1 == 0 {
+            v
+        } else {
+            !v
+        }
+    }
+
+    /// `n` random ternary clauses.
+    fn clauses(&mut self, vars: &[Lit], n: usize) -> Vec<Vec<Lit>> {
+        (0..n).map(|_| (0..3).map(|_| self.lit(vars)).collect()).collect()
+    }
+}
+
+/// A CNF over `n` fresh variables (after `Cnf`'s constant) and `clauses`.
+fn cnf_of(n: usize, clauses: &[Vec<Lit>]) -> Cnf {
+    let mut cnf = Cnf::new();
+    for _ in 0..n {
+        cnf.new_var();
+    }
+    for c in clauses {
+        cnf.add_clause(c);
+    }
+    cnf
+}
+
+/// Decides `assumptions` on `s`, checking a sat model against `clauses`.
+fn verdict(s: &mut SatSolver, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
+    let holds = |m: &[bool], l: &Lit| m[l.var().index()] != l.is_negative();
+    match s.solve_under_assumptions(assumptions) {
+        SolveOutcome::Sat(m) => {
+            assert!(
+                clauses.iter().all(|c| c.iter().any(|l| holds(&m, l))),
+                "model misses a clause"
+            );
+            assert!(assumptions.iter().all(|l| holds(&m, l)), "model misses an assumption");
+            true
+        }
+        SolveOutcome::Unsat => false,
+        SolveOutcome::Unknown => panic!("no budget set"),
+    }
+}
+
+/// The verdict of a fresh solver over exactly `clauses`.
+fn fresh_verdict(n: usize, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
+    verdict(&mut SatSolver::from_cnf(&cnf_of(n, clauses)), clauses, assumptions)
+}
+
+proptest! {
+    // Cases and seed are pinned so CI runs are exactly reproducible.
+    #![proptest_config(ProptestConfig::with_cases(64).seed(0x5A7_F04C))]
+
+    /// `SatSolver::fork` after compaction shares no storage with its
+    /// parent. A warm solver (several assumption queries, so learnt
+    /// clauses exist and watches have moved) is compacted and forked;
+    /// parent and child then take different clauses and queries. Every
+    /// verdict on either side equals a fresh solver over the same clause
+    /// list, and the parent answers its queries the same before and after
+    /// everything done to the child.
+    #[test]
+    fn sat_fork_is_independent_of_its_parent(seed in 1u64..u64::MAX, n in 30usize..50) {
+        let mut rng = Stream(seed);
+        // Variables 1..=n, numbered as `cnf_of` allocates them.
+        let mut numbering = Cnf::new();
+        let vars: Vec<Lit> = (0..n).map(|_| numbering.new_lit()).collect();
+        // Random 3-SAT just below its threshold: mostly sat, but the
+        // queries conflict and learn.
+        let mut base = rng.clauses(&vars, n * 4);
+        let mut parent = SatSolver::from_cnf(&cnf_of(n, &base));
+        let queries: Vec<Vec<Lit>> = (0..6)
+            .map(|_| {
+                let k = 1 + rng.below(3);
+                (0..k).map(|_| rng.lit(&vars)).collect()
+            })
+            .collect();
+        for q in &queries {
+            prop_assert_eq!(verdict(&mut parent, &base, q), fresh_verdict(n, &base, q));
+        }
+        // Level-0 facts so the compaction sweep strips and deletes.
+        let units: Vec<Vec<Lit>> = (0..2).map(|_| vec![rng.lit(&vars)]).collect();
+        for u in &units {
+            parent.add_clause(u);
+        }
+        base.extend(units);
+        parent.compact_learnts();
+        let mut child = parent.fork();
+        let before: Vec<bool> = queries.iter().map(|q| verdict(&mut parent, &base, q)).collect();
+        for (q, &v) in queries.iter().zip(&before) {
+            prop_assert_eq!(v, fresh_verdict(n, &base, q), "compacted parent verdict");
+        }
+        // The child diverges: its own clauses, queries and compactions.
+        let mut child_clauses = base.clone();
+        for extra in rng.clauses(&vars, 6) {
+            child.add_clause(&extra);
+            child_clauses.push(extra);
+            for q in &queries {
+                let want = fresh_verdict(n, &child_clauses, q);
+                prop_assert_eq!(verdict(&mut child, &child_clauses, q), want, "child verdict");
+            }
+            child.compact_learnts();
+        }
+        let after: Vec<bool> = queries.iter().map(|q| verdict(&mut parent, &base, q)).collect();
+        prop_assert_eq!(&before, &after, "the child's work changed the parent's answers");
+        // The parent diverges the other way; the child is unaffected.
+        let child_answers: Vec<bool> =
+            queries.iter().map(|q| verdict(&mut child, &child_clauses, q)).collect();
+        for (q, &v) in queries.iter().zip(&child_answers) {
+            prop_assert_eq!(v, fresh_verdict(n, &child_clauses, q), "compacted child verdict");
+        }
+        let mut parent_clauses = base.clone();
+        for extra in rng.clauses(&vars, 6) {
+            parent.add_clause(&extra);
+            parent_clauses.push(extra);
+            for q in &queries {
+                let want = fresh_verdict(n, &parent_clauses, q);
+                prop_assert_eq!(verdict(&mut parent, &parent_clauses, q), want, "parent verdict");
+            }
+        }
+        let child_again: Vec<bool> =
+            queries.iter().map(|q| verdict(&mut child, &child_clauses, q)).collect();
+        prop_assert_eq!(&child_answers, &child_again, "the parent's work changed the child's answers");
     }
 }

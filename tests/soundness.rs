@@ -200,3 +200,88 @@ fn budgets_halt_path_explosion_and_set_hit_budget() {
     assert!(report.hit_budget);
     assert!(report.steps < 5_000, "max_steps=500 run executed {} steps", report.steps);
 }
+
+/// FNV-1a over a byte stream: a digest that, unlike `DefaultHasher`, is
+/// fixed by its definition and can be pinned across toolchains.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The stable digest of a run's generated tests, in generation order:
+/// kind, inputs and predicted outputs of each.
+fn tests_digest(report: &RunReport) -> u64 {
+    let mut bytes = Vec::new();
+    for t in &report.tests {
+        let (class, inputs, outputs) = t.sort_key();
+        bytes.extend_from_slice(class.as_bytes());
+        bytes.push(0);
+        for (name, value) in inputs {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.push(0);
+            bytes.extend_from_slice(&value.to_le_bytes());
+        }
+        for o in outputs {
+            bytes.extend_from_slice(&o.to_le_bytes());
+        }
+        bytes.push(0xff);
+    }
+    fnv1a(bytes)
+}
+
+/// Pins the search-order-dependent output of the library defaults.
+///
+/// Every other differential compares canonical models, or configurations
+/// with one another. This test pins the exact bytes the benchmark
+/// measures under `canonical_models: false`: the generated tests in
+/// generation order and the SAT-level counters, which any change to
+/// clause order, watch order or decision order in the CDCL core moves.
+/// The unmerged row is the benchmark's `explore-wc6` setup at a smaller
+/// input; the merged row reaches conflicts, so learnt clauses and their
+/// compaction at fork time are pinned too. A change meant to alter the
+/// search (a new heuristic) updates the pinned values; a change meant to
+/// be a pure speed-up must leave them alone.
+#[test]
+fn default_search_order_is_pinned() {
+    type Pin = (u64, u64, u64, u64, u64, u64, u64, usize, u64);
+    let rows: [(u32, MergeMode, StrategyKind, Pin); 2] = [
+        (
+            3,
+            MergeMode::None,
+            StrategyKind::Random,
+            (2868, 239, 1309, 9613, 0, 71, 21237, 85, 3287446338801938944),
+        ),
+        (
+            5,
+            MergeMode::Dynamic,
+            StrategyKind::CoverageOptimized,
+            (4666, 478, 7919, 84684, 32, 169, 38770, 112, 14419730063140683367),
+        ),
+    ];
+    for (stdin_len, merge_mode, strategy, pinned) in rows {
+        let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len };
+        let program = by_name("wc").unwrap().program(&cfg);
+        let config = EngineConfig {
+            merge_mode,
+            strategy,
+            solver: SolverConfig::default(),
+            seed: 0,
+            ..EngineConfig::default()
+        };
+        let r = Engine::builder(program).config(config).build().unwrap().run();
+        let s = &r.solver;
+        let got = (
+            r.steps,
+            s.sat_calls,
+            s.decisions,
+            s.propagations,
+            s.conflicts,
+            s.ctx_forks,
+            s.ctx_clauses_resident,
+            r.tests.len(),
+            tests_digest(&r),
+        );
+        assert_eq!(got, pinned, "wc@{stdin_len} {merge_mode:?}/{strategy:?}");
+    }
+}
