@@ -2,12 +2,20 @@
 //!
 //! A [`Checkpoint`] captures everything an interrupted run needs to
 //! continue and still produce the *same* final report as the
-//! uninterrupted run would have: the result accumulators (completed
-//! paths, tests, failures, coverage, drop counters), the RNG stream,
-//! and the whole live frontier as [`PortableState`]s ([`crate::shard`]):
-//! states flattened to pool-free DAGs, so a checkpoint written by a
-//! 4-worker fleet can be resumed sequentially and vice versa — a
-//! portable state does not care which scheduler re-hosts it.
+//! uninterrupted run would have: the run's results so far, the RNG
+//! stream, and the whole live frontier as [`PortableState`]s
+//! ([`crate::shard`]): states flattened to pool-free DAGs, so a
+//! checkpoint written by a 4-worker fleet can be resumed sequentially
+//! and vice versa — a portable state does not care which scheduler
+//! re-hosts it.
+//!
+//! The results are a [`ShardOutput`], the shape a fleet worker reports
+//! in: a [`RunReport`] plus the covered pairs. A
+//! checkpoint is one more part of the run, so parts combine the way
+//! worker reports do ([`ShardOutput::fold`]), and a resumed fleet
+//! reduces the checkpoint's results like a worker's. Only a subset of
+//! the report is persisted (`put_results`/`get_results`); the rest
+//! describes the process that ran and is re-derived on resume.
 //!
 //! Sequential engines write checkpoints themselves every
 //! [`CheckpointConfig::every`] picks; BSP fleets checkpoint at round
@@ -19,8 +27,11 @@
 //! The on-disk format is a versioned little-endian byte stream —
 //! deliberately hand-rolled: the workspace builds offline, and the
 //! format only needs to round-trip between builds of this same crate.
-//! [`read_checkpoint`] validates magic, version, and exact length, and
-//! refuses anything it does not fully understand: resuming from a
+//! Decoding fails closed. [`read_checkpoint`] validates magic, version,
+//! and exact length, and refuses any frontier state that is not
+//! self-consistent (operands, symbols, widths, sorts and return
+//! destinations; see `check_state`), so a corrupt file is an error
+//! rather than a panic when its states are imported. Resuming from a
 //! half-understood checkpoint would silently corrupt results, whereas
 //! refusing merely costs a re-run.
 //!
@@ -34,8 +45,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode};
+use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode, PortableRef};
 
+use crate::engine::{RunReport, ShardOutput};
+use crate::exec::AssertFailure;
 use crate::shard::{PortableFrame, PortableSlot, PortableState};
 use crate::testgen::{TestCase, TestKind};
 
@@ -63,36 +76,13 @@ pub struct Checkpoint {
     pub next_id: u64,
     /// The engine RNG's raw xoshiro256** state words.
     pub rng: [u64; 4],
-    /// Completed-path count at snapshot time.
-    pub completed_paths: u64,
-    /// Completed multiplicity mass at snapshot time.
-    pub completed_multiplicity: f64,
-    /// Paths pruned by failing `assume`s.
-    pub pruned_by_assume: u64,
-    /// Finished paths whose test was dropped on solver `Unknown`.
-    pub tests_dropped_unknown: u64,
-    /// Scheduling picks so far.
-    pub picks: u64,
-    /// Instruction steps so far.
-    pub steps: u64,
-    /// Merges performed.
-    pub merges: u64,
-    /// Merges attempted but rejected.
-    pub merge_rejects: u64,
-    /// Peak worklist size observed.
-    pub max_worklist: u64,
-    /// States absorbed by fast-forward merging.
-    pub ff_merged: u64,
-    /// States quarantined by panic isolation.
-    pub quarantined_states: u64,
-    /// Covered `(func, block)` pairs, sorted.
-    pub covered: Vec<(u32, u32)>,
-    /// Tests generated so far.
-    pub tests: Vec<TestCase>,
-    /// Assertion failures as `(message, (func, block, instr))` — the
-    /// path condition does not survive the pool boundary and the
-    /// failures' tests are already in `tests`.
-    pub failures: Vec<(String, (u32, u32, u32))>,
+    /// The run's results so far, in a fleet worker's shape. A file
+    /// keeps only the persisted subset (see `put_results`); every other
+    /// report field reads back as its default. Assertion failures keep
+    /// their message and location: the path condition does not survive
+    /// the pool boundary, and the failures' tests are already in the
+    /// report's tests.
+    pub results: ShardOutput,
     /// The live frontier in portable form.
     pub frontier: Vec<PortableState>,
 }
@@ -116,8 +106,9 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
 
 /// Reads and validates a checkpoint written by [`write_checkpoint`].
 /// Any mismatch — magic, version, truncation, trailing bytes, bad
-/// tags — is an error; see the [module docs](self) for why refusal
-/// beats best-effort parsing here.
+/// tags, a frontier state that is not self-consistent — is an error;
+/// see the [module docs](self) for why refusal beats best-effort
+/// parsing here.
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
     let bytes =
         fs::read(path).map_err(|e| format!("reading checkpoint {}: {e}", path.display()))?;
@@ -125,15 +116,14 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
 }
 
 /// Merges per-worker checkpoint parts (and the coordinator's own
-/// pending states) into one fleet checkpoint. Counters are summed,
-/// coverage is unioned, test/failure lists concatenated, frontiers
-/// concatenated after `extra`; `max_worklist` takes the per-part
-/// maximum and `next_id` the maximum (resume only needs fresh ids,
-/// not dense ones). `rng` comes from the first part — only a
-/// sequential resume consumes it, and worker streams are reseeded per
-/// round anyway.
+/// pending states) into one fleet checkpoint. Results fold through
+/// [`ShardOutput::fold`], the fleet reduction, with `base` first;
+/// frontiers concatenate after `extra`. `next_id` takes the maximum
+/// (resume only needs fresh ids, not dense ones). `rng` comes from the
+/// first part — only a sequential resume consumes it, and worker
+/// streams are reseeded per round anyway.
 ///
-/// `base` carries the counters of the checkpoint this fleet itself
+/// `base` carries the results of the checkpoint this fleet itself
 /// resumed from, so checkpoint chains accumulate correctly; its
 /// *frontier* is deliberately ignored — those states were re-injected
 /// at resume and are alive inside the parts already.
@@ -143,49 +133,18 @@ pub(crate) fn merge_parts(
     base: Option<&Checkpoint>,
 ) -> Checkpoint {
     let first = parts.first().or(base);
-    let mut out = Checkpoint {
-        seed: first.map_or(0, |p| p.seed),
-        next_id: 0,
-        rng: first.map_or([0; 4], |p| p.rng),
-        completed_paths: 0,
-        completed_multiplicity: 0.0,
-        pruned_by_assume: 0,
-        tests_dropped_unknown: 0,
-        picks: 0,
-        steps: 0,
-        merges: 0,
-        merge_rejects: 0,
-        max_worklist: 0,
-        ff_merged: 0,
-        quarantined_states: 0,
-        covered: Vec::new(),
-        tests: Vec::new(),
-        failures: Vec::new(),
-        frontier: extra,
-    };
-    for part in base.into_iter().chain(parts) {
-        out.next_id = out.next_id.max(part.next_id);
-        out.completed_paths += part.completed_paths;
-        out.completed_multiplicity += part.completed_multiplicity;
-        out.pruned_by_assume += part.pruned_by_assume;
-        out.tests_dropped_unknown += part.tests_dropped_unknown;
-        out.picks += part.picks;
-        out.steps += part.steps;
-        out.merges += part.merges;
-        out.merge_rejects += part.merge_rejects;
-        out.max_worklist = out.max_worklist.max(part.max_worklist);
-        out.ff_merged += part.ff_merged;
-        out.quarantined_states += part.quarantined_states;
-        out.covered.extend_from_slice(&part.covered);
-        out.tests.extend(part.tests.iter().cloned());
-        out.failures.extend(part.failures.iter().cloned());
-    }
+    let all = || base.into_iter().chain(parts);
+    let mut frontier = extra;
     for part in parts {
-        out.frontier.extend(part.frontier.iter().cloned());
+        frontier.extend(part.frontier.iter().cloned());
     }
-    out.covered.sort_unstable();
-    out.covered.dedup();
-    out
+    Checkpoint {
+        seed: first.map_or(0, |p| p.seed),
+        next_id: all().map(|p| p.next_id).max().unwrap_or(0),
+        rng: first.map_or([0; 4], |p| p.rng),
+        results: ShardOutput::fold(all().map(|p| &p.results)),
+        frontier,
+    }
 }
 
 // ----- encoding ------------------------------------------------------
@@ -354,6 +313,43 @@ fn put_test(buf: &mut Vec<u8>, t: &TestCase) {
     }
 }
 
+/// Writes the persisted subset of a run's results, in layout order.
+/// The rest of the report is re-derived by the resuming run: gauges
+/// (coverage count, scheduler, DSM and solver stats, wall time, budget
+/// flag) describe the process that ran, and fleet hand-off counters
+/// describe the fleet.
+fn put_results(buf: &mut Vec<u8>, out: &ShardOutput) {
+    let r = &out.report;
+    put_u64(buf, r.completed_paths);
+    put_f64(buf, r.completed_multiplicity);
+    put_u64(buf, r.pruned_by_assume);
+    put_u64(buf, r.tests_dropped_unknown);
+    put_u64(buf, r.picks);
+    put_u64(buf, r.steps);
+    put_u64(buf, r.merges);
+    put_u64(buf, r.merge_rejects);
+    put_u64(buf, r.max_worklist as u64);
+    put_u64(buf, r.ff_merged);
+    put_u64(buf, r.quarantined_states);
+    put_len(buf, out.covered.len());
+    for &(f, b) in &out.covered {
+        put_u32(buf, f);
+        put_u32(buf, b);
+    }
+    put_len(buf, r.tests.len());
+    for t in &r.tests {
+        put_test(buf, t);
+    }
+    put_len(buf, r.assert_failures.len());
+    for failure in &r.assert_failures {
+        let (f, b, i) = failure.loc;
+        put_str(buf, &failure.msg);
+        put_u32(buf, f);
+        put_u32(buf, b);
+        put_u32(buf, i);
+    }
+}
+
 /// Serializes a checkpoint to its on-disk byte layout.
 pub(crate) fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
@@ -364,33 +360,7 @@ pub(crate) fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     for w in ck.rng {
         put_u64(&mut buf, w);
     }
-    put_u64(&mut buf, ck.completed_paths);
-    put_f64(&mut buf, ck.completed_multiplicity);
-    put_u64(&mut buf, ck.pruned_by_assume);
-    put_u64(&mut buf, ck.tests_dropped_unknown);
-    put_u64(&mut buf, ck.picks);
-    put_u64(&mut buf, ck.steps);
-    put_u64(&mut buf, ck.merges);
-    put_u64(&mut buf, ck.merge_rejects);
-    put_u64(&mut buf, ck.max_worklist);
-    put_u64(&mut buf, ck.ff_merged);
-    put_u64(&mut buf, ck.quarantined_states);
-    put_len(&mut buf, ck.covered.len());
-    for &(f, b) in &ck.covered {
-        put_u32(&mut buf, f);
-        put_u32(&mut buf, b);
-    }
-    put_len(&mut buf, ck.tests.len());
-    for t in &ck.tests {
-        put_test(&mut buf, t);
-    }
-    put_len(&mut buf, ck.failures.len());
-    for (msg, (f, b, i)) in &ck.failures {
-        put_str(&mut buf, msg);
-        put_u32(&mut buf, *f);
-        put_u32(&mut buf, *b);
-        put_u32(&mut buf, *i);
-    }
+    put_results(&mut buf, &ck.results);
     put_len(&mut buf, ck.frontier.len());
     for st in &ck.frontier {
         put_state(&mut buf, st);
@@ -624,7 +594,7 @@ fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
     }
     let ff = c.bool()?;
     let warm_len = c.u32()?;
-    Ok(PortableState {
+    let st = PortableState {
         region,
         origin_shard,
         origin_seq,
@@ -639,7 +609,39 @@ fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
         history,
         ff,
         warm_len,
-    })
+    };
+    check_state(&st)?;
+    Ok(st)
+}
+
+/// Rejects a decoded state that would not import or run: a malformed
+/// dag ([`PortableDag::check`]), a pc conjunct that is not a boolean
+/// node, an output or slot that is not a bitvector node, an empty call
+/// stack, or a return destination outside its caller's locals. Whether
+/// frame locations exist in the program is not checked here: the
+/// checkpoint does not carry the program.
+fn check_state(st: &PortableState) -> Result<(), String> {
+    let sorts = st.dag.check()?;
+    let root = |r: PortableRef, boolean: bool| match sorts.get(r as usize) {
+        Some(sort) if sort.is_bool() == boolean => Ok(()),
+        Some(sort) => Err(format!("node {r} has the wrong sort ({sort})")),
+        None => Err(format!("no node {r}")),
+    };
+    let slot = |s: &PortableSlot| match s {
+        PortableSlot::Int(r) => root(*r, false),
+        PortableSlot::Array(rs) => rs.iter().try_for_each(|&r| root(r, false)),
+    };
+    if st.frames.is_empty() {
+        return Err("state has no frames".into());
+    }
+    for (caller, callee) in st.frames.iter().zip(&st.frames[1..]) {
+        if callee.ret_dest.is_some_and(|d| d as usize >= caller.locals.len()) {
+            return Err("return destination outside the caller's locals".into());
+        }
+    }
+    st.frames.iter().flat_map(|f| &f.locals).chain(&st.globals).try_for_each(slot)?;
+    st.pc.iter().try_for_each(|&r| root(r, true))?;
+    st.outputs.iter().try_for_each(|&r| root(r, false))
 }
 
 fn get_test(c: &mut Cursor<'_>) -> Result<TestCase, String> {
@@ -663,6 +665,44 @@ fn get_test(c: &mut Cursor<'_>) -> Result<TestCase, String> {
     Ok(TestCase { inputs, predicted_outputs, kind })
 }
 
+/// Reads what [`put_results`] wrote.
+fn get_results(c: &mut Cursor<'_>) -> Result<ShardOutput, String> {
+    // Fields are read in the order they are written here.
+    let mut report = RunReport {
+        completed_paths: c.u64()?,
+        completed_multiplicity: c.f64()?,
+        pruned_by_assume: c.u64()?,
+        tests_dropped_unknown: c.u64()?,
+        picks: c.u64()?,
+        steps: c.u64()?,
+        merges: c.u64()?,
+        merge_rejects: c.u64()?,
+        max_worklist: usize::try_from(c.u64()?).map_err(|_| "max_worklist out of range")?,
+        ff_merged: c.u64()?,
+        quarantined_states: c.u64()?,
+        ..RunReport::default()
+    };
+    let n_cov = c.len()?;
+    let mut covered = Vec::with_capacity(n_cov);
+    for _ in 0..n_cov {
+        let f = c.u32()?;
+        covered.push((f, c.u32()?));
+    }
+    let n_tests = c.len()?;
+    report.tests.reserve(n_tests);
+    for _ in 0..n_tests {
+        report.tests.push(get_test(c)?);
+    }
+    let n_fail = c.len()?;
+    report.assert_failures.reserve(n_fail);
+    for _ in 0..n_fail {
+        let msg = c.str()?;
+        let loc = (c.u32()?, c.u32()?, c.u32()?);
+        report.assert_failures.push(AssertFailure { msg, loc, pc: Vec::new() });
+    }
+    Ok(ShardOutput { report, covered })
+}
+
 /// Parses the on-disk byte layout back into a [`Checkpoint`].
 pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
     let mut c = Cursor { buf: bytes, pos: 0 };
@@ -679,36 +719,7 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
     for w in &mut rng {
         *w = c.u64()?;
     }
-    let completed_paths = c.u64()?;
-    let completed_multiplicity = c.f64()?;
-    let pruned_by_assume = c.u64()?;
-    let tests_dropped_unknown = c.u64()?;
-    let picks = c.u64()?;
-    let steps = c.u64()?;
-    let merges = c.u64()?;
-    let merge_rejects = c.u64()?;
-    let max_worklist = c.u64()?;
-    let ff_merged = c.u64()?;
-    let quarantined_states = c.u64()?;
-    let n_cov = c.len()?;
-    let mut covered = Vec::with_capacity(n_cov);
-    for _ in 0..n_cov {
-        let f = c.u32()?;
-        covered.push((f, c.u32()?));
-    }
-    let n_tests = c.len()?;
-    let mut tests = Vec::with_capacity(n_tests);
-    for _ in 0..n_tests {
-        tests.push(get_test(&mut c)?);
-    }
-    let n_fail = c.len()?;
-    let mut failures = Vec::with_capacity(n_fail);
-    for _ in 0..n_fail {
-        let msg = c.str()?;
-        let f = c.u32()?;
-        let b = c.u32()?;
-        failures.push((msg, (f, b, c.u32()?)));
-    }
+    let results = get_results(&mut c)?;
     let n_front = c.len()?;
     let mut frontier = Vec::with_capacity(n_front);
     for _ in 0..n_front {
@@ -717,31 +728,13 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
     if c.pos != bytes.len() {
         return Err(format!("{} trailing bytes after checkpoint", bytes.len() - c.pos));
     }
-    Ok(Checkpoint {
-        seed,
-        next_id,
-        rng,
-        completed_paths,
-        completed_multiplicity,
-        pruned_by_assume,
-        tests_dropped_unknown,
-        picks,
-        steps,
-        merges,
-        merge_rejects,
-        max_worklist,
-        ff_merged,
-        quarantined_states,
-        covered,
-        tests,
-        failures,
-        frontier,
-    })
+    Ok(Checkpoint { seed, next_id, rng, results, frontier })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symmerge_expr::ExprPool;
 
     /// A checkpoint exercising every codec arm: all node variants,
     /// Int/Array slots, Some/None ret_dest, every test kind, failures,
@@ -774,7 +767,7 @@ mod tests {
                     ret_dest: None,
                     locals: vec![PortableSlot::Int(0), PortableSlot::Array(vec![1, 2])],
                 },
-                PortableFrame { func: 1, block: 0, instr: 0, ret_dest: Some(9), locals: vec![] },
+                PortableFrame { func: 1, block: 0, instr: 0, ret_dest: Some(1), locals: vec![] },
             ],
             globals: vec![PortableSlot::Int(7)],
             pc: vec![3, 5],
@@ -790,10 +783,7 @@ mod tests {
         tiny.origin_seq = 43;
         tiny.frames.pop();
         tiny.ff = false;
-        Checkpoint {
-            seed: 5,
-            next_id: 99,
-            rng: [1, 2, 3, 4],
+        let report = RunReport {
             completed_paths: 10,
             completed_multiplicity: 12.25,
             pruned_by_assume: 1,
@@ -805,7 +795,6 @@ mod tests {
             max_worklist: 31,
             ff_merged: 5,
             quarantined_states: 1,
-            covered: vec![(0, 1), (0, 2), (1, 0)],
             tests: vec![
                 TestCase {
                     inputs: vec![("x".into(), 9)],
@@ -819,7 +808,18 @@ mod tests {
                     kind: TestKind::AssertFailure { msg: "boom".into() },
                 },
             ],
-            failures: vec![("boom".into(), (1, 2, 3))],
+            assert_failures: vec![AssertFailure {
+                msg: "boom".into(),
+                loc: (1, 2, 3),
+                pc: Vec::new(),
+            }],
+            ..RunReport::default()
+        };
+        Checkpoint {
+            seed: 5,
+            next_id: 99,
+            rng: [1, 2, 3, 4],
+            results: ShardOutput { report, covered: vec![(0, 1), (0, 2), (1, 0)] },
             frontier: vec![st, tiny],
         }
     }
@@ -832,11 +832,26 @@ mod tests {
         // PortableState carries no PartialEq; a byte-identical
         // re-encoding is an equivalent (and stronger) round-trip check.
         assert_eq!(encode_checkpoint(&back), bytes);
-        assert_eq!(back.picks, ck.picks);
+        let (r, want) = (&back.results.report, &ck.results.report);
+        assert_eq!(r.picks, want.picks);
         assert_eq!(back.frontier.len(), 2);
-        assert_eq!(back.tests.len(), 3);
-        assert_eq!(back.failures, ck.failures);
-        assert_eq!(back.covered, ck.covered);
+        assert_eq!(r.tests.len(), 3);
+        let failures = |r: &RunReport| -> Vec<(String, (u32, u32, u32))> {
+            r.assert_failures.iter().map(|f| (f.msg.clone(), f.loc)).collect()
+        };
+        assert_eq!(failures(r), failures(want));
+        assert_eq!(back.results.covered, ck.results.covered);
+    }
+
+    /// The encoding of [`sample`] is pinned (format version 1): length
+    /// and FNV-1a digest of the bytes.
+    #[test]
+    fn sample_encoding_is_pinned() {
+        let bytes = encode_checkpoint(&sample());
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (810, 16334165246778481294));
     }
 
     #[test]
@@ -857,6 +872,49 @@ mod tests {
         assert!(decode_checkpoint(&long).unwrap_err().contains("trailing"));
     }
 
+    /// Fail-closed decoding: every truncation of [`sample`] is refused,
+    /// and every single-byte corruption (three masks per byte) is either
+    /// refused or decodes to a frontier that imports without panicking.
+    #[test]
+    fn truncated_and_flipped_bytes_never_decode_to_a_panic() {
+        let bytes = encode_checkpoint(&sample());
+        for cut in 0..bytes.len() {
+            assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+        }
+        for pos in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= mask;
+                let Ok(ck) = decode_checkpoint(&bad) else { continue };
+                let imported = std::panic::catch_unwind(|| {
+                    crate::shard::import_frontier(&ck.frontier, &mut ExprPool::new(8)).len()
+                });
+                assert!(
+                    imported.is_ok(),
+                    "byte {pos} ^ {mask:#04x} decoded to a panicking frontier"
+                );
+            }
+        }
+    }
+
+    /// States that import but could not run are refused too.
+    #[test]
+    fn inconsistent_frontier_states_are_refused() {
+        type Edit = fn(&mut PortableState);
+        let edits: [(&str, Edit); 5] = [
+            ("ret_dest past the caller's locals", |st| st.frames[1].ret_dest = Some(2)),
+            ("no frames", |st| st.frames.clear()),
+            ("bitvector pc conjunct", |st| st.pc.push(2)),
+            ("boolean output", |st| st.outputs.push(3)),
+            ("slot past the node table", |st| st.globals.push(PortableSlot::Int(9))),
+        ];
+        for (what, edit) in edits {
+            let mut ck = sample();
+            edit(&mut ck.frontier[0]);
+            assert!(decode_checkpoint(&encode_checkpoint(&ck)).is_err(), "{what} accepted");
+        }
+    }
+
     #[test]
     fn write_is_atomic_and_read_validates() {
         let ck = sample();
@@ -874,20 +932,21 @@ mod tests {
     fn merge_parts_sums_counters_and_unions_coverage() {
         let a = sample();
         let mut b = sample();
-        b.covered = vec![(0, 2), (2, 2)];
+        b.results.covered = vec![(0, 2), (2, 2)];
         b.frontier.pop();
         let extra = vec![a.frontier[1].clone()];
         let merged = merge_parts(&[a.clone(), b.clone()], extra, None);
-        assert_eq!(merged.completed_paths, 20);
-        assert_eq!(merged.picks, 400);
-        assert_eq!(merged.max_worklist, 31);
-        assert_eq!(merged.covered, vec![(0, 1), (0, 2), (1, 0), (2, 2)]);
-        assert_eq!(merged.tests.len(), 6);
+        let r = &merged.results.report;
+        assert_eq!(r.completed_paths, 20);
+        assert_eq!(r.picks, 400);
+        assert_eq!(r.max_worklist, 31);
+        assert_eq!(merged.results.covered, vec![(0, 1), (0, 2), (1, 0), (2, 2)]);
+        assert_eq!(r.tests.len(), 6);
         // extra (1) + a's frontier (2) + b's frontier (1).
         assert_eq!(merged.frontier.len(), 4);
         // A base contributes counters but never its frontier.
         let merged2 = merge_parts(&[b], Vec::new(), Some(&a));
-        assert_eq!(merged2.completed_paths, 20);
+        assert_eq!(merged2.results.report.completed_paths, 20);
         assert_eq!(merged2.frontier.len(), 1);
         assert_eq!(merged2.seed, a.seed);
     }

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprPool, SharedExprPool};
@@ -281,7 +282,12 @@ impl EngineBuilder {
 }
 
 /// Aggregate results of one exploration run.
-#[derive(Debug, Clone)]
+///
+/// The same type carries a run's totals everywhere: the engine
+/// accumulates into one, fleet workers report one each, and a
+/// checkpoint persists a subset of one. [`RunReport::absorb`] is the
+/// one place that states how two parts of a run combine.
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Completed feasible paths (merged states count once).
     pub completed_paths: u64,
@@ -376,6 +382,102 @@ impl RunReport {
         }
         Some(self.ff_merged as f64 / self.dsm.ff_picks as f64)
     }
+
+    /// Folds another part of the same run into this one: a fleet
+    /// worker's report, a crashed worker's final totals, or the totals
+    /// a resumed checkpoint carried. This is where each field's
+    /// reduction is stated. Counters sum; `max_worklist`, `wall_time`
+    /// and `total_blocks` take the maximum; `hit_budget` is an or; test
+    /// and failure lists concatenate in call order. `covered_blocks` is
+    /// left alone, because a count cannot be unioned:
+    /// [`ShardOutput::fold`] recounts it from the covered pairs.
+    pub fn absorb(&mut self, other: &RunReport) {
+        // Exhaustive, so a new field does not compile until its
+        // reduction is chosen here.
+        let RunReport {
+            completed_paths,
+            completed_multiplicity,
+            pruned_by_assume,
+            assert_failures,
+            tests,
+            tests_dropped_unknown,
+            picks,
+            sched_picks,
+            sched_heap_repairs,
+            steps,
+            merges,
+            merge_rejects,
+            max_worklist,
+            leftover_states,
+            envelope_exports,
+            envelope_nodes,
+            steals,
+            stolen_states,
+            idle_waits,
+            quarantined_states,
+            covered_blocks: _,
+            total_blocks,
+            ff_merged,
+            dsm,
+            solver,
+            wall_time,
+            hit_budget,
+        } = other;
+        self.completed_paths += completed_paths;
+        self.completed_multiplicity += completed_multiplicity;
+        self.pruned_by_assume += pruned_by_assume;
+        self.assert_failures.extend(assert_failures.iter().cloned());
+        self.tests.extend(tests.iter().cloned());
+        self.tests_dropped_unknown += tests_dropped_unknown;
+        self.picks += picks;
+        self.sched_picks += sched_picks;
+        self.sched_heap_repairs += sched_heap_repairs;
+        self.steps += steps;
+        self.merges += merges;
+        self.merge_rejects += merge_rejects;
+        self.max_worklist = self.max_worklist.max(*max_worklist);
+        self.leftover_states += leftover_states;
+        self.envelope_exports += envelope_exports;
+        self.envelope_nodes += envelope_nodes;
+        self.steals += steals;
+        self.stolen_states += stolen_states;
+        self.idle_waits += idle_waits;
+        self.quarantined_states += quarantined_states;
+        self.total_blocks = self.total_blocks.max(*total_blocks);
+        self.ff_merged += ff_merged;
+        self.dsm.absorb(dsm);
+        self.solver.absorb(solver);
+        self.wall_time = self.wall_time.max(*wall_time);
+        self.hit_budget |= hit_budget;
+    }
+}
+
+/// One part of a run's results: a fleet worker's report, or the totals
+/// a checkpoint carries, plus the concrete covered-block set (the report
+/// only carries the count, but combining parts needs the elements).
+#[derive(Debug, Clone, Default)]
+pub struct ShardOutput {
+    /// The part's report.
+    pub report: RunReport,
+    /// Covered `(func, block)` pairs, sorted.
+    pub covered: Vec<(u32, u32)>,
+}
+
+impl ShardOutput {
+    /// Combines the parts of one run, in the given order, through
+    /// [`RunReport::absorb`]. The covered pairs are unioned and
+    /// `covered_blocks` is their count.
+    pub fn fold<'a>(parts: impl IntoIterator<Item = &'a ShardOutput>) -> ShardOutput {
+        let mut out = ShardOutput::default();
+        for part in parts {
+            out.report.absorb(&part.report);
+            out.covered.extend_from_slice(&part.covered);
+        }
+        out.covered.sort_unstable();
+        out.covered.dedup();
+        out.report.covered_blocks = out.covered.len();
+        out
+    }
 }
 
 /// The outcome of one [`Engine::explore_step`] call.
@@ -467,6 +569,10 @@ pub struct Engine {
     /// (0 for a sequential run; [`Engine::set_fault_worker`] re-aims it
     /// for fleet workers).
     fault_worker: u32,
+    /// The steal fleet's shared pick sequence, which replaces the local
+    /// pick index as the panic coordinate there (see [`crate::fault`]);
+    /// `None` on sequential engines and BSP workers.
+    fault_clock: Option<Arc<AtomicU64>>,
     /// Panic-isolation snapshot of the state currently being stepped:
     /// `(state, child history, fast-forward flag)`, exactly what
     /// [`Engine::integrate`] needs to re-queue it after a caught panic.
@@ -475,20 +581,10 @@ pub struct Engine {
     /// seeding the initial state (the restored frontier already holds
     /// the live work).
     resumed: bool,
-    // Run accumulators.
-    completed_paths: u64,
-    completed_multiplicity: f64,
-    pruned_by_assume: u64,
-    assert_failures: Vec<AssertFailure>,
-    tests: Vec<TestCase>,
-    tests_dropped_unknown: u64,
-    picks: u64,
-    steps: u64,
-    merges: u64,
-    merge_rejects: u64,
-    max_worklist: usize,
-    ff_merged: u64,
-    quarantined_states: u64,
+    /// The run's totals so far. Its gauge fields (coverage, scheduler,
+    /// DSM and solver stats, wall time, budget flag) stay at their
+    /// defaults; [`Engine::report`] fills them in.
+    totals: RunReport,
 }
 
 impl std::fmt::Debug for Engine {
@@ -496,14 +592,13 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("config", &self.config)
             .field("worklist", &self.states.len())
-            .field("picks", &self.picks)
+            .field("picks", &self.totals.picks)
             .finish()
     }
 }
 
 struct OracleImpl<'a> {
     program: &'a Program,
-    cfgs: &'a [CfgInfo],
     covered: &'a HashSet<(FuncId, BlockId)>,
     cov_gen: u64,
     dist_cache: &'a mut Option<HashMap<(FuncId, BlockId), u32>>,
@@ -513,7 +608,7 @@ struct OracleImpl<'a> {
 impl Oracle for OracleImpl<'_> {
     fn distance_to_uncovered(&mut self, func: FuncId, block: BlockId) -> Option<u32> {
         if self.dist_cache.is_none() {
-            *self.dist_cache = Some(compute_distances(self.program, self.cfgs, self.covered));
+            *self.dist_cache = Some(compute_distances(self.program, self.covered));
         }
         self.dist_cache.as_ref().unwrap().get(&(func, block)).copied()
     }
@@ -534,7 +629,6 @@ impl Oracle for OracleImpl<'_> {
 /// block, via a Bellman-Ford-style fixpoint over all `(func, block)` nodes.
 fn compute_distances(
     program: &Program,
-    cfgs: &[CfgInfo],
     covered: &HashSet<(FuncId, BlockId)>,
 ) -> HashMap<(FuncId, BlockId), u32> {
     const INF: u32 = u32::MAX / 4;
@@ -545,7 +639,6 @@ fn compute_distances(
             dist.insert(key, if covered.contains(&key) { INF } else { 0 });
         }
     }
-    let _ = cfgs;
     let mut changed = true;
     let mut rounds = 0;
     while changed && rounds < 64 {
@@ -650,21 +743,10 @@ impl Engine {
             started: None,
             shard: None,
             fault_worker: 0,
+            fault_clock: None,
             in_flight: None,
             resumed: false,
-            completed_paths: 0,
-            completed_multiplicity: 0.0,
-            pruned_by_assume: 0,
-            assert_failures: Vec::new(),
-            tests: Vec::new(),
-            tests_dropped_unknown: 0,
-            picks: 0,
-            steps: 0,
-            merges: 0,
-            merge_rejects: 0,
-            max_worklist: 0,
-            ff_merged: 0,
-            quarantined_states: 0,
+            totals: RunReport::default(),
             config,
         }
     }
@@ -755,9 +837,9 @@ impl Engine {
             return;
         }
         self.mark_covered(&state);
-        if self.config.merge_mode != MergeMode::None {
+        let hot = (self.config.merge_mode != MergeMode::None).then(|| self.hot_set_for(&state));
+        if let Some(hot) = &hot {
             let ck = state.control_key();
-            let hot = self.hot_set_for(&state);
             let candidates: Vec<StateId> = self.by_control.get(&ck).cloned().unwrap_or_default();
             for cand_id in candidates {
                 let id = self.fresh_id();
@@ -768,7 +850,7 @@ impl Engine {
                 }
                 let similar = match self.config.qce.zeta {
                     // The prototype criterion (Eq. 1): hot-variable set.
-                    None => similar_qce(&self.pool, &hot, &state, cand),
+                    None => similar_qce(&self.pool, hot, &state, cand),
                     // The full §3.3 criterion (Eq. 7) pricing introduced ites.
                     Some(zeta) => self.qce.similar_full(
                         &self.program,
@@ -779,9 +861,9 @@ impl Engine {
                 };
                 if similar {
                     let merged = merge_states(&mut self.pool, self.config.merge, &state, cand, id);
-                    self.merges += 1;
+                    self.totals.merges += 1;
                     if ff || self.ff_active.contains(&cand_id) {
-                        self.ff_merged += 1;
+                        self.totals.ff_merged += 1;
                     }
                     self.remove_from_worklist(cand_id);
                     // A merged state starts a fresh history: its signature
@@ -791,7 +873,7 @@ impl Engine {
                     // Try to cascade with further candidates.
                     return self.integrate(state, history, false);
                 }
-                self.merge_rejects += 1;
+                self.totals.merge_rejects += 1;
             }
         }
         let id = state.id;
@@ -800,8 +882,10 @@ impl Engine {
         match &mut self.scheduler {
             Scheduler::Plain(s) => s.add(id, meta),
             Scheduler::Dsm(d) => {
-                let hot = self.qce.hot_set(&self.program, &state.stack_blocks());
-                let sig = merge_signature(&self.pool, &hot, &state);
+                // The state was not merged above, so `hot` is its own
+                // hot set (dynamic merging always computes one).
+                let hot = hot.as_deref().expect("dynamic merging computes the hot set");
+                let sig = merge_signature(&self.pool, hot, &state);
                 d.add_with_sig(id, meta, sig, history.clone());
             }
         }
@@ -814,7 +898,7 @@ impl Engine {
             ctl.by_region.entry(region).or_default().insert(id);
         }
         self.states.insert(id, state);
-        self.max_worklist = self.max_worklist.max(self.states.len());
+        self.totals.max_worklist = self.totals.max_worklist.max(self.states.len());
     }
 
     /// Drops `id` from the shard-mode region index, if present.
@@ -849,13 +933,13 @@ impl Engine {
     fn record_completion(&mut self, state: State, completion: Completion) {
         match completion {
             Completion::AssumeViolated => {
-                self.pruned_by_assume += 1;
+                self.totals.pruned_by_assume += 1;
                 return;
             }
             Completion::Halted | Completion::Returned => {}
         }
-        self.completed_paths += 1;
-        self.completed_multiplicity += state.multiplicity;
+        self.totals.completed_paths += 1;
+        self.totals.completed_multiplicity += state.multiplicity;
         if self.config.generate_tests {
             let kind = match completion {
                 Completion::Halted => TestKind::Halted,
@@ -867,7 +951,7 @@ impl Engine {
             let t = self.pool.true_();
             match self.solver.check_assuming(&self.pool, &state.pc, t) {
                 SatResult::Sat(model) => {
-                    self.tests.push(TestCase::from_model(
+                    self.totals.tests.push(TestCase::from_model(
                         &self.pool,
                         &model,
                         &state.pc,
@@ -875,7 +959,7 @@ impl Engine {
                         kind,
                     ));
                 }
-                SatResult::Unknown => self.tests_dropped_unknown += 1,
+                SatResult::Unknown => self.totals.tests_dropped_unknown += 1,
                 SatResult::Unsat => {}
             }
         }
@@ -892,7 +976,7 @@ impl Engine {
             let extra = last.first().copied().unwrap_or_else(|| self.pool.true_());
             match self.solver.check_assuming_probe(&self.pool, prefix, extra) {
                 SatResult::Sat(model) => {
-                    self.tests.push(TestCase::from_model(
+                    self.totals.tests.push(TestCase::from_model(
                         &self.pool,
                         &model,
                         &failure.pc,
@@ -900,11 +984,11 @@ impl Engine {
                         TestKind::AssertFailure { msg: failure.msg.clone() },
                     ));
                 }
-                SatResult::Unknown => self.tests_dropped_unknown += 1,
+                SatResult::Unknown => self.totals.tests_dropped_unknown += 1,
                 SatResult::Unsat => {}
             }
         }
-        self.assert_failures.push(failure);
+        self.totals.assert_failures.push(failure);
     }
 
     /// Seeds the worklist with the program's initial state and starts the
@@ -949,7 +1033,8 @@ impl Engine {
     /// run.
     fn maybe_checkpoint(&mut self) {
         let Some(ck) = &self.config.checkpoint else { return };
-        if ck.every == 0 || self.picks == 0 || self.picks % ck.every != 0 {
+        let picks = self.totals.picks;
+        if ck.every == 0 || picks == 0 || picks % ck.every != 0 {
             return;
         }
         let path = ck.path.clone();
@@ -973,9 +1058,9 @@ impl Engine {
         let started = *self.started.get_or_insert_with(Instant::now);
         let b = self.config.budgets;
         if b.max_time.is_some_and(|t| started.elapsed() >= t)
-            || b.max_steps.is_some_and(|s| self.steps >= s)
-            || b.max_completed.is_some_and(|c| self.completed_paths >= c)
-            || b.max_picks.is_some_and(|p| self.picks >= p)
+            || b.max_steps.is_some_and(|s| self.totals.steps >= s)
+            || b.max_completed.is_some_and(|c| self.totals.completed_paths >= c)
+            || b.max_picks.is_some_and(|p| self.totals.picks >= p)
         {
             return ExploreStep::BudgetExhausted;
         }
@@ -989,7 +1074,6 @@ impl Engine {
         let picked = {
             let mut oracle = OracleImpl {
                 program: &self.program,
-                cfgs: &self.cfgs,
                 covered: &self.covered,
                 cov_gen: self.cov_gen,
                 dist_cache: &mut self.dist_cache,
@@ -1001,7 +1085,7 @@ impl Engine {
             }
         };
         let Some(id) = picked else { return ExploreStep::Exhausted };
-        self.picks += 1;
+        self.totals.picks += 1;
         // DSM bookkeeping must survive the state's exit from the
         // worklist: grab history and ff-ness first.
         let parent_hist = self.histories.remove(&id).unwrap_or_default();
@@ -1043,10 +1127,15 @@ impl Engine {
             self.in_flight = Some((state.clone(), child_hist.clone(), parent_ff));
         }
         if let Some(plan) = &self.config.fault_plan {
-            // 0-based local pick index (picks was just incremented).
-            let pick = self.picks - 1;
-            if plan.panics_at(self.fault_worker, pick) {
-                panic!("injected fault: worker {} panics at pick {pick}", self.fault_worker);
+            let fires = match &self.fault_clock {
+                // Relaxed: the sequence only has to hand out each index
+                // once; it publishes no other data.
+                Some(clock) => plan.panics_at_fleet_pick(clock.fetch_add(1, Ordering::Relaxed)),
+                // 0-based local pick index (picks was just incremented).
+                None => plan.panics_at(self.fault_worker, self.totals.picks - 1),
+            };
+            if fires {
+                panic!("injected fault: worker {} panics", self.fault_worker);
             }
         }
 
@@ -1060,7 +1149,7 @@ impl Engine {
             };
             ctx.step(state)
         };
-        self.steps += 1;
+        self.totals.steps += 1;
         // If the step's branch queries touched (or built) the context of
         // this state's pc prefix, the successors extend exactly that
         // prefix and inherit the token the queries stamped — read before
@@ -1111,6 +1200,12 @@ impl Engine {
         }
     }
 
+    /// Makes the fault plan's panic coordinate the fleet-global pick
+    /// sequence `clock`, shared by every steal worker.
+    pub(crate) fn set_fault_clock(&mut self, clock: Arc<AtomicU64>) {
+        self.fault_clock = Some(clock);
+    }
+
     /// Quarantine recovery after a caught worker panic: re-queues the
     /// in-flight snapshot (the state that was picked but whose step
     /// never committed), so the state is neither lost nor
@@ -1127,7 +1222,7 @@ impl Engine {
     /// the result set.
     pub(crate) fn recover_from_panic(&mut self) -> u64 {
         let Some((state, history, ff)) = self.in_flight.take() else { return 0 };
-        self.quarantined_states += 1;
+        self.totals.quarantined_states += 1;
         self.integrate(state, history, ff);
         1
     }
@@ -1136,35 +1231,18 @@ impl Engine {
     /// [`Engine::run`] at the end of the loop; step-by-step drivers call
     /// it when they decide the run is over (passing whether a budget —
     /// theirs or the engine's — cut exploration short).
+    ///
+    /// Fleet-level hand-off counters (`envelope_exports`, `steals`, …)
+    /// belong to the scheduler, not to any one engine, and stay zero;
+    /// `ParallelEngine` fills them in after reduction.
     pub fn report(&self, hit_budget: bool) -> RunReport {
         let sched = self.scheduler.sched_stats();
         RunReport {
-            completed_paths: self.completed_paths,
-            completed_multiplicity: self.completed_multiplicity,
-            pruned_by_assume: self.pruned_by_assume,
-            assert_failures: self.assert_failures.clone(),
-            tests: self.tests.clone(),
-            tests_dropped_unknown: self.tests_dropped_unknown,
-            picks: self.picks,
             sched_picks: sched.sched_picks,
             sched_heap_repairs: sched.sched_heap_repairs,
-            steps: self.steps,
-            merges: self.merges,
-            merge_rejects: self.merge_rejects,
-            max_worklist: self.max_worklist,
             leftover_states: self.states.len(),
-            // Fleet-level hand-off counters belong to the scheduler, not
-            // to any one engine; `ParallelEngine` fills them in after
-            // reduction.
-            envelope_exports: 0,
-            envelope_nodes: 0,
-            steals: 0,
-            stolen_states: 0,
-            idle_waits: 0,
-            quarantined_states: self.quarantined_states,
             covered_blocks: self.covered.len(),
             total_blocks: self.program.num_blocks(),
-            ff_merged: self.ff_merged,
             dsm: match &self.scheduler {
                 Scheduler::Dsm(d) => d.stats(),
                 Scheduler::Plain(_) => DsmStats::default(),
@@ -1172,7 +1250,14 @@ impl Engine {
             solver: *self.solver.stats(),
             wall_time: self.started.map(|s| s.elapsed()).unwrap_or_default(),
             hit_budget,
+            ..self.totals.clone()
         }
+    }
+
+    /// The engine's report with its covered pairs: a fleet worker's
+    /// part of the run (the fleet, not the worker, tracks budgets).
+    pub(crate) fn output(&self) -> ShardOutput {
+        ShardOutput { report: self.report(false), covered: self.covered_pairs() }
     }
 
     /// Like [`Engine::remove_from_worklist`] but the scheduler has already
@@ -1388,7 +1473,7 @@ impl Engine {
     /// per-round budget signal, without the full-report clone
     /// [`Engine::report`] performs.
     pub(crate) fn progress_counters(&self) -> (u64, u64, u64) {
-        (self.steps, self.picks, self.completed_paths)
+        (self.totals.steps, self.totals.picks, self.totals.completed_paths)
     }
 
     /// The covered `(func, block)` pairs, sorted — for the parallel
@@ -1402,7 +1487,7 @@ impl Engine {
     // ----- checkpoint/resume (see `crate::checkpoint`) ------------------
 
     /// Snapshots the run into a [`crate::checkpoint::Checkpoint`]:
-    /// result accumulators, coverage, the RNG stream, and the whole
+    /// the run's totals, coverage, the RNG stream, and the whole
     /// frontier as [`PortableState`]s (in deterministic id order).
     /// Read-only — exploration continues unchanged afterwards.
     pub(crate) fn snapshot(&self) -> crate::checkpoint::Checkpoint {
@@ -1431,26 +1516,13 @@ impl Engine {
             seed: self.config.seed,
             next_id: self.next_id,
             rng: self.rng.state(),
-            completed_paths: self.completed_paths,
-            completed_multiplicity: self.completed_multiplicity,
-            pruned_by_assume: self.pruned_by_assume,
-            tests_dropped_unknown: self.tests_dropped_unknown,
-            picks: self.picks,
-            steps: self.steps,
-            merges: self.merges,
-            merge_rejects: self.merge_rejects,
-            max_worklist: self.max_worklist as u64,
-            ff_merged: self.ff_merged,
-            quarantined_states: self.quarantined_states,
-            covered: self.covered_pairs(),
-            tests: self.tests.clone(),
-            failures: self.assert_failures.iter().map(|f| (f.msg.clone(), f.loc)).collect(),
+            results: ShardOutput { report: self.totals.clone(), covered: self.covered_pairs() },
             frontier,
         }
     }
 
-    /// Restores a checkpoint into a freshly built engine: result
-    /// accumulators, coverage, tests and failures, the RNG stream, and
+    /// Restores a checkpoint into a freshly built engine: the run's
+    /// totals, coverage, tests and failures, the RNG stream, and
     /// the frontier (imported and integrated like any hand-off batch, so
     /// warm-prefix prewarming applies). The
     /// next [`Engine::run`] then *continues* the interrupted
@@ -1466,31 +1538,15 @@ impl Engine {
     /// over live work would double-count it).
     pub fn restore_checkpoint(&mut self, ck: &crate::checkpoint::Checkpoint) {
         assert!(
-            self.states.is_empty() && self.picks == 0 && self.next_id == 0,
+            self.states.is_empty() && self.totals.picks == 0 && self.next_id == 0,
             "restore_checkpoint needs a freshly built engine"
         );
         self.next_id = ck.next_id;
         self.rng = StdRng::from_state(ck.rng);
-        self.completed_paths = ck.completed_paths;
-        self.completed_multiplicity = ck.completed_multiplicity;
-        self.pruned_by_assume = ck.pruned_by_assume;
-        self.tests_dropped_unknown = ck.tests_dropped_unknown;
-        self.picks = ck.picks;
-        self.steps = ck.steps;
-        self.merges = ck.merges;
-        self.merge_rejects = ck.merge_rejects;
-        self.max_worklist = ck.max_worklist as usize;
-        self.ff_merged = ck.ff_merged;
-        self.quarantined_states = ck.quarantined_states;
+        self.totals = ck.results.report.clone();
         // Coverage first: integrating the frontier below re-marks its
         // own locations, which must not look newly covered.
-        self.covered = ck.covered.iter().map(|&(f, b)| (FuncId(f), BlockId(b))).collect();
-        self.tests = ck.tests.clone();
-        self.assert_failures = ck
-            .failures
-            .iter()
-            .map(|(msg, loc)| AssertFailure { msg: msg.clone(), loc: *loc, pc: Vec::new() })
-            .collect();
+        self.covered = ck.results.covered.iter().map(|&(f, b)| (FuncId(f), BlockId(b))).collect();
         self.inject_frontier(&ck.frontier);
         self.resumed = true;
     }

@@ -4,11 +4,16 @@
 //! exploration run, so that every failure a test or CI leg exercises is
 //! bit-reproducible:
 //!
-//! * **worker panics** at exact `(worker, local step)` coordinates —
+//! * **worker panics** at exact `(worker, local pick)` coordinates —
 //!   the worker's [`Engine`](crate::Engine) panics immediately after
 //!   picking a state and *before* executing it, the point where the
 //!   panic-isolation layer can quarantine and re-queue the in-flight
-//!   state without losing or duplicating work;
+//!   state without losing or duplicating work. Under the steal
+//!   scheduler, how many picks each worker makes depends on thread
+//!   timing, so there the coordinate is the fleet-global pick sequence
+//!   instead: `panic=w:p` fires on whichever worker makes the fleet's
+//!   `p`-th pick, and fires exactly once whenever the run makes more
+//!   than `p` picks;
 //! * **forced solver `Unknown`s**, keyed by a splitmix64 stream
 //!   ([`symmerge_solver::Solver::set_forced_unknowns`]): roughly
 //!   `num/den` of queries have their first answer forced to `Unknown`,
@@ -32,8 +37,9 @@
 /// A deterministic fault-injection plan (see the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// `(worker, local step)` coordinates at which that worker panics
-    /// just after its pick.
+    /// `(worker, local pick)` coordinates at which that worker panics
+    /// just after its pick (the steal scheduler reads only the pick, as
+    /// a fleet-global index).
     panics: Vec<(u32, u64)>,
     /// Forced solver-`Unknown` stream spec: `(num, den, seed)` — each
     /// query's first answer is forced to `Unknown` with probability
@@ -45,7 +51,9 @@ impl FaultPlan {
     /// Parses a comma-separated list of fault clauses:
     ///
     /// * `panic=<worker>:<step>` — worker `<worker>` panics at its
-    ///   `<step>`-th local pick (0-based); repeatable;
+    ///   `<step>`-th local pick (0-based); repeatable. Under the steal
+    ///   scheduler the worker index is ignored and `<step>` counts the
+    ///   fleet's picks (see the [module docs](self));
     /// * `unknown=<num>/<den>:<seed>` — force roughly `num/den` of
     ///   solver queries to a first-answer `Unknown`, stream seeded with
     ///   `<seed>` (at most one clause).
@@ -99,6 +107,13 @@ impl FaultPlan {
         self.panics.iter().any(|&(w, s)| w == worker && s == step)
     }
 
+    /// Whether some panic is scheduled at the fleet's `pick`-th pick
+    /// (0-based) — the steal scheduler's coordinate, where any worker
+    /// may make that pick.
+    pub fn panics_at_fleet_pick(&self, pick: u64) -> bool {
+        self.panics.iter().any(|&(_, s)| s == pick)
+    }
+
     /// Whether the plan injects any panic at all (the panic-isolation
     /// snapshot defaults on exactly when it does).
     pub fn has_panics(&self) -> bool {
@@ -135,6 +150,8 @@ mod tests {
         assert!(plan.panics_at(3, 2));
         assert!(!plan.panics_at(1, 41));
         assert!(!plan.panics_at(0, 40));
+        assert!(plan.panics_at_fleet_pick(40) && plan.panics_at_fleet_pick(2));
+        assert!(!plan.panics_at_fleet_pick(41));
         assert!(plan.has_panics());
         let (num, den, _) = plan.unknown_spec(0).unwrap();
         assert_eq!((num, den), (1, 16));

@@ -62,11 +62,13 @@ pub mod testgen;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig};
 pub use dsm::{DsmConfig, DsmStats};
-pub use engine::{Budgets, Engine, EngineBuilder, EngineConfig, ExploreStep, MergeMode, RunReport};
+pub use engine::{
+    Budgets, Engine, EngineBuilder, EngineConfig, ExploreStep, MergeMode, RunReport, ShardOutput,
+};
 pub use exec::{AssertFailure, Completion};
 pub use fault::FaultPlan;
 pub use merge::MergeConfig;
-pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind, ShardOutput};
+pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind};
 pub use qce::{QceAnalysis, QceConfig, VarKey};
 pub use shard::{PortableState, RegionId, RegionMap, StolenState};
 pub use state::{State, StateId};

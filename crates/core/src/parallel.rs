@@ -119,8 +119,9 @@
 //! ```
 
 use crate::checkpoint::{merge_parts, write_checkpoint, Checkpoint};
-use crate::engine::{Budgets, Engine, EngineConfig, ExploreStep, MergeMode, RunReport};
-use crate::exec::AssertFailure;
+use crate::engine::{
+    Budgets, Engine, EngineConfig, ExploreStep, MergeMode, RunReport, ShardOutput,
+};
 use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,168 +189,23 @@ impl Default for ParallelConfig {
     }
 }
 
-/// One worker's contribution to a parallel run: its engine's report plus
-/// the concrete covered-block set (the report only carries the count, but
-/// the union over workers needs the elements).
-#[derive(Debug, Clone)]
-pub struct ShardOutput {
-    /// The worker engine's final report.
-    pub report: RunReport,
-    /// Covered `(func, block)` pairs, sorted.
-    pub covered: Vec<(u32, u32)>,
-}
-
 /// Deterministically reduces per-worker reports into one fleet report.
 ///
-/// Counters are summed, coverage is unioned, `max_worklist` takes the
-/// per-worker maximum, and the merged test/failure lists are sorted by
-/// total-order keys ([`crate::testgen::TestCase::sort_key`]) — so the
-/// result does not depend on the order the shard outputs are given in
-/// (multiplicities are sums of per-path multiplicities and remain exact
-/// in `f64` for all realistic path counts). `wall_time` and `hit_budget`
-/// describe the fleet (max / or); [`ParallelEngine::run`] overwrites them
-/// with the coordinator's own measurements.
+/// The parts fold through [`ShardOutput::fold`], which states each
+/// field's reduction once ([`RunReport::absorb`]); the merged
+/// test/failure lists are then sorted by total-order keys
+/// ([`crate::testgen::TestCase::sort_key`]), so the result does not
+/// depend on the order the shard outputs are given in (multiplicities
+/// are sums of per-path multiplicities and remain exact in `f64` for
+/// all realistic path counts). `wall_time` and `hit_budget` describe the
+/// fleet (max / or); [`ParallelEngine::run`] overwrites them with the
+/// coordinator's own measurements.
 pub fn reduce_reports(parts: &[ShardOutput], total_blocks: usize) -> RunReport {
-    let mut out = RunReport {
-        completed_paths: 0,
-        completed_multiplicity: 0.0,
-        pruned_by_assume: 0,
-        assert_failures: Vec::new(),
-        tests: Vec::new(),
-        tests_dropped_unknown: 0,
-        picks: 0,
-        sched_picks: 0,
-        sched_heap_repairs: 0,
-        steps: 0,
-        merges: 0,
-        merge_rejects: 0,
-        max_worklist: 0,
-        leftover_states: 0,
-        envelope_exports: 0,
-        envelope_nodes: 0,
-        steals: 0,
-        stolen_states: 0,
-        idle_waits: 0,
-        quarantined_states: 0,
-        covered_blocks: 0,
-        total_blocks,
-        ff_merged: 0,
-        dsm: Default::default(),
-        solver: Default::default(),
-        wall_time: Default::default(),
-        hit_budget: false,
-    };
-    let mut covered: Vec<(u32, u32)> = Vec::new();
-    for part in parts {
-        let r = &part.report;
-        out.completed_paths += r.completed_paths;
-        out.completed_multiplicity += r.completed_multiplicity;
-        out.pruned_by_assume += r.pruned_by_assume;
-        out.assert_failures.extend(r.assert_failures.iter().cloned());
-        out.tests.extend(r.tests.iter().cloned());
-        out.tests_dropped_unknown += r.tests_dropped_unknown;
-        out.picks += r.picks;
-        out.sched_picks += r.sched_picks;
-        out.sched_heap_repairs += r.sched_heap_repairs;
-        out.steps += r.steps;
-        out.merges += r.merges;
-        out.merge_rejects += r.merge_rejects;
-        out.max_worklist = out.max_worklist.max(r.max_worklist);
-        out.leftover_states += r.leftover_states;
-        out.envelope_exports += r.envelope_exports;
-        out.envelope_nodes += r.envelope_nodes;
-        out.steals += r.steals;
-        out.stolen_states += r.stolen_states;
-        out.idle_waits += r.idle_waits;
-        out.quarantined_states += r.quarantined_states;
-        out.ff_merged += r.ff_merged;
-        out.dsm.absorb(&r.dsm);
-        out.solver.absorb(&r.solver);
-        out.wall_time = out.wall_time.max(r.wall_time);
-        out.hit_budget |= r.hit_budget;
-        covered.extend(part.covered.iter().copied());
-    }
-    covered.sort_unstable();
-    covered.dedup();
-    out.covered_blocks = covered.len();
+    let mut out = ShardOutput::fold(parts).report;
+    out.total_blocks = total_blocks;
     out.tests.sort_by_cached_key(|t| t.sort_key());
     out.assert_failures.sort_by(|a, b| (&a.msg, a.loc, &a.pc).cmp(&(&b.msg, b.loc, &b.pc)));
     out
-}
-
-/// Wraps a resumed-from [`Checkpoint`]'s accumulated results as one
-/// more [`ShardOutput`] for [`reduce_reports`] — the pre-interruption
-/// half of the run, reduced exactly like a worker's. Restored
-/// assertion failures carry an empty path condition (their tests were
-/// generated before the checkpoint; `ExprId`s do not survive it).
-fn base_output(ck: &Checkpoint) -> ShardOutput {
-    ShardOutput {
-        report: RunReport {
-            completed_paths: ck.completed_paths,
-            completed_multiplicity: ck.completed_multiplicity,
-            pruned_by_assume: ck.pruned_by_assume,
-            assert_failures: ck
-                .failures
-                .iter()
-                .map(|(msg, loc)| AssertFailure { msg: msg.clone(), loc: *loc, pc: Vec::new() })
-                .collect(),
-            tests: ck.tests.clone(),
-            tests_dropped_unknown: ck.tests_dropped_unknown,
-            picks: ck.picks,
-            sched_picks: 0,
-            sched_heap_repairs: 0,
-            steps: ck.steps,
-            merges: ck.merges,
-            merge_rejects: ck.merge_rejects,
-            max_worklist: ck.max_worklist as usize,
-            leftover_states: 0,
-            envelope_exports: 0,
-            envelope_nodes: 0,
-            steals: 0,
-            stolen_states: 0,
-            idle_waits: 0,
-            quarantined_states: ck.quarantined_states,
-            covered_blocks: 0,
-            total_blocks: 0,
-            ff_merged: ck.ff_merged,
-            dsm: Default::default(),
-            solver: Default::default(),
-            wall_time: Default::default(),
-            hit_budget: false,
-        },
-        covered: ck.covered.clone(),
-    }
-}
-
-/// The inverse wrapping: a crashed worker's final [`ShardOutput`] as a
-/// [`Checkpoint`] part (no frontier — its states were handed off at
-/// crash time and live on inside the surviving workers), so fleet
-/// checkpoints written after a crash still carry its results. The RNG
-/// field is a fresh seed-derived stream: it is only consumed if this
-/// part ends up first in a merge *and* the merged checkpoint is
-/// resumed sequentially with a random-choice strategy — any fixed
-/// value keeps that resume deterministic.
-fn output_as_part(seed: u64, out: &ShardOutput) -> Checkpoint {
-    Checkpoint {
-        seed,
-        next_id: 0,
-        rng: StdRng::seed_from_u64(seed).state(),
-        completed_paths: out.report.completed_paths,
-        completed_multiplicity: out.report.completed_multiplicity,
-        pruned_by_assume: out.report.pruned_by_assume,
-        tests_dropped_unknown: out.report.tests_dropped_unknown,
-        picks: out.report.picks,
-        steps: out.report.steps,
-        merges: out.report.merges,
-        merge_rejects: out.report.merge_rejects,
-        max_worklist: out.report.max_worklist as u64,
-        ff_merged: out.report.ff_merged,
-        quarantined_states: out.report.quarantined_states,
-        covered: out.covered.clone(),
-        tests: out.report.tests.clone(),
-        failures: out.report.assert_failures.iter().map(|f| (f.msg.clone(), f.loc)).collect(),
-        frontier: Vec::new(),
-    }
 }
 
 /// Messages from the coordinator to a worker.
@@ -587,8 +443,10 @@ impl ParallelEngine {
             // Counters carried by workers no longer in the round loop:
             // the resumed-from checkpoint and crashed workers' final
             // totals, so budget enforcement stays truthful.
-            let mut carry =
-                resume.map_or((0u64, 0u64, 0u64), |ck| (ck.steps, ck.picks, ck.completed_paths));
+            let mut carry = resume.map_or((0u64, 0u64, 0u64), |ck| {
+                let r = &ck.results.report;
+                (r.steps, r.picks, r.completed_paths)
+            });
             let mut totals = carry; // (steps, picks, completed)
             let mut first = true;
             let mut hit_budget = false;
@@ -596,7 +454,7 @@ impl ParallelEngine {
             let mut live = vec![true; jobs as usize];
             let mut crashed: Vec<Option<ShardOutput>> = vec![None; jobs as usize];
             let mut last_ck_mark = match (ck_cfg, resume) {
-                (Some(c), Some(ck)) => ck.picks / c.every,
+                (Some(c), Some(ck)) => ck.results.report.picks / c.every,
                 _ => 0,
             };
 
@@ -767,14 +625,24 @@ impl ParallelEngine {
                             }
                         }
                         // Crashed workers' results still belong in the
-                        // checkpoint; shard order keeps the merge (and
-                        // its worker-0 RNG pick) deterministic.
+                        // checkpoint, as parts without a frontier (their
+                        // states were handed off at crash time); shard
+                        // order keeps the merge (and its worker-0 RNG
+                        // pick) deterministic. A crashed part's RNG is
+                        // a fresh seed-derived stream: any fixed value
+                        // keeps a sequential resume deterministic.
                         let parts: Vec<Checkpoint> = parts
                             .into_iter()
                             .zip(&crashed)
                             .filter_map(|(p, c)| {
                                 p.or_else(|| {
-                                    c.as_ref().map(|out| output_as_part(self.config.seed, out))
+                                    c.as_ref().map(|out| Checkpoint {
+                                        seed: self.config.seed,
+                                        next_id: 0,
+                                        rng: StdRng::seed_from_u64(self.config.seed).state(),
+                                        results: out.clone(),
+                                        frontier: Vec::new(),
+                                    })
                                 })
                             })
                             .collect();
@@ -831,8 +699,10 @@ impl ParallelEngine {
             }
             let mut parts: Vec<ShardOutput> =
                 parts.into_iter().map(|p| p.expect("all reported")).collect();
+            // A resumed run's pre-interruption half reduces like a
+            // worker's part.
             if let Some(ck) = resume {
-                parts.push(base_output(ck));
+                parts.push(ck.results.clone());
             }
             let mut report = reduce_reports(&parts, self.program.num_blocks());
             report.leftover_states += stranded;
@@ -919,15 +789,22 @@ impl ParallelEngine {
             idle_waits: AtomicU64::new(0),
         };
 
+        // The fault plan's panic coordinate: under steal, how many
+        // picks each worker makes depends on thread timing, but the
+        // fleet's n-th pick always exists once the run makes n picks.
+        let fault_clock = Arc::new(AtomicU64::new(0));
+
         let parts: Vec<ShardOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|shard| {
                     let (program, config) = (self.program.clone(), config.clone());
                     let (pool, cache) = (Arc::clone(&pool), cache.clone());
                     let (par, fleet) = (self.par, &fleet);
+                    let fault_clock = Arc::clone(&fault_clock);
                     let seed_frontier = if shard == 0 { resume_frontier } else { None };
                     scope.spawn(move || {
-                        let engine = Substrate::engine(config, pool, cache, program, shard);
+                        let mut engine = Substrate::engine(config, pool, cache, program, shard);
+                        engine.set_fault_clock(fault_clock);
                         steal_worker(shard, par, budgets, start, engine, fleet, seed_frontier)
                     })
                 })
@@ -943,7 +820,7 @@ impl ParallelEngine {
         let stranded: usize = fleet.queues.iter().map(|q| lock_deque(q).len()).sum();
         let mut parts = parts;
         if let Some(ck) = resume {
-            parts.push(base_output(ck));
+            parts.push(ck.results.clone());
         }
         let mut report = reduce_reports(&parts, self.program.num_blocks());
         report.leftover_states += stranded;
@@ -1053,45 +930,26 @@ fn steal_worker(
             }
         }
         let before = engine.worklist_len() as i64;
-        let stepped = catch_unwind(AssertUnwindSafe(|| engine.explore_step()));
-        let step = match stepped {
-            Ok(step) => step,
+        let crashed = match catch_unwind(AssertUnwindSafe(|| engine.explore_step())) {
+            Ok(ExploreStep::Progressed) => false,
+            // The worklist was non-empty, so these are unreachable;
+            // re-entering the loop is safe regardless.
+            Ok(ExploreStep::Exhausted | ExploreStep::BudgetExhausted) => continue,
             Err(payload) => {
                 if !engine.isolation_armed() {
                     resume_unwind(payload);
                 }
-                // Quarantine the in-flight state, then retire: the
-                // whole worklist moves into the own deque — an
-                // outstanding-neutral move, like any shed — where the
-                // surviving workers steal it. Publish the exact
-                // worklist delta first so `outstanding` stays truthful
-                // even for a panic that landed mid-integration.
+                // Quarantine the in-flight state; the worker retires
+                // below, once its delta is published.
                 engine.recover_from_panic();
-                let delta = engine.worklist_len() as i64 - before;
-                if delta != 0 {
-                    fleet.outstanding.fetch_add(delta, Ordering::AcqRel);
-                }
-                let batch = engine.shed_states(engine.worklist_len(), par.steal_newest);
-                if !batch.is_empty() {
-                    lock_deque(&fleet.queues[shard as usize]).extend(batch);
-                }
-                let (s, p, c) = engine.progress_counters();
-                fleet.steps.fetch_add(s - pub_steps, Ordering::Relaxed);
-                fleet.picks.fetch_add(p - pub_picks, Ordering::Relaxed);
-                fleet.completed.fetch_add(c - pub_completed, Ordering::Relaxed);
-                break;
+                true
             }
         };
-        match step {
-            ExploreStep::Progressed => {}
-            // The worklist was non-empty, so neither arm should be
-            // reachable; re-entering the loop is safe regardless.
-            ExploreStep::Exhausted | ExploreStep::BudgetExhausted => continue,
-        }
         // Publish the step's worklist delta (successors minus the
         // consumed state): completions drive `outstanding` toward zero,
         // forks away from it. The stepped state stayed counted for the
-        // step's whole duration, so no peer saw a false zero.
+        // step's whole duration, so no peer saw a false zero — and the
+        // delta is exact even for a panic that landed mid-integration.
         let delta = engine.worklist_len() as i64 - before;
         if delta != 0 {
             fleet.outstanding.fetch_add(delta, Ordering::AcqRel);
@@ -1101,8 +959,16 @@ fn steal_worker(
         fleet.picks.fetch_add(p - pub_picks, Ordering::Relaxed);
         fleet.completed.fetch_add(c - pub_completed, Ordering::Relaxed);
         (pub_steps, pub_picks, pub_completed) = (s, p, c);
+        if crashed {
+            // Retire: the whole worklist moves into the own deque — an
+            // outstanding-neutral move, like any shed — where the
+            // surviving workers steal it.
+            let batch = engine.shed_states(engine.worklist_len(), par.steal_newest);
+            lock_deque(&fleet.queues[shard as usize]).extend(batch);
+            break;
+        }
     }
-    ShardOutput { report: engine.report(false), covered: engine.covered_pairs() }
+    engine.output()
 }
 
 /// Everything a worker thread needs to know about its place in the
@@ -1194,14 +1060,10 @@ fn worker_main(
                         let mut handoffs =
                             engine.shed_states(engine.worklist_len(), par.steal_newest);
                         handoffs.extend(engine.take_outbox());
-                        let output = ShardOutput {
-                            report: engine.report(false),
-                            covered: engine.covered_pairs(),
-                        };
                         let _ = reply.send(FromWorker::Crashed {
                             shard,
                             handoffs,
-                            output: Box::new(output),
+                            output: Box::new(engine.output()),
                         });
                         return;
                     }
@@ -1214,9 +1076,8 @@ fn worker_main(
                 }
             }
             ToWorker::Finish => {
-                let output =
-                    ShardOutput { report: engine.report(false), covered: engine.covered_pairs() };
-                let _ = reply.send(FromWorker::Report { shard, output: Box::new(output) });
+                let output = Box::new(engine.output());
+                let _ = reply.send(FromWorker::Report { shard, output });
                 return;
             }
         }

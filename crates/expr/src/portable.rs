@@ -47,6 +47,7 @@
 
 use crate::kind::{BoolBinOp, BvBinOp, CmpOp, ExprKind};
 use crate::pool::{ExprId, ExprPool, SymbolId};
+use crate::sort::Sort;
 use std::collections::HashMap;
 
 /// A reference to a node inside a [`PortableDag`] (an index into its node
@@ -160,6 +161,68 @@ impl PortableDag {
             ids.push(id);
         }
         ids
+    }
+
+    /// Checks that the table imports: every operand refers to an
+    /// earlier node, every symbol index names an entry of
+    /// [`PortableDag::symbols`], every width is in `1..=64`, and every
+    /// operand has the sort its operator needs. Returns each node's
+    /// sort. [`PortableDag::import`] panics on a table this rejects, so
+    /// a dag read from outside the program is checked first.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first malformed node.
+    pub fn check(&self) -> Result<Vec<Sort>, String> {
+        let mut sorts: Vec<Sort> = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let operand = |r: PortableRef| {
+                sorts
+                    .get(r as usize)
+                    .copied()
+                    .ok_or_else(|| format!("node {i}: no earlier node {r}"))
+            };
+            let bv = |width: u32| match width {
+                1..=64 => Ok(Sort::Bv(width)),
+                _ => Err(format!("node {i}: width {width} out of range")),
+            };
+            let sort = match *node {
+                PortableNode::BvConst { width, .. } => bv(width)?,
+                PortableNode::BoolConst(_) => Sort::Bool,
+                PortableNode::Input { sym, width } if (sym as usize) < self.symbols.len() => {
+                    bv(width)?
+                }
+                PortableNode::Input { sym, .. } => {
+                    return Err(format!("node {i}: no symbol {sym}"))
+                }
+                PortableNode::Bv { lhs, rhs, .. } => match (operand(lhs)?, operand(rhs)?) {
+                    (Sort::Bv(a), Sort::Bv(b)) if a == b => Sort::Bv(a),
+                    _ => return Err(format!("node {i}: ill-sorted bitvector operands")),
+                },
+                PortableNode::Cmp { lhs, rhs, .. } => match (operand(lhs)?, operand(rhs)?) {
+                    (Sort::Bv(a), Sort::Bv(b)) if a == b => Sort::Bool,
+                    _ => return Err(format!("node {i}: ill-sorted comparison")),
+                },
+                PortableNode::Not(e) if operand(e)?.is_bool() => Sort::Bool,
+                PortableNode::Bool { lhs, rhs, .. }
+                    if operand(lhs)?.is_bool() && operand(rhs)?.is_bool() =>
+                {
+                    Sort::Bool
+                }
+                PortableNode::Not(_) | PortableNode::Bool { .. } => {
+                    return Err(format!("node {i}: boolean connective over a bitvector"))
+                }
+                PortableNode::Ite { cond, then, els } => {
+                    let sort = operand(then)?;
+                    if !operand(cond)?.is_bool() || operand(els)? != sort {
+                        return Err(format!("node {i}: ill-sorted ite"));
+                    }
+                    sort
+                }
+            };
+            sorts.push(sort);
+        }
+        Ok(sorts)
     }
 
     /// Number of nodes in the table.
@@ -354,6 +417,41 @@ mod tests {
         let ids = dag.import(&mut dst);
         let expect = dst.add(x2, y2);
         assert_eq!(ids[r as usize], expect, "must hash-cons onto the existing nodes");
+    }
+
+    #[test]
+    fn check_accepts_exports_and_rejects_what_import_would_panic_on() {
+        let mut src = ExprPool::new(8);
+        let x = src.input("x", 8);
+        let k = src.bv_const(3, 8);
+        let sum = src.add(x, k);
+        let c = src.ult(sum, k);
+        let nc = src.not(c);
+        let picked = src.ite(c, x, sum);
+        let lt = src.slt(picked, k);
+        let both = src.and(nc, lt);
+        let mut exp = DagExporter::new(&src);
+        exp.add(both);
+        let dag = exp.finish();
+        let sorts = dag.check().unwrap();
+        assert_eq!(sorts.len(), dag.len());
+        assert_eq!(sorts.last(), Some(&Sort::Bool));
+        // Each table is malformed in its last node.
+        let x = PortableNode::Input { sym: 0, width: 8 };
+        let (x4, t) = (PortableNode::Input { sym: 0, width: 4 }, PortableNode::BoolConst(true));
+        let bad: [Vec<PortableNode>; 7] = [
+            vec![PortableNode::Not(0)],
+            vec![PortableNode::Input { sym: 1, width: 8 }],
+            vec![PortableNode::BvConst { value: 1, width: 65 }],
+            vec![x.clone(), PortableNode::Not(0)],
+            vec![x.clone(), x4, PortableNode::Bv { op: BvBinOp::Add, lhs: 0, rhs: 1 }],
+            vec![x.clone(), t.clone(), PortableNode::Cmp { op: CmpOp::Eq, lhs: 1, rhs: 1 }],
+            vec![x, t, PortableNode::Ite { cond: 1, then: 0, els: 1 }],
+        ];
+        for nodes in bad {
+            let dag = PortableDag { symbols: vec!["x".into()], nodes };
+            assert!(dag.check().is_err(), "accepted {:?}", dag.nodes);
+        }
     }
 
     #[test]

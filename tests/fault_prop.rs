@@ -133,7 +133,8 @@ fn bsp_worker_panic_preserves_results() {
 /// Steal: a panicking worker publishes its worklist back to the shared
 /// deques and retires; the survivors drain it to the identical result
 /// set. Also covers the two-panic case (two workers retire, fleet of 4
-/// degrades to 2).
+/// degrades to 2). Under steal a plan's pick counts the whole fleet's
+/// picks, so every scheduled panic fires whatever the thread timing.
 #[test]
 fn steal_worker_panic_preserves_results() {
     for &(workload, cfg) in WORKLOADS {
@@ -251,7 +252,7 @@ fn sequential_kill_and_resume_reproduces_the_run() {
 
     let ck = read_checkpoint(&path).expect("checkpoint written before the kill");
     std::fs::remove_file(&path).ok();
-    assert_eq!(ck.picks % 8, 0, "checkpoints land on the cadence");
+    assert_eq!(ck.results.report.picks % 8, 0, "checkpoints land on the cadence");
     assert!(!ck.frontier.is_empty(), "mid-run checkpoint must carry a frontier");
 
     let mut resumed_engine = Engine::builder(program).config(engine_config(None)).build().unwrap();
@@ -284,7 +285,8 @@ fn bsp_kill_and_resume_reproduces_the_run() {
 
     let ck = read_checkpoint(&path).expect("coordinator checkpoint written before the kill");
     std::fs::remove_file(&path).ok();
-    assert!(ck.picks > 0 && ck.picks < uninterrupted.picks, "checkpoint is mid-run");
+    let picks = ck.results.report.picks;
+    assert!(picks > 0 && picks < uninterrupted.picks, "checkpoint is mid-run");
 
     let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
 
@@ -318,7 +320,7 @@ fn bsp_resume_carries_the_coordinators_pending_states() {
 
     let ck = read_checkpoint(&path).expect("coordinator checkpoint written before the kill");
     std::fs::remove_file(&path).ok();
-    assert_eq!(ck.picks, 10, "{workload}: checkpoint at the last barrier");
+    assert_eq!(ck.results.report.picks, 10, "{workload}: checkpoint at the last barrier");
     // Worker 0's first hand-off and its own snapshot both carry the key
     // (0, 1), so two copies show the pending state was written.
     let firsts = ck.frontier.iter().filter(|s| (s.origin_shard, s.origin_seq) == (0, 1)).count();
@@ -387,4 +389,49 @@ fn checkpoint_survives_a_worker_panic_before_the_kill() {
     let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
     let who = format!("{workload} bsp jobs=4 panic-then-kill resume");
     assert_equivalent(&who, &uninterrupted, &resumed);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint byte layout
+// ---------------------------------------------------------------------
+
+/// FNV-1a: a digest fixed by its definition, so it pins across
+/// toolchains (unlike `DefaultHasher`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The checkpoint bytes of two real runs are pinned (format version 1).
+/// The sequential `wc` snapshot runs under dynamic merging, so merges,
+/// rejects, fast-forward merges and DSM histories are in it. The BSP
+/// jobs=2 barrier checkpoint loses worker 1 to a panic first, so it
+/// merges a live worker's snapshot, a crashed worker's final totals and
+/// the coordinator's pending states. A change to how runs keep their
+/// totals must not move a byte; a deliberate layout change bumps the
+/// format version and re-pins.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let (workload, cfg) = WORKLOADS[2];
+    let program = by_name(workload).unwrap().program(&cfg);
+    let digest = |path: &PathBuf| {
+        let bytes = std::fs::read(path).expect("checkpoint written before the kill");
+        std::fs::remove_file(path).ok();
+        (bytes.len(), fnv1a(&bytes))
+    };
+
+    let seq_path = ck_path("pin-seq");
+    let merging = EngineConfig { merge_mode: MergeMode::Dynamic, ..engine_config(None) };
+    let seq_cfg = with_pick_budget(with_checkpoint(merging, seq_path.clone(), 100), 450);
+    Engine::builder(program.clone()).config(seq_cfg).build().unwrap().run();
+
+    let bsp_path = ck_path("pin-bsp");
+    let par = ParallelConfig { jobs: 2, steps_per_round: 8, ..Default::default() };
+    let faulted = engine_config(Some("panic=1:60"));
+    let bsp_cfg = with_pick_budget(with_checkpoint(faulted, bsp_path.clone(), 100), 450);
+    ParallelEngine::new(program, bsp_cfg, par).unwrap().run();
+
+    assert_eq!(digest(&seq_path), (14412, 13684487964213741232), "sequential dsm snapshot");
+    assert_eq!(digest(&bsp_path), (16045, 8494722680189623721), "bsp jobs=2 barrier checkpoint");
 }
