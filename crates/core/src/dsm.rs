@@ -48,7 +48,7 @@ impl DsmStats {
 
 /// The DSM scheduling layer.
 pub struct DsmStrategy {
-    driving: Box<dyn Strategy>,
+    driving: Box<dyn Strategy + Send>,
     config: DsmConfig,
     metas: HashMap<StateId, StateMeta>,
     /// Current signature per worklist state.
@@ -81,7 +81,7 @@ impl std::fmt::Debug for DsmStrategy {
 
 impl DsmStrategy {
     /// Wraps a driving strategy.
-    pub fn new(driving: Box<dyn Strategy>, config: DsmConfig) -> Self {
+    pub fn new(driving: Box<dyn Strategy + Send>, config: DsmConfig) -> Self {
         DsmStrategy {
             driving,
             config,
@@ -103,23 +103,13 @@ impl DsmStrategy {
 
     /// The bounded history a successor of `parent` should inherit:
     /// `pred(·, δ)` = the parent's history plus the parent's own signature.
-    pub fn child_history(
-        &self,
-        parent_hist: &VecDeque<u64>,
-        parent_sig: u64,
-        delta: usize,
-    ) -> VecDeque<u64> {
+    pub fn child_history(&self, parent_hist: &VecDeque<u64>, parent_sig: u64) -> VecDeque<u64> {
         let mut h = parent_hist.clone();
         h.push_back(parent_sig);
-        while h.len() > delta {
+        while h.len() > self.config.delta {
             h.pop_front();
         }
         h
-    }
-
-    /// The configured history depth.
-    pub fn delta(&self) -> usize {
-        self.config.delta
     }
 
     /// Registers a state with its merge signature and inherited history.
@@ -147,16 +137,6 @@ impl DsmStrategy {
             }
         }
         self.history.insert(id, history);
-    }
-
-    /// The history recorded for a live state (used to derive children).
-    pub fn history_of(&self, id: StateId) -> Option<&VecDeque<u64>> {
-        self.history.get(&id)
-    }
-
-    /// The current signature recorded for a live state.
-    pub fn sig_of(&self, id: StateId) -> Option<u64> {
-        self.cur_sig.get(&id).copied()
     }
 
     /// The signature the given state had when [`Strategy::pick`] returned
@@ -352,7 +332,7 @@ mod tests {
         let dsm = DsmStrategy::new(Box::new(Bfs::default()), DsmConfig { delta: 3 });
         let mut h = VecDeque::new();
         for sig in 0..10u64 {
-            h = dsm.child_history(&h, sig, 3);
+            h = dsm.child_history(&h, sig);
         }
         assert_eq!(h, VecDeque::from([7, 8, 9]));
     }

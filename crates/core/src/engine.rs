@@ -14,7 +14,6 @@ use crate::testgen::{TestCase, TestKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,6 +46,23 @@ pub struct Budgets {
     pub max_completed: Option<u64>,
     /// Limit on picked states.
     pub max_picks: Option<u64>,
+}
+
+impl Budgets {
+    /// Whether a run that started at `started` and has reached the
+    /// `(steps, picks, completed)` totals has hit any budget — the one
+    /// rule the sequential engine, the BSP coordinator and the steal
+    /// fleet all stop by.
+    pub(crate) fn exhausted(
+        &self,
+        started: Instant,
+        (steps, picks, completed): (u64, u64, u64),
+    ) -> bool {
+        self.max_time.is_some_and(|t| started.elapsed() >= t)
+            || self.max_steps.is_some_and(|s| steps >= s)
+            || self.max_picks.is_some_and(|p| picks >= p)
+            || self.max_completed.is_some_and(|c| completed >= c)
+    }
 }
 
 /// Full engine configuration.
@@ -100,7 +116,7 @@ pub struct EngineConfig {
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
     /// Panic isolation: snapshot each picked state *before* executing
     /// it, so a panic caught anywhere in the step can quarantine and
-    /// re-queue the state (`Engine::recover_from_panic`) instead of
+    /// re-queue the state (`Engine::drain_after_panic`) instead of
     /// losing it. The snapshot clones the state every step, so it is
     /// armed only when asked for: this flag, or a
     /// [`EngineConfig::fault_plan`] that schedules panics.
@@ -343,7 +359,7 @@ pub struct RunReport {
     pub idle_waits: u64,
     /// States quarantined out of panicking workers and re-queued for
     /// the surviving fleet to finish (the fault-tolerance layer's
-    /// `Engine::recover_from_panic`; zero without worker panics).
+    /// `Engine::drain_after_panic`; zero without worker panics).
     /// Quarantine changes *which* worker finishes a state, never the
     /// result set.
     pub quarantined_states: u64,
@@ -516,7 +532,7 @@ impl ShardCtl {
 }
 
 enum Scheduler {
-    Plain(Box<dyn Strategy>),
+    Plain(Box<dyn Strategy + Send>),
     Dsm(Box<DsmStrategy>),
 }
 
@@ -551,7 +567,7 @@ pub struct Engine {
     histories: HashMap<StateId, VecDeque<u64>>,
     /// States currently being fast-forwarded (for the §5.5 counter).
     ff_active: HashSet<StateId>,
-    hot_cache: HashMap<u64, Rc<HotSet>>,
+    hot_cache: HashMap<u64, Arc<HotSet>>,
     covered: HashSet<(FuncId, BlockId)>,
     /// Bumped whenever a new block is covered — the coverage generation
     /// heap strategies stamp their cached distance keys with.
@@ -596,6 +612,13 @@ impl std::fmt::Debug for Engine {
             .finish()
     }
 }
+
+// The BSP coordinator reads and drains worker engines at its round
+// barriers, so an engine must be able to live behind a shared lock.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Engine>();
+};
 
 struct OracleImpl<'a> {
     program: &'a Program,
@@ -792,7 +815,7 @@ impl Engine {
         StateMeta { func, block, topo, steps: state.steps, affinity }
     }
 
-    fn hot_set_for(&mut self, state: &State) -> Rc<HotSet> {
+    fn hot_set_for(&mut self, state: &State) -> Arc<HotSet> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for (f, b) in state.stack_blocks() {
@@ -802,7 +825,7 @@ impl Engine {
         if let Some(hot) = self.hot_cache.get(&key) {
             return hot.clone();
         }
-        let hot = Rc::new(self.qce.hot_set(&self.program, &state.stack_blocks()));
+        let hot = Arc::new(self.qce.hot_set(&self.program, &state.stack_blocks()));
         self.hot_cache.insert(key, hot.clone());
         hot
     }
@@ -913,7 +936,11 @@ impl Engine {
         }
     }
 
-    fn remove_from_worklist(&mut self, id: StateId) -> Option<State> {
+    /// Takes `id` out of the worklist and every index over it, returning
+    /// the state with its DSM history and fast-forward flag. After a
+    /// pick, the scheduler has already dropped the id; removing it there
+    /// again is a no-op.
+    fn remove_from_worklist(&mut self, id: StateId) -> Option<(State, VecDeque<u64>, bool)> {
         let state = self.states.remove(&id)?;
         let ck = state.control_key();
         if let Some(v) = self.by_control.get_mut(&ck) {
@@ -923,11 +950,11 @@ impl Engine {
             }
         }
         self.scheduler.remove(id);
-        self.histories.remove(&id);
-        self.ff_active.remove(&id);
+        let history = self.histories.remove(&id).unwrap_or_default();
+        let ff = self.ff_active.remove(&id);
         let region = self.region_of(&state);
         self.unindex_region(id, region);
-        Some(state)
+        Some((state, history, ff))
     }
 
     fn record_completion(&mut self, state: State, completion: Completion) {
@@ -1056,12 +1083,7 @@ impl Engine {
     /// [`ExploreStep::Exhausted`] / [`ExploreStep::BudgetExhausted`].
     pub fn explore_step(&mut self) -> ExploreStep {
         let started = *self.started.get_or_insert_with(Instant::now);
-        let b = self.config.budgets;
-        if b.max_time.is_some_and(|t| started.elapsed() >= t)
-            || b.max_steps.is_some_and(|s| self.totals.steps >= s)
-            || b.max_completed.is_some_and(|c| self.totals.completed_paths >= c)
-            || b.max_picks.is_some_and(|p| self.totals.picks >= p)
-        {
+        if self.config.budgets.exhausted(started, self.progress_counters()) {
             return ExploreStep::BudgetExhausted;
         }
         // Let the solver's adaptive context capacity track the live
@@ -1086,38 +1108,25 @@ impl Engine {
         };
         let Some(id) = picked else { return ExploreStep::Exhausted };
         self.totals.picks += 1;
-        // DSM bookkeeping must survive the state's exit from the
-        // worklist: grab history and ff-ness first.
-        let parent_hist = self.histories.remove(&id).unwrap_or_default();
-        let mut parent_ff = self.ff_active.remove(&id);
+        let Some((state, parent_hist, mut parent_ff)) = self.remove_from_worklist(id) else {
+            return ExploreStep::Progressed;
+        };
         if let Scheduler::Dsm(d) = &self.scheduler {
             parent_ff |= d.picked_was_ff(id);
         }
-        let parent_sig = match &self.scheduler {
+        let child_hist = match &self.scheduler {
             // The state's live bookkeeping was torn down inside pick();
             // the strategy stashes the signature for exactly this query.
-            Scheduler::Dsm(d) => d.picked_sig(id),
-            Scheduler::Plain(_) => None,
-        };
-        let Some(state) = self.remove_from_worklist_after_pick(id) else {
-            return ExploreStep::Progressed;
-        };
-        let child_hist = match parent_sig {
-            Some(sig) => {
-                let delta = self.config.dsm.delta;
-                let mut h = parent_hist.clone();
-                h.push_back(sig);
-                while h.len() > delta {
-                    h.pop_front();
-                }
-                h
-            }
-            None => parent_hist,
+            Scheduler::Dsm(d) => match d.picked_sig(id) {
+                Some(sig) => d.child_history(&parent_hist, sig),
+                None => parent_hist,
+            },
+            Scheduler::Plain(_) => parent_hist,
         };
 
         // Fault-tolerance layer. While armed, snapshot the in-flight
         // state so a panic caught anywhere in the rest of the step can
-        // re-queue it ([`Engine::recover_from_panic`]); then fire any
+        // re-queue it ([`Engine::drain_after_panic`]); then fire any
         // injected panic scheduled for this exact pick. The injection
         // point — after the pick, before execution — is exactly where
         // quarantine is lossless: nothing about the state has been
@@ -1206,25 +1215,29 @@ impl Engine {
         self.fault_clock = Some(clock);
     }
 
-    /// Quarantine recovery after a caught worker panic: re-queues the
+    /// Quarantine recovery after a caught worker panic, and the crash
+    /// drain both fleet schedulers retire a worker with: re-queues the
     /// in-flight snapshot (the state that was picked but whose step
-    /// never committed), so the state is neither lost nor
-    /// half-recorded. Returns how many states were quarantined (0 or
-    /// 1 — 0 when the panic struck outside a step, where every live
-    /// state is still safely in the worklist).
+    /// never committed; none when the panic struck outside a step, where
+    /// every live state is still safely in the worklist), then hands off
+    /// everything the engine still holds — its worklist in
+    /// [`Engine::steal_order`], then its shard outbox — for the
+    /// surviving workers.
     ///
     /// Soundness: the snapshot is taken before execution and cleared
-    /// after the step's results are recorded, so re-running the state —
-    /// here or, after a hand-off, on another worker — repeats no
-    /// completed work. Under [`MergeMode::None`] with canonical models
-    /// the final test set is therefore byte-identical to the fault-free
-    /// run's; quarantine changes *which* worker finishes a state, never
-    /// the result set.
-    pub(crate) fn recover_from_panic(&mut self) -> u64 {
-        let Some((state, history, ff)) = self.in_flight.take() else { return 0 };
-        self.totals.quarantined_states += 1;
-        self.integrate(state, history, ff);
-        1
+    /// after the step's results are recorded, so re-running the state on
+    /// another worker repeats no completed work. Under
+    /// [`MergeMode::None`] with canonical models the final test set is
+    /// therefore byte-identical to the fault-free run's; quarantine
+    /// changes *which* worker finishes a state, never the result set.
+    pub(crate) fn drain_after_panic(&mut self, newest_first: bool) -> Vec<StolenState> {
+        if let Some((state, history, ff)) = self.in_flight.take() {
+            self.totals.quarantined_states += 1;
+            self.integrate(state, history, ff);
+        }
+        let mut handoffs = self.shed_states(self.worklist_len(), newest_first);
+        handoffs.extend(self.take_outbox());
+        handoffs
     }
 
     /// Snapshots the run accumulators into a [`RunReport`]. Called by
@@ -1258,22 +1271,6 @@ impl Engine {
     /// part of the run (the fleet, not the worker, tracks budgets).
     pub(crate) fn output(&self) -> ShardOutput {
         ShardOutput { report: self.report(false), covered: self.covered_pairs() }
-    }
-
-    /// Like [`Engine::remove_from_worklist`] but the scheduler has already
-    /// dropped the id during `pick`.
-    fn remove_from_worklist_after_pick(&mut self, id: StateId) -> Option<State> {
-        let state = self.states.remove(&id)?;
-        let ck = state.control_key();
-        if let Some(v) = self.by_control.get_mut(&ck) {
-            v.retain(|&x| x != id);
-            if v.is_empty() {
-                self.by_control.remove(&ck);
-            }
-        }
-        let region = self.region_of(&state);
-        self.unindex_region(id, region);
-        Some(state)
     }
 
     // ----- shard-mode plumbing (used by `crate::parallel`) --------------
@@ -1349,9 +1346,7 @@ impl Engine {
     /// Takes `id` out of the worklist, with its DSM history and
     /// fast-forward flag, for hand-off to another worker.
     fn take_for_hand_off(&mut self, id: StateId) -> Option<StolenState> {
-        let history = self.histories.remove(&id).unwrap_or_default();
-        let ff = self.ff_active.contains(&id);
-        let state = self.remove_from_worklist(id)?;
+        let (state, history, ff) = self.remove_from_worklist(id)?;
         Some(self.hand_off(state, history, ff))
     }
 

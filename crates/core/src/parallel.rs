@@ -37,9 +37,14 @@
 //!
 //! # Execution model: deterministic rounds
 //!
-//! The coordinator drives bulk-synchronous rounds. In each round every
-//! worker (in parallel) integrates the states routed to it — in the
-//! deterministic `(origin worker, sequence)` order — and advances its
+//! The coordinator drives bulk-synchronous rounds. Each worker thread
+//! builds its own engine and parks it in a slot; two barrier waits
+//! bracket every round, and between them, while every worker is parked,
+//! the coordinator reads the engines directly: it collects the round's
+//! hand-offs, drains a crashed engine, sums the budget counters, writes
+//! checkpoints and posts each worker's plan for the next round. In each
+//! round every worker (in parallel) integrates the states routed to it —
+//! in the deterministic `(origin worker, sequence)` order — and advances its
 //! local exploration by at most a fixed step quota; under region
 //! placement, successors that cross into a region the worker does not
 //! own go to its outbox. At the barrier, the coordinator steals for the
@@ -128,8 +133,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
@@ -208,63 +212,6 @@ pub fn reduce_reports(parts: &[ShardOutput], total_blocks: usize) -> RunReport {
     out
 }
 
-/// Messages from the coordinator to a worker.
-enum ToWorker {
-    Round {
-        /// Region assignment for this round (region policy only).
-        map: RegionMap,
-        /// Migrated states this worker now owns.
-        inbox: Vec<StolenState>,
-        /// Scheduler-step quota for the round.
-        quota: u64,
-        /// Seed the initial state this round (worker 0, round 0).
-        seed: bool,
-        /// Free-placement policy: evict down to this many held states
-        /// (`None` = no eviction requested this round).
-        keep: Option<u64>,
-    },
-    /// Snapshot request (quiescent, between rounds): reply with a
-    /// [`Checkpoint`] part covering this worker's results + frontier.
-    Checkpoint,
-    Finish,
-}
-
-/// A worker's end-of-round reply.
-struct RoundDone {
-    shard: u32,
-    /// Evicted + outbox states, to be routed next round.
-    handoffs: Vec<StolenState>,
-    /// Post-round worklist sizes per held region.
-    held: Vec<(RegionId, u64)>,
-    /// Cumulative engine totals (for coordinator-side budget tracking).
-    steps: u64,
-    picks: u64,
-    completed: u64,
-}
-
-enum FromWorker {
-    Done(RoundDone),
-    /// The worker panicked mid-round (with panic isolation armed). Its
-    /// quarantined in-flight state and remaining worklist travel out
-    /// for the surviving workers; its final report comes along so its
-    /// pre-crash results are not lost. The worker thread exits after
-    /// sending this — the fleet degrades from N to N−1.
-    Crashed {
-        shard: u32,
-        handoffs: Vec<StolenState>,
-        output: Box<ShardOutput>,
-    },
-    /// Reply to [`ToWorker::Checkpoint`].
-    CheckpointPart {
-        shard: u32,
-        part: Box<Checkpoint>,
-    },
-    Report {
-        shard: u32,
-        output: Box<ShardOutput>,
-    },
-}
-
 /// Derives worker `shard`'s RNG stream from the run seed (splitmix64 of
 /// the pair, so streams are decorrelated but reproducible).
 fn shard_seed(seed: u64, shard: u32) -> u64 {
@@ -309,8 +256,11 @@ impl Substrate {
         Substrate { config: worker, pool: SharedExprPool::new(width), cache }
     }
 
-    /// Worker `shard`'s engine (built on the worker's own thread: an
-    /// engine is not `Send`), on the shard's own RNG stream.
+    /// Worker `shard`'s engine, on the shard's own RNG stream. Workers
+    /// build it on their own thread, and BSP workers also drop it there:
+    /// dropping the engines on the coordinator thread instead measured
+    /// about 13 % higher peak RSS on `fleet-wc6` (2-vCPU VM, glibc
+    /// malloc; the runs are in EXPERIMENTS.md).
     fn engine(
         config: EngineConfig,
         pool: Arc<SharedExprPool>,
@@ -400,7 +350,7 @@ impl ParallelEngine {
         // uses free placement — states stay where they fork and the
         // coordinator steals by count, which balances far better when the
         // frontier clusters in a few regions (e.g. one hot loop).
-        let free = self.config.merge_mode == crate::engine::MergeMode::None;
+        let free = self.config.merge_mode == MergeMode::None;
 
         // The coordinator enforces the budgets at round granularity and
         // snapshots the whole fleet at round barriers. Every worker
@@ -413,88 +363,144 @@ impl ParallelEngine {
         // The coordinator's own view of the pool: it imports a resumed
         // frontier and exports `pending` into fleet checkpoints.
         let mut view = pool.handle();
+        // Resume: the checkpointed frontier replaces the seed state;
+        // the checkpoint's accumulated results fold in at reduction, and
+        // its counters count toward the budgets.
+        let mut pending: Vec<StolenState> =
+            resume.map(|ck| import_frontier(&ck.frontier, &mut view)).unwrap_or_default();
+        let base = resume.map_or((0, 0, 0), |ck| {
+            let r = &ck.results.report;
+            (r.steps, r.picks, r.completed_paths)
+        });
 
-        let (to_coord, from_workers): (Sender<FromWorker>, Receiver<FromWorker>) = channel();
-        let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(jobs as usize);
+        let slots: Vec<Mutex<Slot>> = (0..jobs).map(|_| Mutex::default()).collect();
+        let rounds =
+            Rounds { barrier: Barrier::new(jobs as usize + 1), stop: AtomicBool::new(false) };
 
-        std::thread::scope(|scope| {
+        // States handed between workers (`RunReport::envelope_exports`).
+        let mut handed_off = 0u64;
+        // The scope's value: whether a budget cut the run short.
+        let hit_budget = std::thread::scope(|scope| {
             for shard in 0..jobs {
-                let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = channel();
-                to_workers.push(tx);
                 let (program, config) = (self.program.clone(), config.clone());
                 let (pool, cache) = (Arc::clone(&pool), cache.clone());
-                let reply = to_coord.clone();
-                let spec = WorkerSpec { shard, jobs, free, par: self.par };
+                let (slot, rounds) = (&slots[shard as usize], &rounds);
+                let steal_newest = self.par.steal_newest;
                 scope.spawn(move || {
-                    let engine = Substrate::engine(config, pool, cache, program, shard);
-                    worker_main(spec, engine, rx, reply)
+                    let mut engine = Substrate::engine(config, pool, cache, program, shard);
+                    engine.enable_shard(shard, RegionMap::all_to_zero(jobs), free);
+                    bsp_worker(engine, slot, rounds, steal_newest);
                 });
             }
-            drop(to_coord);
+            // However the coordinator leaves the scope (a panic
+            // included), this releases the workers from their barrier:
+            // each parks its output, drops its engine and exits.
+            let _release = Release(&rounds);
 
             let mut map = RegionMap::all_to_zero(jobs);
-            // Resume: the checkpointed frontier replaces the seed state;
-            // the checkpoint's accumulated results fold in at reduction.
-            let mut pending: Vec<StolenState> =
-                resume.map(|ck| import_frontier(&ck.frontier, &mut view)).unwrap_or_default();
-            // States handed between workers (`RunReport::envelope_exports`).
-            let mut handed_off = 0u64;
-            let mut held: Vec<Vec<(RegionId, u64)>> = vec![Vec::new(); jobs as usize];
-            // Counters carried by workers no longer in the round loop:
-            // the resumed-from checkpoint and crashed workers' final
-            // totals, so budget enforcement stays truthful.
-            let mut carry = resume.map_or((0u64, 0u64, 0u64), |ck| {
-                let r = &ck.results.report;
-                (r.steps, r.picks, r.completed_paths)
-            });
-            let mut totals = carry; // (steps, picks, completed)
             let mut first = true;
-            let mut hit_budget = false;
             // Panic isolation: which workers are still serving rounds.
             let mut live = vec![true; jobs as usize];
-            let mut crashed: Vec<Option<ShardOutput>> = vec![None; jobs as usize];
-            let mut last_ck_mark = match (ck_cfg, resume) {
-                (Some(c), Some(ck)) => ck.results.report.picks / c.every,
-                _ => 0,
-            };
+            let mut last_ck_mark = ck_cfg.map_or(0, |c| base.1 / c.every);
 
             loop {
-                let n_live = live.iter().filter(|&&l| l).count() as u64;
+                // From here to the next `wait` every worker is parked, so
+                // the coordinator has their engines to itself.
+                rounds.barrier.wait();
+                let mut parked: Vec<MutexGuard<'_, Slot>> = slots.iter().map(lock).collect();
+                for (shard, slot) in parked.iter_mut().enumerate() {
+                    let handoffs = match slot.done.take() {
+                        None => continue,
+                        Some(Ok(handoffs)) => handoffs,
+                        Some(Err(payload)) => {
+                            let engine = slot.engine();
+                            if !engine.isolation_armed() {
+                                resume_unwind(payload);
+                            }
+                            // Crash drain: the quarantined in-flight state
+                            // and everything else the worker held come back
+                            // for redistribution, and the fleet degrades to
+                            // N−1. The engine stays parked: its pre-crash
+                            // results fold in at reduction.
+                            live[shard] = false;
+                            engine.drain_after_panic(self.par.steal_newest)
+                        }
+                    };
+                    handed_off += handoffs.len() as u64;
+                    pending.extend(handoffs);
+                }
+                // Post-round worklist sizes per held region (empty for a
+                // drained worker), and the fleet totals — crashed workers'
+                // included, so budget enforcement stays truthful.
+                let held: Vec<Vec<(RegionId, u64)>> =
+                    parked.iter_mut().map(|s| s.engine().held_counts()).collect();
+                let totals = parked
+                    .iter_mut()
+                    .map(|s| s.engine().progress_counters())
+                    .fold(base, |(s, p, c), (ds, dp, dc)| (s + ds, p + dp, c + dc));
+
+                // Fleet checkpoint at the (quiescent) round barrier:
+                // per-worker snapshots merged with the coordinator's
+                // pending states and, when resumed, the base
+                // checkpoint's accumulated results.
+                if let Some(ckc) = ck_cfg {
+                    let mark = totals.1 / ckc.every;
+                    if mark > last_ck_mark {
+                        last_ck_mark = mark;
+                        // Crashed workers' results still belong in the
+                        // checkpoint, as parts without a frontier (their
+                        // states were handed off at crash time); shard
+                        // order keeps the merge (and its worker-0 RNG
+                        // pick) deterministic. A crashed part's RNG is
+                        // a fresh seed-derived stream: any fixed value
+                        // keeps a sequential resume deterministic.
+                        let parts: Vec<Checkpoint> = parked
+                            .iter_mut()
+                            .zip(&live)
+                            .map(|(slot, &is_live)| match (slot.engine(), is_live) {
+                                (engine, true) => engine.snapshot(),
+                                (engine, false) => Checkpoint {
+                                    seed: self.config.seed,
+                                    next_id: 0,
+                                    rng: StdRng::seed_from_u64(self.config.seed).state(),
+                                    results: engine.output(),
+                                    frontier: Vec::new(),
+                                },
+                            })
+                            .collect();
+                        view.sync();
+                        let extra = pending.iter().map(|s| s.export(&view)).collect();
+                        let merged = merge_parts(&parts, extra, resume);
+                        if let Err(e) = write_checkpoint(&ckc.path, &merged) {
+                            eprintln!(
+                                "symmerge: checkpoint write to {} failed: {e}",
+                                ckc.path.display()
+                            );
+                        }
+                    }
+                }
+
                 // Coordinator-side budget enforcement.
+                let n_live = live.iter().filter(|&&l| l).count() as u64;
                 let work_remains =
                     first || !pending.is_empty() || held.iter().any(|h| !h.is_empty());
-                if (!first && !work_remains) || n_live == 0 {
-                    break;
+                if !work_remains || n_live == 0 {
+                    break false;
+                }
+                if budgets.exhausted(start, totals) {
+                    break true;
                 }
                 // A zero quota would make every round a no-op and spin
                 // the coordinator forever; one step per round is the
-                // (degenerate but terminating) floor.
+                // (degenerate but terminating) floor. Step and pick
+                // budgets shrink the last rounds' quotas so the fleet
+                // lands near them (`exhausted` guarantees `used < limit`).
                 let mut quota = self.par.steps_per_round.max(1);
-                if let Some(t) = budgets.max_time {
-                    if start.elapsed() >= t {
-                        hit_budget = work_remains;
-                        break;
+                for (limit, used) in [(budgets.max_steps, totals.0), (budgets.max_picks, totals.1)]
+                {
+                    if let Some(limit) = limit {
+                        quota = quota.min((limit - used).div_ceil(n_live));
                     }
-                }
-                if let Some(limit) = budgets.max_steps {
-                    let remaining = limit.saturating_sub(totals.0);
-                    if remaining == 0 {
-                        hit_budget = work_remains;
-                        break;
-                    }
-                    quota = quota.min(remaining.div_ceil(n_live));
-                }
-                if let Some(limit) = budgets.max_picks {
-                    let remaining = limit.saturating_sub(totals.1);
-                    if remaining == 0 {
-                        hit_budget = work_remains;
-                        break;
-                    }
-                    quota = quota.min(remaining.div_ceil(n_live));
-                }
-                if budgets.max_completed.is_some_and(|c| totals.2 >= c) {
-                    hit_budget = work_remains;
-                    break;
                 }
 
                 let mut inboxes: Vec<Vec<StolenState>> = (0..jobs).map(|_| Vec::new()).collect();
@@ -543,7 +549,6 @@ impl ParallelEngine {
                     }
                 }
 
-                let mut round_sent = 0u64;
                 for (shard, (inbox, keep)) in inboxes.into_iter().zip(keeps).enumerate() {
                     if !live[shard] {
                         // Only reachable transiently (round 0's
@@ -552,165 +557,41 @@ impl ParallelEngine {
                         pending.extend(inbox);
                         continue;
                     }
-                    round_sent += 1;
-                    to_workers[shard]
-                        .send(ToWorker::Round {
-                            map: map.clone(),
-                            inbox,
-                            quota,
-                            seed: first && shard == 0 && resume.is_none(),
-                            keep,
-                        })
-                        .expect("worker alive");
+                    parked[shard].plan = Some(RoundPlan {
+                        map: (!free).then(|| map.clone()),
+                        inbox,
+                        quota,
+                        seed: first && shard == 0 && resume.is_none(),
+                        keep,
+                    });
                 }
                 first = false;
-
-                let mut steps = 0;
-                let mut picks = 0;
-                let mut completed = 0;
-                for _ in 0..round_sent {
-                    match from_workers.recv().expect("worker alive") {
-                        FromWorker::Done(done) => {
-                            handed_off += done.handoffs.len() as u64;
-                            pending.extend(done.handoffs);
-                            held[done.shard as usize] = done.held;
-                            steps += done.steps;
-                            picks += done.picks;
-                            completed += done.completed;
-                        }
-                        FromWorker::Crashed { shard, handoffs, output } => {
-                            // Quarantined + drained states come back for
-                            // redistribution; the fleet degrades to N−1
-                            // and the worker's results fold in at
-                            // reduction.
-                            live[shard as usize] = false;
-                            held[shard as usize] = Vec::new();
-                            handed_off += handoffs.len() as u64;
-                            pending.extend(handoffs);
-                            carry.0 += output.report.steps;
-                            carry.1 += output.report.picks;
-                            carry.2 += output.report.completed_paths;
-                            crashed[shard as usize] = Some(*output);
-                        }
-                        FromWorker::CheckpointPart { .. } => {
-                            unreachable!("no checkpoint requested this round")
-                        }
-                        FromWorker::Report { .. } => unreachable!("no report before Finish"),
-                    }
-                }
-                totals = (steps + carry.0, picks + carry.1, completed + carry.2);
-
-                // Fleet checkpoint at the (quiescent) round barrier:
-                // per-worker snapshots merged with the coordinator's
-                // pending states and, when resumed, the base
-                // checkpoint's accumulated results.
-                if let Some(ckc) = ck_cfg {
-                    let mark = totals.1 / ckc.every;
-                    if mark > last_ck_mark {
-                        last_ck_mark = mark;
-                        let mut n_parts = 0;
-                        for (w, tx) in to_workers.iter().enumerate() {
-                            if live[w] {
-                                tx.send(ToWorker::Checkpoint).expect("worker alive");
-                                n_parts += 1;
-                            }
-                        }
-                        let mut parts: Vec<Option<Checkpoint>> = vec![None; jobs as usize];
-                        for _ in 0..n_parts {
-                            match from_workers.recv().expect("worker alive") {
-                                FromWorker::CheckpointPart { shard, part } => {
-                                    parts[shard as usize] = Some(*part);
-                                }
-                                _ => unreachable!("fleet is quiescent during checkpoint"),
-                            }
-                        }
-                        // Crashed workers' results still belong in the
-                        // checkpoint, as parts without a frontier (their
-                        // states were handed off at crash time); shard
-                        // order keeps the merge (and its worker-0 RNG
-                        // pick) deterministic. A crashed part's RNG is
-                        // a fresh seed-derived stream: any fixed value
-                        // keeps a sequential resume deterministic.
-                        let parts: Vec<Checkpoint> = parts
-                            .into_iter()
-                            .zip(&crashed)
-                            .filter_map(|(p, c)| {
-                                p.or_else(|| {
-                                    c.as_ref().map(|out| Checkpoint {
-                                        seed: self.config.seed,
-                                        next_id: 0,
-                                        rng: StdRng::seed_from_u64(self.config.seed).state(),
-                                        results: out.clone(),
-                                        frontier: Vec::new(),
-                                    })
-                                })
-                            })
-                            .collect();
-                        view.sync();
-                        let extra: Vec<PortableState> = pending
-                            .iter()
-                            .map(|s| {
-                                PortableState::export(
-                                    &view,
-                                    &s.state,
-                                    &s.history,
-                                    s.ff,
-                                    s.region,
-                                    s.origin_shard,
-                                    s.origin_seq,
-                                )
-                                .with_warm_len(s.warm_len)
-                            })
-                            .collect();
-                        let merged = merge_parts(&parts, extra, resume);
-                        if let Err(e) = write_checkpoint(&ckc.path, &merged) {
-                            eprintln!(
-                                "symmerge: checkpoint write to {} failed: {e}",
-                                ckc.path.display()
-                            );
-                        }
-                    }
-                }
+                // The plans are posted: the workers play the round.
+                drop(parked);
+                rounds.barrier.wait();
             }
+        });
 
-            // States stranded by a budget stop (or by every worker
-            // crashing) are unexplored work.
-            let stranded = pending.len();
-
-            let mut n_live = 0;
-            for (w, tx) in to_workers.iter().enumerate() {
-                if live[w] {
-                    tx.send(ToWorker::Finish).expect("worker alive");
-                    n_live += 1;
-                }
-            }
-            // Collect reports into shard order so the reduction (and in
-            // particular its float summation order) is independent of
-            // which worker replied first. Crashed workers already
-            // reported through their `Crashed` message.
-            let mut parts: Vec<Option<ShardOutput>> = crashed;
-            for _ in 0..n_live {
-                match from_workers.recv().expect("worker alive") {
-                    FromWorker::Report { shard, output } => {
-                        parts[shard as usize] = Some(*output);
-                    }
-                    _ => unreachable!("no rounds after Finish"),
-                }
-            }
-            let mut parts: Vec<ShardOutput> =
-                parts.into_iter().map(|p| p.expect("all reported")).collect();
-            // A resumed run's pre-interruption half reduces like a
-            // worker's part.
-            if let Some(ck) = resume {
-                parts.push(ck.results.clone());
-            }
-            let mut report = reduce_reports(&parts, self.program.num_blocks());
-            report.leftover_states += stranded;
-            report.envelope_exports = handed_off;
-            report.wall_time = start.elapsed();
-            report.hit_budget = hit_budget;
-            report
-        })
+        // Outputs in shard order, so the reduction (and in particular its
+        // float summation order) is fixed. A crashed worker's output holds
+        // its pre-crash results.
+        let mut parts: Vec<ShardOutput> = slots
+            .iter()
+            .map(|slot| lock(slot).output.take().expect("a stopping worker parks its output"))
+            .collect();
+        // A resumed run's pre-interruption half reduces like a worker's
+        // part.
+        if let Some(ck) = resume {
+            parts.push(ck.results.clone());
+        }
+        let mut report = reduce_reports(&parts, self.program.num_blocks());
+        // States stranded by a budget stop (or by every worker crashing)
+        // are unexplored work.
+        report.leftover_states += pending.len();
+        report.envelope_exports = handed_off;
+        report.wall_time = start.elapsed();
+        report.hit_budget = hit_budget;
+        report
     }
 }
 
@@ -742,12 +623,12 @@ struct Fleet {
     idle_waits: AtomicU64,
 }
 
-/// Whether any configured budget has tripped fleet-wide.
-fn steal_budget_tripped(b: &Budgets, start: Instant, fleet: &Fleet) -> bool {
-    b.max_time.is_some_and(|t| start.elapsed() >= t)
-        || b.max_steps.is_some_and(|s| fleet.steps.load(Ordering::Relaxed) >= s)
-        || b.max_picks.is_some_and(|p| fleet.picks.load(Ordering::Relaxed) >= p)
-        || b.max_completed.is_some_and(|c| fleet.completed.load(Ordering::Relaxed) >= c)
+impl Fleet {
+    /// Fleet-total `(steps, picks, completed)`, for the budget rule.
+    fn totals(&self) -> (u64, u64, u64) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (load(&self.steps), load(&self.picks), load(&self.completed))
+    }
 }
 
 impl ParallelEngine {
@@ -762,13 +643,10 @@ impl ParallelEngine {
         let jobs = self.par.jobs.max(1);
         let start = Instant::now();
         let budgets = self.config.budgets;
-        // The pool and verdict store are built even at jobs = 1, so
-        // their overhead is honestly measurable against the
-        // BSP/sequential baseline. The steal fleet has no quiescent
-        // point to snapshot at, so it never writes checkpoints — it can
-        // *resume* one (worker 0 injects the frontier instead of
-        // seeding), but periodic checkpointing needs the BSP or
-        // sequential path.
+        // The steal fleet has no quiescent point to snapshot at, so it
+        // never writes checkpoints — it can *resume* one (worker 0
+        // injects the frontier instead of seeding), but periodic
+        // checkpointing needs the BSP or sequential path.
         let Substrate { config, pool, cache } = Substrate::new(&self.config, self.program.width);
         let resume_frontier: Option<&[PortableState]> = resume.map(|ck| ck.frontier.as_slice());
 
@@ -817,7 +695,7 @@ impl ParallelEngine {
         // States stranded in deques by a budget stop (or abandoned by
         // crashed-and-retired workers nobody could steal from, e.g. at
         // jobs = 1) are unexplored work.
-        let stranded: usize = fleet.queues.iter().map(|q| lock_deque(q).len()).sum();
+        let stranded: usize = fleet.queues.iter().map(|q| lock(q).len()).sum();
         let mut parts = parts;
         if let Some(ck) = resume {
             parts.push(ck.results.clone());
@@ -833,13 +711,15 @@ impl ParallelEngine {
     }
 }
 
-/// Locks a steal deque, recovering from a poisoned mutex: every push
-/// and drain leaves the deque structurally consistent before the guard
-/// drops, so after a peer's panic the deque still holds exactly the
+/// Locks a steal deque or a BSP slot, recovering from a poisoned mutex.
+/// Every push and drain leaves a deque structurally consistent before the
+/// guard drops, so after a peer's panic the deque still holds exactly the
 /// live states it held — refusing to serve them would strand work that
-/// the panic-isolation layer just went to the trouble of preserving.
-fn lock_deque<'q>(q: &'q Mutex<VecDeque<StolenState>>) -> MutexGuard<'q, VecDeque<StolenState>> {
-    q.lock().unwrap_or_else(PoisonError::into_inner)
+/// the panic-isolation layer just went to the trouble of preserving. A
+/// slot is only ever poisoned by a panicking coordinator, and the worker
+/// that then locks it only drops its engine.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A work-stealing worker: owns one shared-pool [`Engine`] and loops
@@ -872,7 +752,9 @@ fn steal_worker(
         if fleet.stop.load(Ordering::Acquire) {
             break;
         }
-        if steal_budget_tripped(&budgets, start, fleet) {
+        // Reading the fleet totals touches three contended counters, so
+        // an unbudgeted run skips it.
+        if budgets != Budgets::default() && budgets.exhausted(start, fleet.totals()) {
             fleet.stop.store(true, Ordering::Release);
             break;
         }
@@ -880,7 +762,7 @@ fn steal_worker(
             // Reclaim the own deque first: those states were shed for
             // starving peers, but none took them.
             let own: Vec<StolenState> = {
-                let mut q = lock_deque(&fleet.queues[shard as usize]);
+                let mut q = lock(&fleet.queues[shard as usize]);
                 q.drain(..).collect()
             };
             if !own.is_empty() {
@@ -893,7 +775,7 @@ fn steal_worker(
             let mut stolen: Vec<StolenState> = Vec::new();
             for step in 1..jobs {
                 let victim = ((shard + step) % jobs) as usize;
-                let mut q = lock_deque(&fleet.queues[victim]);
+                let mut q = lock(&fleet.queues[victim]);
                 for _ in 0..q.len().div_ceil(2) {
                     let s = if par.steal_newest { q.pop_back() } else { q.pop_front() };
                     stolen.extend(s);
@@ -923,15 +805,15 @@ fn steal_worker(
         // is empty, move half the worklist into it (a deque-to-worklist
         // move is outstanding-neutral — the states stay live).
         if fleet.hungry.load(Ordering::Acquire) > 0 && engine.worklist_len() > 1 {
-            let deque_empty = lock_deque(&fleet.queues[shard as usize]).is_empty();
+            let deque_empty = lock(&fleet.queues[shard as usize]).is_empty();
             if deque_empty {
                 let batch = engine.shed_states(engine.worklist_len() / 2, par.steal_newest);
-                lock_deque(&fleet.queues[shard as usize]).extend(batch);
+                lock(&fleet.queues[shard as usize]).extend(batch);
             }
         }
         let before = engine.worklist_len() as i64;
-        let crashed = match catch_unwind(AssertUnwindSafe(|| engine.explore_step())) {
-            Ok(ExploreStep::Progressed) => false,
+        let drained = match catch_unwind(AssertUnwindSafe(|| engine.explore_step())) {
+            Ok(ExploreStep::Progressed) => None,
             // The worklist was non-empty, so these are unreachable;
             // re-entering the loop is safe regardless.
             Ok(ExploreStep::Exhausted | ExploreStep::BudgetExhausted) => continue,
@@ -939,18 +821,19 @@ fn steal_worker(
                 if !engine.isolation_armed() {
                     resume_unwind(payload);
                 }
-                // Quarantine the in-flight state; the worker retires
-                // below, once its delta is published.
-                engine.recover_from_panic();
-                true
+                // Quarantine the in-flight state and drain the worklist;
+                // the worker retires below, once its delta is published.
+                Some(engine.drain_after_panic(par.steal_newest))
             }
         };
         // Publish the step's worklist delta (successors minus the
         // consumed state): completions drive `outstanding` toward zero,
         // forks away from it. The stepped state stayed counted for the
         // step's whole duration, so no peer saw a false zero — and the
-        // delta is exact even for a panic that landed mid-integration.
-        let delta = engine.worklist_len() as i64 - before;
+        // delta is exact even for a panic that landed mid-integration
+        // (drained states are still live, on their way to the deque).
+        let held = engine.worklist_len() + drained.as_ref().map_or(0, Vec::len);
+        let delta = held as i64 - before;
         if delta != 0 {
             fleet.outstanding.fetch_add(delta, Ordering::AcqRel);
         }
@@ -959,129 +842,145 @@ fn steal_worker(
         fleet.picks.fetch_add(p - pub_picks, Ordering::Relaxed);
         fleet.completed.fetch_add(c - pub_completed, Ordering::Relaxed);
         (pub_steps, pub_picks, pub_completed) = (s, p, c);
-        if crashed {
-            // Retire: the whole worklist moves into the own deque — an
+        if let Some(batch) = drained {
+            // Retire: the drained states move into the own deque — an
             // outstanding-neutral move, like any shed — where the
-            // surviving workers steal it.
-            let batch = engine.shed_states(engine.worklist_len(), par.steal_newest);
-            lock_deque(&fleet.queues[shard as usize]).extend(batch);
+            // surviving workers steal them.
+            lock(&fleet.queues[shard as usize]).extend(batch);
             break;
         }
     }
     engine.output()
 }
 
-/// Everything a worker thread needs to know about its place in the
-/// fleet (the per-worker engine configuration travels separately).
-struct WorkerSpec {
-    shard: u32,
-    jobs: u32,
-    free: bool,
-    par: ParallelConfig,
+/// One BSP round's orders for a worker, posted into its [`Slot`] by the
+/// coordinator at the barrier.
+struct RoundPlan {
+    /// Region policy: the assignment to install (the worker evicts the
+    /// regions it lost). `None` under free placement.
+    map: Option<RegionMap>,
+    /// Migrated states this worker now owns.
+    inbox: Vec<StolenState>,
+    /// Scheduler-step quota for the round.
+    quota: u64,
+    /// Seed the initial state this round (worker 0, round 0).
+    seed: bool,
+    /// Free placement: evict down to this many held states (`None` = no
+    /// eviction requested this round).
+    keep: Option<u64>,
 }
 
-/// A BSP worker thread: puts its fleet [`Engine`] into shard mode and
-/// serves rounds until told to finish.
-fn worker_main(
-    spec: WorkerSpec,
-    mut engine: Engine,
-    rx: Receiver<ToWorker>,
-    reply: Sender<FromWorker>,
-) {
-    let WorkerSpec { shard, jobs, free, par } = spec;
-    engine.enable_shard(shard, RegionMap::all_to_zero(jobs), free);
+/// Where a BSP worker parks its engine. The worker locks it while it
+/// plays a round; the coordinator locks it only while every worker is
+/// parked at the barrier, and after the workers have exited.
+#[derive(Default)]
+struct Slot {
+    engine: Option<Engine>,
+    /// The next round's orders; a crashed worker gets none and sits the
+    /// round out.
+    plan: Option<RoundPlan>,
+    /// How the last round ended: the states leaving the worker (evicted
+    /// and outbox), or the payload of the panic that stopped it.
+    done: Option<std::thread::Result<Vec<StolenState>>>,
+    /// The worker's final output, parked when it stops.
+    output: Option<ShardOutput>,
+}
 
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToWorker::Round { map, mut inbox, quota, seed, keep } => {
-                // The whole round body runs under `catch_unwind` so a
-                // panicking worker (injected or organic) degrades the
-                // fleet instead of tearing down the run — but only
-                // while panic isolation is armed; otherwise the panic
-                // propagates exactly as before.
-                let round = catch_unwind(AssertUnwindSafe(|| {
-                    let mut handoffs = match keep {
-                        // Free placement: steal by count, regions ignored.
-                        Some(keep) => {
-                            let excess = engine.worklist_len().saturating_sub(keep as usize);
-                            engine.shed_states(excess, par.steal_newest)
-                        }
-                        // Region policy: install the new map, evict lost regions.
-                        None if free => Vec::new(),
-                        None => engine.set_region_map(map),
-                    };
-                    if seed {
-                        engine.seed_initial();
-                    }
-                    // Deterministic integration order regardless of the
-                    // timing-dependent order replies reached the coordinator.
-                    // The inbox integrates as one batch so its warm-prefix
-                    // seeds pre-warm the local context tree together
-                    // (shared prefixes blasted once).
-                    inbox.sort_by_key(StolenState::order_key);
-                    engine.inject_direct(inbox);
-                    let mut steps = 0u64;
-                    while steps < quota {
-                        match engine.explore_step() {
-                            ExploreStep::Progressed => steps += 1,
-                            ExploreStep::Exhausted => break,
-                            // Worker budgets are cleared; unreachable, but
-                            // stopping is the right response regardless.
-                            ExploreStep::BudgetExhausted => break,
-                        }
-                    }
-                    handoffs.extend(engine.take_outbox());
-                    let (steps, picks, completed) = engine.progress_counters();
-                    RoundDone {
-                        shard,
-                        handoffs,
-                        held: engine.held_counts(),
-                        steps,
-                        picks,
-                        completed,
-                    }
-                }));
-                match round {
-                    Ok(done) => {
-                        if reply.send(FromWorker::Done(done)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(payload) => {
-                        if !engine.isolation_armed() {
-                            resume_unwind(payload);
-                        }
-                        // Crash protocol: quarantine the in-flight
-                        // state, hand off everything this worker still
-                        // holds (worklist and outbox), and send it all
-                        // out with the final report. The thread then
-                        // retires — the fleet runs on at N−1.
-                        engine.recover_from_panic();
-                        let mut handoffs =
-                            engine.shed_states(engine.worklist_len(), par.steal_newest);
-                        handoffs.extend(engine.take_outbox());
-                        let _ = reply.send(FromWorker::Crashed {
-                            shard,
-                            handoffs,
-                            output: Box::new(engine.output()),
-                        });
-                        return;
-                    }
-                }
-            }
-            ToWorker::Checkpoint => {
-                let part = Box::new(engine.snapshot());
-                if reply.send(FromWorker::CheckpointPart { shard, part }).is_err() {
-                    return;
-                }
-            }
-            ToWorker::Finish => {
-                let output = Box::new(engine.output());
-                let _ = reply.send(FromWorker::Report { shard, output });
-                return;
-            }
+impl Slot {
+    fn engine(&mut self) -> &mut Engine {
+        self.engine.as_mut().expect("the worker parks its engine before the first barrier")
+    }
+}
+
+/// The BSP round barrier (every worker plus the coordinator) and the
+/// flag the coordinator raises to end the run.
+struct Rounds {
+    barrier: Barrier,
+    stop: AtomicBool,
+}
+
+/// Raises the stop flag and meets the parked workers at their barrier,
+/// so each parks its output, drops its engine and exits, when the
+/// coordinator leaves the scope by return or by panic (it only ever runs
+/// while they are parked).
+struct Release<'a>(&'a Rounds);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::Release);
+        self.0.barrier.wait();
+    }
+}
+
+/// A BSP worker thread. It parks its engine in `slot`, then serves
+/// rounds, each bracketed by two barrier waits: between them the
+/// coordinator owns the parked engine (reads the round's outcome, drains
+/// a crash, snapshots, posts the next plan); after the second the worker
+/// plays its plan, if it got one. Once the coordinator raises `stop`,
+/// the worker parks the engine's output and drops the engine itself
+/// (see [`Substrate::engine`]).
+fn bsp_worker(engine: Engine, slot: &Mutex<Slot>, rounds: &Rounds, steal_newest: bool) {
+    lock(slot).engine = Some(engine);
+    loop {
+        rounds.barrier.wait(); // parked: the coordinator reads and plans
+        rounds.barrier.wait(); // the plans are posted
+        if rounds.stop.load(Ordering::Acquire) {
+            break;
+        }
+        let mut slot = lock(slot);
+        let Slot { engine, plan, done, .. } = &mut *slot;
+        if let (Some(engine), Some(plan)) = (engine.as_mut(), plan.take()) {
+            // The whole round runs under `catch_unwind` so a panicking
+            // worker (injected or organic) degrades the fleet instead of
+            // tearing down the run. The coordinator decides at the
+            // barrier: it drains the engine while panic isolation is
+            // armed and re-raises the panic otherwise.
+            *done = Some(catch_unwind(AssertUnwindSafe(|| play_round(engine, plan, steal_newest))));
         }
     }
+    // The output is built here, on the engine's own thread: building it
+    // on the coordinator measured ~5 % more CPU on `fleet-wc6`
+    // (EXPERIMENTS.md).
+    let mut slot = lock(slot);
+    let engine = slot.engine.take();
+    slot.output = engine.as_ref().map(|engine| engine.output());
+}
+
+/// One BSP round on a worker's engine: evict what the plan gives up,
+/// seed or integrate the inbox, and explore up to the quota. Returns the
+/// states leaving this worker (evicted and outbox), which the
+/// coordinator routes at the next barrier.
+fn play_round(engine: &mut Engine, plan: RoundPlan, steal_newest: bool) -> Vec<StolenState> {
+    let RoundPlan { map, mut inbox, quota, seed, keep } = plan;
+    let mut handoffs = match (map, keep) {
+        // Region policy: install the new map, evict lost regions.
+        (Some(map), _) => engine.set_region_map(map),
+        // Free placement: steal by count, regions ignored.
+        (None, Some(keep)) => {
+            let excess = engine.worklist_len().saturating_sub(keep as usize);
+            engine.shed_states(excess, steal_newest)
+        }
+        (None, None) => Vec::new(),
+    };
+    if seed {
+        engine.seed_initial();
+    }
+    // Deterministic integration order regardless of the order the
+    // hand-offs reached the coordinator. The inbox integrates as one
+    // batch so its warm-prefix seeds pre-warm the local context tree
+    // together (shared prefixes blasted once).
+    inbox.sort_by_key(StolenState::order_key);
+    engine.inject_direct(inbox);
+    for _ in 0..quota {
+        match engine.explore_step() {
+            ExploreStep::Progressed => {}
+            // Worker budgets are cleared, so only exhaustion ends a round
+            // early; stopping is the right response to either.
+            ExploreStep::Exhausted | ExploreStep::BudgetExhausted => break,
+        }
+    }
+    handoffs.extend(engine.take_outbox());
+    handoffs
 }
 
 #[cfg(test)]

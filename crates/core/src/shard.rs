@@ -341,6 +341,22 @@ impl StolenState {
     pub fn order_key(&self) -> (u32, u64) {
         (self.origin_shard, self.origin_seq)
     }
+
+    /// The hand-off's checkpoint form, the inverse of
+    /// [`PortableState::import`]; `pool` must mirror every node the
+    /// state refers to.
+    pub(crate) fn export(&self, pool: &ExprPool) -> PortableState {
+        PortableState::export(
+            pool,
+            &self.state,
+            &self.history,
+            self.ff,
+            self.region,
+            self.origin_shard,
+            self.origin_seq,
+        )
+        .with_warm_len(self.warm_len)
+    }
 }
 
 #[cfg(test)]

@@ -163,7 +163,7 @@ pub trait Strategy {
 }
 
 /// Instantiates a boxed strategy from its kind.
-pub fn make_strategy(kind: StrategyKind) -> Box<dyn Strategy> {
+pub fn make_strategy(kind: StrategyKind) -> Box<dyn Strategy + Send> {
     match kind {
         StrategyKind::Dfs => Box::new(Dfs::default()),
         StrategyKind::Bfs => Box::new(Bfs::default()),

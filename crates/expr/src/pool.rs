@@ -69,10 +69,11 @@ struct SymbolTable {
 /// hash-consing still guarantees one node per kind, and the id-order
 /// canonicalization of commutative operands picks *an* orientation
 /// consistently for all workers within a run (ids are global) — but ids
-/// must not be used as cross-run-stable values. The deterministic BSP
-/// engine therefore keeps per-worker local pools; the shared pool is the
-/// substrate of the work-stealing scheduler, whose contract is
-/// set-identical results rather than trace reproducibility.
+/// must not be used as cross-run-stable values. Both fleet schedulers —
+/// the deterministic BSP rounds and work stealing — intern into one
+/// shared pool, so every engine decision that could see interning order
+/// goes through id-invariant fingerprints; that is what keeps a BSP run a
+/// pure function of its program, configuration and job count.
 #[derive(Debug)]
 pub struct SharedExprPool {
     shards: Vec<RwLock<HashMap<ExprKind, ExprId>>>,

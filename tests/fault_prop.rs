@@ -20,6 +20,9 @@
 //!   the uninterrupted run's final report byte-identically, sequentially
 //!   and across schedulers.
 
+mod common;
+
+use common::{assert_mode_invariant, fleet, harness_config, observe, observe_parallel};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -126,6 +129,44 @@ fn bsp_worker_panic_preserves_results() {
                 faulted.quarantined_states, 1,
                 "{who}: exactly the one scheduled panic must fire and quarantine"
             );
+        }
+    }
+}
+
+/// BSP under region placement: in a merging mode, a worker that panics
+/// is drained by the coordinator at the barrier and its regions move
+/// whole to the survivors. Merge counts may differ from the fault-free
+/// run, so the check is the paper's mode-invariance contract against the
+/// unmerged sequential baseline. Region placement starts with every
+/// region on worker 0 and hands a dead worker's regions to the lowest
+/// live one, so the plans panic worker 0 and then each heir in turn:
+/// every scheduled panic fires, and jobs=4 ends on one worker.
+#[test]
+fn bsp_worker_panic_under_merging_preserves_mode_invariance() {
+    let solver = SolverConfig { canonical_models: true, ..SolverConfig::default() };
+    for &(workload, cfg) in WORKLOADS {
+        let unmerged = harness_config(MergeMode::None, StrategyKind::Bfs, solver.clone());
+        let baseline = observe(workload, cfg, unmerged);
+        for (mode, strategy) in [
+            (MergeMode::Static, StrategyKind::Topological),
+            (MergeMode::Dynamic, StrategyKind::CoverageOptimized),
+        ] {
+            for (jobs, plan, fired) in
+                [(2u32, "panic=0:5", 1u64), (4, "panic=0:3,panic=1:3,panic=2:3", 3)]
+            {
+                let config = EngineConfig {
+                    fault_plan: Some(Arc::new(FaultPlan::parse(plan).expect("plan parses"))),
+                    ..harness_config(mode, strategy, solver.clone())
+                };
+                let obs = observe_parallel(workload, cfg, config, fleet(jobs, SchedulerKind::Bsp));
+                let who = format!("{workload} {mode:?}/{strategy:?} bsp jobs={jobs} {plan}");
+                assert_mode_invariant(&who, &baseline, &obs);
+                assert_eq!(obs.report.leftover_states, 0, "{who}: states left behind");
+                assert_eq!(
+                    obs.report.quarantined_states, fired,
+                    "{who}: every scheduled panic must fire and quarantine once"
+                );
+            }
         }
     }
 }
