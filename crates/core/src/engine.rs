@@ -3,17 +3,17 @@
 //! `∼` (the QCE similarity relation), with static or dynamic state merging
 //! layered on top.
 
-use crate::dsm::{DsmConfig, DsmStats, DsmStrategy};
+use crate::dsm::{DsmConfig, DsmIndex, DsmStats};
 use crate::exec::{AssertFailure, Completion, ExecCtx};
 use crate::merge::{classify_pair, merge_signature, merge_states, similar_qce, MergeConfig};
 use crate::qce::{HotSet, QceAnalysis, QceConfig};
 use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
-use crate::state::{State, StateId};
+use crate::state::{LiveState, State, StateId};
 use crate::strategy::{make_strategy, Oracle, StateMeta, Strategy, StrategyKind};
 use crate::testgen::{TestCase, TestKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -510,8 +510,10 @@ pub enum ExploreStep {
 
 /// Shard-mode bookkeeping (see [`crate::parallel`]): which regions this
 /// engine owns, the outbox of states that crossed into foreign regions,
-/// and a per-region index of the local worklist for whole-region
-/// eviction.
+/// and the sequence its hand-offs are numbered by. Region membership is
+/// not indexed: the coordinator asks for it once per round
+/// ([`Engine::held_counts`], [`Engine::set_region_map`]), and one pass
+/// over the worklist answers it.
 struct ShardCtl {
     me: u32,
     owner: RegionMap,
@@ -521,34 +523,12 @@ struct ShardCtl {
     /// no two states ever need to be co-located.
     free: bool,
     outbox: Vec<StolenState>,
-    by_region: BTreeMap<RegionId, BTreeSet<StateId>>,
     seq: u64,
 }
 
 impl ShardCtl {
     fn owns(&self, region: RegionId) -> bool {
         self.free || self.owner.owner_of(region) == self.me
-    }
-}
-
-enum Scheduler {
-    Plain(Box<dyn Strategy + Send>),
-    Dsm(Box<DsmStrategy>),
-}
-
-impl Scheduler {
-    fn remove(&mut self, id: StateId) -> bool {
-        match self {
-            Scheduler::Plain(s) => s.remove(id),
-            Scheduler::Dsm(d) => d.remove(id),
-        }
-    }
-
-    fn sched_stats(&self) -> crate::strategy::SchedStats {
-        match self {
-            Scheduler::Plain(s) => s.sched_stats(),
-            Scheduler::Dsm(d) => d.sched_stats(),
-        }
     }
 }
 
@@ -560,13 +540,13 @@ pub struct Engine {
     qce: QceAnalysis,
     cfgs: Vec<CfgInfo>,
     config: EngineConfig,
-    scheduler: Scheduler,
-    states: HashMap<StateId, State>,
+    strategy: Box<dyn Strategy + Send>,
+    /// Present iff merging dynamically: Algorithm 2's laggard index,
+    /// consulted before `strategy` at every pick.
+    dsm: Option<DsmIndex>,
+    /// The worklist.
+    states: HashMap<StateId, LiveState>,
     by_control: HashMap<u64, Vec<StateId>>,
-    /// DSM: per-live-state inherited histories.
-    histories: HashMap<StateId, VecDeque<u64>>,
-    /// States currently being fast-forwarded (for the §5.5 counter).
-    ff_active: HashSet<StateId>,
     hot_cache: HashMap<u64, Arc<HotSet>>,
     covered: HashSet<(FuncId, BlockId)>,
     /// Bumped whenever a new block is covered — the coverage generation
@@ -589,10 +569,10 @@ pub struct Engine {
     /// pick index as the panic coordinate there (see [`crate::fault`]);
     /// `None` on sequential engines and BSP workers.
     fault_clock: Option<Arc<AtomicU64>>,
-    /// Panic-isolation snapshot of the state currently being stepped:
-    /// `(state, child history, fast-forward flag)`, exactly what
+    /// Panic-isolation snapshot of the state currently being stepped,
+    /// with the history and flag its successors inherit: exactly what
     /// [`Engine::integrate`] needs to re-queue it after a caught panic.
-    in_flight: Option<(State, VecDeque<u64>, bool)>,
+    in_flight: Option<LiveState>,
     /// Set by [`Engine::restore_checkpoint`]; [`Engine::run`] then skips
     /// seeding the initial state (the restored frontier already holds
     /// the live work).
@@ -712,13 +692,6 @@ impl Engine {
     ) -> Engine {
         let qce = QceAnalysis::run(&program, config.qce);
         let cfgs: Vec<CfgInfo> = program.functions.iter().map(CfgInfo::analyze).collect();
-        let scheduler = match config.merge_mode {
-            MergeMode::Dynamic => Scheduler::Dsm(Box::new(DsmStrategy::new(
-                make_strategy(config.strategy),
-                config.dsm,
-            ))),
-            _ => Scheduler::Plain(make_strategy(config.strategy)),
-        };
         let pool = match shared_pool {
             Some(shared) => {
                 debug_assert_eq!(
@@ -752,11 +725,10 @@ impl Engine {
             solver,
             qce,
             cfgs,
-            scheduler,
+            strategy: make_strategy(config.strategy),
+            dsm: (config.merge_mode == MergeMode::Dynamic).then(|| DsmIndex::new(config.dsm)),
             states: HashMap::new(),
             by_control: HashMap::new(),
-            histories: HashMap::new(),
-            ff_active: HashSet::new(),
             hot_cache: HashMap::new(),
             covered: HashSet::new(),
             cov_gen: 0,
@@ -852,15 +824,16 @@ impl Engine {
     /// In shard mode, a state whose region this engine does not own is
     /// handed off to the outbox instead; the owning worker integrates it
     /// (and marks its coverage) on the next round.
-    fn integrate(&mut self, mut state: State, mut history: VecDeque<u64>, ff: bool) {
-        let region = self.region_of(&state);
+    fn integrate(&mut self, live: LiveState) {
+        let region = self.region_of(&live.state);
         if self.shard.as_ref().is_some_and(|ctl| !ctl.owns(region)) {
-            let out = self.hand_off(state, history, ff);
+            let out = self.hand_off(live);
             self.shard.as_mut().expect("checked above").outbox.push(out);
             return;
         }
-        self.mark_covered(&state);
-        let hot = (self.config.merge_mode != MergeMode::None).then(|| self.hot_set_for(&state));
+        let state = &live.state;
+        self.mark_covered(state);
+        let hot = (self.config.merge_mode != MergeMode::None).then(|| self.hot_set_for(state));
         if let Some(hot) = &hot {
             let ck = state.control_key();
             let candidates: Vec<StateId> = self.by_control.get(&ck).cloned().unwrap_or_default();
@@ -868,93 +841,76 @@ impl Engine {
                 let id = self.fresh_id();
                 let cand = &self.states[&cand_id];
                 // Output traces merge element-wise, so lengths must match.
-                if cand.outputs.len() != state.outputs.len() {
+                if cand.state.outputs.len() != state.outputs.len() {
                     continue;
                 }
                 let similar = match self.config.qce.zeta {
                     // The prototype criterion (Eq. 1): hot-variable set.
-                    None => similar_qce(&self.pool, hot, &state, cand),
+                    None => similar_qce(&self.pool, hot, state, &cand.state),
                     // The full §3.3 criterion (Eq. 7) pricing introduced ites.
                     Some(zeta) => self.qce.similar_full(
                         &self.program,
                         &state.stack_blocks(),
                         zeta,
-                        |fi, key| classify_pair(&self.pool, &state, cand, fi, key),
+                        |fi, key| classify_pair(&self.pool, state, &cand.state, fi, key),
                     ),
                 };
                 if similar {
-                    let merged = merge_states(&mut self.pool, self.config.merge, &state, cand, id);
+                    let merged =
+                        merge_states(&mut self.pool, self.config.merge, state, &cand.state, id);
                     self.totals.merges += 1;
-                    if ff || self.ff_active.contains(&cand_id) {
+                    if live.ff || cand.ff {
                         self.totals.ff_merged += 1;
                     }
-                    self.remove_from_worklist(cand_id);
+                    self.remove_from_worklist(cand_id, false);
                     // A merged state starts a fresh history: its signature
-                    // changed discontinuously.
-                    state = merged;
-                    history = VecDeque::new();
-                    // Try to cascade with further candidates.
-                    return self.integrate(state, history, false);
+                    // changed discontinuously. Try to cascade with further
+                    // candidates.
+                    return self.integrate(LiveState::fresh(merged));
                 }
                 self.totals.merge_rejects += 1;
             }
         }
         let id = state.id;
-        let meta = self.meta_for(&state);
-        let ck = state.control_key();
-        match &mut self.scheduler {
-            Scheduler::Plain(s) => s.add(id, meta),
-            Scheduler::Dsm(d) => {
-                // The state was not merged above, so `hot` is its own
-                // hot set (dynamic merging always computes one).
-                let hot = hot.as_deref().expect("dynamic merging computes the hot set");
-                let sig = merge_signature(&self.pool, hot, &state);
-                d.add_with_sig(id, meta, sig, history.clone());
-            }
+        let meta = self.meta_for(state);
+        if let Some(dsm) = self.dsm.as_mut() {
+            // The state was not merged above, so `hot` is its own
+            // hot set (dynamic merging always computes one).
+            let hot = hot.as_deref().expect("dynamic merging computes the hot set");
+            let sig = merge_signature(&self.pool, hot, state);
+            dsm.add(id, meta.clone(), sig, &live.history);
         }
-        self.histories.insert(id, history);
-        if ff {
-            self.ff_active.insert(id);
-        }
-        self.by_control.entry(ck).or_default().push(id);
-        if let Some(ctl) = self.shard.as_mut() {
-            ctl.by_region.entry(region).or_default().insert(id);
-        }
-        self.states.insert(id, state);
+        self.strategy.add(id, meta);
+        self.by_control.entry(state.control_key()).or_default().push(id);
+        self.states.insert(id, live);
         self.totals.max_worklist = self.totals.max_worklist.max(self.states.len());
     }
 
-    /// Drops `id` from the shard-mode region index, if present.
-    fn unindex_region(&mut self, id: StateId, region: RegionId) {
-        if let Some(ctl) = self.shard.as_mut() {
-            if let Some(set) = ctl.by_region.get_mut(&region) {
-                set.remove(&id);
-                if set.is_empty() {
-                    ctl.by_region.remove(&region);
-                }
-            }
-        }
-    }
-
-    /// Takes `id` out of the worklist and every index over it, returning
-    /// the state with its DSM history and fast-forward flag. After a
-    /// pick, the scheduler has already dropped the id; removing it there
-    /// again is a no-op.
-    fn remove_from_worklist(&mut self, id: StateId) -> Option<(State, VecDeque<u64>, bool)> {
-        let state = self.states.remove(&id)?;
-        let ck = state.control_key();
+    /// Takes `id` out of the worklist and every index over it and returns
+    /// its record. `picked` says the strategy already dropped `id` when it
+    /// picked it; the record then comes back ready for the successors:
+    /// under DSM the state's own signature joins its history, and a
+    /// fast-forward pick sets its flag.
+    fn remove_from_worklist(&mut self, id: StateId, picked: bool) -> Option<LiveState> {
+        let mut live = self.states.remove(&id)?;
+        let ck = live.state.control_key();
         if let Some(v) = self.by_control.get_mut(&ck) {
             v.retain(|&x| x != id);
             if v.is_empty() {
                 self.by_control.remove(&ck);
             }
         }
-        self.scheduler.remove(id);
-        let history = self.histories.remove(&id).unwrap_or_default();
-        let ff = self.ff_active.remove(&id);
-        let region = self.region_of(&state);
-        self.unindex_region(id, region);
-        Some((state, history, ff))
+        if !picked {
+            self.strategy.remove(id);
+        }
+        if let Some(dsm) = self.dsm.as_mut() {
+            let removed = dsm.remove(id, &live.history);
+            if let Some((sig, was_ff)) = removed.filter(|_| picked) {
+                live.ff |= was_ff;
+                dsm.push_history(&mut live.history, sig);
+            }
+        }
+        Some(live)
     }
 
     fn record_completion(&mut self, state: State, completion: Completion) {
@@ -1026,7 +982,7 @@ impl Engine {
         self.started.get_or_insert_with(Instant::now);
         let initial_id = self.fresh_id();
         let initial = State::initial(&self.program, &mut self.pool, initial_id);
-        self.integrate(initial, VecDeque::new(), false);
+        self.integrate(LiveState::fresh(initial));
     }
 
     /// Runs the exploration to exhaustion or until a budget trips.
@@ -1101,27 +1057,15 @@ impl Engine {
                 dist_cache: &mut self.dist_cache,
                 rng: &mut self.rng,
             };
-            match &mut self.scheduler {
-                Scheduler::Plain(s) => s.pick(&mut oracle),
-                Scheduler::Dsm(d) => d.pick(&mut oracle),
+            match self.dsm.as_mut() {
+                Some(dsm) => dsm.pick(&mut *self.strategy, &mut oracle),
+                None => self.strategy.pick(&mut oracle),
             }
         };
         let Some(id) = picked else { return ExploreStep::Exhausted };
         self.totals.picks += 1;
-        let Some((state, parent_hist, mut parent_ff)) = self.remove_from_worklist(id) else {
+        let Some(live) = self.remove_from_worklist(id, true) else {
             return ExploreStep::Progressed;
-        };
-        if let Scheduler::Dsm(d) = &self.scheduler {
-            parent_ff |= d.picked_was_ff(id);
-        }
-        let child_hist = match &self.scheduler {
-            // The state's live bookkeeping was torn down inside pick();
-            // the strategy stashes the signature for exactly this query.
-            Scheduler::Dsm(d) => match d.picked_sig(id) {
-                Some(sig) => d.child_history(&parent_hist, sig),
-                None => parent_hist,
-            },
-            Scheduler::Plain(_) => parent_hist,
         };
 
         // Fault-tolerance layer. While armed, snapshot the in-flight
@@ -1133,7 +1077,7 @@ impl Engine {
         // recorded yet, so re-running it elsewhere neither loses nor
         // duplicates work.
         if self.isolation_armed() {
-            self.in_flight = Some((state.clone(), child_hist.clone(), parent_ff));
+            self.in_flight = Some(live.clone());
         }
         if let Some(plan) = &self.config.fault_plan {
             let fires = match &self.fault_clock {
@@ -1148,6 +1092,7 @@ impl Engine {
             }
         }
 
+        let LiveState { state, history, ff } = live;
         let affinity_before = self.solver.last_affinity();
         let result = {
             let mut ctx = ExecCtx {
@@ -1180,7 +1125,7 @@ impl Engine {
             if affinity_after != affinity_before {
                 succ.affinity = affinity_after;
             }
-            self.integrate(succ, child_hist.clone(), parent_ff);
+            self.integrate(LiveState { state: succ, history: history.clone(), ff });
         }
         // The step committed; the quarantine snapshot is dead weight now
         // (and re-queueing it after this point would duplicate work).
@@ -1231,9 +1176,9 @@ impl Engine {
     /// therefore byte-identical to the fault-free run's; quarantine
     /// changes *which* worker finishes a state, never the result set.
     pub(crate) fn drain_after_panic(&mut self, newest_first: bool) -> Vec<StolenState> {
-        if let Some((state, history, ff)) = self.in_flight.take() {
+        if let Some(live) = self.in_flight.take() {
             self.totals.quarantined_states += 1;
-            self.integrate(state, history, ff);
+            self.integrate(live);
         }
         let mut handoffs = self.shed_states(self.worklist_len(), newest_first);
         handoffs.extend(self.take_outbox());
@@ -1249,17 +1194,14 @@ impl Engine {
     /// belong to the scheduler, not to any one engine, and stay zero;
     /// `ParallelEngine` fills them in after reduction.
     pub fn report(&self, hit_budget: bool) -> RunReport {
-        let sched = self.scheduler.sched_stats();
+        let sched = self.strategy.sched_stats();
         RunReport {
             sched_picks: sched.sched_picks,
             sched_heap_repairs: sched.sched_heap_repairs,
             leftover_states: self.states.len(),
             covered_blocks: self.covered.len(),
             total_blocks: self.program.num_blocks(),
-            dsm: match &self.scheduler {
-                Scheduler::Dsm(d) => d.stats(),
-                Scheduler::Plain(_) => DsmStats::default(),
-            },
+            dsm: self.dsm.as_ref().map(DsmIndex::stats).unwrap_or_default(),
             solver: *self.solver.stats(),
             wall_time: self.started.map(|s| s.elapsed()).unwrap_or_default(),
             hit_budget,
@@ -1283,14 +1225,7 @@ impl Engine {
             !free || self.config.merge_mode == MergeMode::None,
             "free placement would split merge candidates across workers"
         );
-        self.shard = Some(ShardCtl {
-            me,
-            owner: map,
-            free,
-            outbox: Vec::new(),
-            by_region: BTreeMap::new(),
-            seq: 0,
-        });
+        self.shard = Some(ShardCtl { me, owner: map, free, outbox: Vec::new(), seq: 0 });
     }
 
     /// The deterministic order steals serve states in
@@ -1320,7 +1255,7 @@ impl Engine {
         if newest_first {
             ids.sort_unstable_by(|a, b| b.cmp(a));
         } else if self.config.warm_migration {
-            ids.sort_unstable_by_key(|id| (self.states[id].affinity, *id));
+            ids.sort_unstable_by_key(|id| (self.states[id].state.affinity, *id));
         } else {
             ids.sort_unstable();
         }
@@ -1330,9 +1265,9 @@ impl Engine {
     /// Packages a state leaving this engine for another worker: its
     /// routing region, its warm-prefix seed (how much of its pc is
     /// resident here) and, in shard mode, the next BSP integration key.
-    fn hand_off(&mut self, state: State, history: VecDeque<u64>, ff: bool) -> StolenState {
-        let region = self.region_of(&state);
-        let warm_len = self.solver.resident_prefix_len(&state.pc) as u32;
+    fn hand_off(&mut self, live: LiveState) -> StolenState {
+        let region = self.region_of(&live.state);
+        let warm_len = self.solver.resident_prefix_len(&live.state.pc) as u32;
         let (origin_shard, origin_seq) = match self.shard.as_mut() {
             Some(ctl) => {
                 ctl.seq += 1;
@@ -1340,29 +1275,36 @@ impl Engine {
             }
             None => (self.fault_worker, 0),
         };
-        StolenState { state, history, ff, warm_len, region, origin_shard, origin_seq }
+        StolenState { live, warm_len, region, origin_shard, origin_seq }
     }
 
-    /// Takes `id` out of the worklist, with its DSM history and
-    /// fast-forward flag, for hand-off to another worker.
+    /// Takes `id` out of the worklist for hand-off to another worker.
     fn take_for_hand_off(&mut self, id: StateId) -> Option<StolenState> {
-        let (state, history, ff) = self.remove_from_worklist(id)?;
-        Some(self.hand_off(state, history, ff))
+        let live = self.remove_from_worklist(id, false)?;
+        Some(self.hand_off(live))
+    }
+
+    /// The worklist's `(region, id)` pairs in ascending order: one pass
+    /// answers the coordinator's per-round region questions.
+    fn worklist_by_region(&self) -> Vec<(RegionId, StateId)> {
+        let mut held: Vec<(RegionId, StateId)> =
+            self.states.iter().map(|(&id, live)| (self.region_of(&live.state), id)).collect();
+        held.sort_unstable();
+        held
     }
 
     /// Installs a new region assignment and hands off every held state
     /// whose region this worker no longer owns, in deterministic
     /// (region, id) order. The coordinator routes them to the new owners.
     pub(crate) fn set_region_map(&mut self, map: RegionMap) -> Vec<StolenState> {
-        let ctl = self.shard.as_mut().expect("set_region_map outside shard mode");
-        ctl.owner = map;
-        let me = ctl.me;
-        let lost: Vec<StateId> = ctl
-            .by_region
-            .iter()
-            .filter(|(&r, _)| ctl.owner.owner_of(r) != me)
-            .flat_map(|(_, ids)| ids.iter().copied())
+        let me = self.shard.as_ref().expect("set_region_map outside shard mode").me;
+        let lost: Vec<StateId> = self
+            .worklist_by_region()
+            .into_iter()
+            .filter(|&(r, _)| map.owner_of(r) != me)
+            .map(|(_, id)| id)
             .collect();
+        self.shard.as_mut().expect("checked above").owner = map;
         lost.into_iter().filter_map(|id| self.take_for_hand_off(id)).collect()
     }
 
@@ -1398,7 +1340,7 @@ impl Engine {
     /// affinity token for it, so ranking strategies run them while their
     /// context is still resident. Both effects are deterministic and
     /// purely residency-side: results are unchanged.
-    pub(crate) fn inject_direct(&mut self, batch: Vec<StolenState>) {
+    pub(crate) fn inject_direct(&mut self, mut batch: Vec<StolenState>) {
         if batch.is_empty() {
             return;
         }
@@ -1409,41 +1351,39 @@ impl Engine {
         // exactly the entries the prewarm and next steps will ask for.
         self.pool.sync();
         self.solver.sync_shared_cache();
-        let mut imported: Vec<(State, VecDeque<u64>, bool, usize)> = batch
-            .into_iter()
-            .map(|stolen| {
-                let StolenState { mut state, history, ff, warm_len, .. } = stolen;
-                state.id = self.fresh_id();
-                // Affinity tokens index the donor's solver clock; the
-                // prefix context is cold here by definition. The prewarm
-                // below re-stamps whatever materializes locally.
-                state.affinity = 0;
-                let warm = (warm_len as usize).min(state.pc.len());
-                (state, history, ff, warm)
-            })
-            .collect();
+        for stolen in &mut batch {
+            stolen.live.state.id = self.fresh_id();
+            // Affinity tokens index the donor's solver clock; the prefix
+            // context is cold here by definition. The prewarm below
+            // re-stamps whatever materializes locally.
+            stolen.live.state.affinity = 0;
+        }
         if self.config.warm_migration {
             // The frontier is about to grow by the whole batch; let the
             // adaptive capacity see it before the batch builds.
-            self.solver.set_frontier_hint(self.states.len() + imported.len());
+            self.solver.set_frontier_hint(self.states.len() + batch.len());
             // Each seed travels with the state's next pc conjunct beyond
             // it (if any): when two states share an identical seed, that
             // is the only evidence of where they diverge.
-            let seeds: Vec<(&[symmerge_expr::ExprId], Option<symmerge_expr::ExprId>)> = imported
+            let seeds: Vec<(&[symmerge_expr::ExprId], Option<symmerge_expr::ExprId>)> = batch
                 .iter()
-                .map(|(s, _, _, warm)| (&s.pc[..*warm], s.pc.get(*warm).copied()))
+                .map(|stolen| {
+                    let pc = &stolen.live.state.pc;
+                    let warm = (stolen.warm_len as usize).min(pc.len());
+                    (&pc[..warm], pc.get(warm).copied())
+                })
                 .collect();
             let tokens = self.solver.prewarm_contexts(&self.pool, &seeds);
             if self.config.affinity_scheduling {
-                for ((state, _, _, _), token) in imported.iter_mut().zip(tokens) {
+                for (stolen, token) in batch.iter_mut().zip(tokens) {
                     if token != 0 {
-                        state.affinity = token;
+                        stolen.live.state.affinity = token;
                     }
                 }
             }
         }
-        for (state, history, ff, _) in imported {
-            self.integrate(state, history, ff);
+        for stolen in batch {
+            self.integrate(stolen.live);
         }
     }
 
@@ -1455,13 +1395,18 @@ impl Engine {
         }
     }
 
-    /// Worklist sizes per held region (sorted by region id) — the load
-    /// signal the coordinator rebalances on.
+    /// Worklist sizes per held region, sorted by region id: the load
+    /// signal a region-placement coordinator rebalances on, counted in
+    /// one pass over the worklist.
     pub(crate) fn held_counts(&self) -> Vec<(RegionId, u64)> {
-        match self.shard.as_ref() {
-            Some(ctl) => ctl.by_region.iter().map(|(&r, ids)| (r, ids.len() as u64)).collect(),
-            None => Vec::new(),
+        let mut counts: Vec<(RegionId, u64)> = Vec::new();
+        for (region, _) in self.worklist_by_region() {
+            match counts.last_mut() {
+                Some((r, n)) if *r == region => *n += 1,
+                _ => counts.push((region, 1)),
+            }
         }
+        counts
     }
 
     /// Cumulative `(steps, picks, completed_paths)` — the coordinator's
@@ -1492,19 +1437,9 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, id)| {
-                let state = &self.states[id];
-                let history = self.histories.get(id).cloned().unwrap_or_default();
-                let ff = self.ff_active.contains(id);
-                let region = self.region_of(state);
-                PortableState::export(
-                    &self.pool,
-                    state,
-                    &history,
-                    ff,
-                    region,
-                    self.fault_worker,
-                    i as u64 + 1,
-                )
+                let live = &self.states[id];
+                let region = self.region_of(&live.state);
+                PortableState::export(&self.pool, live, region, self.fault_worker, i as u64 + 1)
             })
             .collect();
         crate::checkpoint::Checkpoint {
@@ -1920,7 +1855,7 @@ mod tests {
                 let n = e.worklist_len();
                 let shed = e.shed_states(n, newest);
                 assert_eq!(shed.len(), n);
-                let shed_ids: Vec<u64> = shed.iter().map(|s| s.state.id.0).collect();
+                let shed_ids: Vec<u64> = shed.iter().map(|s| s.live.state.id.0).collect();
                 let mut expect = shed_ids.clone();
                 expect.sort_unstable();
                 if newest {

@@ -71,7 +71,7 @@ pub use merge::MergeConfig;
 pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind};
 pub use qce::{QceAnalysis, QceConfig, VarKey};
 pub use shard::{PortableState, RegionId, RegionMap, StolenState};
-pub use state::{State, StateId};
+pub use state::{LiveState, State, StateId};
 pub use strategy::{Strategy, StrategyKind};
 pub use symmerge_solver::{SharedSolverCache, SolverConfig, SolverStats};
 pub use testgen::{TestCase, TestKind};

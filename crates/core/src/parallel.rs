@@ -429,11 +429,17 @@ impl ParallelEngine {
                     handed_off += handoffs.len() as u64;
                     pending.extend(handoffs);
                 }
-                // Post-round worklist sizes per held region (empty for a
-                // drained worker), and the fleet totals — crashed workers'
-                // included, so budget enforcement stays truthful.
-                let held: Vec<Vec<(RegionId, u64)>> =
-                    parked.iter_mut().map(|s| s.engine().held_counts()).collect();
+                // Post-round worklist sizes (0 for a drained worker), per
+                // held region only where placement is by region, and the
+                // fleet totals — crashed workers' included, so budget
+                // enforcement stays truthful.
+                let counts: Vec<u64> =
+                    parked.iter_mut().map(|s| s.engine().worklist_len() as u64).collect();
+                let held: Vec<Vec<(RegionId, u64)>> = if free {
+                    Vec::new()
+                } else {
+                    parked.iter_mut().map(|s| s.engine().held_counts()).collect()
+                };
                 let totals = parked
                     .iter_mut()
                     .map(|s| s.engine().progress_counters())
@@ -482,8 +488,7 @@ impl ParallelEngine {
 
                 // Coordinator-side budget enforcement.
                 let n_live = live.iter().filter(|&&l| l).count() as u64;
-                let work_remains =
-                    first || !pending.is_empty() || held.iter().any(|h| !h.is_empty());
+                let work_remains = first || !pending.is_empty() || counts.iter().any(|&n| n > 0);
                 if !work_remains || n_live == 0 {
                     break false;
                 }
@@ -509,8 +514,6 @@ impl ParallelEngine {
                     // Count-based stealing: spread pending states over the
                     // workers furthest below the balanced share, and ask
                     // workers holding >1.5× the share to shed the excess.
-                    let counts: Vec<u64> =
-                        held.iter().map(|h| h.iter().map(|&(_, n)| n).sum()).collect();
                     let total: u64 = counts.iter().sum::<u64>() + pending.len() as u64;
                     let desired = total.div_ceil(n_live).max(1);
                     pending.sort_by_key(StolenState::order_key);

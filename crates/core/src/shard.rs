@@ -33,11 +33,12 @@
 //! [`symmerge_expr::SharedExprPool`], so a state's `ExprId`s mean the
 //! same thing on every worker and a state moves between workers as
 //! plain `Send` data: a [`StolenState`], under both schedulers. Besides
-//! the state it carries the engine-side DSM history and fast-forward
-//! flag, the routing region, the `(origin_shard, origin_seq)` key BSP
-//! integrates by, and the **warm-prefix seed** — how many leading pc
-//! conjuncts were resident in the donor's solver-context tree, a length
-//! into the state's own pc and so meaningful on any worker. The solver
+//! the state's worklist record ([`LiveState`]: the state with its DSM
+//! history and fast-forward flag) it carries the routing region, the
+//! `(origin_shard, origin_seq)` key BSP integrates by, and the
+//! **warm-prefix seed** — how many leading pc conjuncts were resident
+//! in the donor's solver-context tree, a length into the state's own
+//! pc and so meaningful on any worker. The solver
 //! affinity token ([`State::affinity`](crate::state::State)) indexes the
 //! donor's solver clock, so the receiver resets it to 0 ("context cold
 //! here") and re-derives it from its own prewarmed context tree.
@@ -48,8 +49,8 @@
 //! It is written only when a checkpoint is taken and read only when one
 //! is resumed.
 
-use crate::state::{Frame, Slot, State, StateId};
-use std::collections::{HashMap, VecDeque};
+use crate::state::{Frame, LiveState, Slot, State, StateId};
+use std::collections::HashMap;
 use symmerge_expr::{DagExporter, ExprPool, PortableDag, PortableRef};
 use symmerge_ir::{BlockId, FuncId, LocalId};
 
@@ -163,9 +164,8 @@ pub(crate) struct PortableFrame {
     pub(crate) locals: Vec<PortableSlot>,
 }
 
-/// A [`State`] (plus its engine-side DSM bookkeeping) flattened into a
-/// pool-independent form for a checkpoint frontier (see the
-/// [module docs](self)).
+/// A [`LiveState`] record flattened into a pool-independent form for a
+/// checkpoint frontier (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PortableState {
     /// The state's region when it was written.
@@ -191,19 +191,17 @@ pub struct PortableState {
 }
 
 impl PortableState {
-    /// Serializes `state` (with its DSM `history` and fast-forward flag)
-    /// under the given routing region and origin key, with a cold (0)
-    /// warm-prefix seed — chain [`PortableState::with_warm_len`] to keep
-    /// a hand-off's seed.
+    /// Serializes a live state's record under the given routing region
+    /// and origin key, with a cold (0) warm-prefix seed — chain
+    /// [`PortableState::with_warm_len`] to keep a hand-off's seed.
     pub fn export(
         pool: &ExprPool,
-        state: &State,
-        history: &VecDeque<u64>,
-        ff: bool,
+        live: &LiveState,
         region: RegionId,
         origin_shard: u32,
         origin_seq: u64,
     ) -> PortableState {
+        let state = &live.state;
         let mut exp = DagExporter::new(pool);
         let slot = |exp: &mut DagExporter<'_>, s: &Slot| match s {
             Slot::Int(e) => PortableSlot::Int(exp.add(*e)),
@@ -238,8 +236,8 @@ impl PortableState {
             multiplicity: state.multiplicity,
             steps: state.steps,
             sym_counters,
-            history: history.iter().copied().collect(),
-            ff,
+            history: live.history.iter().copied().collect(),
+            ff: live.ff,
             warm_len: 0,
         }
     }
@@ -289,9 +287,7 @@ impl PortableState {
             affinity: 0,
         };
         StolenState {
-            state,
-            history: self.history.iter().copied().collect(),
-            ff: self.ff,
+            live: LiveState { state, history: self.history.iter().copied().collect(), ff: self.ff },
             warm_len: self.warm_len,
             region: self.region,
             origin_shard: self.origin_shard,
@@ -310,19 +306,17 @@ pub(crate) fn import_frontier(frontier: &[PortableState], pool: &mut ExprPool) -
     sorted.into_iter().map(|p| p.import(pool)).collect()
 }
 
-/// A state handed from one worker to another: plain `Send` data whose
-/// `ExprId`s resolve in the fleet-shared
-/// [`symmerge_expr::SharedExprPool`] — nothing is serialized or
-/// re-interned. Both schedulers move states this way (see the
-/// [module docs](self)).
+/// A state handed from one worker to another: its worklist record, taken
+/// whole out of the donor's worklist, plus what the receiver needs to
+/// route, order and pre-warm it. Plain `Send` data whose `ExprId`s
+/// resolve in the fleet-shared [`symmerge_expr::SharedExprPool`] —
+/// nothing is serialized or re-interned. Both schedulers move states
+/// this way (see the [module docs](self)).
 #[derive(Debug)]
 pub struct StolenState {
-    /// The state itself, ids intact (the receiver re-ids it locally).
-    pub state: State,
-    /// The state's DSM signature history.
-    pub history: VecDeque<u64>,
-    /// Whether the state was being fast-forwarded (paper §5.5).
-    pub ff: bool,
+    /// The state's worklist record as it left the donor, ids intact (the
+    /// receiver re-ids it locally).
+    pub live: LiveState,
     /// How many leading `pc` conjuncts were resident in the donor's
     /// solver-context tree, for batch prewarming on the receiver.
     pub warm_len: u32,
@@ -346,16 +340,8 @@ impl StolenState {
     /// [`PortableState::import`]; `pool` must mirror every node the
     /// state refers to.
     pub(crate) fn export(&self, pool: &ExprPool) -> PortableState {
-        PortableState::export(
-            pool,
-            &self.state,
-            &self.history,
-            self.ff,
-            self.region,
-            self.origin_shard,
-            self.origin_seq,
-        )
-        .with_warm_len(self.warm_len)
+        PortableState::export(pool, &self.live, self.region, self.origin_shard, self.origin_seq)
+            .with_warm_len(self.warm_len)
     }
 }
 
@@ -455,19 +441,20 @@ mod tests {
         state.steps = 17;
         state.sym_counters.insert("x".into(), 1);
 
-        let hist: VecDeque<u64> = vec![11, 22].into();
-        let ps = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(1);
+        let live = LiveState { state, history: vec![11, 22].into(), ff: true };
+        let ps = PortableState::export(&src, &live, 4, 1, 9).with_warm_len(1);
         // The seed can never claim more than the pc itself.
-        let clamped = PortableState::export(&src, &state, &hist, true, 4, 1, 9).with_warm_len(99);
+        let clamped = PortableState::export(&src, &live, 4, 1, 9).with_warm_len(99);
+        let state = live.state;
         assert_eq!(clamped.warm_len as usize, state.pc.len());
 
         let mut dst = ExprPool::new(8);
         let _ = dst.input("y", 8); // different interning history
         let moved = ps.import(&mut dst);
         assert_eq!((moved.region, moved.order_key(), moved.warm_len), (4, (1, 9), 1));
-        assert_eq!(moved.history, hist);
-        assert!(moved.ff);
-        let back = moved.state;
+        assert_eq!(moved.live.history, live.history);
+        assert!(moved.live.ff);
+        let back = moved.live.state;
         assert_eq!(back.multiplicity, 2.0);
         assert_eq!(back.steps, 17);
         assert_eq!(back.sym_counters.get("x"), Some(&1));

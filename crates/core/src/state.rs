@@ -1,7 +1,7 @@
 //! Symbolic execution states — the `(ℓ, pc, s)` triples of the paper's
 //! Algorithm 1, extended with a call stack, outputs and multiplicity.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use symmerge_expr::{ExprId, ExprPool};
 use symmerge_ir::{BlockId, FuncId, LocalId, Program, Ty};
@@ -88,6 +88,29 @@ pub struct State {
     /// for the warm-prefix trunk the incoming batch pre-warmed (see
     /// [`crate::shard::StolenState`]).
     pub affinity: u64,
+}
+
+/// One worklist entry: a live state with the dynamic-merging data the
+/// paper's §4 attaches to it. It is the one record of a live state; the
+/// engine's worklist, its panic snapshot, a hand-off and a checkpoint
+/// all carry it whole.
+#[derive(Debug, Clone)]
+pub struct LiveState {
+    /// The state itself.
+    pub state: State,
+    /// Signatures of the state's δ nearest predecessors, oldest first
+    /// (empty unless merging dynamically, and after every merge).
+    pub history: VecDeque<u64>,
+    /// Whether the state descends from a fast-forwarded pick since its
+    /// last merge (the §5.5 fast-forward success statistic).
+    pub ff: bool,
+}
+
+impl LiveState {
+    /// A state with an empty history that is not being fast-forwarded.
+    pub fn fresh(state: State) -> LiveState {
+        LiveState { state, history: VecDeque::new(), ff: false }
+    }
 }
 
 impl State {

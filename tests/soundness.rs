@@ -285,3 +285,60 @@ fn default_search_order_is_pinned() {
         assert_eq!(got, pinned, "wc@{stdin_len} {merge_mode:?}/{strategy:?}");
     }
 }
+
+/// Pins the search order of a two-worker BSP fleet, as
+/// `default_search_order_is_pinned` does for a sequential run.
+///
+/// `parallel_runs_are_deterministic` compares two runs of one build, so
+/// it cannot see a change in hand-off order or DSM order; these pins can.
+/// The rows are region placement under static merging (Topological) and
+/// dynamic merging (CoverageOptimized), and free placement under
+/// `MergeMode::None`, all at jobs 2 with 48 steps per round. Between them
+/// they hand states off, merge, reject merges and fast-forward laggards.
+#[test]
+fn fleet_search_order_is_pinned() {
+    type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64);
+    let rows: [(MergeMode, StrategyKind, Pin); 3] = [
+        (
+            MergeMode::Static,
+            StrategyKind::Topological,
+            (465, 465, 38, 540, 0, 0, 0, 80, 1, 11216982687399032055),
+        ),
+        (
+            MergeMode::Dynamic,
+            StrategyKind::CoverageOptimized,
+            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411),
+        ),
+        (
+            MergeMode::None,
+            StrategyKind::CoverageOptimized,
+            (2868, 2868, 0, 0, 0, 0, 19, 239, 85, 1926985011960295610),
+        ),
+    ];
+    let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
+    for (merge_mode, strategy, pinned) in rows {
+        let program = by_name("wc").unwrap().program(&cfg);
+        let config = EngineConfig {
+            merge_mode,
+            strategy,
+            solver: SolverConfig::default(),
+            seed: 0,
+            ..EngineConfig::default()
+        };
+        let par = ParallelConfig { jobs: 2, steps_per_round: 48, ..ParallelConfig::default() };
+        let r = ParallelEngine::new(program, config, par).unwrap().run();
+        let got = (
+            r.steps,
+            r.picks,
+            r.merges,
+            r.merge_rejects,
+            r.ff_merged,
+            r.dsm.ff_picks,
+            r.envelope_exports,
+            r.solver.sat_calls,
+            r.tests.len(),
+            tests_digest(&r),
+        );
+        assert_eq!(got, pinned, "wc@3 jobs=2 {merge_mode:?}/{strategy:?}");
+    }
+}
