@@ -546,7 +546,9 @@ pub struct Engine {
     dsm: Option<DsmIndex>,
     /// The worklist.
     states: HashMap<StateId, LiveState>,
-    by_control: HashMap<u64, Vec<StateId>>,
+    /// Present iff merging: the live states by control key, which is
+    /// where merge candidates come from.
+    by_control: Option<HashMap<u64, Vec<StateId>>>,
     hot_cache: HashMap<u64, Arc<HotSet>>,
     covered: HashSet<(FuncId, BlockId)>,
     /// Bumped whenever a new block is covered — the coverage generation
@@ -728,7 +730,7 @@ impl Engine {
             strategy: make_strategy(config.strategy),
             dsm: (config.merge_mode == MergeMode::Dynamic).then(|| DsmIndex::new(config.dsm)),
             states: HashMap::new(),
-            by_control: HashMap::new(),
+            by_control: (config.merge_mode != MergeMode::None).then(HashMap::new),
             hot_cache: HashMap::new(),
             covered: HashSet::new(),
             cov_gen: 0,
@@ -833,10 +835,11 @@ impl Engine {
         }
         let state = &live.state;
         self.mark_covered(state);
-        let hot = (self.config.merge_mode != MergeMode::None).then(|| self.hot_set_for(state));
+        let hot = self.by_control.is_some().then(|| self.hot_set_for(state));
         if let Some(hot) = &hot {
             let ck = state.control_key();
-            let candidates: Vec<StateId> = self.by_control.get(&ck).cloned().unwrap_or_default();
+            let candidates: Vec<StateId> =
+                self.by_control.as_ref().and_then(|m| m.get(&ck)).cloned().unwrap_or_default();
             for cand_id in candidates {
                 let id = self.fresh_id();
                 let cand = &self.states[&cand_id];
@@ -881,7 +884,9 @@ impl Engine {
             dsm.add(id, meta.clone(), sig, &live.history);
         }
         self.strategy.add(id, meta);
-        self.by_control.entry(state.control_key()).or_default().push(id);
+        if let Some(by_control) = self.by_control.as_mut() {
+            by_control.entry(state.control_key()).or_default().push(id);
+        }
         self.states.insert(id, live);
         self.totals.max_worklist = self.totals.max_worklist.max(self.states.len());
     }
@@ -893,11 +898,13 @@ impl Engine {
     /// fast-forward pick sets its flag.
     fn remove_from_worklist(&mut self, id: StateId, picked: bool) -> Option<LiveState> {
         let mut live = self.states.remove(&id)?;
-        let ck = live.state.control_key();
-        if let Some(v) = self.by_control.get_mut(&ck) {
-            v.retain(|&x| x != id);
-            if v.is_empty() {
-                self.by_control.remove(&ck);
+        if let Some(by_control) = self.by_control.as_mut() {
+            let ck = live.state.control_key();
+            if let Some(v) = by_control.get_mut(&ck) {
+                v.retain(|&x| x != id);
+                if v.is_empty() {
+                    by_control.remove(&ck);
+                }
             }
         }
         if !picked {

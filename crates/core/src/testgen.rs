@@ -7,7 +7,7 @@
 //! check in the repository: it exercises expressions, the solver, the
 //! engine *and* merging at once.
 
-use symmerge_expr::{ExprId, ExprPool};
+use symmerge_expr::{ExprId, ExprPool, Value};
 use symmerge_ir::interp::{ExecOutcome, ExecResult, InputMap, Interp};
 use symmerge_ir::Program;
 use symmerge_solver::Model;
@@ -46,10 +46,8 @@ impl TestCase {
         outputs: &[ExprId],
         kind: TestKind,
     ) -> TestCase {
-        let mut syms = pool.collect_inputs_many(pc);
-        syms.extend(pool.collect_inputs_many(outputs));
-        syms.sort_unstable();
-        syms.dedup();
+        let roots: Vec<ExprId> = pc.iter().chain(outputs).copied().collect();
+        let syms = pool.collect_inputs_many(&roots);
         let mut inputs: Vec<(String, u64)> =
             syms.iter().map(|&s| (pool.symbol_name(s).to_owned(), model.value(s))).collect();
         // Order by name, not by symbol id: ids depend on the pool's
@@ -58,8 +56,9 @@ impl TestCase {
         // what lets the differential harness compare generated tests
         // byte-for-byte between sequential and parallel runs.
         inputs.sort();
+        // One walk for all outputs: a merged state's outputs share ites.
         let predicted_outputs =
-            outputs.iter().map(|&o| pool.eval(o, &|s| model.value(s)).as_bv()).collect();
+            pool.eval_many(outputs, &|s| model.value(s)).into_iter().map(Value::as_bv).collect();
         TestCase { inputs, predicted_outputs, kind }
     }
 

@@ -1,9 +1,9 @@
 //! Concrete evaluation of expressions under an input assignment.
 
-use crate::kind::ExprKind;
+use crate::kind::{BoolBinOp, ExprKind};
 use crate::pool::{eval_bv_binop, eval_cmp, ExprId, ExprPool, SymbolId};
-use crate::sort::mask;
-use std::collections::HashMap;
+use crate::scratch::{self, Scratch};
+use crate::sort::{mask, Sort};
 
 /// A concrete value: either a bitvector (masked to its width) or a boolean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,8 +44,13 @@ impl ExprPool {
     /// Evaluates `root` under the input assignment `env` (mapping each
     /// [`SymbolId`] to a raw `u64`, masked to the input's declared width).
     ///
-    /// Evaluation is iterative (no recursion) and memoizes shared subgraphs,
-    /// so it is linear in the DAG size of `root`.
+    /// Evaluation is iterative (no recursion) and memoizes shared subgraphs
+    /// in a reusable per-thread scratch, so it is linear in the DAG size of
+    /// `root` and allocates nothing once the scratch has grown to the pool.
+    ///
+    /// `env` must not evaluate expressions itself: a walk started from
+    /// inside another walk on the same thread panics instead of clobbering
+    /// the memo the outer walk is using.
     ///
     /// ```
     /// use symmerge_expr::{ExprPool, Value};
@@ -55,92 +60,82 @@ impl ExprPool {
     /// assert_eq!(p.eval(e, &|_| 200), Value::Bv(144)); // wraps at 8 bits
     /// ```
     pub fn eval(&self, root: ExprId, env: &dyn Fn(SymbolId) -> u64) -> Value {
-        let mut memo: HashMap<ExprId, Value> = HashMap::new();
-        self.eval_memo(&mut memo, root, env)
+        scratch::walk(self.len(), |s| self.eval_in(s, root, env))
+    }
+
+    /// Evaluates every root in one walk, so subgraphs the roots share (the
+    /// outputs of a merged state, say) are evaluated once. Same rules as
+    /// [`ExprPool::eval`].
+    pub fn eval_many(&self, roots: &[ExprId], env: &dyn Fn(SymbolId) -> u64) -> Vec<Value> {
+        scratch::walk(self.len(), |s| roots.iter().map(|&r| self.eval_in(s, r, env)).collect())
     }
 
     /// Whether every root in `roots` evaluates to `true` under `env`.
     ///
     /// Equivalent to `roots.iter().all(|&r| self.eval_bool(r, env))` but
-    /// shares one memo table across the whole conjunction, so subgraphs
-    /// shared between conjuncts (ubiquitous in path conditions, where
-    /// every conjunct reads the same inputs) are evaluated once instead
-    /// of once per conjunct. Short-circuits on the first false root.
+    /// evaluates the whole conjunction in one walk, so subgraphs shared
+    /// between conjuncts (ubiquitous in path conditions, where every
+    /// conjunct reads the same inputs) are evaluated once instead of once
+    /// per conjunct. Short-circuits on the first false root. Same rules
+    /// as [`ExprPool::eval`].
     ///
     /// # Panics
     ///
     /// Panics if any evaluated root is bitvector-sorted.
     pub fn all_true(&self, roots: &[ExprId], env: &dyn Fn(SymbolId) -> u64) -> bool {
-        let mut memo: HashMap<ExprId, Value> = HashMap::new();
-        roots.iter().all(|&r| self.eval_memo(&mut memo, r, env).as_bool())
+        scratch::walk(self.len(), |s| roots.iter().all(|&r| self.eval_in(s, r, env).as_bool()))
     }
 
-    fn eval_memo(
-        &self,
-        memo: &mut HashMap<ExprId, Value>,
-        root: ExprId,
-        env: &dyn Fn(SymbolId) -> u64,
-    ) -> Value {
-        let mut stack = vec![(root, false)];
-        while let Some((id, expanded)) = stack.pop() {
-            if memo.contains_key(&id) {
+    /// Evaluates `root` within the walk `s`, reusing every node an earlier
+    /// root of the same walk already evaluated.
+    fn eval_in(&self, s: &mut Scratch, root: ExprId, env: &dyn Fn(SymbolId) -> u64) -> Value {
+        s.stack.push(root);
+        while let Some(&id) = s.stack.last() {
+            if s.done(id) {
+                s.stack.pop();
                 continue;
             }
-            let kind = self.kind(id);
-            if !expanded {
-                stack.push((id, true));
-                match kind {
-                    ExprKind::Bv { lhs, rhs, .. }
-                    | ExprKind::Cmp { lhs, rhs, .. }
-                    | ExprKind::Bool { lhs, rhs, .. } => {
-                        stack.push((lhs, false));
-                        stack.push((rhs, false));
-                    }
-                    ExprKind::Not(e) => stack.push((e, false)),
-                    ExprKind::Ite { cond, then, els } => {
-                        stack.push((cond, false));
-                        stack.push((then, false));
-                        stack.push((els, false));
-                    }
-                    _ => {}
+            // A node stays on the stack until its children are done: it
+            // is visited once to push them and once more to evaluate.
+            let pending = s.stack.len();
+            for child in self.children(id) {
+                if !s.done(child) {
+                    s.stack.push(child);
                 }
+            }
+            if s.stack.len() > pending {
                 continue;
             }
-            let value = match kind {
-                ExprKind::BvConst { value, .. } => Value::Bv(value),
-                ExprKind::BoolConst(b) => Value::Bool(b),
-                ExprKind::Input { sym, width } => Value::Bv(mask(env(sym), width)),
+            s.stack.pop();
+            let value = match self.kind(id) {
+                ExprKind::BvConst { value, .. } => value,
+                ExprKind::BoolConst(b) => u64::from(b),
+                ExprKind::Input { sym, width } => mask(env(sym), width),
                 ExprKind::Bv { op, lhs, rhs } => {
-                    let a = memo[&lhs].as_bv();
-                    let b = memo[&rhs].as_bv();
-                    Value::Bv(eval_bv_binop(op, a, b, self.width(id)))
+                    eval_bv_binop(op, s.value(lhs), s.value(rhs), self.width(id))
                 }
                 ExprKind::Cmp { op, lhs, rhs } => {
-                    let a = memo[&lhs].as_bv();
-                    let b = memo[&rhs].as_bv();
-                    Value::Bool(eval_cmp(op, a, b, self.width(lhs)))
+                    u64::from(eval_cmp(op, s.value(lhs), s.value(rhs), self.width(lhs)))
                 }
-                ExprKind::Not(e) => Value::Bool(!memo[&e].as_bool()),
+                ExprKind::Not(e) => u64::from(s.value(e) == 0),
                 ExprKind::Bool { op, lhs, rhs } => {
-                    let a = memo[&lhs].as_bool();
-                    let b = memo[&rhs].as_bool();
-                    Value::Bool(match op {
-                        crate::kind::BoolBinOp::And => a && b,
-                        crate::kind::BoolBinOp::Or => a || b,
-                        crate::kind::BoolBinOp::Xor => a ^ b,
+                    let (a, b) = (s.value(lhs) != 0, s.value(rhs) != 0);
+                    u64::from(match op {
+                        BoolBinOp::And => a && b,
+                        BoolBinOp::Or => a || b,
+                        BoolBinOp::Xor => a ^ b,
                     })
                 }
                 ExprKind::Ite { cond, then, els } => {
-                    if memo[&cond].as_bool() {
-                        memo[&then]
-                    } else {
-                        memo[&els]
-                    }
+                    s.value(if s.value(cond) != 0 { then } else { els })
                 }
             };
-            memo.insert(id, value);
+            s.set(id, value);
         }
-        memo[&root]
+        match self.sort(root) {
+            Sort::Bool => Value::Bool(s.value(root) != 0),
+            Sort::Bv(_) => Value::Bv(s.value(root)),
+        }
     }
 
     /// Evaluates a boolean expression, returning its truth value.
@@ -205,6 +200,28 @@ mod tests {
         assert!(!p.all_true(&[c1, c3], &env7));
         assert!(!p.all_true(&[c3, c1], &env7), "order must not matter for the verdict");
         assert!(p.all_true(&[], &env7), "empty conjunction is vacuously true");
+    }
+
+    #[test]
+    fn eval_many_matches_per_root_eval() {
+        let mut p = ExprPool::new(8);
+        let x = p.input("x", 8);
+        let one = p.bv_const(1, 8);
+        let sum = p.add(x, one);
+        let c = p.ult(sum, x);
+        let roots = [sum, c, x, sum];
+        let env = |_: SymbolId| 0xff;
+        let want: Vec<Value> = roots.iter().map(|&r| p.eval(r, &env)).collect();
+        assert_eq!(p.eval_many(&roots, &env), want);
+        assert_eq!(want[..2], [Value::Bv(0), Value::Bool(true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-entrant expression walk")]
+    fn env_closure_must_not_reenter_the_evaluator() {
+        let mut p = ExprPool::new(8);
+        let x = p.input("x", 8);
+        let _ = p.eval(x, &|_| p.eval(x, &|_| 1).as_bv());
     }
 
     #[test]

@@ -41,6 +41,7 @@ mod kind;
 mod pool;
 mod portable;
 mod print;
+mod scratch;
 mod sort;
 mod visit;
 
@@ -48,6 +49,8 @@ pub use eval::Value;
 pub use kind::{BoolBinOp, BvBinOp, CmpOp, ExprKind};
 pub use pool::{ExprId, ExprPool, SharedExprPool, SymbolId};
 pub use portable::{DagExporter, PortableDag, PortableNode, PortableRef};
+#[doc(hidden)]
+pub use scratch::force_walk_generation;
 pub use sort::Sort;
 pub use visit::Postorder;
 

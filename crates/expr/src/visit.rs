@@ -2,6 +2,7 @@
 
 use crate::kind::ExprKind;
 use crate::pool::{ExprId, ExprPool, SymbolId};
+use crate::scratch;
 use std::collections::HashSet;
 
 /// Iterator yielding the unique nodes reachable from a set of roots in
@@ -37,16 +38,20 @@ impl<'p> Iterator for Postorder<'p> {
 }
 
 impl ExprPool {
-    /// The direct children of a node (empty for leaves).
-    pub fn children(&self, id: ExprId) -> Vec<ExprId> {
-        match self.kind(id) {
-            ExprKind::BvConst { .. } | ExprKind::BoolConst(_) | ExprKind::Input { .. } => vec![],
+    /// The direct children of a node in operand order (none for leaves).
+    /// Allocates nothing.
+    pub fn children(&self, id: ExprId) -> impl Iterator<Item = ExprId> {
+        let (ids, n) = match self.kind(id) {
+            ExprKind::BvConst { .. } | ExprKind::BoolConst(_) | ExprKind::Input { .. } => {
+                ([id; 3], 0)
+            }
             ExprKind::Bv { lhs, rhs, .. }
             | ExprKind::Cmp { lhs, rhs, .. }
-            | ExprKind::Bool { lhs, rhs, .. } => vec![lhs, rhs],
-            ExprKind::Not(e) => vec![e],
-            ExprKind::Ite { cond, then, els } => vec![cond, then, els],
-        }
+            | ExprKind::Bool { lhs, rhs, .. } => ([lhs, rhs, rhs], 2),
+            ExprKind::Not(e) => ([e; 3], 1),
+            ExprKind::Ite { cond, then, els } => ([cond, then, els], 3),
+        };
+        ids.into_iter().take(n)
     }
 
     /// Post-order traversal over the unique nodes reachable from `roots`.
@@ -72,15 +77,30 @@ impl ExprPool {
         self.collect_inputs_many(&[root])
     }
 
-    /// The set of input symbols referenced by any of `roots`.
+    /// The set of input symbols referenced by any of `roots`, sorted and
+    /// de-duplicated.
+    ///
+    /// One walk in the per-thread scratch (see [`ExprPool::eval`]) that
+    /// never descends into an input-free subgraph.
     pub fn collect_inputs_many(&self, roots: &[ExprId]) -> Vec<SymbolId> {
-        let mut out: Vec<SymbolId> = self
-            .postorder(roots)
-            .filter_map(|id| match self.kind(id) {
-                ExprKind::Input { sym, .. } => Some(sym),
-                _ => None,
-            })
-            .collect();
+        let mut out = Vec::new();
+        scratch::walk(self.len(), |s| {
+            s.stack.extend(roots.iter().filter(|&&r| self.depends_on_input(r)));
+            while let Some(id) = s.stack.pop() {
+                if s.done(id) {
+                    continue;
+                }
+                s.mark(id);
+                if let ExprKind::Input { sym, .. } = self.kind(id) {
+                    out.push(sym);
+                }
+                for child in self.children(id) {
+                    if self.depends_on_input(child) && !s.done(child) {
+                        s.stack.push(child);
+                    }
+                }
+            }
+        });
         out.sort_unstable();
         out.dedup();
         out

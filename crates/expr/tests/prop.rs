@@ -3,10 +3,15 @@
 //! Strategy: generate random expression trees over a small set of inputs,
 //! then check that (a) the smart-constructor simplifications are
 //! semantics-preserving w.r.t. an independently generated unsimplified
-//! evaluation, and (b) structural invariants of the pool hold.
+//! evaluation, (b) structural invariants of the pool hold, and (c) the
+//! scratch-based walks agree with the hash-map reference evaluator in
+//! `oracle` on random mixed-sort DAGs.
+
+mod oracle;
 
 use proptest::prelude::*;
-use symmerge_expr::{BvBinOp, CmpOp, ExprId, ExprPool, Value};
+use proptest::test_runner::TestCaseError;
+use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, ExprId, ExprPool, SymbolId, Value};
 
 /// A symbolic recipe for building an expression, independent of any pool.
 #[derive(Debug, Clone)]
@@ -242,9 +247,163 @@ fn eval_cond(r: &CondRecipe, env: &[u64]) -> bool {
     }
 }
 
+/// One step of a random mixed-sort DAG. Operands are indices into the
+/// nodes built so far of the sort the operator needs (taken modulo their
+/// count), so later steps share earlier nodes.
+#[derive(Debug, Clone)]
+enum Step {
+    Const(u64),
+    Bv(BvBinOp, usize, usize),
+    Cmp(CmpOp, usize, usize),
+    Not(usize),
+    Bool(BoolBinOp, usize, usize),
+    /// `ite` over the bitvector nodes, or over the boolean ones when set.
+    Ite(usize, usize, usize, bool),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let bool_op = prop_oneof![Just(BoolBinOp::And), Just(BoolBinOp::Or), Just(BoolBinOp::Xor)];
+    prop_oneof![
+        (0u64..=0xffff).prop_map(Step::Const),
+        (bv_op_strategy(), 0usize..64, 0usize..64).prop_map(|(op, a, b)| Step::Bv(op, a, b)),
+        (cmp_op_strategy(), 0usize..64, 0usize..64).prop_map(|(op, a, b)| Step::Cmp(op, a, b)),
+        (0usize..64).prop_map(Step::Not),
+        (bool_op, 0usize..64, 0usize..64).prop_map(|(op, a, b)| Step::Bool(op, a, b)),
+        (0usize..64, 0usize..64, 0usize..64, proptest::bool::ANY)
+            .prop_map(|(c, a, b, bools)| Step::Ite(c, a, b, bools)),
+    ]
+}
+
+fn steps_strategy() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(step_strategy(), 1..48)
+}
+
+/// Input values, sometimes wider than [`WIDTH`] so masking is exercised.
+fn env_strategy() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..=0x3_ffff, NUM_INPUTS as usize)
+}
+
+/// The nodes of a DAG built from [`Step`]s, by sort.
+struct Dag {
+    bvs: Vec<ExprId>,
+    bools: Vec<ExprId>,
+}
+
+impl Dag {
+    /// Every node, alternating sorts.
+    fn roots(&self) -> Vec<ExprId> {
+        let n = self.bvs.len().max(self.bools.len());
+        (0..n)
+            .flat_map(|i| [self.bvs[i % self.bvs.len()], self.bools[i % self.bools.len()]])
+            .collect()
+    }
+}
+
+fn build_dag(pool: &mut ExprPool, steps: &[Step]) -> Dag {
+    let mut bvs: Vec<ExprId> =
+        (0..NUM_INPUTS).map(|i| pool.input(&format!("in{i}"), WIDTH)).collect();
+    let mut bools = vec![pool.true_()];
+    for step in steps {
+        let bv = |i: usize| bvs[i % bvs.len()];
+        let b = |i: usize| bools[i % bools.len()];
+        match *step {
+            Step::Const(v) => bvs.push(pool.bv_const(v, WIDTH)),
+            Step::Bv(op, x, y) => bvs.push(pool.bv(op, bv(x), bv(y))),
+            Step::Cmp(op, x, y) => bools.push(pool.cmp(op, bv(x), bv(y))),
+            Step::Not(x) => bools.push(pool.not(b(x))),
+            Step::Bool(op, x, y) => bools.push(pool.bool_op(op, b(x), b(y))),
+            Step::Ite(c, x, y, false) => bvs.push(pool.ite(b(c), bv(x), bv(y))),
+            Step::Ite(c, x, y, true) => bools.push(pool.ite(b(c), b(x), b(y))),
+        }
+    }
+    Dag { bvs, bools }
+}
+
+/// The assignment `env` as an evaluator lookup over `pool`'s symbols.
+fn lookup<'a>(pool: &'a ExprPool, env: &'a [u64]) -> impl Fn(SymbolId) -> u64 + 'a {
+    move |sym| {
+        let idx: usize = pool.symbol_name(sym).strip_prefix("in").unwrap().parse().unwrap();
+        env[idx]
+    }
+}
+
+/// Checks every scratch walk on `dag` against the oracle, interleaving
+/// single evaluations, conjunctions, batch evaluations and input
+/// collection so each walk starts where a different kind of walk left
+/// the scratch.
+fn check_walks(pool: &ExprPool, dag: &Dag, env: &[u64]) -> Result<(), TestCaseError> {
+    let env = lookup(pool, env);
+    let roots = dag.roots();
+    for (i, &root) in roots.iter().enumerate() {
+        prop_assert_eq!(pool.eval(root, &env), oracle::eval(pool, root, &env));
+        let window = &dag.bools[i % dag.bools.len()..];
+        prop_assert_eq!(pool.all_true(window, &env), oracle::all_true(pool, window, &env));
+        let window = &roots[i..];
+        prop_assert_eq!(
+            pool.collect_inputs_many(window),
+            oracle::collect_inputs_many(pool, window)
+        );
+    }
+    let want: Vec<Value> = roots.iter().map(|&r| oracle::eval(pool, r, &env)).collect();
+    prop_assert_eq!(pool.eval_many(&roots, &env), want);
+    Ok(())
+}
+
 proptest! {
     // Cases and seed are pinned so CI runs are exactly reproducible.
     #![proptest_config(ProptestConfig::with_cases(256).seed(0x5EED_E4B2))]
+
+    /// Scratch `eval`, `eval_many`, `all_true` and `collect_inputs_many`
+    /// agree with the hash-map oracle on random mixed-sort DAGs.
+    #[test]
+    fn scratch_walks_agree_with_oracle(steps in steps_strategy(), env in env_strategy()) {
+        let mut pool = ExprPool::new(WIDTH);
+        let dag = build_dag(&mut pool, &steps);
+        check_walks(&pool, &dag, &env)?;
+    }
+
+    /// One thread's scratch serves pools of different sizes in turn, and
+    /// grows when a pool it already walked gains nodes.
+    #[test]
+    fn scratch_is_shared_across_pools_of_different_sizes(
+        small in steps_strategy(),
+        big in proptest::collection::vec(steps_strategy(), 2..4),
+        env in env_strategy(),
+    ) {
+        let mut small_pool = ExprPool::new(WIDTH);
+        let small_dag = build_dag(&mut small_pool, &small);
+        let mut big_pool = ExprPool::new(WIDTH);
+        let big_dag = build_dag(&mut big_pool, &big.concat());
+        check_walks(&big_pool, &big_dag, &env)?;
+        check_walks(&small_pool, &small_dag, &env)?;
+        check_walks(&big_pool, &big_dag, &env)?;
+        // Grow the small pool past everything walked so far.
+        let grown = build_dag(&mut small_pool, &[small.as_slice(), &big.concat()].concat());
+        check_walks(&small_pool, &grown, &env)?;
+        check_walks(&small_pool, &small_dag, &env)?;
+    }
+
+    /// Walks stay right across the `u32` generation wrap-around: stamps
+    /// written in the previous cycle of generations, under another
+    /// assignment, never read as current after the wrap.
+    #[test]
+    fn scratch_survives_generation_wrap(
+        steps in steps_strategy(),
+        before in env_strategy(),
+        after in env_strategy(),
+    ) {
+        let mut pool = ExprPool::new(WIDTH);
+        let dag = build_dag(&mut pool, &steps);
+        let roots = dag.roots();
+        // Stamp every node with the first generation of a cycle...
+        symmerge_expr::force_walk_generation(u32::MAX);
+        let env = lookup(&pool, &before);
+        let want: Vec<Value> = roots.iter().map(|&r| oracle::eval(&pool, r, &env)).collect();
+        prop_assert_eq!(pool.eval_many(&roots, &env), want);
+        // ...then run walks across the next wrap, which reuse it.
+        symmerge_expr::force_walk_generation(u32::MAX - 2);
+        check_walks(&pool, &dag, &after)?;
+    }
 
     /// Smart-constructor simplification preserves semantics.
     #[test]

@@ -64,12 +64,11 @@ impl Model {
 
     /// Checks that every constraint evaluates to true under this model.
     ///
-    /// Evaluates the whole conjunction with one shared memo table
-    /// ([`ExprPool::all_true`]) — path-condition conjuncts overwhelmingly
-    /// share subgraphs, and this check runs once per retained model on
-    /// every model-reuse probe, so the per-conjunct re-walk the naive
-    /// `iter().all(eval_bool)` paid was a measurable slice of the
-    /// solver's per-query cache overhead.
+    /// Evaluates the whole conjunction in one walk ([`ExprPool::all_true`])
+    /// — path-condition conjuncts overwhelmingly share subgraphs, and this
+    /// check runs once per retained model on every model-reuse probe, so
+    /// the per-conjunct re-walk the naive `iter().all(eval_bool)` paid was
+    /// a measurable slice of the solver's per-query cache overhead.
     pub fn satisfies(&self, pool: &ExprPool, constraints: &[ExprId]) -> bool {
         pool.all_true(constraints, &|sym| self.value(sym))
     }
