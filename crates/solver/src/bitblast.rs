@@ -10,9 +10,9 @@
 //! evaluator.
 
 use crate::cnf::{Cnf, Lit};
+use crate::fxhash::FxHashMap;
 use crate::model::Model;
 use crate::sat::SolveOutcome;
-use std::collections::HashMap;
 use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, ExprId, ExprKind, ExprPool, SymbolId};
 
 /// The circuit-level value of an expression.
@@ -21,6 +21,18 @@ enum Bits {
     Bool(Lit),
     Bv(Vec<Lit>), // LSB first
 }
+
+/// Where a memoized translation lives: a bitvector's `len` bits start at
+/// `start` in [`BitBlaster`]'s literal arena; a boolean keeps its literal
+/// in `start` and [`BOOL_SLOT`] in `len`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: u32,
+    len: u32,
+}
+
+/// The `len` tag of a boolean [`Slot`].
+const BOOL_SLOT: u32 = u32::MAX;
 
 /// Translates expressions from an [`ExprPool`] into a growing [`Cnf`].
 ///
@@ -34,15 +46,21 @@ enum Bits {
 /// [`SatSolver::fork`](crate::sat::SatSolver::fork) this is what makes a
 /// [`SolverContext`](crate::SolverContext) forkable — the clone keeps
 /// translating from where the original stood, without re-blasting any
-/// shared circuitry. Inside a context the CNF is only a staging buffer:
-/// the context drains each new clause into its SAT solver
+/// shared circuitry. Both caches map to [`Slot`]s in one literal arena,
+/// so a clone copies two tables and one buffer, with no allocation per
+/// entry. Inside a context the CNF is only a staging buffer: the context
+/// drains each new clause into its SAT solver
 /// ([`BitBlaster::drain_clauses`]), so a clone copies variables and the
 /// gate memo but no clauses.
 #[derive(Debug, Clone)]
 pub struct BitBlaster {
     cnf: Cnf,
-    cache: HashMap<ExprId, Bits>,
-    inputs: HashMap<SymbolId, Vec<Lit>>,
+    /// The bits (LSB first) of every memoized bitvector, back to back.
+    arena: Vec<Lit>,
+    cache: FxHashMap<ExprId, Slot>,
+    /// Each blasted input's bits; the input's [`ExprId`] in `cache`
+    /// points at the same slot.
+    inputs: FxHashMap<SymbolId, Slot>,
     factor: bool,
 }
 
@@ -52,7 +70,13 @@ const ITE_CHAIN_MAX: usize = 64;
 
 impl Default for BitBlaster {
     fn default() -> Self {
-        BitBlaster { cnf: Cnf::new(), cache: HashMap::new(), inputs: HashMap::new(), factor: true }
+        BitBlaster {
+            cnf: Cnf::new(),
+            arena: Vec::new(),
+            cache: FxHashMap::default(),
+            inputs: FxHashMap::default(),
+            factor: true,
+        }
     }
 }
 
@@ -83,10 +107,10 @@ impl BitBlaster {
         &self.cnf
     }
 
-    /// Removes and yields the clauses emitted since the last drain (see
-    /// [`Cnf::drain_clauses`]).
-    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Vec<Lit>> {
-        self.cnf.drain_clauses()
+    /// Hands each clause emitted since the last drain to `sink`, in
+    /// order, and removes them (see [`Cnf::drain_clauses`]).
+    pub fn drain_clauses(&mut self, sink: impl FnMut(&[Lit])) {
+        self.cnf.drain_clauses(sink);
     }
 
     /// Consumes the blaster, returning the CNF.
@@ -120,9 +144,32 @@ impl BitBlaster {
         }
     }
 
+    /// Appends `bits` to the arena.
+    fn store_bv(&mut self, bits: &[Lit]) -> Slot {
+        let start = u32::try_from(self.arena.len()).expect("the blaster arena fits in u32");
+        let len = u32::try_from(bits.len()).expect("bitvector widths fit in u32");
+        debug_assert_ne!(len, BOOL_SLOT);
+        self.arena.extend_from_slice(bits);
+        Slot { start, len }
+    }
+
+    /// The bits of a bitvector slot.
+    fn slice(&self, slot: Slot) -> &[Lit] {
+        debug_assert_ne!(slot.len, BOOL_SLOT);
+        &self.arena[slot.start as usize..(slot.start + slot.len) as usize]
+    }
+
+    fn load(&self, slot: Slot) -> Bits {
+        if slot.len == BOOL_SLOT {
+            Bits::Bool(Lit(slot.start))
+        } else {
+            Bits::Bv(self.slice(slot).to_vec())
+        }
+    }
+
     fn blast(&mut self, pool: &ExprPool, e: ExprId) -> Bits {
-        if let Some(b) = self.cache.get(&e) {
-            return b.clone();
+        if let Some(&slot) = self.cache.get(&e) {
+            return self.load(slot);
         }
         let bits = match pool.kind(e) {
             ExprKind::BvConst { value, width } => {
@@ -134,19 +181,25 @@ impl BitBlaster {
                 Bits::Bool(if b { self.cnf.lit_true() } else { self.cnf.lit_false() })
             }
             ExprKind::Input { sym, width } => {
-                if let Some(bits) = self.inputs.get(&sym) {
-                    assert_eq!(
-                        bits.len(),
-                        width as usize,
-                        "input {} used at two widths",
-                        pool.symbol_name(sym)
-                    );
-                    Bits::Bv(bits.clone())
-                } else {
-                    let bits: Vec<Lit> = (0..width).map(|_| self.cnf.new_lit()).collect();
-                    self.inputs.insert(sym, bits.clone());
-                    Bits::Bv(bits)
-                }
+                let slot = match self.inputs.get(&sym) {
+                    Some(&slot) => {
+                        assert_eq!(
+                            slot.len as usize,
+                            width as usize,
+                            "input {} used at two widths",
+                            pool.symbol_name(sym)
+                        );
+                        slot
+                    }
+                    None => {
+                        let bits: Vec<Lit> = (0..width).map(|_| self.cnf.new_lit()).collect();
+                        let slot = self.store_bv(&bits);
+                        self.inputs.insert(sym, slot);
+                        slot
+                    }
+                };
+                self.cache.insert(e, slot);
+                return self.load(slot);
             }
             ExprKind::Bv { op, lhs, rhs } => {
                 let a = self.blast_bv(pool, lhs);
@@ -203,7 +256,11 @@ impl BitBlaster {
                 }
             }
         };
-        self.cache.insert(e, bits.clone());
+        let slot = match &bits {
+            Bits::Bool(l) => Slot { start: l.0, len: BOOL_SLOT },
+            Bits::Bv(v) => self.store_bv(v),
+        };
+        self.cache.insert(e, slot);
         bits
     }
 
@@ -516,7 +573,7 @@ impl BitBlaster {
     /// sorted by [`SymbolId`] so iteration order is deterministic.
     pub fn inputs_sorted(&self) -> Vec<(SymbolId, Vec<Lit>)> {
         let mut v: Vec<(SymbolId, Vec<Lit>)> =
-            self.inputs.iter().map(|(&s, bits)| (s, bits.clone())).collect();
+            self.inputs.iter().map(|(&s, &slot)| (s, self.slice(slot).to_vec())).collect();
         v.sort_unstable_by_key(|(s, _)| *s);
         v
     }
@@ -537,7 +594,7 @@ impl BitBlaster {
     /// The CNF literals of one blasted input, if it appeared in any
     /// translated expression.
     pub fn input_bits(&self, sym: SymbolId) -> Option<&[Lit]> {
-        self.inputs.get(&sym).map(|v| v.as_slice())
+        self.inputs.get(&sym).map(|&slot| self.slice(slot))
     }
 
     /// Extracts a [`Model`] for all blasted inputs from a SAT assignment.
@@ -563,7 +620,8 @@ impl BitBlaster {
         };
         let mut model = Model::new();
         for &sym in syms {
-            let Some(bits) = self.inputs.get(&sym) else { continue };
+            let Some(&slot) = self.inputs.get(&sym) else { continue };
+            let bits = self.slice(slot);
             let mut v: u64 = 0;
             for (i, lit) in bits.iter().enumerate() {
                 let bit = assignment[lit.var().index()] != lit.is_negative();

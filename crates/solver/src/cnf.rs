@@ -1,6 +1,6 @@
 //! CNF representation and Tseitin gate constructors.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 use std::fmt;
 use std::ops::Not;
 
@@ -99,12 +99,20 @@ const GATE_KEY_FILL: Lit = Lit(u32::MAX);
 /// duplicates. Operands are canonicalized first (commutative gates by
 /// operand order, xor/mux additionally by polarity), so e.g.
 /// `xor(a, b)`, `xor(b, a)` and `¬xor(¬a, b)` all share one gate.
+///
+/// Clauses are staged flat: one literal buffer plus each clause's end
+/// offset, so adding a clause allocates nothing once the two buffers
+/// have grown, and [`Cnf::drain_clauses`] keeps their capacity.
 #[derive(Debug, Clone)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Vec<Lit>>,
+    /// Every staged clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// Where each staged clause ends in `lits` (it starts where the
+    /// previous one ends).
+    ends: Vec<u32>,
     share: bool,
-    gate_memo: HashMap<GateKey, Lit>,
+    gate_memo: FxHashMap<GateKey, Lit>,
     gates_reused: u64,
 }
 
@@ -120,9 +128,10 @@ impl Cnf {
     pub fn new() -> Self {
         let mut cnf = Cnf {
             num_vars: 1,
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
             share: true,
-            gate_memo: HashMap::new(),
+            gate_memo: FxHashMap::default(),
             gates_reused: 0,
         };
         cnf.add_clause(&[cnf.lit_true()]);
@@ -185,27 +194,34 @@ impl Cnf {
     }
 
     /// The clauses added so far (since the last
-    /// [`Cnf::drain_clauses`]).
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// [`Cnf::drain_clauses`]), in order.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.lits[start as usize..end as usize])
     }
 
-    /// Removes and yields the clauses added so far, in order. An
-    /// incremental consumer drains the formula into its solver, so the
-    /// CNF is only a staging buffer: variables and the gate memo stay,
-    /// clauses are held once, by the solver.
-    pub fn drain_clauses(&mut self) -> std::vec::Drain<'_, Vec<Lit>> {
-        self.clauses.drain(..)
+    /// Hands each clause added so far to `sink`, in order, then empties
+    /// the staging buffers (keeping their capacity). An incremental
+    /// consumer drains the formula into its solver, so the CNF is only a
+    /// staging buffer: variables and the gate memo stay, clauses are
+    /// held once, by the solver.
+    pub fn drain_clauses(&mut self, mut sink: impl FnMut(&[Lit])) {
+        for clause in self.clauses() {
+            sink(clause);
+        }
+        self.lits.clear();
+        self.ends.clear();
     }
 
     /// Number of clauses (since the last [`Cnf::drain_clauses`]).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Adds a clause (a disjunction of literals).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        self.ends.push(u32::try_from(self.lits.len()).expect("staged literals fit in u32"));
     }
 
     /// Asserts that a literal holds.
@@ -465,6 +481,33 @@ mod tests {
         assert_eq!(!!v.positive(), v.positive());
         assert_eq!(v.positive().to_string(), "x5");
         assert_eq!(v.negative().to_string(), "¬x5");
+    }
+
+    #[test]
+    fn staged_clauses_come_out_as_added_across_drains() {
+        let mut cnf = Cnf::new();
+        let (a, b, c) = (cnf.new_lit(), cnf.new_lit(), cnf.new_lit());
+        let mut added: Vec<Vec<Lit>> = vec![vec![cnf.lit_true()]];
+        for round in 0..3 {
+            for clause in [vec![a, !b], vec![], vec![c], vec![!a, b, !c]] {
+                cnf.add_clause(&clause);
+                added.push(clause);
+            }
+            if round == 1 {
+                cnf.assert_lit(!a);
+                added.push(vec![!a]);
+            }
+            assert_eq!(cnf.num_clauses(), added.len());
+            let listed: Vec<Vec<Lit>> = cnf.clauses().map(<[Lit]>::to_vec).collect();
+            assert_eq!(listed, added, "round {round}: clauses()");
+            let mut drained: Vec<Vec<Lit>> = Vec::new();
+            cnf.drain_clauses(|clause| drained.push(clause.to_vec()));
+            assert_eq!(drained, added, "round {round}: drain_clauses");
+            assert_eq!(cnf.num_clauses(), 0);
+            assert_eq!(cnf.clauses().count(), 0);
+            added.clear();
+        }
+        cnf.drain_clauses(|clause| panic!("drained twice: {clause:?}"));
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl SolverContext {
         let mut sat = SatSolver::from_cnf(blaster.cnf());
         sat.set_ccmin(sat_ccmin);
         // The solver holds the constant's unit clause now.
-        blaster.drain_clauses();
+        blaster.drain_clauses(|_| {});
         SolverContext {
             blaster,
             sat,
@@ -110,8 +110,9 @@ impl SolverContext {
     ///
     /// The clause database exists once, inside the SAT solver, as a few
     /// flat buffers (the blaster's CNF holds no clauses between queries),
-    /// so a fork is a handful of `memcpy`s plus the blaster's caches —
-    /// no per-clause allocation, and dropping a context frees as few.
+    /// and the blaster's memo is one literal arena plus two tables of
+    /// slots, so a fork is a handful of `memcpy`s — no allocation per
+    /// clause or per memo entry, and dropping a context frees as few.
     /// Before snapshotting, the clause database is compacted
     /// ([`SatSolver::compact_learnts`]: a level-0 satisfied-clause sweep
     /// over the *whole* DB — original Tseitin clauses included — plus
@@ -253,9 +254,8 @@ impl SolverContext {
     /// leaving the blaster's CNF empty of clauses.
     fn sync(&mut self) {
         self.sat.ensure_vars(self.blaster.cnf().num_vars());
-        for clause in self.blaster.drain_clauses() {
-            self.sat.add_clause(&clause);
-        }
+        let sat = &mut self.sat;
+        self.blaster.drain_clauses(|clause| sat.add_clause(clause));
     }
 
     /// Extracts a model restricted to `syms` from a sat outcome.
@@ -466,6 +466,35 @@ mod tests {
         assert!(matches!(parent.solve_assuming(&p, &[low], None), SolveOutcome::Unsat));
         assert!(matches!(parent.solve_assuming(&p, &[high], None), SolveOutcome::Sat(_)));
         assert!(!child.is_dead() && !parent.is_dead());
+    }
+
+    #[test]
+    fn fork_blasts_a_new_conjunct_exactly_as_its_parent() {
+        let mut p = ExprPool::new(8);
+        let x = p.input("x", 8);
+        let y = p.input("y", 8);
+        let sum = p.add(x, y);
+        let hundred = p.bv_const(100, 8);
+        let shared = p.ult(sum, hundred);
+        let mut parent = SolverContext::new();
+        parent.assert_constraint(&p, shared);
+        let _ = parent.solve_assuming(&p, &[shared], None);
+        let mut child = parent.fork();
+        // The new conjunct reuses the prefix's circuitry (`sum`, `x`) and
+        // adds its own.
+        let prod = p.mul(sum, x);
+        let seven = p.bv_const(7, 8);
+        let next = p.eq(prod, seven);
+        let mut streams = Vec::new();
+        for ctx in [&mut parent, &mut child] {
+            let lit = ctx.blaster.blast_bool(&p, next);
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            ctx.blaster.drain_clauses(|c| clauses.push(c.to_vec()));
+            let (vars, reused) = (ctx.blaster.cnf().num_vars(), ctx.blaster.gates_reused());
+            streams.push((lit, vars, reused, clauses, ctx.blaster.inputs_sorted()));
+        }
+        assert!(!streams[0].3.is_empty(), "the conjunct must emit clauses");
+        assert_eq!(streams[0], streams[1]);
     }
 
     #[test]

@@ -69,6 +69,7 @@ pub mod cnf;
 pub mod context;
 pub mod sat;
 
+mod fxhash;
 mod model;
 mod shared;
 mod solve;

@@ -46,9 +46,11 @@ pub struct SatStats {
 /// A stored clause's header. Its literals live in [`SatSolver`]'s arena at
 /// `start..start + len`; `lits[0]` and `lits[1]` are the watched pair.
 ///
-/// Clause refs (indices into the header vector) are never renumbered:
-/// reasons, watch links and the learnt-clause sort all hold them, so a
-/// deleted clause keeps its header slot (with `len` 0) for good.
+/// Clause refs are indices into the header vector. Reasons, watch links
+/// and the learnt-clause sort hold them, so a deleted clause keeps its
+/// header slot (with `len` 0) until [`SatSolver::compact_learnts`]
+/// drops the deleted slots, renumbering the live clauses in order and
+/// rebuilding the watch lists.
 #[derive(Debug, Clone, Copy)]
 struct Clause {
     start: u32,
@@ -84,13 +86,25 @@ fn cref(i: usize) -> u32 {
 
 const UNASSIGNED: i8 = -1;
 
+/// Copies `v` into a buffer with growth room of a quarter of its length
+/// plus 64 elements. A fork is extended right away (every fork is
+/// followed by a new conjunct), and a `Vec::clone` leaves capacity equal
+/// to length, so without the room the child's first push would
+/// reallocate and copy the whole buffer a second time.
+fn with_room<T: Copy>(v: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.len() + v.len() / 4 + 64);
+    out.extend_from_slice(v);
+    out
+}
+
 /// A CDCL SAT solver over a fixed CNF.
 ///
 /// Every vector in the solver holds plain `Copy` data — clause headers,
 /// one literal arena, flat watch lists — so a [`SatSolver::fork`] is one
 /// `memcpy` per vector, and dropping a solver frees a fixed handful of
-/// buffers, however many clauses it holds.
-#[derive(Debug, Clone)]
+/// buffers, however many clauses it holds. The solver is not `Clone`:
+/// [`SatSolver::fork`] is its one copy path.
+#[derive(Debug)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     /// Every stored clause's literals, back to back.
@@ -120,6 +134,10 @@ pub struct SatSolver {
     /// eviction with. Unit clauses are enqueued on the trail rather than
     /// stored and are not counted.
     live_clauses: usize,
+    /// Header slots compaction has dropped. The learnt-store limit
+    /// counts every slot ever allocated, deleted ones included, so that
+    /// dropping them changes no decision.
+    dropped_slots: usize,
     conflict_budget: Option<u64>,
     failed_assumptions: Vec<Lit>,
     ccmin: bool,
@@ -156,6 +174,7 @@ impl SatSolver {
             ok: true,
             num_learnt: 0,
             live_clauses: 0,
+            dropped_slots: 0,
             conflict_budget: None,
             failed_assumptions: Vec::new(),
             ccmin: true,
@@ -182,9 +201,11 @@ impl SatSolver {
     ///
     /// The copy costs one `memcpy` per internal vector: clause headers,
     /// the literal arena and the watch lists are flat `Copy` data, and
-    /// nothing is shared, so parent and fork diverge freely. Call
-    /// [`SatSolver::compact_learnts`] first to leave the arena's garbage
-    /// behind.
+    /// nothing is shared, so parent and fork diverge freely. Each copy
+    /// gets growth room (a quarter of its length plus 64), so the fork's
+    /// first clauses and variables land without copying any vector
+    /// again. Call [`SatSolver::compact_learnts`] first to leave the
+    /// arena's garbage behind.
     ///
     /// Forking is only meaningful between queries —
     /// [`SatSolver::solve_under_assumptions`] always backtracks to
@@ -200,7 +221,34 @@ impl SatSolver {
     /// Debug-asserts that the solver is at decision level 0.
     pub fn fork(&self) -> SatSolver {
         debug_assert_eq!(self.decision_level(), 0, "fork mid-query");
-        self.clone()
+        SatSolver {
+            clauses: with_room(&self.clauses),
+            arena: with_room(&self.arena),
+            garbage: self.garbage,
+            watches: with_room(&self.watches),
+            assigns: with_room(&self.assigns),
+            level: with_room(&self.level),
+            reason: with_room(&self.reason),
+            trail: with_room(&self.trail),
+            trail_lim: with_room(&self.trail_lim),
+            qhead: self.qhead,
+            activity: with_room(&self.activity),
+            var_inc: self.var_inc,
+            cla_inc: self.cla_inc,
+            heap: with_room(&self.heap),
+            heap_pos: with_room(&self.heap_pos),
+            phase: with_room(&self.phase),
+            seen: with_room(&self.seen),
+            ok: self.ok,
+            num_learnt: self.num_learnt,
+            live_clauses: self.live_clauses,
+            dropped_slots: self.dropped_slots,
+            conflict_budget: self.conflict_budget,
+            failed_assumptions: self.failed_assumptions.clone(),
+            ccmin: self.ccmin,
+            compacted_trail: self.compacted_trail,
+            stats: self.stats,
+        }
     }
 
     /// Limits the number of conflicts *per solve call* before the solver
@@ -733,7 +781,8 @@ impl SatSolver {
 
     /// Fork-time clause-DB compaction: a level-0 satisfied-clause sweep
     /// over the whole clause database plus bounded self-subsumption over
-    /// the learnt store, then garbage collection of the literal arena.
+    /// the learnt store, then garbage collection of the deleted clauses'
+    /// header slots and of the literal arena.
     /// Returns the number of clauses removed or strengthened.
     ///
     /// A fork copies the whole clause database, so every clause the
@@ -749,8 +798,9 @@ impl SatSolver {
     /// the original CNF. Everything removed is redundant with the
     /// remaining database plus the trail, so verdicts are unchanged for
     /// parent and fork alike. Deleted and strengthened clauses leave
-    /// their literals behind in the arena; the closing collection packs
-    /// the live clauses together so neither side of a fork copies them.
+    /// their header slots and literals behind; the closing collection
+    /// packs the live clauses together so neither side of a fork copies
+    /// them.
     /// Must be called between queries (decision level 0).
     pub fn compact_learnts(&mut self) -> u64 {
         debug_assert_eq!(self.decision_level(), 0, "compact mid-query");
@@ -822,12 +872,19 @@ impl SatSolver {
             .map(cref)
             .collect();
         refs.sort_by_key(|&r| self.clauses[r as usize].len);
-        let mut occ: std::collections::HashMap<usize, Vec<u32>> = std::collections::HashMap::new();
+        // Occurrence lists, flat: `(variable, clause ref)` pairs, stably
+        // sorted by variable, so each variable's run lists its clauses in
+        // `refs` order.
+        let mut occ: Vec<(u32, u32)> = Vec::new();
         for &r in &refs {
-            for &l in self.lits(r as usize) {
-                occ.entry(l.var().index()).or_default().push(r);
-            }
+            occ.extend(self.lits(r as usize).iter().map(|l| (l.var().0, r)));
         }
+        occ.sort_by_key(|&(v, _)| v);
+        let occurrences = |v: u32| {
+            let from = occ.partition_point(|&(w, _)| w < v);
+            let to = from + occ[from..].partition_point(|&(w, _)| w == v);
+            &occ[from..to]
+        };
         // The subsumer's literals, copied out once per subsumer so the
         // candidates can be rewritten in place.
         let mut c_lits: Vec<Lit> = Vec::new();
@@ -845,12 +902,11 @@ impl SatSolver {
             // Probe via the clause's rarest variable.
             let probe = c_lits
                 .iter()
-                .min_by_key(|l| occ.get(&l.var().index()).map_or(0, Vec::len))
+                .min_by_key(|l| occurrences(l.var().0).len())
                 .expect("stored clauses are non-empty")
                 .var()
-                .index();
-            let cands = occ.get(&probe).cloned().unwrap_or_default();
-            for dref in cands {
+                .0;
+            for &(_, dref) in occurrences(probe) {
                 if dref == cref || check_budget == 0 {
                     continue;
                 }
@@ -901,7 +957,10 @@ impl SatSolver {
         if compacted > 0 {
             // Strengthened clauses may have lost a watched literal:
             // rebuild the watch lists wholesale, as `reduce_db` does,
-            // before any propagation touches them.
+            // before any propagation touches them. The rebuild lists
+            // clauses in ref order, which renumbering keeps, so the
+            // deleted slots can go first.
+            self.drop_deleted_slots();
             self.rebuild_watches();
             for l in units {
                 match self.value(l) {
@@ -930,10 +989,9 @@ impl SatSolver {
         c.len = u32::try_from(len).expect("clause lengths fit in u32");
     }
 
-    /// Marks clause `i` deleted. Its header slot stays (clause refs are
-    /// never renumbered); its literals become arena garbage until the
-    /// next [`SatSolver::compact_learnts`] collects them, so no fork
-    /// keeps paying for them.
+    /// Marks clause `i` deleted. Its header slot and its literals become
+    /// garbage until a [`SatSolver::compact_learnts`] collects them, so
+    /// no fork keeps paying for them.
     fn delete_clause(&mut self, i: usize) {
         debug_assert!(!self.clauses[i].deleted);
         if self.clauses[i].learnt {
@@ -942,6 +1000,30 @@ impl SatSolver {
         self.live_clauses -= 1;
         self.shrink_clause(i, 0);
         self.clauses[i].deleted = true;
+    }
+
+    /// Drops the headers of deleted clauses, renumbering the live ones in
+    /// ref order, and remaps the reasons. Watch links still hold the old
+    /// refs: the caller rebuilds the watch lists next.
+    fn drop_deleted_slots(&mut self) {
+        let mut renumbered = vec![NIL; self.clauses.len()];
+        let mut live = 0;
+        for (i, new_ref) in renumbered.iter_mut().enumerate() {
+            if !self.clauses[i].deleted {
+                *new_ref = cref(live);
+                self.clauses[live] = self.clauses[i];
+                live += 1;
+            }
+        }
+        self.dropped_slots += self.clauses.len() - live;
+        self.clauses.truncate(live);
+        // Only assigned variables hold a reason (backtracking clears
+        // it), and an assigned variable's reason is locked, so it is
+        // never deleted.
+        for r in self.reason.iter_mut().flatten() {
+            debug_assert_ne!(renumbered[*r as usize], NIL, "a reason was deleted");
+            *r = renumbered[*r as usize];
+        }
     }
 
     /// Packs the live clauses' literals to the front of the arena, in
@@ -995,9 +1077,10 @@ impl SatSolver {
         let mut restart_idx: u64 = 0;
         let mut conflicts_until_restart = luby(restart_idx) * 100;
         let mut conflicts_this_restart: u64 = 0;
-        // Counts clause slots, deleted ones included (refs are never
-        // renumbered): the reduction schedule is part of the search order.
-        let mut max_learnt = (self.clauses.len() as f64 * 0.4).max(4000.0);
+        // Counts clause slots, deleted and dropped ones included: the
+        // reduction schedule is part of the search order.
+        let slots = self.clauses.len() + self.dropped_slots;
+        let mut max_learnt = (slots as f64 * 0.4).max(4000.0);
         let outcome = 'search: loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -1461,6 +1544,79 @@ mod tests {
         }
         assert!(matches!(s.solve_under_assumptions(&[!z]), SolveOutcome::Unsat));
         assert!(s.is_consistent());
+    }
+
+    /// A solver that has learnt clauses, a level-0 trail beyond the
+    /// constant, and compacted: pigeonhole(5, 4) with every clause
+    /// guarded by `g ∨ h`, refuted under the assumptions `¬g, ¬h`, plus
+    /// a unit fact `u` that satisfies a clause for compaction to sweep
+    /// and implies `w` through a reason clause.
+    fn warm_compacted_solver() -> SatSolver {
+        let mut cnf = Cnf::new();
+        let (g, h) = (cnf.new_lit(), cnf.new_lit());
+        let (u, w) = (cnf.new_lit(), cnf.new_lit());
+        let holes = 4;
+        let rows: Vec<Vec<Lit>> =
+            (0..=holes).map(|_| (0..holes).map(|_| cnf.new_lit()).collect()).collect();
+        for row in &rows {
+            let mut c = row.clone();
+            c.extend([g, h]);
+            cnf.add_clause(&c);
+        }
+        for hole in 0..holes {
+            for (p, row) in rows.iter().enumerate() {
+                for other in &rows[p + 1..] {
+                    cnf.add_clause(&[!row[hole], !other[hole], g, h]);
+                }
+            }
+        }
+        cnf.add_clause(&[u, rows[0][0], rows[1][1]]);
+        cnf.add_clause(&[!u, w]);
+        let mut s = SatSolver::from_cnf(&cnf);
+        assert_eq!(s.solve_under_assumptions(&[!g, !h]), SolveOutcome::Unsat);
+        s.add_clause(&[u]);
+        s.compact_learnts();
+        assert!(!s.learnt_clauses().is_empty() && s.trail.len() > 1, "the solver must be warm");
+        s
+    }
+
+    #[test]
+    fn fork_copies_every_field() {
+        // `fork` lists the fields by hand; one added to the struct but
+        // not to `fork` would not compile, and one copied wrongly shows
+        // up here.
+        let mut parent = warm_compacted_solver();
+        let mut child = parent.fork();
+        assert_eq!(format!("{parent:?}"), format!("{child:?}"));
+        // The growth room changes capacity only: both sides extend alike.
+        let n = parent.assigns.len();
+        for s in [&mut parent, &mut child] {
+            s.ensure_vars(n + 2);
+            let (a, b) = (Var(n as u32).positive(), Var(n as u32 + 1).negative());
+            s.add_clause(&[a, b, Var(3).positive()]);
+            assert!(matches!(s.solve_under_assumptions(&[!a]), SolveOutcome::Sat(_)));
+        }
+        assert_eq!(format!("{parent:?}"), format!("{child:?}"));
+    }
+
+    #[test]
+    fn compaction_drops_deleted_slots_and_keeps_reasons() {
+        let s = warm_compacted_solver();
+        assert!(s.dropped_slots > 0, "the unit fact satisfies a clause to delete");
+        assert!(s.clauses.iter().all(|c| !c.deleted));
+        assert_eq!(s.clauses.iter().filter(|c| c.len > 0).count(), s.num_clauses());
+        let mut reasons = 0;
+        for &l in &s.trail {
+            if let Some(r) = s.reason[l.var().index()] {
+                assert_eq!(
+                    s.lits(r as usize)[0],
+                    l,
+                    "a reason's first literal is the one it implied"
+                );
+                reasons += 1;
+            }
+        }
+        assert!(reasons > 0, "`u` implies `w`");
     }
 
     #[test]
