@@ -15,6 +15,8 @@ use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(20_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
     let sweeps: Vec<(&str, Vec<InputConfig>)> = vec![
         (
             "seq",
@@ -33,14 +35,8 @@ fn main() {
         let w = by_name(tool).unwrap();
         let mut points = Vec::new();
         for cfg in cfgs {
-            let run_opts = RunOpts {
-                budget: Some(opts.budget),
-                seed: opts.seed,
-                alpha: opts.alpha,
-                ..Default::default()
-            };
-            let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
-            let merged = run_workload(&w, &cfg, Setup::SsmQce, &run_opts);
+            let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts, &env);
+            let merged = run_workload(&w, &cfg, Setup::SsmQce, &run_opts, &env);
             if base.hit_budget {
                 println!(
                     "{tool:6} {:>5} (baseline timed out; skipping point)",

@@ -24,20 +24,16 @@ fn saturating_config(kind: InputKind, quick: bool) -> InputConfig {
 
 fn main() {
     let opts = HarnessOpts::parse(5_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create("fig4", "tool,paths_baseline,multiplicity_dsm,ratio");
     println!("# Figure 4: path ratio P_DSM+QCE / P_baseline under a {:?} budget", opts.budget);
     println!("{:10} {:>14} {:>16} {:>12}", "tool", "baseline_paths", "dsm_multiplicity", "ratio");
     let mut ratios: Vec<(String, f64)> = Vec::new();
     for w in all() {
         let cfg = saturating_config(w.kind, opts.quick);
-        let run_opts = RunOpts {
-            budget: Some(opts.budget),
-            seed: opts.seed,
-            alpha: opts.alpha,
-            ..Default::default()
-        };
-        let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
-        let dsm = run_workload(&w, &cfg, Setup::DsmQce, &run_opts);
+        let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts, &env);
+        let dsm = run_workload(&w, &cfg, Setup::DsmQce, &run_opts, &env);
         let p_base = (base.completed_paths as f64).max(1.0);
         let p_dsm = dsm.completed_multiplicity.max(1.0);
         let ratio = p_dsm / p_base;

@@ -13,19 +13,15 @@
 //! the third column shows how much of that the incremental layer buys
 //! back.
 
-use std::time::{Duration, Instant};
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
-use symmerge_bench::{run_workload, RunOpts, Setup};
-use symmerge_workloads::{by_name, InputConfig, Workload};
-
-fn timed(w: &Workload, cfg: &InputConfig, setup: Setup, opts: &RunOpts) -> (Duration, bool) {
-    let t0 = Instant::now();
-    let report = run_workload(w, cfg, setup, opts);
-    (t0.elapsed(), report.hit_budget)
-}
+use symmerge_bench::{run_workload, timed, RunOpts, Setup};
+use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(30_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
+    let reblast_opts = RunOpts { incremental: false, ..run_opts.clone() };
     if opts.jobs > 1 {
         println!("# --jobs {}: all engine runs use the sharded parallel engine", opts.jobs);
     }
@@ -48,18 +44,10 @@ fn main() {
     for (tool, cfgs) in tools {
         let w = by_name(tool).unwrap();
         for cfg in cfgs {
-            let run_opts = RunOpts {
-                budget: Some(opts.budget),
-                seed: opts.seed,
-                alpha: opts.alpha,
-                jobs: opts.jobs,
-                ..Default::default()
-            };
-            let reblast_opts = RunOpts { incremental: false, ..run_opts.clone() };
-            let (t_base, base_hit) = timed(&w, &cfg, Setup::Baseline, &run_opts);
-            let (t_ssm, ssm_hit) = timed(&w, &cfg, Setup::SsmQce, &run_opts);
-            let (t_rb, _) = timed(&w, &cfg, Setup::SsmQce, &reblast_opts);
-            let marker = if base_hit { ">=" } else { "  " };
+            let (t_base, base) = timed(|| run_workload(&w, &cfg, Setup::Baseline, &run_opts, &env));
+            let (t_ssm, ssm) = timed(|| run_workload(&w, &cfg, Setup::SsmQce, &run_opts, &env));
+            let (t_rb, _) = timed(|| run_workload(&w, &cfg, Setup::SsmQce, &reblast_opts, &env));
+            let marker = if base.hit_budget { ">=" } else { "  " };
             let speedup = t_base.as_secs_f64() / t_ssm.as_secs_f64().max(1e-9);
             let speedup_rb = t_base.as_secs_f64() / t_rb.as_secs_f64().max(1e-9);
             println!(
@@ -70,7 +58,7 @@ fn main() {
                 t_rb,
                 speedup,
                 speedup_rb,
-                if ssm_hit { " (ssm timed out too)" } else { "" },
+                if ssm.hit_budget { " (ssm timed out too)" } else { "" },
             );
             csv.row(&format!(
                 "{tool},{},{:.3},{:.3},{:.3},{:.3},{:.3}",

@@ -6,24 +6,14 @@
 //! Expected shape: the vast majority of points below the `T_SSM = T_base`
 //! diagonal, with larger inputs further below.
 
-use std::time::Instant;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
-use symmerge_bench::{run_workload, RunOpts, Setup};
-use symmerge_workloads::{all, InputConfig, InputKind};
-
-fn sweep(kind: InputKind, quick: bool) -> Vec<InputConfig> {
-    let hi = if quick { 2 } else { 3 };
-    match kind {
-        InputKind::Args => (1..=hi).map(|l| InputConfig::args(2, l)).collect(),
-        InputKind::Stdin => (2..=2 * hi).step_by(2).map(InputConfig::stdin).collect(),
-        InputKind::Both => {
-            (1..=hi).map(|l| InputConfig { n_args: 1, arg_len: l, stdin_len: 2 * l }).collect()
-        }
-    }
-}
+use symmerge_bench::{exhaustive_sweep, run_workload, timed, RunOpts, Setup};
+use symmerge_workloads::all;
 
 fn main() {
     let opts = HarnessOpts::parse(10_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
     let mut csv =
         CsvOut::create("fig6", "tool,symbolic_bytes,t_baseline_ms,t_ssm_ms,baseline_timeout");
     println!("# Figure 6: T_SSM+QCE vs T_baseline scatter (exhaustive; budget {:?})", opts.budget);
@@ -31,19 +21,9 @@ fn main() {
     let mut below = 0usize;
     let mut total = 0usize;
     for w in all() {
-        for cfg in sweep(w.kind, opts.quick) {
-            let run_opts = RunOpts {
-                budget: Some(opts.budget),
-                seed: opts.seed,
-                alpha: opts.alpha,
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
-            let t_base = t0.elapsed();
-            let t1 = Instant::now();
-            let _ssm_report = run_workload(&w, &cfg, Setup::SsmQce, &run_opts);
-            let t_ssm = t1.elapsed();
+        for cfg in exhaustive_sweep(w.kind, opts.quick) {
+            let (t_base, base) = timed(|| run_workload(&w, &cfg, Setup::Baseline, &run_opts, &env));
+            let (t_ssm, _) = timed(|| run_workload(&w, &cfg, Setup::SsmQce, &run_opts, &env));
             let note = if base.hit_budget { "baseline TIMEOUT (lower bound)" } else { "" };
             println!(
                 "{:10} {:>6} {:>14.2?} {:>12.2?}  {note}",

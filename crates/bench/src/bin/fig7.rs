@@ -7,13 +7,13 @@
 //! merges everything mergeable. Expected shape: an intermediate α is
 //! fastest for tools with genuinely hot variables; both extremes lose.
 
-use std::time::Instant;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
-use symmerge_bench::{run_workload, RunOpts, Setup};
+use symmerge_bench::{run_workload, timed, RunOpts, Setup};
 use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(20_000);
+    let env = symmerge::config::from_env();
     let l = if opts.quick { 3 } else { 4 };
     let tools: Vec<(&str, InputConfig)> = vec![
         ("link", InputConfig::args(2, l)),
@@ -42,17 +42,9 @@ fn main() {
         let w = by_name(tool).unwrap();
         print!("{tool:10}");
         for (label, alpha) in &alphas {
-            let run_opts = RunOpts {
-                budget: Some(opts.budget),
-                seed: opts.seed,
-                alpha: alpha.unwrap_or(0.0),
-                zeta: opts.zeta,
-                ..Default::default()
-            };
+            let run_opts = RunOpts { alpha: alpha.unwrap_or(0.0), ..RunOpts::from(&opts) };
             let setup = if alpha.is_none() { Setup::Baseline } else { Setup::SsmQce };
-            let t0 = Instant::now();
-            let r = run_workload(&w, &cfg, setup, &run_opts);
-            let t = t0.elapsed();
+            let (t, r) = timed(|| run_workload(&w, &cfg, setup, &run_opts, &env));
             let cell = if r.hit_budget {
                 format!(">{:.1}s", opts.budget.as_secs_f64())
             } else {

@@ -23,6 +23,8 @@ fn big_config(kind: InputKind, quick: bool) -> InputConfig {
 
 fn main() {
     let opts = HarnessOpts::parse(3_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create(
         "fig8",
         "tool,cov_baseline,cov_ssm,cov_dsm,delta_ssm_pp,delta_dsm_pp,ff_picks,ff_merged",
@@ -40,15 +42,9 @@ fn main() {
     let (mut ff_picks_total, mut ff_merged_total) = (0u64, 0u64);
     for w in all() {
         let cfg = big_config(w.kind, opts.quick);
-        let run_opts = RunOpts {
-            budget: Some(opts.budget),
-            seed: opts.seed,
-            alpha: opts.alpha,
-            ..Default::default()
-        };
-        let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts);
-        let ssm = run_workload(&w, &cfg, Setup::SsmQce, &run_opts);
-        let dsm = run_workload(&w, &cfg, Setup::DsmQce, &run_opts);
+        let base = run_workload(&w, &cfg, Setup::Baseline, &run_opts, &env);
+        let ssm = run_workload(&w, &cfg, Setup::SsmQce, &run_opts, &env);
+        let dsm = run_workload(&w, &cfg, Setup::DsmQce, &run_opts, &env);
         // Only incomplete explorations are informative (paper keeps those).
         if !base.hit_budget && !ssm.hit_budget && !dsm.hit_budget {
             continue;

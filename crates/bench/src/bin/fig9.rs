@@ -6,42 +6,22 @@
 //! hash-history bookkeeping and of merges missed when states don't
 //! coexist.
 
-use std::time::Instant;
 use symmerge_bench::harness::{CsvOut, HarnessOpts};
-use symmerge_bench::{run_workload, RunOpts, Setup};
-use symmerge_workloads::{all, InputConfig, InputKind};
-
-fn sweep(kind: InputKind, quick: bool) -> Vec<InputConfig> {
-    let hi = if quick { 2 } else { 3 };
-    match kind {
-        InputKind::Args => (1..=hi).map(|l| InputConfig::args(2, l)).collect(),
-        InputKind::Stdin => (2..=2 * hi).step_by(2).map(InputConfig::stdin).collect(),
-        InputKind::Both => {
-            (1..=hi).map(|l| InputConfig { n_args: 1, arg_len: l, stdin_len: 2 * l }).collect()
-        }
-    }
-}
+use symmerge_bench::{exhaustive_sweep, run_workload, timed, RunOpts, Setup};
+use symmerge_workloads::all;
 
 fn main() {
     let opts = HarnessOpts::parse(10_000);
+    let env = symmerge::config::from_env();
+    let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create("fig9", "tool,symbolic_bytes,t_ssm_ms,t_dsm_ms");
     println!("# Figure 9: T_SSM vs T_DSM for exhaustive exploration (budget {:?})", opts.budget);
     println!("{:10} {:>6} {:>12} {:>12} {:>8}", "tool", "bytes", "t_ssm", "t_dsm", "dsm/ssm");
     let mut ratios = Vec::new();
     for w in all() {
-        for cfg in sweep(w.kind, opts.quick) {
-            let run_opts = RunOpts {
-                budget: Some(opts.budget),
-                seed: opts.seed,
-                alpha: opts.alpha,
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let ssm = run_workload(&w, &cfg, Setup::SsmQce, &run_opts);
-            let t_ssm = t0.elapsed();
-            let t1 = Instant::now();
-            let dsm = run_workload(&w, &cfg, Setup::DsmQce, &run_opts);
-            let t_dsm = t1.elapsed();
+        for cfg in exhaustive_sweep(w.kind, opts.quick) {
+            let (t_ssm, ssm) = timed(|| run_workload(&w, &cfg, Setup::SsmQce, &run_opts, &env));
+            let (t_dsm, dsm) = timed(|| run_workload(&w, &cfg, Setup::DsmQce, &run_opts, &env));
             if ssm.hit_budget || dsm.hit_budget {
                 continue; // only completed explorations are comparable
             }

@@ -1,25 +1,22 @@
 //! # symmerge-bench — experiment harnesses for the paper's figures
 //!
-//! One binary per figure of the PLDI 2012 evaluation (§5), plus Criterion
-//! microbenchmarks. Each binary prints the same series/rows the paper
-//! plots, at laptop-scale budgets (see `DESIGN.md` for the substitution
-//! rationale and `EXPERIMENTS.md` for recorded outcomes).
+//! One binary per figure of the PLDI 2012 evaluation (§5). Each binary
+//! prints the same series/rows the paper plots, at laptop-scale budgets
+//! (see `EXPERIMENTS.md` for recorded outcomes). Speed claims come from
+//! the `mergebench` package, not from these binaries.
+//!
+//! Configuration is a value: each binary's `main` reads the `SYMMERGE_*`
+//! environment once ([`symmerge::config::from_env`]) and passes the
+//! [`EnvConfig`] to [`config_for`] and [`run_workload`]. This library
+//! reads no environment itself.
 
-use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use symmerge::config::EnvConfig;
 use symmerge_core::{
     Budgets, Engine, EngineConfig, MergeMode, ParallelConfig, ParallelEngine, QceConfig, RunReport,
-    SchedulerKind, StrategyKind,
+    StrategyKind,
 };
-use symmerge_workloads::{InputConfig, Workload};
-
-/// The `SYMMERGE_*` environment configuration ([`symmerge::config`]),
-/// parsed once per process: the base every harness run starts from.
-pub fn env_config() -> &'static EnvConfig {
-    static CONFIG: OnceLock<EnvConfig> = OnceLock::new();
-    CONFIG.get_or_init(symmerge::config::from_env)
-}
+use symmerge_workloads::{InputConfig, InputKind, Workload};
 
 /// A named engine setup used across the figure harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,130 +29,85 @@ pub enum Setup {
     DsmQce,
 }
 
-impl Setup {
-    /// Human-readable label used in harness output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Setup::Baseline => "baseline",
-            Setup::SsmQce => "ssm+qce",
-            Setup::DsmQce => "dsm+qce",
-        }
-    }
-}
-
 /// Options shared by the harnesses.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Per-run wall-clock budget.
     pub budget: Option<Duration>,
-    /// Per-run instruction budget (protects CI).
-    pub max_steps: Option<u64>,
     /// QCE α (the paper's tuned default is `1e-12`).
     pub alpha: f64,
     /// Optional ζ: enable the full Eq. 7 criterion (§3.3 ablation).
     pub zeta: Option<f64>,
     /// RNG seed.
     pub seed: u64,
-    /// Generate tests? (off for timing runs).
-    pub generate_tests: bool,
     /// Solve branch queries on incremental prefix contexts (`false`
     /// re-blasts every query, the paper's KLEE + STP scheme).
     pub incremental: bool,
-    /// Worker threads for the exploration. `1` runs the legacy
-    /// sequential engine; `> 1` runs the sharded [`ParallelEngine`].
+    /// Worker threads for the exploration. `1` runs the sequential
+    /// engine; `> 1` runs the sharded [`ParallelEngine`].
     pub jobs: u32,
-    /// Which parallel scheduler to use (BSP rounds or work stealing).
-    /// Defaults from [`env_config`] (`SYMMERGE_SCHEDULER`); steal mode
-    /// routes through the [`ParallelEngine`] even at `jobs = 1`.
-    pub scheduler: SchedulerKind,
-    /// Force canonical minimal models — the byte-identity reference
-    /// mode the differential sweeps compare generated tests under.
-    pub canonical: bool,
-    /// Cross-worker shared solver-cache override: `Some(on)` pins the
-    /// fabric for an ablation axis, `None` keeps the [`env_config`]
-    /// value (`SYMMERGE_SHARED_CACHE`).
-    pub shared_cache: Option<bool>,
 }
 
 impl Default for RunOpts {
     fn default() -> Self {
+        RunOpts { budget: None, alpha: 1e-12, zeta: None, seed: 0, incremental: true, jobs: 1 }
+    }
+}
+
+impl From<&harness::HarnessOpts> for RunOpts {
+    /// The options a figure binary's command line selects.
+    fn from(opts: &harness::HarnessOpts) -> RunOpts {
         RunOpts {
-            budget: None,
-            max_steps: None,
-            alpha: 1e-12,
-            zeta: None,
-            seed: 0,
-            generate_tests: false,
+            budget: Some(opts.budget),
+            alpha: opts.alpha,
+            zeta: opts.zeta,
+            seed: opts.seed,
             incremental: true,
-            jobs: 1,
-            scheduler: env_config().parallel.scheduler,
-            canonical: false,
-            shared_cache: None,
+            jobs: opts.jobs,
         }
     }
 }
 
-/// Builds the engine configuration for a setup, on top of
-/// [`env_config`].
-pub fn config_for(setup: Setup, opts: &RunOpts) -> EngineConfig {
-    let base = &env_config().engine;
-    let mut config = EngineConfig {
-        merge_mode: match setup {
-            Setup::Baseline => MergeMode::None,
-            Setup::SsmQce => MergeMode::Static,
-            Setup::DsmQce => MergeMode::Dynamic,
-        },
-        strategy: match setup {
-            Setup::Baseline => StrategyKind::CoverageOptimized,
-            Setup::SsmQce => StrategyKind::Topological,
-            Setup::DsmQce => StrategyKind::CoverageOptimized,
-        },
+/// Builds the engine configuration for a setup, on top of the
+/// environment's engine configuration `env.engine`.
+pub fn config_for(setup: Setup, opts: &RunOpts, env: &EnvConfig) -> EngineConfig {
+    let base = &env.engine;
+    let (merge_mode, strategy) = match setup {
+        Setup::Baseline => (MergeMode::None, StrategyKind::CoverageOptimized),
+        Setup::SsmQce => (MergeMode::Static, StrategyKind::Topological),
+        Setup::DsmQce => (MergeMode::Dynamic, StrategyKind::CoverageOptimized),
+    };
+    EngineConfig {
+        merge_mode,
+        strategy,
         qce: QceConfig { alpha: opts.alpha, zeta: opts.zeta, ..QceConfig::default() },
-        budgets: Budgets { max_time: opts.budget, max_steps: opts.max_steps, ..Budgets::default() },
-        solver: {
-            let mut solver = symmerge_core::SolverConfig {
-                use_incremental: opts.incremental,
-                ..base.solver.clone()
-            };
-            if opts.canonical {
-                solver.canonical_models = true;
-            }
-            if let Some(on) = opts.shared_cache {
-                solver.shared_cache = on;
-            }
-            solver
+        budgets: Budgets { max_time: opts.budget, ..Budgets::default() },
+        solver: symmerge_core::SolverConfig {
+            use_incremental: opts.incremental,
+            ..base.solver.clone()
         },
-        generate_tests: opts.generate_tests,
+        // The figures time explorations; none needs the tests.
+        generate_tests: false,
         seed: opts.seed,
         ..base.clone()
-    };
-    // Exhaustive-exploration harnesses use random search for the baseline
-    // (like the paper's complete explorations); the coverage strategy only
-    // matters for budgeted runs. Callers override as needed.
-    if matches!(setup, Setup::Baseline) && opts.budget.is_none() {
-        config.strategy = StrategyKind::Random;
     }
-    config
 }
 
 /// Runs one workload under one setup and sizing. `opts.jobs > 1` runs
-/// the sharded parallel engine instead of the sequential loop; so does
-/// `SYMMERGE_SCHEDULER=steal` at any job count (steal at `jobs = 1`
-/// still exercises the full shared-pool machinery, which is exactly the
-/// single-worker-overhead measurement the scaling sweeps want).
+/// the sharded parallel engine, with the rest of its fleet
+/// configuration (scheduler, round quota, steal direction) from
+/// `env.parallel`; `opts.jobs = 1` runs the sequential engine.
 pub fn run_workload(
     workload: &Workload,
     cfg: &InputConfig,
     setup: Setup,
     opts: &RunOpts,
+    env: &EnvConfig,
 ) -> RunReport {
     let program = workload.program(cfg);
-    let config = config_for(setup, opts);
-    if opts.jobs > 1 || opts.scheduler == SchedulerKind::Steal {
-        // The round quota and steal direction come from the environment
-        // (SYMMERGE_PAR_QUOTA, SYMMERGE_PAR_STEAL_NEWEST; see EXPERIMENTS.md).
-        let par =
-            ParallelConfig { jobs: opts.jobs, scheduler: opts.scheduler, ..env_config().parallel };
+    let config = config_for(setup, opts, env);
+    if opts.jobs > 1 {
+        let par = ParallelConfig { jobs: opts.jobs, ..env.parallel };
         return ParallelEngine::new(program, config, par)
             .expect("workload programs validate")
             .run();
@@ -163,6 +115,26 @@ pub fn run_workload(
     let mut engine =
         Engine::builder(program).config(config).build().expect("workload programs validate");
     engine.run()
+}
+
+/// Runs `run` and measures its wall-clock time.
+pub fn timed<T>(run: impl FnOnce() -> T) -> (Duration, T) {
+    let start = Instant::now();
+    let value = run();
+    (start.elapsed(), value)
+}
+
+/// The input sizes the exhaustive-exploration scatter plots (Figures 6
+/// and 9) sweep for a workload's input kind.
+pub fn exhaustive_sweep(kind: InputKind, quick: bool) -> Vec<InputConfig> {
+    let hi = if quick { 2 } else { 3 };
+    match kind {
+        InputKind::Args => (1..=hi).map(|l| InputConfig::args(2, l)).collect(),
+        InputKind::Stdin => (2..=2 * hi).step_by(2).map(InputConfig::stdin).collect(),
+        InputKind::Both => {
+            (1..=hi).map(|l| InputConfig { n_args: 1, arg_len: l, stdin_len: 2 * l }).collect()
+        }
+    }
 }
 
 /// Linear regression of `y` on `x`: returns `(intercept, slope)`.
@@ -202,10 +174,12 @@ mod tests {
     #[test]
     fn configs_map_setups() {
         let opts = RunOpts::default();
-        assert_eq!(config_for(Setup::Baseline, &opts).merge_mode, MergeMode::None);
-        assert_eq!(config_for(Setup::SsmQce, &opts).merge_mode, MergeMode::Static);
-        assert_eq!(config_for(Setup::DsmQce, &opts).merge_mode, MergeMode::Dynamic);
-        assert_eq!(config_for(Setup::SsmQce, &opts).strategy, StrategyKind::Topological);
+        let env = symmerge::config::from_lookup(|_| None);
+        let config = |setup| config_for(setup, &opts, &env);
+        assert_eq!(config(Setup::Baseline).merge_mode, MergeMode::None);
+        assert_eq!(config(Setup::SsmQce).merge_mode, MergeMode::Static);
+        assert_eq!(config(Setup::DsmQce).merge_mode, MergeMode::Dynamic);
+        assert_eq!(config(Setup::SsmQce).strategy, StrategyKind::Topological);
     }
 }
 

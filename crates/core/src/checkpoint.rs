@@ -31,7 +31,10 @@
 //! and exact length, and refuses any frontier state that is not
 //! self-consistent (operands, symbols, widths, sorts and return
 //! destinations; see `check_state`), so a corrupt file is an error
-//! rather than a panic when its states are imported. Resuming from a
+//! rather than a panic when its states are imported. The file does not
+//! carry the program, so resuming checks the frontier against the
+//! program it is resumed on ([`Checkpoint::check_program`]): both resume
+//! entry points refuse a checkpoint that does not fit. Resuming from a
 //! half-understood checkpoint would silently corrupt results, whereas
 //! refusing merely costs a re-run.
 //!
@@ -45,7 +48,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode, PortableRef};
+use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode, PortableRef, Sort};
+use symmerge_ir::{Block, Function, LocalDecl, Program, Ty};
 
 use crate::engine::{RunReport, ShardOutput};
 use crate::exec::AssertFailure;
@@ -85,6 +89,37 @@ pub struct Checkpoint {
     pub results: ShardOutput,
     /// The live frontier in portable form.
     pub frontier: Vec<PortableState>,
+}
+
+impl Checkpoint {
+    /// Checks that this checkpoint fits `program`, before anything is
+    /// imported: covered blocks exist, and so does each frontier frame's
+    /// function and block, with an instruction index at most the block's
+    /// length; locals and globals match their declarations in count,
+    /// `Int`/`Array` kind and array length; return destinations are
+    /// scalar locals; and every bitvector root has the program's width.
+    /// A same-shaped program can still pass: the format carries no
+    /// program fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first part that does not fit.
+    pub fn check_program(&self, program: &Program) -> Result<(), String> {
+        let covered = &self.results.covered;
+        if let Some((f, b)) = covered.iter().find(|&&(f, b)| lookup_block(program, f, b).is_none())
+        {
+            return Err(format!("covered block ({f}, {b}) is not in the program"));
+        }
+        self.frontier.iter().enumerate().try_for_each(|(i, st)| {
+            fits_program(st, program).map_err(|e| format!("frontier state {i}: {e}"))
+        })
+    }
+}
+
+/// Function `f` of `program` and its block `b`, if both exist.
+fn lookup_block(program: &Program, f: u32, b: u32) -> Option<(&Function, &Block)> {
+    let func = program.functions.get(f as usize)?;
+    Some((func, func.blocks.get(b as usize)?))
 }
 
 /// Encodes and atomically writes `ck` to `path`: the bytes land in a
@@ -617,10 +652,10 @@ fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
 /// Rejects a decoded state that would not import or run: a malformed
 /// dag ([`PortableDag::check`]), a pc conjunct that is not a boolean
 /// node, an output or slot that is not a bitvector node, an empty call
-/// stack, or a return destination outside its caller's locals. Whether
-/// frame locations exist in the program is not checked here: the
-/// checkpoint does not carry the program.
-fn check_state(st: &PortableState) -> Result<(), String> {
+/// stack, or a return destination outside its caller's locals. Returns
+/// the dag's node sorts. Whether the state fits a program is checked at
+/// resume ([`fits_program`]): the checkpoint does not carry the program.
+fn check_state(st: &PortableState) -> Result<Vec<Sort>, String> {
     let sorts = st.dag.check()?;
     let root = |r: PortableRef, boolean: bool| match sorts.get(r as usize) {
         Some(sort) if sort.is_bool() == boolean => Ok(()),
@@ -641,7 +676,54 @@ fn check_state(st: &PortableState) -> Result<(), String> {
     }
     st.frames.iter().flat_map(|f| &f.locals).chain(&st.globals).try_for_each(slot)?;
     st.pc.iter().try_for_each(|&r| root(r, true))?;
-    st.outputs.iter().try_for_each(|&r| root(r, false))
+    st.outputs.iter().try_for_each(|&r| root(r, false))?;
+    Ok(sorts)
+}
+
+/// Rejects a frontier state that `program` cannot run (the rules are
+/// listed on [`Checkpoint::check_program`]). Runs [`check_state`] first,
+/// so an in-memory checkpoint gets the decoder's checks too.
+fn fits_program(st: &PortableState, program: &Program) -> Result<(), String> {
+    let sorts = check_state(st)?;
+    let width = Sort::Bv(program.width);
+    let root = |r: PortableRef| match sorts[r as usize] {
+        sort if sort == width => Ok(()),
+        sort => Err(format!("node {r} is a {sort}, not a {width}")),
+    };
+    let slot = |s: &PortableSlot, decl: &LocalDecl| match (s, decl.ty) {
+        (PortableSlot::Int(r), Ty::Int) => root(*r),
+        (PortableSlot::Array(rs), Ty::Array(n)) if rs.len() == n as usize => {
+            rs.iter().try_for_each(|&r| root(r))
+        }
+        _ => Err(format!("`{}` does not match its declared type {:?}", decl.name, decl.ty)),
+    };
+    let slots = |slots: &[PortableSlot], decls: &[LocalDecl]| {
+        if slots.len() != decls.len() {
+            return Err(format!("{} slots for {} declarations", slots.len(), decls.len()));
+        }
+        slots.iter().zip(decls).try_for_each(|(s, d)| slot(s, d))
+    };
+    let mut caller: Option<&Function> = None;
+    for (k, frame) in st.frames.iter().enumerate() {
+        let (func, block) = lookup_block(program, frame.func, frame.block)
+            .ok_or_else(|| format!("frame {k}: no block ({}, {})", frame.func, frame.block))?;
+        if frame.instr as usize > block.instrs.len() {
+            return Err(format!("frame {k}: instruction {} past the block's end", frame.instr));
+        }
+        slots(&frame.locals, &func.locals)
+            .map_err(|e| format!("frame {k} (`{}`): {e}", func.name))?;
+        // `check_state` bounded the return destination by the caller's
+        // locals, which match the caller's declarations.
+        if let (Some(caller), Some(d)) = (caller, frame.ret_dest) {
+            let decl = &caller.locals[d as usize];
+            if !decl.ty.is_int() {
+                return Err(format!("frame {k}: returns into array `{}`", decl.name));
+            }
+        }
+        caller = Some(func);
+    }
+    slots(&st.globals, &program.globals).map_err(|e| format!("globals: {e}"))?;
+    st.outputs.iter().try_for_each(|&r| root(r))
 }
 
 fn get_test(c: &mut Cursor<'_>) -> Result<TestCase, String> {
@@ -912,6 +994,85 @@ mod tests {
             let mut ck = sample();
             edit(&mut ck.frontier[0]);
             assert!(decode_checkpoint(&encode_checkpoint(&ck)).is_err(), "{what} accepted");
+        }
+    }
+
+    /// A program with a global scalar and array, a helper called with a
+    /// scalar return destination, and an array local in each function;
+    /// and a checkpoint whose one frontier state is inside the call.
+    fn fitting() -> (Program, Checkpoint) {
+        use crate::state::{fresh_frame, LiveState, State, StateId};
+        use symmerge_ir::{FuncId, LocalId};
+        let program = symmerge_ir::minic::compile_with_width(
+            r#"
+            global g = 7;
+            global buf[3];
+            fn f(v) { let t[2]; t[0] = v; if (v > 3) { return t[0]; } return 0; }
+            fn main() { let x = sym_int("x"); let a[2]; let r = f(x); buf[0] = r + a[1]; }
+        "#,
+            8,
+        )
+        .unwrap();
+        let index = |names: Vec<&str>, name: &str| names.iter().position(|&n| n == name).unwrap();
+        let main = program.func(program.entry);
+        let f = index(program.functions.iter().map(|f| f.name.as_str()).collect(), "f");
+        let r = index(main.locals.iter().map(|d| d.name.as_str()).collect(), "r");
+        let mut pool = ExprPool::new(8);
+        let mut state = State::initial(&program, &mut pool, StateId(0));
+        let x = pool.input("x", 8);
+        let callee =
+            fresh_frame(&program, &mut pool, FuncId(f as u32), &[x], Some(LocalId(r as u32)));
+        state.frames.push(callee);
+        state.outputs.push(x);
+        let st = PortableState::export(&pool, &LiveState::fresh(state), 0, 0, 1);
+        let ck = Checkpoint {
+            seed: 0,
+            next_id: 1,
+            rng: [1, 2, 3, 4],
+            results: ShardOutput { covered: vec![(0, 0)], ..ShardOutput::default() },
+            frontier: vec![st],
+        };
+        (program, ck)
+    }
+
+    /// One mutation per [`Checkpoint::check_program`] rule, each refused
+    /// with an error; the unmutated checkpoint fits.
+    #[test]
+    fn checkpoints_that_do_not_fit_the_program_are_refused() {
+        let (program, ck) = fitting();
+        ck.check_program(&program).unwrap();
+        let main = program.func(program.entry);
+        let a = main.locals.iter().position(|d| d.name == "a").unwrap();
+        type Edit = fn(&mut Checkpoint, usize);
+        let edits: [(&str, Edit); 11] = [
+            ("no such function", |ck, _| ck.frontier[0].frames[1].func = 99),
+            ("no such block", |ck, _| ck.frontier[0].frames[0].block = 99),
+            ("instruction past the terminator", |ck, _| ck.frontier[0].frames[1].instr = 99),
+            ("a missing local", |ck, _| drop(ck.frontier[0].frames[0].locals.pop())),
+            ("a missing global", |ck, _| drop(ck.frontier[0].globals.pop())),
+            ("scalar global as an array", |ck, _| {
+                ck.frontier[0].globals[0] = PortableSlot::Array(vec![0]);
+            }),
+            ("array local as a scalar", |ck, a| {
+                ck.frontier[0].frames[0].locals[a] = PortableSlot::Int(0);
+            }),
+            ("array of the wrong length", |ck, a| {
+                ck.frontier[0].frames[0].locals[a] = PortableSlot::Array(vec![0; 5]);
+            }),
+            ("return into an array local", |ck, a| {
+                ck.frontier[0].frames[1].ret_dest = Some(a as u32);
+            }),
+            ("a root of another width", |ck, _| {
+                let st = &mut ck.frontier[0];
+                st.dag.nodes.push(PortableNode::BvConst { value: 1, width: 16 });
+                st.outputs.push(st.dag.nodes.len() as u32 - 1);
+            }),
+            ("covered block outside the program", |ck, _| ck.results.covered.push((0, 99))),
+        ];
+        for (what, edit) in edits {
+            let mut bad = ck.clone();
+            edit(&mut bad, a);
+            assert!(bad.check_program(&program).is_err(), "{what} accepted");
         }
     }
 

@@ -1469,11 +1469,25 @@ impl Engine {
     /// their test cases were already generated before the checkpoint,
     /// and `ExprId`s do not survive the pool boundary.
     ///
+    /// # Errors
+    ///
+    /// Refuses, before restoring anything, a checkpoint whose frontier
+    /// does not fit this engine's program
+    /// ([`Checkpoint::check_program`](crate::Checkpoint::check_program)).
+    ///
     /// # Panics
     ///
     /// Panics if the engine has already explored anything (restoring
     /// over live work would double-count it).
-    pub fn restore_checkpoint(&mut self, ck: &crate::checkpoint::Checkpoint) {
+    pub fn restore_checkpoint(&mut self, ck: &crate::checkpoint::Checkpoint) -> Result<(), String> {
+        ck.check_program(&self.program)?;
+        self.restore(ck);
+        Ok(())
+    }
+
+    /// [`Engine::restore_checkpoint`] without the program check, for a
+    /// caller that has made it already.
+    pub(crate) fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) {
         assert!(
             self.states.is_empty() && self.totals.picks == 0 && self.next_id == 0,
             "restore_checkpoint needs a freshly built engine"

@@ -316,8 +316,14 @@ impl ParallelEngine {
     /// combined report's result fields match the uninterrupted run's
     /// byte for byte, regardless of which scheduler or job count wrote
     /// the checkpoint.
-    pub fn resume(&mut self, ck: &Checkpoint) -> RunReport {
-        self.run_with(Some(ck))
+    ///
+    /// # Errors
+    ///
+    /// Refuses, before running anything, a checkpoint whose frontier
+    /// does not fit the program ([`Checkpoint::check_program`]).
+    pub fn resume(&mut self, ck: &Checkpoint) -> Result<RunReport, String> {
+        ck.check_program(&self.program)?;
+        Ok(self.run_with(Some(ck)))
     }
 
     fn run_with(&mut self, resume: Option<&Checkpoint>) -> RunReport {
@@ -334,7 +340,7 @@ impl ParallelEngine {
                 .build()
                 .expect("program validated in ParallelEngine::new");
             if let Some(ck) = resume {
-                engine.restore_checkpoint(ck);
+                engine.restore(ck);
             }
             return engine.run();
         }

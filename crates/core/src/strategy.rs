@@ -3,8 +3,9 @@
 //! The engine is strategy-agnostic, exactly as the paper requires: static
 //! state merging plugs in [`Topological`] order (explore everything leading
 //! to a join point first), test generation plugs in coverage-optimized or
-//! random search, and dynamic state merging (in [`crate::dsm`]) wraps any
-//! of them as the *driving* heuristic.
+//! random search, and dynamic state merging keeps its index
+//! ([`crate::dsm::DsmIndex`]) beside any of them, which stays the
+//! *driving* heuristic.
 
 use crate::state::StateId;
 use rand::rngs::StdRng;

@@ -46,9 +46,9 @@ const BOOL_SLOT: u32 = u32::MAX;
 /// [`SatSolver::fork`](crate::sat::SatSolver::fork) this is what makes a
 /// [`SolverContext`](crate::SolverContext) forkable — the clone keeps
 /// translating from where the original stood, without re-blasting any
-/// shared circuitry. Both caches map to [`Slot`]s in one literal arena,
-/// so a clone copies two tables and one buffer, with no allocation per
-/// entry. Inside a context the CNF is only a staging buffer: the context
+/// shared circuitry. Both caches map to `(start, len)` slots in one
+/// literal arena, so a clone copies two tables and one buffer, with no
+/// allocation per entry. Inside a context the CNF is only a staging buffer: the context
 /// drains each new clause into its SAT solver
 /// ([`BitBlaster::drain_clauses`]), so a clone copies variables and the
 /// gate memo but no clauses.

@@ -109,13 +109,13 @@ pub struct SolverConfig {
     /// still has to blast — tail ≤ 1 is the steady-state branch query,
     /// while a longer tail (a migrated state on a sharded worker whose
     /// context holds only the trunk) pays a real blast-and-solve,
-    /// which the tiers *do* profitably shield (measured in
-    /// `parallel_scaling`: gating all context routes at `wc`@6
-    /// jobs = 2 doubled the wall). The exact-match cache (tier 1)
-    /// stays on for every query, and re-blast-path queries are never
-    /// gated (there a tier hit still saves a full CNF build). `0`
-    /// disables the gate (an ablation row). Default measured on `wc`@6 Random (`tier_sweep`):
-    /// see [`SolverConfig::default`].
+    /// which the tiers *do* profitably shield (gating all context
+    /// routes at `wc`@6 jobs = 2 doubled the wall). The exact-match
+    /// cache (tier 1) stays on for every query, and re-blast-path
+    /// queries are never gated (there a tier hit still saves a full
+    /// CNF build). `0` disables the gate (an ablation row). Both
+    /// measurements: EXPERIMENTS.md, "The cache-tier pipeline,
+    /// re-priced"; see [`SolverConfig::default`].
     pub tier_gate: usize,
     /// Answer prefix-shaped queries ([`Solver::check_assuming`]) on
     /// persistent incremental [`SolverContext`]s instead of re-blasting.
@@ -220,11 +220,11 @@ impl Default for SolverConfig {
             use_independence: true,
             use_cex_cache: true,
             cex_prefilter: true,
-            // Swept on `wc`@6 Random (`ctx_stats`): query sizes there
-            // concentrate at 20–36 conjuncts and a context hit beats
-            // the skipped tiers across the whole range, so the default
-            // sits above the observed sizes; larger values were
-            // indistinguishable (the tiers only start winning on
+            // Swept on `wc`@6 Random (EXPERIMENTS.md, "The cache-tier
+            // pipeline, re-priced"): query sizes concentrate at 20–36
+            // conjuncts and a context hit beats the skipped tiers across
+            // the whole range, so the default sits above them; larger
+            // values were indistinguishable (the tiers only win on
             // re-blast queries, which are never gated).
             tier_gate: 64,
             use_incremental: true,
@@ -238,20 +238,20 @@ impl Default for SolverConfig {
             // 4 → 16 in PR 3 (measured rebuild thrash under interleaving
             // strategies); 16 → 64 with the fork-aware tree: forked
             // divergence contexts are only worth keeping if they survive
-            // until the sibling returns, and the `ctx_stats` harness
-            // measured eviction churn at 16 costing ~25% wall on
-            // `wc`@Random (fork-on@16 220 ms vs fork-on@64 166 ms at
-            // stdin 4, equal results). Since clause-weighted eviction,
-            // 64 is only the *floor*: the effective capacity tracks the
-            // engine's frontier hint and residency is bounded by
-            // `max_context_clauses`.
+            // until the sibling returns, and EXPERIMENTS.md ("the
+            // fork-aware solver-context tree") measured eviction churn
+            // at 16 costing ~25% wall on `wc`@Random (fork-on@16 220 ms
+            // vs fork-on@64 166 ms at stdin 4, equal results). Since
+            // clause-weighted eviction, 64 is only the *floor*: the
+            // effective capacity tracks the engine's frontier hint and
+            // residency is bounded by `max_context_clauses`.
             max_contexts: 64,
             ctx_evict_by_clauses: true,
-            // Measured on `wc`@Random stdin 6 (`ctx_stats`): the whole
-            // live frontier's contexts fit in ~1M clauses (~tens of MB),
-            // which eliminates the forks≈evictions churn of the fixed
-            // 64-slot capacity while keeping residency bounded on
-            // deeper runs.
+            // Measured on `wc`@Random stdin 6 (EXPERIMENTS.md, "Heapified
+            // scheduling + clause-weighted residency"): the live frontier's
+            // contexts fit in ~1M clauses (~tens of MB), which ends the
+            // forks≈evictions churn of a fixed 64-slot capacity while
+            // keeping residency bounded on deeper runs.
             max_context_clauses: 1_000_000,
             cex_capacity: 256,
             shared_cache: true,
@@ -1808,8 +1808,8 @@ impl Solver {
     /// **sibling evidence** (`sat_extras`): migrated states carry none
     /// (it stayed on the donor worker), and without it the first
     /// lineage's extension would move the trunk context away and strand
-    /// its siblings cold — the 871-fleet-rebuild pathology the
-    /// `parallel_scaling` harness measured.
+    /// its siblings cold — the 871-fleet-rebuild pathology of
+    /// EXPERIMENTS.md, "Heapified scheduling + clause-weighted residency".
     ///
     /// Costs are charged to the ordinary counters (`ctx_rebuilds` /
     /// `ctx_forks` / `ctx_evictions`), and eviction policy applies as

@@ -9,10 +9,13 @@
 //! ```
 //!
 //! `run` takes its solver and fault-tolerance knobs from the `SYMMERGE_*`
-//! environment variables (see `symmerge::config`).
+//! environment variables (see `symmerge::config`). It explores
+//! sequentially, so it refuses to run while a fleet variable
+//! (`symmerge::config::FLEET_VARS`) is set rather than ignore it.
 
 use std::process::ExitCode;
 use std::time::Duration;
+use symmerge::config::FLEET_VARS;
 use symmerge::core::VarKey;
 use symmerge::prelude::*;
 
@@ -89,6 +92,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let [_, path] = args.positional.as_slice() else {
         return Err("run: expected exactly one input file".into());
     };
+    if let Some(var) = FLEET_VARS.iter().find(|&&var| std::env::var_os(var).is_some()) {
+        return Err(format!(
+            "run: {var} is set, but `symmerge run` explores sequentially and would ignore it; \
+             only the fig* harnesses read it, under --jobs above 1"
+        ));
+    }
     let width = args.num("width", 32u32)?;
     let program = load_program(path, width)?;
     let merge = match args.get("merge").unwrap_or("dynamic") {

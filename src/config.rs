@@ -3,8 +3,8 @@
 //! The library crates never read the environment: every `Default` there
 //! is a constant. This module is the one place the `SYMMERGE_*`
 //! variables are parsed, and only binaries call it — the `symmerge`
-//! command-line tool and the `symmerge-bench` harnesses. Tests build
-//! their configurations as values instead.
+//! command-line tool and the `symmerge-bench` figure binaries, each once
+//! in `main`. Tests build their configurations as values instead.
 //!
 //! Unset variables keep the library default. A set variable that does
 //! not parse panics: a misspelled knob silently running the default
@@ -29,6 +29,13 @@ pub struct EnvConfig {
     /// Fleet configuration, starting from [`ParallelConfig::default`].
     pub parallel: ParallelConfig,
 }
+
+/// The variables that configure only a fleet
+/// ([`EnvConfig::parallel`]). Only the figure harnesses read them, and
+/// only when run with `--jobs` above 1; the `symmerge` CLI explores
+/// sequentially and refuses to run while one is set.
+pub const FLEET_VARS: [&str; 3] =
+    ["SYMMERGE_SCHEDULER", "SYMMERGE_PAR_QUOTA", "SYMMERGE_PAR_STEAL_NEWEST"];
 
 /// Reads the `SYMMERGE_*` process environment (see the
 /// [module docs](self)).
@@ -287,11 +294,19 @@ mod tests {
             (&[("SYMMERGE_PAR_STEAL_NEWEST", "1")], |c| c.parallel.steal_newest = true),
         ];
         let mut covered = BTreeSet::new();
+        let default = from_lookup(|_| None);
         for &(list, edit) in table {
-            let mut want = from_lookup(|_| None);
+            let mut want = default.clone();
             edit(&mut want);
             assert_eq!(from_lookup(vars(list)), want, "{list:?}");
             covered.extend(list.iter().map(|&(name, _)| name));
+            // `FLEET_VARS` lists exactly the variables that set the fleet.
+            if list.iter().all(|(name, _)| FLEET_VARS.contains(name)) {
+                assert_ne!(want.parallel, default.parallel, "{list:?}");
+                assert_eq!(want.engine, default.engine, "{list:?}");
+            } else {
+                assert_eq!(want.parallel, default.parallel, "{list:?}");
+            }
         }
         // Record every name the parser asks for.
         let read = RefCell::new(BTreeSet::new());

@@ -198,25 +198,29 @@ fn solver_differential_stdin_and_mixed_workloads() {
 /// answers a query, never the answer. Running the default (gated,
 /// prefiltered) pipeline against a reference with both shortcuts
 /// disabled, on both solver paths, must be byte-identical under
-/// canonical models.
+/// canonical models. The default gate (64) and a low one (8) both run,
+/// so the gate is checked on either side of most query sizes.
 fn tier_pipeline_differential_for(workloads: &[(&str, InputConfig)]) {
     for &(name, cfg) in workloads {
         for use_incremental in [true, false] {
-            let gated = SolverConfig {
+            let ungated = SolverConfig {
                 use_incremental,
                 canonical_models: true,
-                cex_prefilter: true,
-                tier_gate: 64,
+                cex_prefilter: false,
+                tier_gate: 0,
                 ..SolverConfig::default()
             };
-            let ungated = SolverConfig { cex_prefilter: false, tier_gate: 0, ..gated.clone() };
             for (mode, strategy) in [
                 (MergeMode::None, StrategyKind::Bfs),
                 (MergeMode::Static, StrategyKind::Topological),
             ] {
-                let a = run_with_solver(name, cfg, mode, strategy, gated.clone());
                 let b = run_with_solver(name, cfg, mode, strategy, ungated.clone());
-                assert_solver_config_invariant(name, "tier-gated vs ungated", &a, &b);
+                for tier_gate in [8, 64] {
+                    let gated = SolverConfig { cex_prefilter: true, tier_gate, ..ungated.clone() };
+                    let a = run_with_solver(name, cfg, mode, strategy, gated);
+                    let what = format!("tier-gated ({tier_gate}) vs ungated");
+                    assert_solver_config_invariant(name, &what, &a, &b);
+                }
             }
         }
     }

@@ -297,7 +297,7 @@ fn sequential_kill_and_resume_reproduces_the_run() {
     assert!(!ck.frontier.is_empty(), "mid-run checkpoint must carry a frontier");
 
     let mut resumed_engine = Engine::builder(program).config(engine_config(None)).build().unwrap();
-    resumed_engine.restore_checkpoint(&ck);
+    resumed_engine.restore_checkpoint(&ck).unwrap();
     let resumed = resumed_engine.run();
 
     let who = format!("{workload} sequential resume");
@@ -329,7 +329,8 @@ fn bsp_kill_and_resume_reproduces_the_run() {
     let picks = ck.results.report.picks;
     assert!(picks > 0 && picks < uninterrupted.picks, "checkpoint is mid-run");
 
-    let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
+    let resumed =
+        ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck).unwrap();
 
     let who = format!("{workload} bsp jobs=4 resume");
     assert_equivalent(&who, &uninterrupted, &resumed);
@@ -367,7 +368,8 @@ fn bsp_resume_carries_the_coordinators_pending_states() {
     let firsts = ck.frontier.iter().filter(|s| (s.origin_shard, s.origin_seq) == (0, 1)).count();
     assert_eq!(firsts, 2, "{workload}: the checkpoint must carry the pending state");
 
-    let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
+    let resumed =
+        ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck).unwrap();
     let who = format!("{workload} bsp jobs=4 resume with pending states");
     assert_equivalent(&who, &uninterrupted, &resumed);
     assert_eq!(resumed.picks, uninterrupted.picks, "{who}: pick counts differ");
@@ -399,7 +401,8 @@ fn checkpoint_resumes_across_schedulers() {
         scheduler: SchedulerKind::Steal,
         ..Default::default()
     };
-    let resumed = ParallelEngine::new(program, engine_config(None), par).unwrap().resume(&ck);
+    let resumed =
+        ParallelEngine::new(program, engine_config(None), par).unwrap().resume(&ck).unwrap();
 
     let who = format!("{workload} sequential checkpoint resumed on steal jobs=4");
     assert_equivalent(&who, &uninterrupted, &resumed);
@@ -427,9 +430,42 @@ fn checkpoint_survives_a_worker_panic_before_the_kill() {
     let ck = read_checkpoint(&path).expect("checkpoint written despite the panic");
     std::fs::remove_file(&path).ok();
 
-    let resumed = ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck);
+    let resumed =
+        ParallelEngine::new(program, engine_config(None), par()).unwrap().resume(&ck).unwrap();
     let who = format!("{workload} bsp jobs=4 panic-then-kill resume");
     assert_equivalent(&who, &uninterrupted, &resumed);
+}
+
+/// A checkpoint resumes only on a program it fits. A checkpoint written
+/// by a `wc` run is refused, with an error and before anything runs, on
+/// programs whose frames it does not fit: by the sequential engine and
+/// by the fleet under both schedulers.
+#[test]
+fn checkpoint_from_another_program_is_refused() {
+    let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 4 };
+    let program = by_name("wc").unwrap().program(&cfg);
+    let path = ck_path("foreign");
+    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 8), 60);
+    Engine::builder(program).config(killed_cfg).build().unwrap().run();
+    let ck = read_checkpoint(&path).expect("checkpoint written before the kill");
+    std::fs::remove_file(&path).ok();
+    assert!(!ck.frontier.is_empty(), "mid-run checkpoint must carry a frontier");
+
+    for (workload, cfg) in
+        [("link", InputConfig::args(2, 2)), ("basename", InputConfig::args(1, 3))]
+    {
+        let other = by_name(workload).unwrap().program(&cfg);
+        let mut engine =
+            Engine::builder(other.clone()).config(engine_config(None)).build().unwrap();
+        let err = engine.restore_checkpoint(&ck).expect_err("sequential resume must refuse");
+        assert!(err.contains("frontier state"), "{workload}: {err}");
+        for scheduler in [SchedulerKind::Bsp, SchedulerKind::Steal] {
+            let par = ParallelConfig { jobs: 2, scheduler, ..Default::default() };
+            let mut fleet = ParallelEngine::new(other.clone(), engine_config(None), par).unwrap();
+            let err = fleet.resume(&ck).expect_err("fleet resume must refuse");
+            assert!(err.contains("frontier state"), "{workload} {scheduler:?}: {err}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -237,20 +237,41 @@ fn tests_digest(report: &RunReport) -> u64 {
 /// measures under `canonical_models: false`: the generated tests in
 /// generation order and the SAT-level counters, which any change to
 /// clause order, watch order or decision order in the CDCL core moves.
-/// The unmerged row is the benchmark's `explore-wc6` setup at a smaller
-/// input; the merged row reaches conflicts, so learnt clauses and their
-/// compaction at fork time are pinned too. A change meant to alter the
+/// The Random row is the benchmark's `explore-wc6` setup at a smaller
+/// input; the Dfs and Bfs rows pin the two deterministic worklist
+/// orders; the Topological row is the paper's static merging (the
+/// benchmark's `ssm-basename10` setup); the dynamic-merging row reaches
+/// the most conflicts, so learnt clauses and their compaction at fork
+/// time are pinned too. A change meant to alter the
 /// search (a new heuristic) updates the pinned values; a change meant to
 /// be a pure speed-up must leave them alone.
 #[test]
 fn default_search_order_is_pinned() {
     type Pin = (u64, u64, u64, u64, u64, u64, u64, usize, u64);
-    let rows: [(u32, MergeMode, StrategyKind, Pin); 2] = [
+    let rows: [(u32, MergeMode, StrategyKind, Pin); 5] = [
         (
             3,
             MergeMode::None,
             StrategyKind::Random,
             (2868, 239, 1309, 9613, 0, 71, 21237, 85, 3287446338801938944),
+        ),
+        (
+            3,
+            MergeMode::None,
+            StrategyKind::Dfs,
+            (2868, 235, 1257, 9453, 0, 71, 18293, 85, 928238929201085142),
+        ),
+        (
+            3,
+            MergeMode::None,
+            StrategyKind::Bfs,
+            (2868, 236, 1269, 9512, 0, 71, 21237, 85, 5766680493539772186),
+        ),
+        (
+            3,
+            MergeMode::Static,
+            StrategyKind::Topological,
+            (465, 80, 1125, 8995, 3, 17, 6646, 1, 11216982687399032055),
         ),
         (
             5,
