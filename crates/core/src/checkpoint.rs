@@ -979,6 +979,50 @@ mod tests {
         }
     }
 
+    /// The sweep above over a checkpoint a real run wrote: `wc` on two
+    /// stdin bytes, checkpointed at pick 200 of a 400-pick budget, with
+    /// states on its frontier and tests in its results (about 6 KB).
+    /// Every truncation is refused, and every single-byte corruption is
+    /// refused or decodes to a checkpoint that checks against the
+    /// program — and, when it fits, imports — without a panic.
+    #[test]
+    fn a_real_wc_checkpoint_fails_closed_when_truncated_or_flipped() {
+        use crate::engine::{Budgets, Engine, EngineConfig};
+        use symmerge_workloads::{by_name, InputConfig};
+        let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 2 };
+        let program = by_name("wc").unwrap().program(&cfg);
+        let path = std::env::temp_dir()
+            .join(format!("symmerge-checkpoint-sweep-{}.ck", std::process::id()));
+        let config = EngineConfig {
+            budgets: Budgets { max_picks: Some(400), ..Budgets::default() },
+            checkpoint: Some(crate::CheckpointConfig { path: path.clone(), every: 200 }),
+            ..EngineConfig::default()
+        };
+        Engine::builder(program.clone()).config(config).build().unwrap().run();
+        let bytes = std::fs::read(&path).expect("the run wrote a checkpoint");
+        std::fs::remove_file(&path).ok();
+        let ck = decode_checkpoint(&bytes).unwrap();
+        assert!(!ck.frontier.is_empty(), "the checkpoint must carry a frontier");
+        assert!(!ck.results.report.tests.is_empty(), "and tests the run already generated");
+        ck.check_program(&program).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+        }
+        for pos in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= mask;
+                let checked = std::panic::catch_unwind(|| {
+                    let Ok(ck) = decode_checkpoint(&bad) else { return };
+                    if ck.check_program(&program).is_ok() {
+                        crate::shard::import_frontier(&ck.frontier, &mut ExprPool::new(8));
+                    }
+                });
+                assert!(checked.is_ok(), "byte {pos} ^ {mask:#04x} panicked");
+            }
+        }
+    }
+
     /// States that import but could not run are refused too.
     #[test]
     fn inconsistent_frontier_states_are_refused() {

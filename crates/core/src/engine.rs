@@ -271,12 +271,14 @@ impl EngineBuilder {
     }
 
     /// Joins a fleet-shared [`SharedSolverCache`]: the engine's solver
-    /// publishes fresh verdicts to it and consults a private read
-    /// mirror (synced once per exploration step) after its own caches
-    /// miss. Requires globally stable `ExprId`s — i.e. every engine
-    /// over the store must be built over the same
-    /// [`EngineBuilder::shared_pool`] — since cache keys are `ExprId`
-    /// sets. A no-op when [`SolverConfig::shared_cache`] is off (the
+    /// queues fresh verdicts for it and consults a private read mirror
+    /// after its own caches miss. Both move only when the caller says
+    /// so: [`Engine::publish_shared_cache`] hands the queue to the
+    /// store (until then it keeps growing), [`Engine::sync_shared_cache`]
+    /// catches the mirror up.
+    /// Requires globally stable `ExprId`s — i.e. every engine over the
+    /// store must be built over the same [`EngineBuilder::shared_pool`]
+    /// — since cache keys are `ExprId` sets. A no-op when [`SolverConfig::shared_cache`] is off (the
     /// fleet then builds no store at all, though its workers still
     /// share the pool), which is how `SYMMERGE_SHARED_CACHE=0` ablates
     /// the verdict store.
@@ -1052,10 +1054,6 @@ impl Engine {
         // Let the solver's adaptive context capacity track the live
         // frontier (a field store — free at this frequency).
         self.solver.set_frontier_hint(self.states.len());
-        // Step boundary: pull in whatever the other workers published
-        // to the shared solver cache since the last step (one atomic
-        // load when nothing changed; a no-op without a fleet).
-        self.solver.sync_shared_cache();
         let picked = {
             let mut oracle = OracleImpl {
                 program: &self.program,
@@ -1159,6 +1157,22 @@ impl Engine {
         {
             self.solver.set_forced_unknowns(num, den, seed);
         }
+    }
+
+    /// Catches the solver's shared-cache mirror up with everything the
+    /// store holds. The engine never syncs on its own: the fleet does,
+    /// BSP workers at each round start and steal workers before each
+    /// step.
+    pub fn sync_shared_cache(&mut self) {
+        self.solver.sync_shared_cache();
+    }
+
+    /// Publishes to the shared store what the solver queued since the
+    /// last publication. The engine never publishes on its own: the
+    /// fleet does, the BSP coordinator for every worker at each barrier
+    /// and steal workers before each step.
+    pub fn publish_shared_cache(&mut self) {
+        self.solver.publish_shared_cache();
     }
 
     /// Makes the fault plan's panic coordinate the fleet-global pick
@@ -1352,12 +1366,8 @@ impl Engine {
             return;
         }
         // Donor workers may have interned nodes this handle has not yet
-        // mirrored; make every shipped ExprId resolvable first. The
-        // shared-cache mirror catches up too: the donor likely solved
-        // along these states' prefixes, so its published verdicts are
-        // exactly the entries the prewarm and next steps will ask for.
+        // mirrored; make every shipped ExprId resolvable first.
         self.pool.sync();
-        self.solver.sync_shared_cache();
         for stolen in &mut batch {
             stolen.live.state.id = self.fresh_id();
             // Affinity tokens index the donor's solver clock; the prefix

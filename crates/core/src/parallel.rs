@@ -52,11 +52,17 @@
 //! assignment from the observed loads ([`RegionMap::balance`]) and
 //! workers evict whole regions they lost; under free placement it asks
 //! overloaded workers to shed their oldest states (shallow subtree
-//! roots, the Cilk steal) to the underloaded ones. Because quotas are
-//! counted in scheduler steps (not wall time) and every stealing input
-//! is a deterministic count, the complete run — every merge, every test —
-//! is a pure function of `(program, config, jobs)`; thread scheduling
-//! cannot change it.
+//! roots, the Cilk steal) to the underloaded ones. The shared verdict
+//! store moves at the barrier too: workers only queue what they solve,
+//! the coordinator publishes every worker's queue in worker order
+//! ([`Engine::publish_shared_cache`]), and each worker syncs its private
+//! read mirror before playing the round, so a verdict found mid-round
+//! stays invisible to peers until the next one, and the store's
+//! contents and order follow from the rounds alone. Because quotas are
+//! counted in scheduler steps (not wall time), every stealing input is
+//! a deterministic count and every cache lookup sees the same store, the
+//! complete run — every merge, every test — is a pure function of
+//! `(program, config, jobs)`; thread scheduling cannot change it.
 //!
 //! # Determinism contract
 //!
@@ -514,6 +520,13 @@ impl ParallelEngine {
                     }
                 }
 
+                // The round's verdicts reach the store here, in worker
+                // order, so the store's contents and order are the
+                // same on every run; each worker then syncs its mirror
+                // on its own thread before playing.
+                for slot in parked.iter_mut() {
+                    slot.engine().publish_shared_cache();
+                }
                 let mut inboxes: Vec<Vec<StolenState>> = (0..jobs).map(|_| Vec::new()).collect();
                 let mut keeps: Vec<Option<u64>> = vec![None; jobs as usize];
                 if free {
@@ -821,6 +834,10 @@ fn steal_worker(
             }
         }
         let before = engine.worklist_len() as i64;
+        // Publish what the last step solved and pull in whatever the
+        // peers published since (one atomic load when nothing changed).
+        engine.publish_shared_cache();
+        engine.sync_shared_cache();
         let drained = match catch_unwind(AssertUnwindSafe(|| engine.explore_step())) {
             Ok(ExploreStep::Progressed) => None,
             // The worklist was non-empty, so these are unreachable;
@@ -955,12 +972,13 @@ fn bsp_worker(engine: Engine, slot: &Mutex<Slot>, rounds: &Rounds, steal_newest:
     slot.output = engine.as_ref().map(|engine| engine.output());
 }
 
-/// One BSP round on a worker's engine: evict what the plan gives up,
-/// seed or integrate the inbox, and explore up to the quota. Returns the
-/// states leaving this worker (evicted and outbox), which the
-/// coordinator routes at the next barrier.
+/// One BSP round on a worker's engine: sync the verdict mirror, evict what the plan gives up, seed or integrate the
+/// inbox, and explore up to the quota. Returns the states leaving this
+/// worker (evicted and outbox), which the coordinator routes at the
+/// next barrier.
 fn play_round(engine: &mut Engine, plan: RoundPlan, steal_newest: bool) -> Vec<StolenState> {
     let RoundPlan { map, mut inbox, quota, seed, keep } = plan;
+    engine.sync_shared_cache();
     let mut handoffs = match (map, keep) {
         // Region policy: install the new map, evict lost regions.
         (Some(map), _) => engine.set_region_map(map),

@@ -223,7 +223,7 @@ impl SolverContext {
         // Record single-extra queries that were not refuted: each such
         // extra is a path the engine may fork a child state onto, and
         // that child's next query will extend this prefix by exactly this
-        // conjunct. (Unknown counts — `may_be_sat` explores it.)
+        // conjunct. (Unknown counts — `may_be_sat_assuming` explores it.)
         if let [e] = extras {
             if !matches!(outcome, SolveOutcome::Unsat) && !self.sat_extras.contains(e) {
                 self.sat_extras.push(*e);

@@ -73,10 +73,11 @@ mod fxhash;
 mod model;
 mod shared;
 mod solve;
+mod tiers;
 
 pub use cnf::{Cnf, Lit, Var};
 pub use context::SolverContext;
 pub use model::Model;
 pub use sat::{SatSolver, SatStats, SolveOutcome};
-pub use shared::SharedSolverCache;
+pub use shared::{Publication, SharedSolverCache};
 pub use solve::{ladder_budget, SatResult, Solver, SolverConfig, SolverStats, RETRY_BUDGET_CAP};

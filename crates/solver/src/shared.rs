@@ -1,11 +1,8 @@
 //! Cross-worker shared solver-verdict store ([`SharedSolverCache`]).
 //!
-//! PR 7's [`symmerge_expr::SharedExprPool`] made `ExprId`s globally
-//! stable across the workers of a parallel run, but each worker still
-//! warmed its *own* query cache and counterexample cache from scratch —
-//! the fleet paid for every verdict up to `jobs` times. This module is
-//! the cache-side counterpart of the shared pool, and it copies the same
-//! design:
+//! The fleet's workers intern into one [`symmerge_expr::SharedExprPool`],
+//! so an `ExprId` set means the same query on every worker, and this
+//! store lets a verdict one worker paid for answer the others:
 //!
 //! * a **shared, append-only store** behind sharded locks — the exact
 //!   verdict tier is sharded 16 ways by the query's commutative
@@ -13,22 +10,26 @@
 //!   only on first publication; duplicates are detected under a read
 //!   lock first), while the two counterexample tiers are append-only
 //!   logs with their 64-bit membership signatures;
-//! * **per-worker read mirrors** ([`SharedCacheMirror`]) that a
-//!   [`crate::Solver`] consults lock-free on the query path: `sync()`
-//!   copies any entries published since the last sync into the mirror's
-//!   private index (cursor per shard — append-only storage is what makes
-//!   a cursor sufficient), so the hot read path costs exactly what the
-//!   private caches cost. A one-atomic-load version check makes the
-//!   steady-state sync (nothing new) effectively free.
+//! * **per-worker read mirrors**, the fleet tiers of each solver's
+//!   [verdict ladder](crate::tiers): a sync copies the entries published
+//!   since the last one (a cursor per shard and log — append-only
+//!   storage is what makes a cursor sufficient), so the hot read path
+//!   is lock-free.
 //!
-//! Entries are **never evicted**: mirrors index into their own copies,
-//! so the store only grows (the counterexample logs stop accepting
-//! publications at a capacity bound instead of evicting — a mirror can
-//! never lose an entry, which `shared_cache_prop.rs` pins as the sync
-//! monotonicity property). Exact entries are full-key verified on every
-//! hit, exactly like the private [`QueryCache`](crate::solve): two
-//! distinct sets colliding on the 64-bit prehash share a bucket but can
-//! never alias each other's verdict, even across workers.
+//! A solver does not publish as it solves: its ladder queues fresh
+//! entries until the owner publishes them
+//! ([`crate::Solver::publish_shared_cache`]). A BSP fleet's coordinator
+//! publishes every worker's queue at the round barrier, in worker order,
+//! so what the store holds — which entries, in which order, which
+//! worker's model won a duplicate, which publications a full log
+//! refused — is fixed by the workers' rounds, never by thread timing.
+//!
+//! Entries are **never evicted** (the counterexample logs refuse
+//! publications at a capacity bound instead), so a mirror never loses an
+//! entry — `shared_cache_prop.rs` pins this as the sync monotonicity
+//! property. Exact entries are full-key verified on every hit: two
+//! distinct sets colliding on the 64-bit prehash can never alias each
+//! other's verdict, even across workers.
 //!
 //! **Result invariance.** Under canonical minimal models
 //! ([`crate::SolverConfig::canonical_models`]) every verdict — including
@@ -37,11 +38,10 @@
 //! local solver would have computed; shared-on and shared-off runs are
 //! byte-identical. Without canonical models, verdicts (sat/unsat) are
 //! still invariant but *which* satisfying model a query returns may
-//! depend on cross-worker timing, the same caveat model reuse already
-//! carries across configurations.
+//! depend on which worker solved it first.
 
 use crate::model::Model;
-use crate::solve::{is_subset, signature};
+use crate::tiers::signature;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LockResult, PoisonError, RwLock};
@@ -53,15 +53,11 @@ use symmerge_expr::ExprId;
 /// the job counts this workspace targets.
 const EXACT_SHARDS: usize = 16;
 
-/// Recovers a (possibly poisoned) lock acquisition. A worker panicking
-/// while holding a shard lock used to poison it and cascade the panic
-/// into every other worker touching the shard — precisely the
-/// all-or-nothing failure the panic-isolation layer exists to remove.
-/// Recovery is sound here because the store is **append-only with
-/// full-key-verified reads**: every publication pushes one fully
-/// constructed record, so the worst a mid-publication panic can leave
-/// behind is a pushed-but-unindexed exact entry, which readers simply
-/// miss (a cache miss, never a wrong verdict).
+/// Recovers a (possibly poisoned) lock acquisition, so a worker
+/// panicking while holding a shard lock cannot cascade the panic into
+/// the rest of the fleet. Sound because the store is **append-only with
+/// full-key-verified reads**: the worst a mid-publication panic leaves
+/// behind is a pushed-but-unindexed exact entry, which readers miss.
 fn recover<G>(r: LockResult<G>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -85,6 +81,18 @@ struct ExactEntry {
     model: Option<Model>,
 }
 
+/// One entry offered to the store ([`SharedSolverCache::publish`]).
+#[derive(Debug)]
+pub enum Publication {
+    /// An exact verdict for the normalized set with the given prehash:
+    /// `Some(model)` for sat, `None` for unsat.
+    Verdict(u64, Box<[ExprId]>, Option<Model>),
+    /// An unsat core (a sorted, deduplicated set).
+    Core(Box<[ExprId]>),
+    /// A satisfiable sorted set with its model (superset donation).
+    Sat(Box<[ExprId]>, Model),
+}
+
 /// An append-only counterexample log: `(signature, set, payload)`
 /// entries, capacity-bounded by refusing publications (never by
 /// eviction, which would break mirror monotonicity).
@@ -100,33 +108,28 @@ impl<T> CexLog<T> {
     }
 
     /// Appends unless the set is already present or the log is full.
-    fn publish(&mut self, sig: u64, set: &[ExprId], payload: T) -> bool {
+    fn publish(&mut self, set: Box<[ExprId]>, payload: T) -> bool {
         if self.entries.len() >= self.capacity {
             return false;
         }
-        if self.entries.iter().any(|(s, k, _)| *s == sig && **k == *set) {
+        let sig = signature(&set);
+        if self.entries.iter().any(|(s, k, _)| *s == sig && *k == set) {
             return false;
         }
-        self.entries.push((sig, set.into(), payload));
+        self.entries.push((sig, set, payload));
         true
     }
 }
 
-/// The cross-worker shared verdict store: an append-only exact-verdict
-/// tier behind sharded locks (full-key verified on every hit, so a
-/// colliding prehash can never alias two distinct sets — not even
-/// across workers) plus append-only subset/superset counterexample
-/// logs with 64-bit membership signatures. Workers read it through
-/// private lock-free mirrors that catch up at step boundaries.
+/// The cross-worker shared verdict store: an append-only exact tier
+/// behind sharded locks (full-key verified, so a colliding prehash can
+/// never alias two sets) plus two append-only counterexample logs.
+/// Workers read it through private mirrors that catch up when synced.
 ///
 /// Construct one with [`SharedSolverCache::new`], hand the `Arc` to
 /// every worker's engine, and attach it to each worker's solver
 /// ([`crate::Solver::attach_shared_cache`]), which builds the worker's
-/// private read mirror. Under canonical minimal models
-/// ([`crate::SolverConfig::canonical_models`]) every published verdict
-/// — including the model — is a path-independent function of the
-/// constraint set, so consuming a foreign entry is byte-for-byte what
-/// the local solver would have computed.
+/// private read mirror.
 #[derive(Debug)]
 pub struct SharedSolverCache {
     exact: Vec<RwLock<ExactShard>>,
@@ -154,32 +157,6 @@ impl SharedSolverCache {
         &self.exact[(h as usize) & (EXACT_SHARDS - 1)]
     }
 
-    /// Publishes an exact verdict for the normalized set with prehash
-    /// `h` (`model` is `Some` for sat, `None` for unsat). Returns
-    /// whether the entry was newly inserted — a duplicate (some worker
-    /// published the same set first) is a no-op, checked under a read
-    /// lock before the write lock is taken.
-    pub fn publish_verdict(&self, h: u64, set: &[ExprId], model: Option<&Model>) -> bool {
-        let shard = self.shard(h);
-        {
-            let s = recover(shard.read());
-            if lookup(&s, h, set).is_some() {
-                return false;
-            }
-        }
-        let mut s = recover(shard.write());
-        // Double-check under the write lock: another worker may have
-        // published between our read unlock and write lock.
-        if lookup(&s, h, set).is_some() {
-            return false;
-        }
-        let at = s.entries.len() as u32;
-        s.entries.push(ExactEntry { hash: h, set: set.into(), model: model.cloned() });
-        s.index.entry(h).or_default().push(at);
-        self.version.fetch_add(1, Ordering::Release);
-        true
-    }
-
     /// Direct full-key-verified read of an exact verdict (`Some(None)`
     /// is a published unsat). Mirrors serve the hot path; this exists
     /// for the verification suite and debugging.
@@ -188,25 +165,43 @@ impl SharedSolverCache {
         lookup(&s, h, set).map(|e| e.model.clone())
     }
 
-    /// Publishes an unsat core (a sorted, deduplicated set). Returns
-    /// whether it was newly inserted (the log may be full or already
-    /// hold the set).
-    pub fn publish_unsat_core(&self, set: &[ExprId]) -> bool {
-        let inserted = recover(self.cex_unsat.write()).publish(signature(set), set, ());
+    /// Offers one entry to the store, moving it in. Returns whether it
+    /// was newly inserted: a duplicate (some worker published the same
+    /// set first) is a no-op, and a full counterexample log refuses
+    /// the entry.
+    pub fn publish(&self, p: Publication) -> bool {
+        let inserted = match p {
+            Publication::Verdict(h, set, model) => self.insert_verdict(h, set, model),
+            Publication::Core(set) => recover(self.cex_unsat.write()).publish(set, ()),
+            Publication::Sat(set, m) => recover(self.cex_sat.write()).publish(set, m),
+        };
         if inserted {
             self.version.fetch_add(1, Ordering::Release);
         }
         inserted
     }
 
-    /// Publishes a satisfiable set with its model (superset donation
-    /// tier). Returns whether it was newly inserted.
-    pub fn publish_sat_set(&self, set: &[ExprId], m: &Model) -> bool {
-        let inserted = recover(self.cex_sat.write()).publish(signature(set), set, m.clone());
-        if inserted {
-            self.version.fetch_add(1, Ordering::Release);
+    /// The exact-tier half of [`SharedSolverCache::publish`]: the
+    /// duplicate check runs under a read lock before the write lock is
+    /// taken.
+    fn insert_verdict(&self, h: u64, set: Box<[ExprId]>, model: Option<Model>) -> bool {
+        let shard = self.shard(h);
+        {
+            let s = recover(shard.read());
+            if lookup(&s, h, &set).is_some() {
+                return false;
+            }
         }
-        inserted
+        let mut s = recover(shard.write());
+        // Double-check under the write lock: another worker may have
+        // published between our read unlock and write lock.
+        if lookup(&s, h, &set).is_some() {
+            return false;
+        }
+        let at = s.entries.len() as u32;
+        s.entries.push(ExactEntry { hash: h, set, model });
+        s.index.entry(h).or_default().push(at);
+        true
     }
 
     /// Total published entries across all tiers (observability; the
@@ -217,6 +212,48 @@ impl SharedSolverCache {
             + recover(self.cex_unsat.read()).entries.len()
             + recover(self.cex_sat.read()).entries.len()
     }
+
+    /// Bumped on every successful publication.
+    pub(crate) fn version(&self) -> usize {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// Visits the entries published since `cursor` — exact verdicts,
+    /// unsat cores, then sat sets — and advances `cursor` past them.
+    pub(crate) fn copy_new(
+        &self,
+        cursor: &mut Cursor,
+        mut exact: impl FnMut(u64, &[ExprId], Option<&Model>),
+        mut unsat: impl FnMut(u64, &[ExprId]),
+        mut sat: impl FnMut(u64, &[ExprId], &Model),
+    ) {
+        for (at, shard) in cursor.exact.iter_mut().zip(&self.exact) {
+            let shard = recover(shard.read());
+            for e in &shard.entries[*at..] {
+                exact(e.hash, &e.set, e.model.as_ref());
+            }
+            *at = shard.entries.len();
+        }
+        let log = recover(self.cex_unsat.read());
+        for (sig, set, ()) in &log.entries[cursor.unsat..] {
+            unsat(*sig, set);
+        }
+        cursor.unsat = log.entries.len();
+        let log = recover(self.cex_sat.read());
+        for (sig, set, m) in &log.entries[cursor.sat..] {
+            sat(*sig, set, m);
+        }
+        cursor.sat = log.entries.len();
+    }
+}
+
+/// How far a mirror has copied a [`SharedSolverCache`]: the entries
+/// copied from each exact shard and each counterexample log.
+#[derive(Debug, Default)]
+pub(crate) struct Cursor {
+    exact: [usize; EXACT_SHARDS],
+    unsat: usize,
+    sat: usize,
 }
 
 /// Full-key-verified bucket scan inside one shard.
@@ -229,113 +266,11 @@ fn lookup<'a>(shard: &'a ExactShard, h: u64, set: &[ExprId]) -> Option<&'a Exact
         .find(|e| e.hash == h && *e.set == *set)
 }
 
-/// A worker-private, lock-free read mirror of a [`SharedSolverCache`].
-///
-/// Owned by one [`crate::Solver`]; `sync()` copies entries published
-/// since the last sync (per-shard cursors over the append-only logs)
-/// into private indexes, after which lookups cost the same as the
-/// private caches. Monotone by construction: cursors only advance and
-/// mirrored entries are never dropped.
-/// One mirrored exact-tier bucket: full constraint-set keys with their
-/// verdicts (`None` = unsat, `Some` = sat with the published model).
-type MirrorBucket = Vec<(Box<[ExprId]>, Option<Model>)>;
-
-#[derive(Debug)]
-pub(crate) struct SharedCacheMirror {
-    shared: Arc<SharedSolverCache>,
-    seen_version: usize,
-    exact_cursors: [usize; EXACT_SHARDS],
-    /// Mirrored exact tier, hash-bucketed with full keys like the
-    /// private query cache.
-    exact: HashMap<u64, MirrorBucket>,
-    unsat_cursor: usize,
-    unsat_sets: Vec<(u64, Box<[ExprId]>)>,
-    sat_cursor: usize,
-    sat_sets: Vec<(u64, Box<[ExprId]>, Model)>,
-}
-
-impl SharedCacheMirror {
-    pub(crate) fn new(shared: Arc<SharedSolverCache>) -> Self {
-        SharedCacheMirror {
-            shared,
-            seen_version: 0,
-            exact_cursors: [0; EXACT_SHARDS],
-            exact: HashMap::new(),
-            unsat_cursor: 0,
-            unsat_sets: Vec::new(),
-            sat_cursor: 0,
-            sat_sets: Vec::new(),
-        }
-    }
-
-    pub(crate) fn shared(&self) -> &SharedSolverCache {
-        &self.shared
-    }
-
-    /// Catches the mirror up with everything published since the last
-    /// sync. One atomic load when nothing changed.
-    pub(crate) fn sync(&mut self) {
-        let version = self.shared.version.load(Ordering::Acquire);
-        if version == self.seen_version {
-            return;
-        }
-        self.seen_version = version;
-        for (i, cursor) in self.exact_cursors.iter_mut().enumerate() {
-            let shard = recover(self.shared.exact[i].read());
-            for e in &shard.entries[*cursor..] {
-                self.exact.entry(e.hash).or_default().push((e.set.clone(), e.model.clone()));
-            }
-            *cursor = shard.entries.len();
-        }
-        {
-            let log = recover(self.shared.cex_unsat.read());
-            for (sig, set, ()) in &log.entries[self.unsat_cursor..] {
-                self.unsat_sets.push((*sig, set.clone()));
-            }
-            self.unsat_cursor = log.entries.len();
-        }
-        {
-            let log = recover(self.shared.cex_sat.read());
-            for (sig, set, m) in &log.entries[self.sat_cursor..] {
-                self.sat_sets.push((*sig, set.clone(), m.clone()));
-            }
-            self.sat_cursor = log.entries.len();
-        }
-    }
-
-    /// Mirrored exact verdict for `(h, set)`, full-key verified.
-    pub(crate) fn verdict_for(&self, h: u64, set: &[ExprId]) -> Option<Option<&Model>> {
-        self.exact.get(&h)?.iter().find(|(k, _)| **k == *set).map(|(_, m)| m.as_ref())
-    }
-
-    /// Does a mirrored unsat core prove `set` (signature `sig`) unsat?
-    /// Signature-prefiltered: one AND/compare rejects most entries
-    /// before the linear subset merge runs.
-    pub(crate) fn implies_unsat(&self, sig: u64, set: &[ExprId]) -> bool {
-        self.unsat_sets.iter().any(|(s, u)| *s & !sig == 0 && is_subset(u, set))
-    }
-
-    /// A model from a mirrored sat superset of `set`, if any.
-    pub(crate) fn model_for_subset(&self, sig: u64, set: &[ExprId]) -> Option<&Model> {
-        self.sat_sets
-            .iter()
-            .find(|(s, sup, _)| sig & !*s == 0 && is_subset(set, sup))
-            .map(|(_, _, m)| m)
-    }
-
-    /// Total mirrored entries across all tiers (the sync monotonicity
-    /// observable).
-    pub(crate) fn entries(&self) -> usize {
-        self.exact.values().map(Vec::len).sum::<usize>()
-            + self.unsat_sets.len()
-            + self.sat_sets.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::set_hash;
+    use crate::solve::{set_hash, SatResult, SolverConfig, SolverStats};
+    use crate::tiers::VerdictLadder;
     use symmerge_expr::ExprPool;
 
     fn ids(pool: &mut ExprPool, names: &[&str]) -> Vec<ExprId> {
@@ -352,11 +287,29 @@ mod tests {
         v
     }
 
+    /// A default ladder whose mirror has just synced `cache`: its
+    /// private stores are empty, so every hit it makes is a fleet hit.
+    fn synced(cache: &Arc<SharedSolverCache>) -> VerdictLadder {
+        let mut ladder = VerdictLadder::new(&SolverConfig::default());
+        ladder.attach(Arc::clone(cache));
+        ladder.sync();
+        ladder
+    }
+
+    /// Looks `set` up on `ladder`, counting into `stats`.
+    fn ask(
+        ladder: &mut VerdictLadder,
+        stats: &mut SolverStats,
+        pool: &ExprPool,
+        set: &[ExprId],
+    ) -> Option<SatResult> {
+        ladder.lookup(&SolverConfig::default(), stats, pool, set_hash(set), set, false)
+    }
+
     /// A colliding prehash published by one worker must not alias
-    /// another worker's distinct set — the cross-worker shape of PR 2's
-    /// query-cache collision fix. The forced shared prehash lands both
-    /// sets in the same shard and bucket; full-key verification must
-    /// separate them.
+    /// another worker's distinct set. The forced shared prehash lands
+    /// both sets in the same shard and bucket; full-key verification
+    /// must separate them.
     #[test]
     fn colliding_hashes_cannot_alias_distinct_sets() {
         let mut pool = ExprPool::new(8);
@@ -365,15 +318,10 @@ mod tests {
         assert_ne!(a, b);
         let cache = SharedSolverCache::new(16);
         let h = 0xDEAD_BEEF;
-        assert!(cache.publish_verdict(h, &a, None));
+        assert!(cache.publish(Publication::Verdict(h, a[..].into(), None)));
         // Worker B's lookup of its own distinct set under the same hash.
         assert_eq!(cache.verdict_for(h, &b), None);
         assert_eq!(cache.verdict_for(h, &a), Some(None));
-        // And through a mirror, which serves the real read path.
-        let mut mirror = SharedCacheMirror::new(Arc::clone(&cache));
-        mirror.sync();
-        assert!(mirror.verdict_for(h, &b).is_none());
-        assert_eq!(mirror.verdict_for(h, &a), Some(None));
     }
 
     #[test]
@@ -382,10 +330,10 @@ mod tests {
         let a = ids(&mut pool, &["a", "b"]);
         let cache = SharedSolverCache::new(16);
         let h = set_hash(&a);
-        assert!(cache.publish_verdict(h, &a, None));
-        assert!(!cache.publish_verdict(h, &a, None));
-        assert!(cache.publish_unsat_core(&a));
-        assert!(!cache.publish_unsat_core(&a));
+        assert!(cache.publish(Publication::Verdict(h, a[..].into(), None)));
+        assert!(!cache.publish(Publication::Verdict(h, a[..].into(), None)));
+        assert!(cache.publish(Publication::Core(a[..].into())));
+        assert!(!cache.publish(Publication::Core(a[..].into())));
         assert_eq!(cache.published(), 2);
     }
 
@@ -395,12 +343,13 @@ mod tests {
         let cache = SharedSolverCache::new(1);
         let a = ids(&mut pool, &["a"]);
         let b = ids(&mut pool, &["b"]);
-        assert!(cache.publish_unsat_core(&a));
-        assert!(!cache.publish_unsat_core(&b)); // full: refused, not evicted
-        let mut mirror = SharedCacheMirror::new(Arc::clone(&cache));
-        mirror.sync();
-        assert!(mirror.implies_unsat(signature(&a), &a));
-        assert!(!mirror.implies_unsat(signature(&b), &b));
+        assert!(cache.publish(Publication::Core(a[..].into())));
+        assert!(!cache.publish(Publication::Core(b[..].into()))); // full: refused, not evicted
+        let ladder = synced(&cache);
+        let mut stats = SolverStats::default();
+        assert!(ladder.refutes(&mut stats, &a));
+        assert!(!ladder.refutes(&mut stats, &b));
+        assert_eq!(stats.shared_cex_hits, 1);
     }
 
     /// A worker dying while holding shard locks must not take the rest
@@ -415,8 +364,8 @@ mod tests {
         let b = ids(&mut pool, &["c", "d"]);
         let cache = SharedSolverCache::new(16);
         let h = set_hash(&a);
-        assert!(cache.publish_verdict(h, &a, None));
-        assert!(cache.publish_unsat_core(&a));
+        assert!(cache.publish(Publication::Verdict(h, a[..].into(), None)));
+        assert!(cache.publish(Publication::Core(a[..].into())));
         // Poison every exact shard and both cex logs: a thread panics
         // while holding each write lock.
         let poisoner = Arc::clone(&cache);
@@ -432,13 +381,18 @@ mod tests {
         assert_eq!(cache.verdict_for(h, &a), Some(None));
         assert_eq!(cache.published(), 2);
         // ...publication still works...
-        assert!(cache.publish_verdict(set_hash(&b), &b, None));
-        assert!(cache.publish_unsat_core(&b));
-        // ...and mirrors sync through the poisoned locks.
-        let mut mirror = SharedCacheMirror::new(Arc::clone(&cache));
-        mirror.sync();
-        assert_eq!(mirror.verdict_for(h, &a), Some(None));
-        assert_eq!(mirror.verdict_for(set_hash(&b), &b), Some(None));
-        assert!(mirror.implies_unsat(signature(&b), &b));
+        assert!(cache.publish(Publication::Verdict(set_hash(&b), b[..].into(), None)));
+        assert!(cache.publish(Publication::Core(b[..].into())));
+        // ...and mirrors sync through the poisoned locks and answer from
+        // what they copied: both exact verdicts, and b's core refuting
+        // a superset no one published.
+        let mut ladder = synced(&cache);
+        let mut stats = SolverStats::default();
+        assert_eq!(ask(&mut ladder, &mut stats, &pool, &a), Some(SatResult::Unsat));
+        assert_eq!(ask(&mut ladder, &mut stats, &pool, &b), Some(SatResult::Unsat));
+        let wider = ids(&mut pool, &["c", "d", "e"]);
+        assert_eq!(ask(&mut ladder, &mut stats, &pool, &wider), Some(SatResult::Unsat));
+        assert_eq!((stats.shared_query_hits, stats.shared_cex_hits), (2, 1));
+        assert_eq!(ladder.mirror_entries(), 4);
     }
 }

@@ -1,22 +1,11 @@
 //! The high-level constraint solver: caching, slicing, incremental
 //! contexts, statistics.
 //!
-//! A [`Solver`] answers queries through a tiered pipeline:
+//! A [`Solver`] answers a query from the first of three stages that can:
 //!
-//! 1. **exact-match cache** — verdicts keyed on the *full* normalized
-//!    constraint set (hash-bucketed with key verification, so hash
-//!    collisions can never alias two different queries);
-//! 2. **model reuse** — recent satisfying models are re-evaluated on the
-//!    new query (the cheap half of KLEE's counterexample cache);
-//! 3. **counterexample cache** — subset/superset reasoning: a stored
-//!    unsat set that is a *subset* of the query proves the query unsat; a
-//!    stored sat set that is a *superset* of the query donates its model.
-//!    Subset scans are prefiltered by 64-bit membership signatures
-//!    ([`SolverConfig::cex_prefilter`]), and tiers 2–3 are skipped
-//!    entirely for small context-served queries, where the warm context
-//!    below is cheaper than the tiers themselves
-//!    ([`SolverConfig::tier_gate`]);
-//! 4. **incremental contexts** — for prefix-shaped queries
+//! 1. the **verdict ladder** ([`crate::tiers`]) — exact-match caches,
+//!    model reuse and the counterexample caches, private and fleet-wide;
+//! 2. **incremental contexts** — for prefix-shaped queries
 //!    ([`Solver::check_assuming`]), a [`SolverContext`] from the
 //!    **fork-aware context tree** keeps the path-condition prefix
 //!    bit-blasted and decides the branch conjunct under assumptions.
@@ -26,7 +15,7 @@
 //!    re-blasting the shared prefix per child, and eviction is
 //!    subtree-LRU over *leaves* only, so a live ancestor that resident
 //!    descendants still extend is never evicted from under them;
-//! 5. **re-blast** — the paper's KLEE + STP scheme: partition into
+//! 3. **re-blast** — the paper's KLEE + STP scheme: partition into
 //!    independent slices, build a fresh CNF and CDCL solver per slice.
 //!
 //! Every tier can be ablated through [`SolverConfig`].
@@ -35,8 +24,9 @@ use crate::bitblast::BitBlaster;
 use crate::context::{minimize_model, SolverContext};
 use crate::model::Model;
 use crate::sat::{SatSolver, SolveOutcome};
-use crate::shared::{SharedCacheMirror, SharedSolverCache};
-use std::collections::{HashMap, VecDeque};
+use crate::shared::SharedSolverCache;
+use crate::tiers::VerdictLadder;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprId, ExprPool, SymbolId};
@@ -199,13 +189,18 @@ pub struct SolverConfig {
     /// (each, FIFO-evicted).
     pub cex_capacity: usize,
     /// Participate in a cross-worker [`SharedSolverCache`] when the
-    /// engine attaches one ([`Solver::attach_shared_cache`]): consult
-    /// the worker's read mirror after the private tiers miss, and
-    /// publish fresh verdicts and unsat cores for the other workers.
-    /// Only parallel runs ever attach a store — a sequential engine
-    /// (`jobs = 1`) keeps the private path bit-for-bit regardless of
-    /// this flag — and the shared cex tiers sit behind the same
-    /// warm-route [`SolverConfig::tier_gate`] as the private ones.
+    /// engine attaches one ([`Solver::attach_shared_cache`]): the
+    /// verdict ladder's exact and cex tiers consult the worker's read
+    /// mirror right after their private store misses, and fresh
+    /// verdicts and unsat cores are queued for the other workers. The
+    /// fleet decides when they move: in BSP the coordinator publishes
+    /// every worker's queue at the round barrier, in worker order, and
+    /// each worker syncs its mirror at round start, so neither what a
+    /// round's lookups see nor what the store holds depends on peer
+    /// timing. Only parallel runs ever attach a store — a
+    /// sequential engine (`jobs = 1`) keeps the private path bit-for-bit
+    /// regardless of this flag — and the shared cex tiers sit behind the
+    /// same warm-route [`SolverConfig::tier_gate`] as the private ones.
     /// Turning it off withholds only the verdict store: a fleet's
     /// workers still share one expression pool.
     /// `false` is an ablation row.
@@ -314,24 +309,18 @@ pub struct SolverStats {
     pub time: Duration,
     /// Cumulative time spent inside the SAT solver proper.
     pub sat_time: Duration,
-    /// Cumulative time spent in cache-tier bookkeeping: the tier-1–3
-    /// lookups a query pays before routing to a solving path, plus
-    /// feeding the fresh result back into the caches. Disjoint from
-    /// `sat_time` and `route_time` and contained (with them) in `time`.
-    /// Previously this cost hid inside `time`, which made the
-    /// solver-vs-engine wall attribution double-count cache overhead
-    /// as "solving".
+    /// Cumulative time spent in the verdict ladder: the lookups a query
+    /// pays before routing to a solving path, plus feeding the fresh
+    /// result back into the stores. Disjoint from `sat_time` and
+    /// `route_time` and contained (with them) in `time`.
     pub cache_time: Duration,
     /// Cumulative time spent routing a query to its solving path and
-    /// preparing that path: per-query normalization bookkeeping (size
-    /// accounting, set hashing), context-tree lookup / fork / rebuild —
-    /// including bit-blasting prefix conjuncts into a context — and the
-    /// re-blast path's CNF construction. Disjoint from `sat_time` and
-    /// `cache_time` and contained (with them) in `time`, so
-    /// `time >= sat_time + cache_time + route_time` always holds; the
-    /// (small) remainder is result recording and counter upkeep.
-    /// Splitting this out closes the PR 6 attribution gap where the
-    /// routing remainder could only be inferred by subtraction.
+    /// preparing that path: per-query set hashing, context-tree lookup /
+    /// fork / rebuild — including bit-blasting prefix conjuncts into a
+    /// context — and the re-blast path's CNF construction. Disjoint
+    /// from `sat_time` and `cache_time` and contained (with them) in
+    /// `time`, so `time >= sat_time + cache_time + route_time` always
+    /// holds; the (small) remainder is counter upkeep.
     pub route_time: Duration,
     /// Cumulative SAT conflicts.
     pub conflicts: u64,
@@ -352,11 +341,6 @@ pub struct SolverStats {
     /// compaction (level-0 satisfied-clause sweep over the whole DB +
     /// learnt-store self-subsumption on `SolverContext::fork`).
     pub ctx_clauses_compacted: u64,
-    /// Total constraint-DAG nodes across all queries, summed per
-    /// conjunct (query size proxy; served from a per-conjunct memo —
-    /// prefix-shaped queries repeat the same conjuncts thousands of
-    /// times, and walking their DAGs per query was measurable overhead).
-    pub query_nodes: u64,
     /// Queries answered from the shared cache's mirrored exact tier —
     /// a verdict some *other* worker published (entries this worker
     /// published itself are found in its private cache first).
@@ -368,11 +352,11 @@ pub struct SolverStats {
     /// Entries this solver newly published to the shared cache (a
     /// verdict another worker already published counts nowhere).
     pub shared_publishes: u64,
-    /// Cumulative time spent syncing the shared-cache mirror at step
-    /// boundaries. Folded into `cache_time` (and `time`) — it is cache
-    /// bookkeeping — so the `time >= sat_time + cache_time +
-    /// route_time` split is unchanged; this counter just makes the
-    /// sync share visible on its own.
+    /// Cumulative time spent syncing the shared-cache mirror and
+    /// publishing to the store ([`Solver::sync_shared_cache`],
+    /// [`Solver::publish_shared_cache`]). Folded into `cache_time` (and
+    /// `time`), so the `time >= sat_time + cache_time + route_time`
+    /// split is unchanged; this counter makes the sync share visible.
     pub shared_sync_time: Duration,
     /// Retry-ladder re-dispatches: one per rung actually run after a
     /// query came back `Unknown` (including the injection-free recovery
@@ -425,7 +409,6 @@ impl SolverStats {
         self.learnt_lits += other.learnt_lits;
         self.gates_reused += other.gates_reused;
         self.ctx_clauses_compacted += other.ctx_clauses_compacted;
-        self.query_nodes += other.query_nodes;
         self.shared_query_hits += other.shared_query_hits;
         self.shared_cex_hits += other.shared_cex_hits;
         self.shared_publishes += other.shared_publishes;
@@ -434,147 +417,6 @@ impl SolverStats {
         self.retry_reblasts += other.retry_reblasts;
         self.retry_recovered += other.retry_recovered;
         self.forced_unknowns += other.forced_unknowns;
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum CachedResult {
-    Sat(Model),
-    Unsat,
-}
-
-/// The exact-match query cache.
-///
-/// Hash-bucketed on a 64-bit prehash of the normalized constraint set,
-/// with the **full set stored and verified on every hit**: two distinct
-/// sets that collide on the prehash land in the same bucket but can never
-/// alias each other's verdict. (The previous design keyed verdicts on the
-/// bare `u64`, so a hash collision silently returned the wrong verdict —
-/// pruning feasible paths or exploring infeasible ones.)
-#[derive(Debug, Default)]
-struct QueryCache {
-    buckets: HashMap<u64, CacheBucket>,
-}
-
-/// One hash bucket: the full constraint sets that share a prehash, each
-/// with its verdict.
-type CacheBucket = Vec<(Box<[ExprId]>, CachedResult)>;
-
-impl QueryCache {
-    fn get_hashed(&self, h: u64, set: &[ExprId]) -> Option<&CachedResult> {
-        self.buckets.get(&h)?.iter().find(|(k, _)| &**k == set).map(|(_, r)| r)
-    }
-
-    fn insert_hashed(&mut self, h: u64, set: &[ExprId], result: CachedResult) {
-        let bucket = self.buckets.entry(h).or_default();
-        match bucket.iter_mut().find(|(k, _)| &**k == set) {
-            Some(entry) => entry.1 = result,
-            None => bucket.push((set.into(), result)),
-        }
-    }
-}
-
-/// The KLEE-style counterexample cache over *sorted* constraint sets.
-///
-/// Soundness rests on two set-theoretic facts: an unsat subset proves any
-/// superset unsat (adding conjuncts cannot recover satisfiability), and a
-/// model for a superset satisfies every subset (dropping conjuncts cannot
-/// invalidate it). Stored unsat sets are kept minimal-ish by subsumption:
-/// inserting a new core drops stored supersets, and cores that come from
-/// independence slices or dead context prefixes are smaller than the
-/// queries that produced them.
-///
-/// Every stored set carries its membership [`signature`]; with the
-/// prefilter on ([`SolverConfig::cex_prefilter`]) a subset scan tests one
-/// AND/compare per stored set and runs the linear merge only on
-/// survivors. Both stores enforce `capacity` by FIFO eviction
-/// independently — overfilling one side can never evict the other's
-/// entries (they are separate queues by construction; the regression
-/// test `cex_capacity_is_enforced_per_store` pins that down).
-///
-/// The sorted-set invariant [`is_subset`] relies on is checked at this
-/// boundary — every public entry point asserts it — so an unsorted
-/// future caller fails a debug build's test run instead of silently
-/// missing (or worse, bogusly claiming) subset relations.
-#[derive(Debug)]
-struct CexCache {
-    unsat_sets: VecDeque<(u64, Box<[ExprId]>)>,
-    sat_sets: VecDeque<(u64, Box<[ExprId]>, Model)>,
-    capacity: usize,
-    prefilter: bool,
-}
-
-/// Boundary assertion for the sorted, deduplicated set invariant.
-fn debug_assert_normalized(set: &[ExprId]) {
-    debug_assert!(
-        set.windows(2).all(|w| w[0] < w[1]),
-        "cex-cache sets must be sorted and deduplicated"
-    );
-}
-
-impl CexCache {
-    fn new(capacity: usize, prefilter: bool) -> Self {
-        CexCache { unsat_sets: VecDeque::new(), sat_sets: VecDeque::new(), capacity, prefilter }
-    }
-
-    /// One-word refutation of `a ⊆ b` (true = the merge must run).
-    fn may_subset(prefilter: bool, sig_a: u64, sig_b: u64) -> bool {
-        !prefilter || sig_a & !sig_b == 0
-    }
-
-    /// Does a stored unsat core prove `set` (with signature `sig`) unsat?
-    fn implies_unsat(&self, sig: u64, set: &[ExprId]) -> bool {
-        debug_assert_normalized(set);
-        self.unsat_sets
-            .iter()
-            .any(|(s, u)| Self::may_subset(self.prefilter, *s, sig) && is_subset(u, set))
-    }
-
-    /// A model from a stored sat superset of `set`, if any.
-    fn model_for_subset(&self, sig: u64, set: &[ExprId]) -> Option<&Model> {
-        debug_assert_normalized(set);
-        self.sat_sets
-            .iter()
-            .find(|(s, sup, _)| Self::may_subset(self.prefilter, sig, *s) && is_subset(set, sup))
-            .map(|(_, _, m)| m)
-    }
-
-    fn note_unsat(&mut self, set: &[ExprId]) {
-        debug_assert_normalized(set);
-        let sig = signature(set);
-        let pf = self.prefilter;
-        if self.capacity == 0
-            || self
-                .unsat_sets
-                .iter()
-                .any(|(s, u)| Self::may_subset(pf, *s, sig) && is_subset(u, set))
-        {
-            return; // already covered by a stored (smaller) core
-        }
-        self.unsat_sets.retain(|(s, u)| !(Self::may_subset(pf, sig, *s) && is_subset(set, u)));
-        while self.unsat_sets.len() >= self.capacity {
-            self.unsat_sets.pop_front();
-        }
-        self.unsat_sets.push_back((sig, set.into()));
-    }
-
-    fn note_sat(&mut self, set: &[ExprId], m: &Model) {
-        debug_assert_normalized(set);
-        let sig = signature(set);
-        let pf = self.prefilter;
-        if self.capacity == 0
-            || self
-                .sat_sets
-                .iter()
-                .any(|(s, sup, _)| Self::may_subset(pf, sig, *s) && is_subset(set, sup))
-        {
-            return; // a stored superset already answers everything this would
-        }
-        self.sat_sets.retain(|(s, sub, _)| !(Self::may_subset(pf, *s, sig) && is_subset(sub, set)));
-        while self.sat_sets.len() >= self.capacity {
-            self.sat_sets.pop_front();
-        }
-        self.sat_sets.push_back((sig, set.into(), m.clone()));
     }
 }
 
@@ -587,7 +429,8 @@ impl CexCache {
 /// hold at most one warm copy of a shared prefix). `live` counts the
 /// resident contexts per subtree, which makes "never evict a live
 /// ancestor of a resident context" expressible: eviction only considers
-/// nodes with `live == 1` — leaves of the resident-context tree.
+/// nodes with `live == 1` — leaves of the resident-context tree — and
+/// `leaves` keeps exactly those, ordered least recently used first.
 #[derive(Debug)]
 struct ContextTree {
     nodes: Vec<CtxNode>,
@@ -599,21 +442,12 @@ struct ContextTree {
     /// the per-node `charged` snapshots; refreshed after in-place
     /// context growth by [`ContextTree::refresh_charge`]).
     resident_clauses: u64,
-    /// Resident contexts that are *leaves* of the resident-context tree
-    /// (`live == 1`) — the eviction candidates, maintained O(1) on every
-    /// place/take transition so the fork decision's "can some other
-    /// leaf make room?" check needs no scan.
-    leaf_ctxs: usize,
-    /// Lazy min-heap of eviction candidates `(last_used stamp, node)`.
-    /// Entries are pushed when a leaf context is touched and when a
-    /// node *becomes* a leaf (its last resident descendant left); a
-    /// popped entry is discarded unless its stamp still matches the
-    /// node's context and the node is still a leaf. Replaces the
-    /// previous full-tree victim scan — with frontier-tracking
-    /// capacity the tree grows to thousands of nodes, and an O(nodes)
-    /// scan per eviction was itself the kind of cost this policy exists
-    /// to remove.
-    evict_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    /// The eviction candidates: `(last_used stamp, node)` of every
+    /// resident context that is a *leaf* of the resident-context tree
+    /// (`live == 1`), updated on every place, take and touch. Stamps are
+    /// unique per touch, so the first entry is the least recently used
+    /// leaf.
+    leaves: BTreeSet<(u64, usize)>,
 }
 
 #[derive(Debug, Default)]
@@ -635,8 +469,7 @@ impl ContextTree {
             free: Vec::new(),
             resident: 0,
             resident_clauses: 0,
-            leaf_ctxs: 0,
-            evict_heap: std::collections::BinaryHeap::new(),
+            leaves: BTreeSet::new(),
         }
     }
 
@@ -695,10 +528,14 @@ impl ContextTree {
         }
     }
 
+    /// The eviction-candidate entry of `node`'s context.
+    fn leaf_key(&self, node: usize) -> (u64, usize) {
+        (self.ctx(node).last_used, node)
+    }
+
     /// Installs `ctx` at `node` and bumps the `live` counts up the spine
-    /// (keeping the leaf-context count in step: an ancestor context
-    /// whose subtree gains its first resident descendant stops being a
-    /// leaf).
+    /// (an ancestor context whose subtree gains its first resident
+    /// descendant stops being a leaf).
     fn place(&mut self, node: usize, ctx: SolverContext) {
         debug_assert!(self.nodes[node].ctx.is_none(), "double placement");
         let charged = ctx.clause_count() as u64;
@@ -710,22 +547,21 @@ impl ContextTree {
         while let Some(i) = n {
             self.nodes[i].live += 1;
             if i != node && self.nodes[i].live == 2 && self.nodes[i].ctx.is_some() {
-                self.leaf_ctxs -= 1; // was a leaf, now an interior ancestor
+                self.leaves.remove(&self.leaf_key(i));
             }
             n = self.nodes[i].parent;
         }
         if self.nodes[node].live == 1 {
-            self.leaf_ctxs += 1; // heap entry follows with the touch
+            self.leaves.insert(self.leaf_key(node));
         }
     }
 
     /// Removes and returns the context at `node` (the node itself stays,
     /// as routing, until pruned). Ancestors whose last resident
-    /// descendant left become leaves — they re-enter the eviction
-    /// candidate heap here, with their current stamp.
+    /// descendant left become leaves.
     fn take(&mut self, node: usize) -> SolverContext {
         if self.nodes[node].live == 1 {
-            self.leaf_ctxs -= 1;
+            self.leaves.remove(&self.leaf_key(node));
         }
         let ctx = self.nodes[node].ctx.take().expect("take on empty node");
         self.resident -= 1;
@@ -734,48 +570,22 @@ impl ContextTree {
         let mut n = Some(node);
         while let Some(i) = n {
             self.nodes[i].live -= 1;
-            if i != node && self.nodes[i].live == 1 {
-                if let Some(c) = &self.nodes[i].ctx {
-                    self.leaf_ctxs += 1;
-                    self.evict_heap.push(std::cmp::Reverse((c.last_used, i)));
-                }
+            if i != node && self.nodes[i].live == 1 && self.nodes[i].ctx.is_some() {
+                self.leaves.insert(self.leaf_key(i));
             }
             n = self.nodes[i].parent;
         }
         ctx
     }
 
-    /// Stamps the context at `node` as just used and, if it is an
-    /// eviction candidate (a leaf), records the fresh stamp in the
-    /// candidate heap (older entries for the node go stale and are
-    /// discarded lazily on pop).
-    ///
-    /// Every touch of a leaf pushes an entry but only evictions pop, so
-    /// a run that never crosses its budgets would grow the heap by one
-    /// entry per query; once the garbage outweighs the live candidates
-    /// ~8× the heap is rebuilt from the actual leaves (geometric, so
-    /// the amortized cost stays O(log n) per touch).
+    /// Stamps the context at `node` as just used, moving its candidate
+    /// entry if it is a leaf.
     fn touch(&mut self, node: usize, clock: u64) {
-        self.ctx_mut(node).last_used = clock;
         if self.nodes[node].live == 1 {
-            self.evict_heap.push(std::cmp::Reverse((clock, node)));
-            if self.evict_heap.len() > 64.max(self.leaf_ctxs.saturating_mul(8)) {
-                self.rebuild_evict_heap();
-            }
+            self.leaves.remove(&self.leaf_key(node));
+            self.leaves.insert((clock, node));
         }
-    }
-
-    /// Rebuilds the candidate heap from the current leaf contexts,
-    /// dropping all stale entries.
-    fn rebuild_evict_heap(&mut self) {
-        self.evict_heap.clear();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.live == 1 {
-                if let Some(c) = &n.ctx {
-                    self.evict_heap.push(std::cmp::Reverse((c.last_used, i)));
-                }
-            }
-        }
+        self.ctx_mut(node).last_used = clock;
     }
 
     /// Re-snapshots the clause charge of a resident context after it may
@@ -802,13 +612,10 @@ impl ContextTree {
         }
     }
 
-    /// Whether eviction could free a slot without touching `keep` —
-    /// O(1) from the maintained leaf-context count (the previous
-    /// full-tree scan was per fork decision and showed up once the tree
-    /// started tracking the frontier).
+    /// Whether eviction could free a slot without touching `keep`.
     fn has_evictable(&self, keep: usize) -> bool {
         let keep_is_leaf = self.nodes[keep].ctx.is_some() && self.nodes[keep].live == 1;
-        self.leaf_ctxs > usize::from(keep_is_leaf)
+        self.leaves.len() > usize::from(keep_is_leaf)
     }
 
     /// Evicts the least-recently-used context that has no resident
@@ -817,42 +624,12 @@ impl ContextTree {
     /// contexts are never candidates, so a warm divergence point
     /// siblings still extend survives arbitrarily much leaf churn below
     /// and beside it.
-    ///
-    /// Amortized O(log n) over the lazy candidate heap: popped entries
-    /// whose stamp no longer matches the node's context, or whose node
-    /// is no longer a leaf, are discarded (every eligible leaf always
-    /// has one entry carrying its current stamp — pushed by
-    /// [`ContextTree::touch`] or by [`ContextTree::take`] when the node
-    /// became a leaf). Stamps are unique, so the pop order equals the
-    /// `(last_used, node)` order the old full scan minimized.
     fn evict_leaf(&mut self, keep: Option<usize>) -> Option<u64> {
-        let mut stashed_keep = None;
-        let victim = loop {
-            let Some(std::cmp::Reverse((stamp, node))) = self.evict_heap.pop() else {
-                break None;
-            };
-            let n = &self.nodes[node];
-            let valid = n.live == 1 && n.ctx.as_ref().is_some_and(|c| c.last_used == stamp);
-            if !valid {
-                continue; // stale entry (touched since, moved, or now interior)
-            }
-            if Some(node) == keep {
-                // Protected this round only: remember the entry so the
-                // node stays a candidate for future evictions.
-                stashed_keep = Some(std::cmp::Reverse((stamp, node)));
-                continue;
-            }
-            break Some(node);
-        };
-        if let Some(entry) = stashed_keep {
-            self.evict_heap.push(entry);
-        }
-        victim.map(|i| {
-            let freed = self.nodes[i].charged;
-            let _ = self.take(i);
-            self.prune_up(i);
-            freed
-        })
+        let victim = self.leaves.iter().map(|&(_, n)| n).find(|&n| Some(n) != keep)?;
+        let freed = self.nodes[victim].charged;
+        let _ = self.take(victim);
+        self.prune_up(victim);
+        Some(freed)
     }
 }
 
@@ -872,23 +649,6 @@ struct CtxRoute<'a> {
     prefound: (Option<usize>, usize),
 }
 
-/// `a ⊆ b` for sorted, deduplicated slices (linear merge walk).
-pub(crate) fn is_subset(a: &[ExprId], b: &[ExprId]) -> bool {
-    let mut bi = b.iter();
-    'outer: for x in a {
-        for y in bi.by_ref() {
-            if y == x {
-                continue 'outer;
-            }
-            if y > x {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
-}
-
 /// A caching, slicing, incrementally solving bitvector solver.
 ///
 /// See the [crate-level docs](crate) for the architecture. Plain
@@ -899,9 +659,10 @@ pub(crate) fn is_subset(a: &[ExprId], b: &[ExprId]) -> bool {
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
-    cache: QueryCache,
-    cex: CexCache,
-    recent_models: VecDeque<Model>,
+    /// The query tiers in front of the solving paths (see
+    /// [`crate::tiers`]), the fleet's included when the engine attached
+    /// a shared store ([`Solver::attach_shared_cache`]).
+    verdicts: VerdictLadder,
     tree: ContextTree,
     ctx_clock: u64,
     last_affinity: u64,
@@ -909,18 +670,11 @@ pub struct Solver {
     /// clause-weighted eviction the context-count capacity tracks it
     /// (see [`SolverConfig::max_contexts`]).
     frontier_hint: usize,
-    /// Per-conjunct DAG sizes and input-symbol sets. Sound to memoize
-    /// because a solver serves one (append-only) pool — every cache in
-    /// here already keys on `ExprId` under that assumption — and
-    /// profitable because prefix-shaped queries repeat conjuncts across
-    /// thousands of queries, each of which used to pay a full DAG walk
-    /// for its statistics line and its model projection.
-    dag_sizes: HashMap<ExprId, u64>,
+    /// Per-conjunct input-symbol sets. Sound to memoize because a
+    /// solver serves one (append-only) pool, and profitable because
+    /// prefix-shaped queries repeat conjuncts across thousands of
+    /// queries.
     input_syms: HashMap<ExprId, Box<[SymbolId]>>,
-    /// The worker's read mirror of the fleet's [`SharedSolverCache`],
-    /// when the engine attached one (parallel runs only; see
-    /// [`Solver::attach_shared_cache`]).
-    shared: Option<SharedCacheMirror>,
     /// Active retry-rung budget, overriding
     /// [`SolverConfig::max_conflicts`] while a ladder re-dispatch runs
     /// (see [`Solver::effective_budget`]).
@@ -944,19 +698,14 @@ struct ForcedUnknowns {
 impl Solver {
     /// Creates a solver with the given configuration.
     pub fn new(config: SolverConfig) -> Self {
-        let cex = CexCache::new(config.cex_capacity, config.cex_prefilter);
         Solver {
+            verdicts: VerdictLadder::new(&config),
             config,
-            cache: QueryCache::default(),
-            cex,
-            recent_models: VecDeque::new(),
             tree: ContextTree::new(),
             ctx_clock: 0,
             last_affinity: 0,
             frontier_hint: 0,
-            dag_sizes: HashMap::new(),
             input_syms: HashMap::new(),
-            shared: None,
             budget_override: None,
             forced: None,
             stats: SolverStats::default(),
@@ -993,25 +742,39 @@ impl Solver {
     }
 
     /// Joins a cross-worker [`SharedSolverCache`]: builds this solver's
-    /// private read mirror and enables verdict publication. A no-op
-    /// when [`SolverConfig::shared_cache`] is off, so the ablation
-    /// reaches through engines that attach unconditionally. Call [`Solver::sync_shared_cache`] at step
-    /// boundaries to pull in what other workers published.
+    /// private read mirror and its queue of fresh entries for the store.
+    /// A no-op when [`SolverConfig::shared_cache`] is off, so the
+    /// ablation reaches through engines that attach unconditionally.
     pub fn attach_shared_cache(&mut self, cache: Arc<SharedSolverCache>) {
         if self.config.shared_cache {
-            self.shared = Some(SharedCacheMirror::new(cache));
+            self.verdicts.attach(cache);
         }
     }
 
-    /// Catches the shared-cache mirror up with entries other workers
-    /// published since the last sync. Cheap when nothing changed (one
-    /// atomic load); a no-op without an attached store. The elapsed
-    /// time lands in `shared_sync_time` *and* `cache_time`/`time`, so
-    /// the timing split invariant is preserved.
+    /// Catches the shared-cache mirror (empty when attached) up with
+    /// everything the store holds (one atomic load when nothing
+    /// changed); a no-op without a store. The time lands in
+    /// `shared_sync_time` and `cache_time`.
     pub fn sync_shared_cache(&mut self) {
-        let Some(mirror) = self.shared.as_mut() else { return };
+        self.fleet_io(|ladder, _| ladder.sync());
+    }
+
+    /// Publishes the verdicts and cores this solver found since its last
+    /// publication, in the order it found them: the solver only queues
+    /// them as it solves, so the owner decides when peers can see them.
+    /// A no-op without a store. The time lands where a sync's does.
+    pub fn publish_shared_cache(&mut self) {
+        self.fleet_io(VerdictLadder::publish);
+    }
+
+    /// Runs one exchange with the shared store, timed into
+    /// `shared_sync_time` and `cache_time`.
+    fn fleet_io(&mut self, io: impl FnOnce(&mut VerdictLadder, &mut SolverStats)) {
+        if !self.verdicts.has_fleet() {
+            return;
+        }
         let start = Instant::now();
-        mirror.sync();
+        io(&mut self.verdicts, &mut self.stats);
         let elapsed = start.elapsed();
         self.stats.shared_sync_time += elapsed;
         self.stats.cache_time += elapsed;
@@ -1022,7 +785,7 @@ impl Solver {
     /// (0 without one). Observability for the sync monotonicity
     /// property: the count never decreases.
     pub fn shared_mirror_entries(&self) -> usize {
-        self.shared.as_ref().map_or(0, SharedCacheMirror::entries)
+        self.verdicts.mirror_entries()
     }
 
     /// Reports the caller's live exploration-frontier size. Under
@@ -1091,11 +854,6 @@ impl Solver {
         self.last_affinity
     }
 
-    /// Resets the statistics (the caches and contexts are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
-    }
-
     /// Decides whether the conjunction of `constraints` is satisfiable.
     ///
     /// Constant `true` conjuncts are dropped; a constant `false` conjunct
@@ -1103,11 +861,10 @@ impl Solver {
     /// paths are *not* counted as queries, mirroring how KLEE's expression
     /// simplifier absorbs trivial branch checks).
     pub fn check(&mut self, pool: &ExprPool, constraints: &[ExprId]) -> SatResult {
-        let set = match normalize_query(pool, constraints.iter().copied()) {
-            Ok(set) => set,
-            Err(early) => return early,
-        };
-        self.check_set(pool, None, &set, None)
+        match normalize_query(pool, constraints.iter().copied()) {
+            Ok(set) => self.check_set(pool, None, &set, None),
+            Err(early) => early,
+        }
     }
 
     /// Decides `prefix ∧ extra`, where `prefix` is a path-condition the
@@ -1155,6 +912,7 @@ impl Solver {
         extra: ExprId,
         may_extend: bool,
     ) -> SatResult {
+        let mut route = None;
         if self.config.use_incremental && self.config.max_contexts > 0 {
             // Fast path: when a resident context covers (part of) the
             // prefix, start from its *carried* normalized set and hash
@@ -1165,7 +923,7 @@ impl Solver {
             // down as `prefound` so the context routing below does not
             // repeat it (sound: the cache tiers never mutate the tree).
             let (found, matched) = self.tree.lookup(prefix);
-            let route = CtxRoute { prefix, extra, may_extend, prefound: (found, matched) };
+            route = Some(CtxRoute { prefix, extra, may_extend, prefound: (found, matched) });
             if let Some(n) = found {
                 let ctx = self.tree.ctx(n);
                 if ctx.norm_false {
@@ -1189,32 +947,18 @@ impl Solver {
                     return SatResult::Sat(Model::new());
                 }
                 debug_assert_eq!(hash, set_hash(&set), "carried hash out of step");
-                return self.check_set(pool, Some(route), &set, Some(hash));
+                return self.check_set(pool, route, &set, Some(hash));
             }
-            let conjuncts = prefix.iter().copied().chain(std::iter::once(extra));
-            let set = match normalize_query(pool, conjuncts) {
-                Ok(set) => set,
-                Err(early) => return early,
-            };
-            self.check_set(pool, Some(route), &set, None)
-        } else {
-            let conjuncts = prefix.iter().copied().chain(std::iter::once(extra));
-            let set = match normalize_query(pool, conjuncts) {
-                Ok(set) => set,
-                Err(early) => return early,
-            };
-            self.check_set(pool, None, &set, None)
+        }
+        match normalize_query(pool, prefix.iter().copied().chain(std::iter::once(extra))) {
+            Ok(set) => self.check_set(pool, route, &set, None),
+            Err(early) => early,
         }
     }
 
-    /// `check` for callers that only need a yes/no: maps `Unknown` to
-    /// "possibly satisfiable" (`true`), which keeps exploration sound.
-    pub fn may_be_sat(&mut self, pool: &ExprPool, constraints: &[ExprId]) -> bool {
-        !matches!(self.check(pool, constraints), SatResult::Unsat)
-    }
-
-    /// [`Solver::check_assuming`] for callers that only need a yes/no;
-    /// `Unknown` maps to `true` (possibly satisfiable).
+    /// [`Solver::check_assuming`] for callers that only need a yes/no:
+    /// maps `Unknown` to "possibly satisfiable" (`true`), which keeps
+    /// exploration sound.
     pub fn may_be_sat_assuming(
         &mut self,
         pool: &ExprPool,
@@ -1249,34 +993,21 @@ impl Solver {
     ) -> SatResult {
         let start = Instant::now();
         self.stats.queries += 1;
-        for &c in set {
-            self.stats.query_nodes +=
-                *self.dag_sizes.entry(c).or_insert_with(|| pool.dag_size(c) as u64);
-        }
         let h = hash.unwrap_or_else(|| set_hash(set));
-        // Per-query normalization bookkeeping (size accounting + set
-        // hashing) is the first `route_time` slice; the cache and sat
-        // windows below are measured separately, keeping the three
+        // Set hashing is the first `route_time` slice; the ladder and
+        // sat windows below are measured separately, keeping the three
         // counters disjoint inside `time`.
         self.stats.route_time += start.elapsed();
-        // Tier gate: on warm context-served queries at or below the
-        // threshold, the context beats the model-reuse and cex tiers —
-        // skip straight past them (the exact cache stays on). "Warm"
-        // means a resident context covers the prefix up to at most one
-        // uncovered conjunct: the context's cost scales with the tail
-        // it still has to blast, and tail ≤ 1 is the steady-state
-        // branch query (the prefix grew by one conjunct since the
-        // context last moved). Longer tails — a migrated state on a
-        // sharded worker whose context holds only the trunk — pay a
-        // real blast-and-solve, which the tiers profitably shield; see
-        // `SolverConfig::tier_gate`.
+        // Tier gate (`SolverConfig::tier_gate`): a small query whose
+        // prefix a resident context covers up to at most one conjunct
+        // skips the ladder's rungs below the exact caches.
         let warm = route
             .as_ref()
             .is_some_and(|r| r.prefound.0.is_some() && r.prefix.len() - r.prefound.1 <= 1);
         let gated = warm && self.config.tier_gate > 0 && set.len() <= self.config.tier_gate;
 
         let cache_start = Instant::now();
-        let hit = self.lookup_caches(pool, h, set, gated);
+        let hit = self.verdicts.lookup(&self.config, &mut self.stats, pool, h, set, gated);
         self.stats.cache_time += cache_start.elapsed();
         if let Some(hit) = hit {
             self.stats.time += start.elapsed();
@@ -1294,7 +1025,7 @@ impl Solver {
             result = self.retry_unknown(pool, route.as_ref(), set, forced);
         }
         let record_start = Instant::now();
-        self.record_result(pool, h, set, &result);
+        self.verdicts.record(&self.config, &mut self.stats, pool, h, set, &result);
         self.stats.cache_time += record_start.elapsed();
         self.stats.time += start.elapsed();
         result
@@ -1305,7 +1036,7 @@ impl Solver {
         match route {
             Some(r) => self.check_in_context(pool, r, set),
             None if self.config.use_independence => self.check_sliced(pool, set),
-            None => self.check_monolithic(pool, set),
+            None => self.solve_slice(pool, set, self.effective_budget()),
         }
     }
 
@@ -1372,11 +1103,7 @@ impl Solver {
                 self.stats.retry_attempts += 1;
                 self.stats.retry_reblasts += 1;
                 self.budget_override = Some(last_budget);
-                result = if self.config.use_independence {
-                    self.check_sliced(pool, set)
-                } else {
-                    self.check_monolithic(pool, set)
-                };
+                result = self.dispatch(pool, None, set);
                 self.budget_override = None;
             }
         }
@@ -1384,199 +1111,6 @@ impl Solver {
             self.stats.retry_recovered += 1;
         }
         result
-    }
-
-    /// Tiers 1–3: exact cache, model reuse, counterexample cache.
-    /// `gated` skips tiers 2–3 (the exact cache always runs); `h` is the
-    /// query's [`set_hash`], shared by every cache touch below so the
-    /// set is hashed once per query at most.
-    fn lookup_caches(
-        &mut self,
-        pool: &ExprPool,
-        h: u64,
-        set: &[ExprId],
-        gated: bool,
-    ) -> Option<SatResult> {
-        if self.config.use_cache {
-            if let Some(cached) = self.cache.get_hashed(h, set) {
-                self.stats.cache_hits += 1;
-                return Some(match cached {
-                    CachedResult::Sat(m) => {
-                        self.stats.sat += 1;
-                        SatResult::Sat(m.clone())
-                    }
-                    CachedResult::Unsat => {
-                        self.stats.unsat += 1;
-                        SatResult::Unsat
-                    }
-                });
-            }
-            // Shared exact tier: a verdict another worker published.
-            // Like the private exact cache it is never gated — a hit
-            // here replaces a full solve, full-key verified so a
-            // colliding foreign set can never alias this query. The
-            // hit is copied into the private cache so repeats of the
-            // query stay on the private path.
-            if let Some(verdict) =
-                self.shared.as_ref().and_then(|mi| mi.verdict_for(h, set)).map(|v| v.cloned())
-            {
-                self.stats.shared_query_hits += 1;
-                return Some(match verdict {
-                    Some(m) => {
-                        debug_assert!(m.satisfies(pool, set), "shared model must satisfy");
-                        self.stats.sat += 1;
-                        self.cache.insert_hashed(h, set, CachedResult::Sat(m.clone()));
-                        SatResult::Sat(m)
-                    }
-                    None => {
-                        self.stats.unsat += 1;
-                        self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                        SatResult::Unsat
-                    }
-                });
-            }
-        }
-        if gated {
-            return None;
-        }
-        // Model-based shortcuts return whatever model happens to fit, so
-        // they are skipped in canonical mode (the answer must be *the*
-        // minimal model).
-        if self.config.use_model_reuse && !self.config.canonical_models {
-            if let Some(m) = self.recent_models.iter().find(|m| m.satisfies(pool, set)) {
-                let model = m.clone();
-                self.stats.model_reuse_hits += 1;
-                self.stats.sat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                }
-                return Some(SatResult::Sat(model));
-            }
-        }
-        if self.config.use_cex_cache {
-            let sig = signature(set);
-            if self.cex.implies_unsat(sig, set) {
-                self.stats.cex_unsat_hits += 1;
-                self.stats.unsat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                }
-                return Some(SatResult::Unsat);
-            }
-            // Shared cex tiers: foreign unsat cores and sat supersets,
-            // behind the same tier gate as the private scans (the
-            // `gated` early-return above) so the shared fabric cannot
-            // reintroduce per-query scan cost on warm context routes.
-            if self.shared.as_ref().is_some_and(|mi| mi.implies_unsat(sig, set)) {
-                self.stats.shared_cex_hits += 1;
-                self.stats.unsat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                }
-                return Some(SatResult::Unsat);
-            }
-            if !self.config.canonical_models {
-                if let Some(m) = self.cex.model_for_subset(sig, set) {
-                    let model = m.clone();
-                    debug_assert!(model.satisfies(pool, set), "cex superset model must satisfy");
-                    self.stats.cex_sat_hits += 1;
-                    self.stats.sat += 1;
-                    if self.config.use_cache {
-                        self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                    }
-                    return Some(SatResult::Sat(model));
-                }
-                if let Some(model) =
-                    self.shared.as_ref().and_then(|mi| mi.model_for_subset(sig, set)).cloned()
-                {
-                    debug_assert!(model.satisfies(pool, set), "shared superset model must satisfy");
-                    self.stats.shared_cex_hits += 1;
-                    self.stats.sat += 1;
-                    if self.config.use_cache {
-                        self.cache.insert_hashed(h, set, CachedResult::Sat(model.clone()));
-                    }
-                    return Some(SatResult::Sat(model));
-                }
-            }
-        }
-        None
-    }
-
-    /// Feeds a freshly computed result into the stats and caches —
-    /// including the shared cache, when one is attached: every worker
-    /// publishes what it solves, so the fleet's verdict store grows
-    /// with work done rather than per worker. Publication of an entry
-    /// some other worker already published is a no-op and counts
-    /// nowhere.
-    fn record_result(&mut self, pool: &ExprPool, h: u64, set: &[ExprId], result: &SatResult) {
-        match result {
-            SatResult::Sat(m) => {
-                debug_assert!(m.satisfies(pool, set), "solver returned a bogus model");
-                self.stats.sat += 1;
-                // The model-donating tiers (reuse, cex sat-superset) are
-                // disabled in canonical mode, so feeding them there is
-                // pure cost: a model clone and a subset scan per sat
-                // answer that nothing ever reads.
-                if !self.config.canonical_models {
-                    self.remember_model(m.clone());
-                }
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Sat(m.clone()));
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_verdict(h, set, Some(m)) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
-                if self.config.use_cex_cache && !self.config.canonical_models {
-                    self.cex.note_sat(set, m);
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_sat_set(set, m) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
-            }
-            SatResult::Unsat => {
-                self.stats.unsat += 1;
-                if self.config.use_cache {
-                    self.cache.insert_hashed(h, set, CachedResult::Unsat);
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_verdict(h, set, None) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
-                if self.config.use_cex_cache {
-                    self.cex.note_unsat(set);
-                    // Mirror the private policy: the full unsat set is a
-                    // core too, and cross-worker superset refutation only
-                    // fires if foreign whole-query cores are published —
-                    // fine cores (dead prefixes, unsat slices) alone are
-                    // too subtree-specific to refute a sibling worker's
-                    // queries. The log's capacity bounds the cost.
-                    if let Some(mi) = &self.shared {
-                        if mi.shared().publish_unsat_core(set) {
-                            self.stats.shared_publishes += 1;
-                        }
-                    }
-                }
-            }
-            SatResult::Unknown => {
-                self.stats.unknown += 1;
-                // Never cache Unknown: a retry may have a bigger budget.
-            }
-        }
-    }
-
-    fn remember_model(&mut self, m: Model) {
-        if self.config.model_history == 0 {
-            return;
-        }
-        while self.recent_models.len() >= self.config.model_history {
-            self.recent_models.pop_front();
-        }
-        self.recent_models.push_back(m);
     }
 
     // ----- incremental context path ------------------------------------
@@ -1600,24 +1134,14 @@ impl Solver {
     /// [`ContextTree::lookup`] for `prefix`, if it has one (the query
     /// fast path walks the tree to reach the carried normalized set
     /// before the cache tiers run, and nothing in between mutates the
-    /// tree).
+    /// tree). `force_fork` names prefixes to treat as fork points
+    /// regardless of sibling evidence — the batch prewarm path passes
+    /// the divergence points of the migrated-state batch, which carry no
+    /// `sat_extras` (the evidence stayed on the donor worker) but are
+    /// known upfront to serve multiple children. (Keyed by prefix, not
+    /// node index: mid-batch eviction can prune a node and recycle its
+    /// index for an unrelated path.)
     fn context_node_for(
-        &mut self,
-        pool: &ExprPool,
-        prefix: &[ExprId],
-        prefound: Option<(Option<usize>, usize)>,
-    ) -> usize {
-        self.context_node_for_inner(pool, prefix, None, prefound)
-    }
-
-    /// [`Solver::context_node_for`] with an optional set of prefixes to
-    /// treat as fork points regardless of sibling evidence — the batch
-    /// prewarm path passes the divergence points of the migrated-state
-    /// batch, which carry no `sat_extras` (the evidence stayed on the
-    /// donor worker) but are known upfront to serve multiple children.
-    /// (Keyed by prefix, not node index: mid-batch eviction can prune a
-    /// node and recycle its index for an unrelated path.)
-    fn context_node_for_inner(
         &mut self,
         pool: &ExprPool,
         prefix: &[ExprId],
@@ -1692,7 +1216,7 @@ impl Solver {
     fn check_in_context(&mut self, pool: &ExprPool, route: &CtxRoute, set: &[ExprId]) -> SatResult {
         let route_start = Instant::now();
         let CtxRoute { prefix, extra, may_extend, prefound } = *route;
-        let node = self.context_node_for(pool, prefix, Some(prefound));
+        let node = self.context_node_for(pool, prefix, None, Some(prefound));
         if self.tree.ctx(node).is_dead() {
             // The context's asserted prefix — possibly a strict subset
             // of the query's, when a dead ancestor answered — is unsat
@@ -1848,7 +1372,7 @@ impl Solver {
         trunks.dedup();
         let trunk_set: std::collections::HashSet<&[ExprId]> = trunks.iter().copied().collect();
         for p in &trunks {
-            self.context_node_for_inner(pool, p, Some(&trunk_set), None);
+            self.context_node_for(pool, p, Some(&trunk_set), None);
         }
         // Seed sibling evidence: each state's first conjunct beyond its
         // deepest resident ancestor is a child that will come back — the
@@ -1881,10 +1405,11 @@ impl Solver {
     }
 
     /// Donates a dead context's asserted prefix to the counterexample
-    /// cache as an unsat core — and to the shared cache: dead-prefix
-    /// cores are the finest cores the incremental path produces, and
-    /// a foreign worker whose states extend a sibling of the dead
-    /// prefix refutes them by subset without ever building a context.
+    /// cache as an unsat core — the ladder queues it for the fleet
+    /// too: dead-prefix cores are the finest cores the incremental path
+    /// produces, and a foreign worker whose states extend a sibling of
+    /// the dead prefix refutes them by subset without ever building a
+    /// context.
     fn note_dead_prefix(&mut self, pool: &ExprPool, node: usize) {
         if !self.config.use_cex_cache {
             return;
@@ -1893,19 +1418,10 @@ impl Solver {
             self.tree.ctx(node).prefix().iter().copied().filter(|&c| !pool.is_true(c)).collect();
         p.sort_unstable();
         p.dedup();
-        self.cex.note_unsat(&p);
-        if let Some(mi) = &self.shared {
-            if mi.shared().publish_unsat_core(&p) {
-                self.stats.shared_publishes += 1;
-            }
-        }
+        self.verdicts.note_core(&p);
     }
 
     // ----- re-blast path ------------------------------------------------
-
-    fn check_monolithic(&mut self, pool: &ExprPool, set: &[ExprId]) -> SatResult {
-        self.solve_slice(pool, set, self.effective_budget())
-    }
 
     /// Partitions `set` into connected components under "shares an input
     /// symbol" and decides each component separately. The conjunction is
@@ -1930,27 +1446,15 @@ impl Solver {
             if remaining == Some(0) {
                 return SatResult::Unknown; // shared budget exhausted
             }
-            // Slice-level refutation: a stored unsat core inside one
-            // slice kills the whole conjunction before any CNF is
-            // built. Only multi-slice queries are checked — a single
-            // slice is the full set, which `lookup_caches` already
-            // screened — and the scan cost is charged to the cache
-            // window like every other tier. The shared mirror makes
-            // this *cross-worker*: slices are published as fine cores,
-            // so one worker's dead slice refutes every fleet query
-            // that contains it.
+            // Slice-level refutation: a stored unsat core (private or
+            // the fleet's) inside one slice kills the whole conjunction
+            // before any CNF is built. Only multi-slice queries are
+            // checked — a single slice is the full set, which the ladder
+            // already screened — and the scan is charged to the cache
+            // window like every other tier.
             if slices.len() > 1 && self.config.use_cex_cache {
                 let cex_start = Instant::now();
-                let sig = signature(slice);
-                let hit = if self.cex.implies_unsat(sig, slice) {
-                    self.stats.cex_unsat_hits += 1;
-                    true
-                } else if self.shared.as_ref().is_some_and(|mi| mi.implies_unsat(sig, slice)) {
-                    self.stats.shared_cex_hits += 1;
-                    true
-                } else {
-                    false
-                };
+                let hit = self.verdicts.refutes(&mut self.stats, slice);
                 self.stats.cache_time += cex_start.elapsed();
                 if hit {
                     return SatResult::Unsat;
@@ -1966,12 +1470,7 @@ impl Solver {
                 SatResult::Unsat => {
                     if slices.len() > 1 && self.config.use_cex_cache {
                         // The slice is a finer unsat core than the query.
-                        self.cex.note_unsat(slice);
-                        if let Some(mi) = &self.shared {
-                            if mi.shared().publish_unsat_core(slice) {
-                                self.stats.shared_publishes += 1;
-                            }
-                        }
+                        self.verdicts.note_core(slice);
                     }
                     return SatResult::Unsat;
                 }
@@ -2068,14 +1567,6 @@ pub(crate) fn elem_hash(id: ExprId) -> u64 {
 /// harmless: the query cache stores and verifies full keys per bucket.
 pub(crate) fn set_hash(set: &[ExprId]) -> u64 {
     set.iter().fold(0u64, |h, &c| h.wrapping_add(elem_hash(c)))
-}
-
-/// 64-bit membership signature of a set: each element ORs in one of 64
-/// bits (chosen by its hash). `a ⊆ b` implies
-/// `signature(a) & !signature(b) == 0`, so one AND/compare refutes most
-/// subset candidates before the linear merge of [`is_subset`] runs.
-pub(crate) fn signature(set: &[ExprId]) -> u64 {
-    set.iter().fold(0u64, |s, &c| s | 1u64 << (elem_hash(c) & 63))
 }
 
 /// Groups constraints into connected components by shared input symbols.
@@ -2176,34 +1667,6 @@ mod tests {
         assert!(s.check(&p, &[c]).is_sat());
         assert_eq!(s.stats().sat_calls, calls_before);
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn query_cache_collision_cannot_alias_distinct_sets() {
-        // Regression test for the u64-keyed cache unsoundness: force two
-        // *different* constraint sets into the same hash bucket (what a
-        // 64-bit hash collision does) and verify lookups distinguish them
-        // by the stored full key. Under the old design — verdicts keyed on
-        // the bare hash — the second insert would overwrite the first and
-        // every probe at this hash would return the same (possibly wrong)
-        // verdict: feasible paths pruned or infeasible ones explored.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let five = p.bv_const(5, 8);
-        let six = p.bv_const(6, 8);
-        let set_a = vec![p.eq(x, five)];
-        let set_b = vec![p.eq(x, six)];
-        let set_c = vec![p.ne(x, five)];
-        let mut model = Model::new();
-        model.set(p.intern_symbol("x"), 6);
-
-        let mut cache = QueryCache::default();
-        let h = 0xDEAD_BEEF_u64; // the simulated colliding hash
-        cache.insert_hashed(h, &set_a, CachedResult::Unsat);
-        cache.insert_hashed(h, &set_b, CachedResult::Sat(model.clone()));
-        assert_eq!(cache.get_hashed(h, &set_a), Some(&CachedResult::Unsat));
-        assert_eq!(cache.get_hashed(h, &set_b), Some(&CachedResult::Sat(model)));
-        assert_eq!(cache.get_hashed(h, &set_c), None, "colliding unseen set must miss");
     }
 
     #[test]
@@ -2556,6 +2019,94 @@ mod tests {
         assert_eq!(s.stats().ctx_rebuilds, rebuilds, "protected ancestor must still be resident");
     }
 
+    /// The resident leaves of `t`, as `(last_used, node)` in eviction
+    /// order — the brute-force reference for `ContextTree::leaves`.
+    fn brute_leaves(t: &ContextTree) -> Vec<(u64, usize)> {
+        let mut v: Vec<(u64, usize)> = (0..t.nodes.len())
+            .filter(|&i| t.nodes[i].live == 1 && t.nodes[i].ctx.is_some())
+            .map(|i| t.leaf_key(i))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256).seed(0x7EE_5EED))]
+
+        /// Drives a `ContextTree` through random placements, takes,
+        /// touches and evictions: every victim must be the brute-force
+        /// minimum of `(last_used, node)` over the resident leaves other
+        /// than `keep`, and the candidate set must equal those leaves
+        /// after every operation.
+        #[test]
+        fn eviction_takes_the_least_recently_used_leaf(
+            ops in proptest::collection::vec((0u8..4, 0usize..1000, proptest::bool::ANY), 1..120)
+        ) {
+            let mut p = pool();
+            let x = p.input("x", 8);
+            let conj: Vec<ExprId> = (0..3u64)
+                .map(|i| {
+                    let k = p.bv_const(i, 8);
+                    p.ult(x, k)
+                })
+                .collect();
+            // Every prefix of length ≤ 3 over the three conjuncts.
+            let mut prefixes: Vec<Vec<ExprId>> = vec![Vec::new()];
+            for at in 0.. {
+                if at == prefixes.len() || prefixes[at].len() == 3 {
+                    break;
+                }
+                for &c in &conj {
+                    let mut q = prefixes[at].clone();
+                    q.push(c);
+                    prefixes.push(q);
+                }
+            }
+            let mut tree = ContextTree::new();
+            let mut clock = 0;
+            for (op, pick, keep_one) in ops {
+                let resident: Vec<usize> =
+                    (0..tree.nodes.len()).filter(|&i| tree.nodes[i].ctx.is_some()).collect();
+                let chosen = (!resident.is_empty()).then(|| resident[pick % resident.len()]);
+                clock += 1;
+                match (op, chosen) {
+                    (0, _) => {
+                        let node = tree.ensure_path(&prefixes[pick % prefixes.len()]);
+                        if tree.nodes[node].ctx.is_none() {
+                            let mut ctx = SolverContext::with_options(true, true);
+                            ctx.last_used = clock;
+                            tree.place(node, ctx);
+                        }
+                    }
+                    (1, Some(n)) => {
+                        let _ = tree.take(n);
+                        tree.prune_up(n);
+                    }
+                    (2, Some(n)) => tree.touch(n, clock),
+                    (3, _) => {
+                        let keep = chosen.filter(|_| keep_one);
+                        let want =
+                            brute_leaves(&tree).into_iter().map(|(_, n)| n).find(|&n| Some(n) != keep);
+                        if let Some(k) = keep {
+                            proptest::prop_assert_eq!(tree.has_evictable(k), want.is_some());
+                        }
+                        let evicted = tree.evict_leaf(keep).is_some();
+                        proptest::prop_assert_eq!(evicted, want.is_some());
+                        let gone: Vec<usize> = resident
+                            .iter()
+                            .copied()
+                            .filter(|&i| tree.nodes[i].ctx.is_none())
+                            .collect();
+                        proptest::prop_assert_eq!(gone, want.into_iter().collect::<Vec<_>>());
+                    }
+                    _ => {}
+                }
+                let leaves: Vec<(u64, usize)> = tree.leaves.iter().copied().collect();
+                proptest::prop_assert_eq!(leaves, brute_leaves(&tree));
+            }
+        }
+    }
+
     #[test]
     fn adaptive_capacity_tracks_the_frontier_hint() {
         // Three unrelated prefixes against a count floor of 2: the fixed
@@ -2776,28 +2327,6 @@ mod tests {
     }
 
     #[test]
-    fn is_subset_walks_sorted_slices() {
-        let ids: Vec<ExprId> = {
-            let mut p = pool();
-            let x = p.input("x", 8);
-            (0..5u64)
-                .map(|i| {
-                    let k = p.bv_const(i, 8);
-                    p.ult(x, k)
-                })
-                .collect()
-        };
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let (a, b, c, d) = (sorted[0], sorted[1], sorted[2], sorted[3]);
-        assert!(is_subset(&[a, c], &[a, b, c, d]));
-        assert!(is_subset(&[], &[a]));
-        assert!(is_subset(&[a], &[a]));
-        assert!(!is_subset(&[a, d], &[a, b, c]));
-        assert!(!is_subset(&[a, b], &[b, c]));
-    }
-
-    #[test]
     fn may_be_sat_treats_unknown_as_true() {
         let mut p = pool();
         let x = p.input("x", 8);
@@ -2807,8 +2336,8 @@ mod tests {
         let c = p.eq(prod, target);
         let mut s = Solver::new(SolverConfig { max_conflicts: Some(1), ..Default::default() });
         // Whatever the outcome (Unknown or Sat within a single conflict),
-        // may_be_sat must not claim unsat.
-        assert!(s.may_be_sat(&p, &[c]));
+        // may_be_sat_assuming must not claim unsat.
+        assert!(s.may_be_sat_assuming(&p, &[], c));
     }
 
     #[test]
@@ -2820,7 +2349,6 @@ mod tests {
         let mut s = Solver::new(Default::default());
         let _ = s.check(&p, &[c]);
         assert_eq!(s.stats().queries, 1);
-        assert!(s.stats().query_nodes > 0);
         assert!(s.stats().time > Duration::ZERO);
     }
 
@@ -2886,96 +2414,6 @@ mod tests {
         };
         assert_eq!(run(0), 1, "ungated reference answers from the stored core");
         assert_eq!(run(64), 0, "gated query must bypass the cex scan");
-    }
-
-    #[test]
-    fn cex_capacity_is_enforced_per_store() {
-        // Regression: each store enforces FIFO eviction at capacity
-        // independently — overfilling one side must not evict (or fail
-        // to bound) the other's entries.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ids: Vec<ExprId> = (0..10u64)
-            .map(|i| {
-                let k = p.bv_const(i, 8);
-                p.ult(x, k)
-            })
-            .collect();
-        let mut m = Model::new();
-        m.set(p.intern_symbol("x"), 0);
-        let mut cache = CexCache::new(2, true);
-        cache.note_sat(&[ids[0]], &m);
-        for &id in &ids[1..] {
-            cache.note_unsat(&[id]);
-        }
-        assert_eq!(cache.unsat_sets.len(), 2, "unsat side must stop at capacity");
-        assert_eq!(cache.sat_sets.len(), 1, "unsat-side pressure must not touch sat entries");
-        assert!(cache.model_for_subset(signature(&[ids[0]]), &[ids[0]]).is_some());
-        for &id in &ids[1..] {
-            cache.note_sat(&[id], &m);
-        }
-        assert_eq!(cache.sat_sets.len(), 2, "sat side must stop at capacity");
-        assert_eq!(cache.unsat_sets.len(), 2, "sat-side pressure must not touch unsat entries");
-    }
-
-    #[test]
-    fn cex_prefilter_answers_identically_to_unfiltered_scans() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ids: Vec<ExprId> = (0..6u64)
-            .map(|i| {
-                let k = p.bv_const(i, 8);
-                p.ult(x, k)
-            })
-            .collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let mut m = Model::new();
-        m.set(p.intern_symbol("x"), 0);
-        let mut filtered = CexCache::new(8, true);
-        let mut plain = CexCache::new(8, false);
-        for c in [&sorted[0..2], &sorted[2..5], &sorted[1..3]] {
-            filtered.note_unsat(c);
-            plain.note_unsat(c);
-            filtered.note_sat(c, &m);
-            plain.note_sat(c, &m);
-        }
-        // Probe every contiguous sub-range: subsets, supersets, misses.
-        for lo in 0..sorted.len() {
-            for hi in lo..sorted.len() {
-                let q = &sorted[lo..hi];
-                let sig = signature(q);
-                assert_eq!(
-                    filtered.implies_unsat(sig, q),
-                    plain.implies_unsat(sig, q),
-                    "prefilter changed an unsat-scan verdict for {q:?}"
-                );
-                assert_eq!(
-                    filtered.model_for_subset(sig, q).is_some(),
-                    plain.model_for_subset(sig, q).is_some(),
-                    "prefilter changed a sat-scan verdict for {q:?}"
-                );
-            }
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_cex_lookup_fails_the_boundary_assert() {
-        let ids: Vec<ExprId> = {
-            let mut p = pool();
-            let x = p.input("x", 8);
-            (0..2u64)
-                .map(|i| {
-                    let k = p.bv_const(i, 8);
-                    p.ult(x, k)
-                })
-                .collect()
-        };
-        let (lo, hi) = if ids[0] < ids[1] { (ids[0], ids[1]) } else { (ids[1], ids[0]) };
-        let cache = CexCache::new(4, true);
-        let _ = cache.implies_unsat(signature(&[hi, lo]), &[hi, lo]);
     }
 
     #[test]

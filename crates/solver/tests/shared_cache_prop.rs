@@ -29,7 +29,7 @@ use symmerge_core::{
     StrategyKind, TestKind,
 };
 use symmerge_expr::{ExprId, ExprPool};
-use symmerge_solver::{Model, SharedSolverCache, Solver, SolverConfig};
+use symmerge_solver::{Model, Publication, SharedSolverCache, Solver, SolverConfig};
 use symmerge_workloads::{by_name, InputConfig};
 
 /// The twelve core differential workloads at the exhaustive input sizes
@@ -182,7 +182,10 @@ fn cross_worker_full_key_collision_cannot_alias() {
     let cache = SharedSolverCache::new(64);
 
     const H: u64 = 0xDEAD_BEEF_DEAD_BEEF;
-    assert!(cache.publish_verdict(H, set_a, None), "first publication must land");
+    assert!(
+        cache.publish(Publication::Verdict(H, set_a.into(), None)),
+        "first publication must land"
+    );
     // The colliding set must miss, not inherit A's unsat verdict.
     assert_eq!(cache.verdict_for(H, set_b), None, "distinct set aliased through a hash bucket");
     assert_eq!(cache.verdict_for(H, set_a), Some(None), "publisher's own verdict lost");
@@ -190,7 +193,7 @@ fn cross_worker_full_key_collision_cannot_alias() {
     // Publish B under the same hash with the *opposite* verdict and
     // confirm both keys still resolve independently.
     let model = Model::new();
-    assert!(cache.publish_verdict(H, set_b, Some(&model)));
+    assert!(cache.publish(Publication::Verdict(H, set_b.into(), Some(model))));
     assert_eq!(cache.verdict_for(H, set_a), Some(None));
     assert!(matches!(cache.verdict_for(H, set_b), Some(Some(_))));
     assert_eq!(cache.published(), 2);
@@ -222,16 +225,15 @@ proptest! {
             match op {
                 // Publish a fresh exact verdict / unsat core / sat set.
                 0 => {
-                    cache.publish_verdict(next as u64, &cs[next..=next], None);
+                    cache.publish(Publication::Verdict(next as u64, cs[next..=next].into(), None));
                     next += 1;
                 }
                 1 => {
-                    cache.publish_unsat_core(&cs[next..=next]);
+                    cache.publish(Publication::Core(cs[next..=next].into()));
                     next += 1;
                 }
                 2 => {
-                    let model = Model::new();
-                    cache.publish_sat_set(&cs[next..=next], &model);
+                    cache.publish(Publication::Sat(cs[next..=next].into(), Model::new()));
                     next += 1;
                 }
                 // Sync the mirror mid-stream.

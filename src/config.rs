@@ -92,7 +92,11 @@ pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
         engine.fault_plan = Some(Arc::new(plan));
     }
     env.flag("SYMMERGE_PANIC_ISOLATION", &mut engine.panic_isolation);
-    if let Some(path) = env.get("SYMMERGE_CHECKPOINT_PATH").filter(|p| !p.is_empty()) {
+    let path = env.get("SYMMERGE_CHECKPOINT_PATH").filter(|p| !p.is_empty());
+    if let Some(every) = env.get("SYMMERGE_CHECKPOINT_EVERY").filter(|_| path.is_none()) {
+        panic!("SYMMERGE_CHECKPOINT_EVERY=`{every}` needs SYMMERGE_CHECKPOINT_PATH set as well");
+    }
+    if let Some(path) = path {
         let mut every = 256;
         env.num("SYMMERGE_CHECKPOINT_EVERY", &mut every);
         if every > 0 {
@@ -242,6 +246,10 @@ mod tests {
             &[("SYMMERGE_FAULT_PLAN", "panic=oops")],
             &[("SYMMERGE_SOLVER_RETRY_LADDER", "4,x")],
             &[("SYMMERGE_CHECKPOINT_PATH", "ck"), ("SYMMERGE_CHECKPOINT_EVERY", "often")],
+            // An interval alone would configure nothing.
+            &[("SYMMERGE_CHECKPOINT_EVERY", "often")],
+            &[("SYMMERGE_CHECKPOINT_EVERY", "9")],
+            &[("SYMMERGE_CHECKPOINT_PATH", ""), ("SYMMERGE_CHECKPOINT_EVERY", "9")],
         ] {
             assert!(!parses(list), "{list:?} must be refused");
         }
@@ -312,8 +320,7 @@ mod tests {
         let read = RefCell::new(BTreeSet::new());
         from_lookup(|name| {
             read.borrow_mut().insert(name.to_owned());
-            // Let the path through, so the dependent interval is read.
-            (name == "SYMMERGE_CHECKPOINT_PATH").then(|| "run.ck".to_owned())
+            None
         });
         let read = read.into_inner();
         let read: BTreeSet<&str> = read.iter().map(String::as_str).collect();

@@ -316,33 +316,55 @@ fn default_search_order_is_pinned() {
 /// dynamic merging (CoverageOptimized), and free placement under
 /// `MergeMode::None`, all at jobs 2 with 48 steps per round. Between them
 /// they hand states off, merge, reject merges and fast-forward laggards.
+/// The last two rows re-blast every query (`use_incremental: false`),
+/// the path where the fleet's counterexample logs answer queries, so the
+/// shared verdict store's exact and cex hits are pinned with them. The
+/// `Random` row is one where workers that synced their verdict mirrors
+/// at every step read verdicts their peer published in the same round,
+/// so its counts moved with thread timing; mirrors synced at the round
+/// barrier make them a fixed function of the run.
 #[test]
 fn fleet_search_order_is_pinned() {
-    type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64);
-    let rows: [(MergeMode, StrategyKind, Pin); 3] = [
+    type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64, u64, u64);
+    let rows: [(MergeMode, StrategyKind, bool, Pin); 5] = [
         (
             MergeMode::Static,
             StrategyKind::Topological,
-            (465, 465, 38, 540, 0, 0, 0, 80, 1, 11216982687399032055),
+            true,
+            (465, 465, 38, 540, 0, 0, 0, 80, 1, 11216982687399032055, 0, 0),
         ),
         (
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
-            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411),
+            true,
+            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411, 0, 0),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
-            (2868, 2868, 0, 0, 0, 0, 19, 239, 85, 1926985011960295610),
+            true,
+            (2868, 2868, 0, 0, 0, 0, 19, 239, 85, 1926985011960295610, 11, 0),
+        ),
+        (
+            MergeMode::None,
+            StrategyKind::CoverageOptimized,
+            false,
+            (2868, 2868, 0, 0, 0, 0, 12, 299, 85, 18405241640646814255, 3, 24),
+        ),
+        (
+            MergeMode::None,
+            StrategyKind::Random,
+            false,
+            (2868, 2868, 0, 0, 0, 0, 30, 340, 85, 14550787056083984852, 13, 20),
         ),
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
-    for (merge_mode, strategy, pinned) in rows {
+    for (merge_mode, strategy, use_incremental, pinned) in rows {
         let program = by_name("wc").unwrap().program(&cfg);
         let config = EngineConfig {
             merge_mode,
             strategy,
-            solver: SolverConfig::default(),
+            solver: SolverConfig { use_incremental, ..SolverConfig::default() },
             seed: 0,
             ..EngineConfig::default()
         };
@@ -359,7 +381,9 @@ fn fleet_search_order_is_pinned() {
             r.solver.sat_calls,
             r.tests.len(),
             tests_digest(&r),
+            r.solver.shared_query_hits,
+            r.solver.shared_cex_hits,
         );
-        assert_eq!(got, pinned, "wc@3 jobs=2 {merge_mode:?}/{strategy:?}");
+        assert_eq!(got, pinned, "wc@3 jobs=2 {merge_mode:?}/{strategy:?} incr={use_incremental}");
     }
 }
