@@ -3,18 +3,20 @@
 //! A [`Checkpoint`] captures everything an interrupted run needs to
 //! continue and still produce the *same* final report as the
 //! uninterrupted run would have: the run's results so far, the RNG
-//! stream, and the whole live frontier as [`PortableState`]s
-//! ([`crate::shard`]): states flattened to pool-free DAGs, so a
-//! checkpoint written by a 4-worker fleet can be resumed sequentially
-//! and vice versa — a portable state does not care which scheduler
-//! re-hosts it.
+//! stream, and the whole live frontier as [`PortableState`]s: states
+//! flattened to pool-free DAGs, so a checkpoint written by a 4-worker
+//! fleet can be resumed sequentially and vice versa — a portable state
+//! does not care which scheduler re-hosts it. This module is the one
+//! place that knows the portable form: its export from a live state, its
+//! import as a hand-off ([`StolenState`]), and its bytes. It is written
+//! only when a checkpoint is taken and read only when one is resumed.
 //!
 //! The results are a [`ShardOutput`], the shape a fleet worker reports
 //! in: a [`RunReport`] plus the covered pairs. A
 //! checkpoint is one more part of the run, so parts combine the way
 //! worker reports do ([`ShardOutput::fold`]), and a resumed fleet
 //! reduces the checkpoint's results like a worker's. Only a subset of
-//! the report is persisted (`put_results`/`get_results`); the rest
+//! the report is persisted (`Wire for ShardOutput`); the rest
 //! describes the process that ran and is re-derived on resume.
 //!
 //! Sequential engines write checkpoints themselves every
@@ -27,6 +29,13 @@
 //! The on-disk format is a versioned little-endian byte stream —
 //! deliberately hand-rolled: the workspace builds offline, and the
 //! format only needs to round-trip between builds of this same crate.
+//! Each type's layout is written once, as its `Wire` impl: integers are
+//! little-endian, a `bool` is one strict 0/1 byte, a `usize` is a `u64`,
+//! a string or vector is a `u32` count and then its items, an `Option`
+//! is a 0/1 tag and then the value, a tuple is its fields in order, an
+//! operator is its index in its enum's table, and every other enum is a
+//! `u8` tag and then its variant's fields.
+//!
 //! Decoding fails closed. [`read_checkpoint`] validates magic, version,
 //! and exact length, and refuses any frontier state that is not
 //! self-consistent (operands, symbols, widths, sorts and return
@@ -44,16 +53,20 @@
 //! and failure list. Scheduling artifacts — `max_worklist`, wall time,
 //! solver timings — are not part of that contract.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use symmerge_expr::{BoolBinOp, BvBinOp, CmpOp, PortableDag, PortableNode, PortableRef, Sort};
-use symmerge_ir::{Block, Function, LocalDecl, Program, Ty};
+use symmerge_expr::{
+    BoolBinOp, BvBinOp, CmpOp, DagExporter, ExprPool, PortableDag, PortableNode, PortableRef, Sort,
+};
+use symmerge_ir::{Block, BlockId, FuncId, Function, LocalDecl, LocalId, Program, Ty};
 
 use crate::engine::{RunReport, ShardOutput};
 use crate::exec::AssertFailure;
-use crate::shard::{PortableFrame, PortableSlot, PortableState};
+use crate::shard::{RegionId, StolenState};
+use crate::state::{Frame, LiveState, Slot, State, StateId};
 use crate::testgen::{TestCase, TestKind};
 
 /// File magic: "SMCK" — symmerge checkpoint.
@@ -76,16 +89,16 @@ pub struct CheckpointConfig {
 pub struct Checkpoint {
     /// The run's base seed (informational; the live stream is `rng`).
     pub seed: u64,
-    /// Next fresh [`StateId`](crate::StateId) word.
+    /// Next fresh [`StateId`] word.
     pub next_id: u64,
     /// The engine RNG's raw xoshiro256** state words.
     pub rng: [u64; 4],
     /// The run's results so far, in a fleet worker's shape. A file
-    /// keeps only the persisted subset (see `put_results`); every other
-    /// report field reads back as its default. Assertion failures keep
-    /// their message and location: the path condition does not survive
-    /// the pool boundary, and the failures' tests are already in the
-    /// report's tests.
+    /// keeps only the persisted subset (see `Wire for ShardOutput`);
+    /// every other report field reads back as its default. Assertion
+    /// failures keep their message and location: the path condition
+    /// does not survive the pool boundary, and the failures' tests are
+    /// already in the report's tests.
     pub results: ShardOutput,
     /// The live frontier in portable form.
     pub frontier: Vec<PortableState>,
@@ -182,305 +195,177 @@ pub(crate) fn merge_parts(
     }
 }
 
-// ----- encoding ------------------------------------------------------
+// ----- the portable state ----------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// One local slot of a [`PortableState`].
+#[derive(Debug, Clone)]
+enum PortableSlot {
+    Int(PortableRef),
+    Array(Vec<PortableRef>),
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// One call-stack frame of a [`PortableState`].
+#[derive(Debug, Clone)]
+struct PortableFrame {
+    func: u32,
+    block: u32,
+    instr: u32,
+    ret_dest: Option<u32>,
+    locals: Vec<PortableSlot>,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A [`LiveState`] record flattened into a pool-independent form for a
+/// checkpoint frontier (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct PortableState {
+    /// The state's region when it was written.
+    region: RegionId,
+    /// The writing worker's index.
+    origin_shard: u32,
+    /// Per-worker sequence number; `(origin_shard, origin_seq)` orders
+    /// a frontier deterministically when it is resumed.
+    origin_seq: u64,
+    dag: PortableDag,
+    frames: Vec<PortableFrame>,
+    globals: Vec<PortableSlot>,
+    pc: Vec<PortableRef>,
+    outputs: Vec<PortableRef>,
+    multiplicity: f64,
+    steps: u64,
+    sym_counters: Vec<(String, u32)>,
+    history: Vec<u64>,
+    ff: bool,
+    /// The warm-prefix seed ([`StolenState::warm_len`]), clamped to the
+    /// pc length.
+    warm_len: u32,
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_len(buf: &mut Vec<u8>, n: usize) {
-    put_u32(buf, u32::try_from(n).expect("checkpoint section over u32::MAX entries"));
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_len(buf, s.len());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_node(buf: &mut Vec<u8>, node: &PortableNode) {
-    match node {
-        PortableNode::BvConst { value, width } => {
-            put_u8(buf, 0);
-            put_u64(buf, *value);
-            put_u32(buf, *width);
-        }
-        PortableNode::BoolConst(b) => {
-            put_u8(buf, 1);
-            put_u8(buf, u8::from(*b));
-        }
-        PortableNode::Input { sym, width } => {
-            put_u8(buf, 2);
-            put_u32(buf, *sym);
-            put_u32(buf, *width);
-        }
-        PortableNode::Bv { op, lhs, rhs } => {
-            put_u8(buf, 3);
-            put_u8(buf, bv_op_tag(*op));
-            put_u32(buf, *lhs);
-            put_u32(buf, *rhs);
-        }
-        PortableNode::Cmp { op, lhs, rhs } => {
-            put_u8(buf, 4);
-            put_u8(buf, cmp_op_tag(*op));
-            put_u32(buf, *lhs);
-            put_u32(buf, *rhs);
-        }
-        PortableNode::Not(a) => {
-            put_u8(buf, 5);
-            put_u32(buf, *a);
-        }
-        PortableNode::Bool { op, lhs, rhs } => {
-            put_u8(buf, 6);
-            put_u8(buf, bool_op_tag(*op));
-            put_u32(buf, *lhs);
-            put_u32(buf, *rhs);
-        }
-        PortableNode::Ite { cond, then, els } => {
-            put_u8(buf, 7);
-            put_u32(buf, *cond);
-            put_u32(buf, *then);
-            put_u32(buf, *els);
+impl PortableState {
+    /// Flattens a live state's record under the given routing region,
+    /// origin key and warm-prefix seed. The seed is clamped to the pc
+    /// length: it can never claim more than the pc itself.
+    pub fn export(
+        pool: &ExprPool,
+        live: &LiveState,
+        region: RegionId,
+        origin_shard: u32,
+        origin_seq: u64,
+        warm_len: u32,
+    ) -> PortableState {
+        let state = &live.state;
+        let mut exp = DagExporter::new(pool);
+        let slot = |exp: &mut DagExporter<'_>, s: &Slot| match s {
+            Slot::Int(e) => PortableSlot::Int(exp.add(*e)),
+            Slot::Array(cells) => PortableSlot::Array(cells.iter().map(|&c| exp.add(c)).collect()),
+        };
+        let frames = state
+            .frames
+            .iter()
+            .map(|f| PortableFrame {
+                func: f.func.0,
+                block: f.block.0,
+                instr: f.instr,
+                ret_dest: f.ret_dest.map(|d| d.0),
+                locals: f.locals.iter().map(|s| slot(&mut exp, s)).collect(),
+            })
+            .collect();
+        let globals = state.globals.iter().map(|s| slot(&mut exp, s)).collect();
+        let pc: Vec<PortableRef> = state.pc.iter().map(|&c| exp.add(c)).collect();
+        let outputs = state.outputs.iter().map(|&o| exp.add(o)).collect();
+        let mut sym_counters: Vec<(String, u32)> =
+            state.sym_counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        sym_counters.sort();
+        PortableState {
+            region,
+            origin_shard,
+            origin_seq,
+            dag: exp.finish(),
+            frames,
+            globals,
+            warm_len: warm_len.min(pc.len() as u32),
+            pc,
+            outputs,
+            multiplicity: state.multiplicity,
+            steps: state.steps,
+            sym_counters,
+            history: live.history.iter().copied().collect(),
+            ff: live.ff,
         }
     }
-}
 
-fn put_slot(buf: &mut Vec<u8>, slot: &PortableSlot) {
-    match slot {
-        PortableSlot::Int(r) => {
-            put_u8(buf, 0);
-            put_u32(buf, *r);
-        }
-        PortableSlot::Array(rs) => {
-            put_u8(buf, 1);
-            put_len(buf, rs.len());
-            for r in rs {
-                put_u32(buf, *r);
+    /// The `(origin_shard, origin_seq)` key a frontier is resumed in.
+    pub fn order_key(&self) -> (u32, u64) {
+        (self.origin_shard, self.origin_seq)
+    }
+
+    /// Rebuilds the state in `pool` as a hand-off, ready for the
+    /// receiving engine to integrate (which gives it a fresh local id).
+    pub fn import(&self, pool: &mut ExprPool) -> StolenState {
+        let ids = self.dag.import(pool);
+        let slot = |s: &PortableSlot| match s {
+            PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),
+            PortableSlot::Array(cells) => {
+                Slot::Array(cells.iter().map(|&c| ids[c as usize]).collect())
             }
+        };
+        let frames: Vec<Frame> = self
+            .frames
+            .iter()
+            .map(|f| Frame {
+                func: FuncId(f.func),
+                block: BlockId(f.block),
+                instr: f.instr,
+                locals: f.locals.iter().map(slot).collect(),
+                ret_dest: f.ret_dest.map(LocalId),
+            })
+            .collect();
+        let state = State {
+            id: StateId(0),
+            frames,
+            globals: self.globals.iter().map(slot).collect(),
+            pc: self.pc.iter().map(|&c| ids[c as usize]).collect(),
+            outputs: self.outputs.iter().map(|&o| ids[o as usize]).collect(),
+            multiplicity: self.multiplicity,
+            steps: self.steps,
+            sym_counters: self
+                .sym_counters
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect::<HashMap<String, u32>>(),
+            // Affinity never travels (see `crate::shard`).
+            affinity: 0,
+        };
+        StolenState {
+            live: LiveState { state, history: self.history.iter().copied().collect(), ff: self.ff },
+            warm_len: self.warm_len,
+            region: self.region,
+            origin_shard: self.origin_shard,
+            origin_seq: self.origin_seq,
         }
     }
 }
 
-fn put_state(buf: &mut Vec<u8>, st: &PortableState) {
-    put_u32(buf, st.region);
-    put_u32(buf, st.origin_shard);
-    put_u64(buf, st.origin_seq);
-    put_len(buf, st.dag.symbols.len());
-    for s in &st.dag.symbols {
-        put_str(buf, s);
-    }
-    put_len(buf, st.dag.nodes.len());
-    for n in &st.dag.nodes {
-        put_node(buf, n);
-    }
-    put_len(buf, st.frames.len());
-    for f in &st.frames {
-        put_u32(buf, f.func);
-        put_u32(buf, f.block);
-        put_u32(buf, f.instr);
-        match f.ret_dest {
-            None => put_u8(buf, 0),
-            Some(d) => {
-                put_u8(buf, 1);
-                put_u32(buf, d);
-            }
-        }
-        put_len(buf, f.locals.len());
-        for slot in &f.locals {
-            put_slot(buf, slot);
-        }
-    }
-    put_len(buf, st.globals.len());
-    for slot in &st.globals {
-        put_slot(buf, slot);
-    }
-    put_len(buf, st.pc.len());
-    for r in &st.pc {
-        put_u32(buf, *r);
-    }
-    put_len(buf, st.outputs.len());
-    for r in &st.outputs {
-        put_u32(buf, *r);
-    }
-    put_f64(buf, st.multiplicity);
-    put_u64(buf, st.steps);
-    put_len(buf, st.sym_counters.len());
-    for (name, n) in &st.sym_counters {
-        put_str(buf, name);
-        put_u32(buf, *n);
-    }
-    put_len(buf, st.history.len());
-    for h in &st.history {
-        put_u64(buf, *h);
-    }
-    put_u8(buf, u8::from(st.ff));
-    put_u32(buf, st.warm_len);
+/// Imports a checkpoint frontier into `pool` in its deterministic
+/// [`PortableState::order_key`] order — the one place a
+/// [`PortableState`] is read. The result integrates like any other
+/// hand-off batch.
+pub(crate) fn import_frontier(frontier: &[PortableState], pool: &mut ExprPool) -> Vec<StolenState> {
+    let mut sorted: Vec<&PortableState> = frontier.iter().collect();
+    sorted.sort_by_key(|p| p.order_key());
+    sorted.into_iter().map(|p| p.import(pool)).collect()
 }
 
-fn put_test(buf: &mut Vec<u8>, t: &TestCase) {
-    put_len(buf, t.inputs.len());
-    for (name, v) in &t.inputs {
-        put_str(buf, name);
-        put_u64(buf, *v);
-    }
-    put_len(buf, t.predicted_outputs.len());
-    for v in &t.predicted_outputs {
-        put_u64(buf, *v);
-    }
-    match &t.kind {
-        TestKind::Halted => put_u8(buf, 0),
-        TestKind::Returned => put_u8(buf, 1),
-        TestKind::AssertFailure { msg } => {
-            put_u8(buf, 2);
-            put_str(buf, msg);
-        }
-    }
+// ----- the byte layout -------------------------------------------------
+
+/// A type with one byte layout in the checkpoint format: `put` appends
+/// it, `get` reads it back and refuses, never panics on, bytes that do
+/// not hold one.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String>;
 }
 
-/// Writes the persisted subset of a run's results, in layout order.
-/// The rest of the report is re-derived by the resuming run: gauges
-/// (coverage count, scheduler, DSM and solver stats, wall time, budget
-/// flag) describe the process that ran, and fleet hand-off counters
-/// describe the fleet.
-fn put_results(buf: &mut Vec<u8>, out: &ShardOutput) {
-    let r = &out.report;
-    put_u64(buf, r.completed_paths);
-    put_f64(buf, r.completed_multiplicity);
-    put_u64(buf, r.pruned_by_assume);
-    put_u64(buf, r.tests_dropped_unknown);
-    put_u64(buf, r.picks);
-    put_u64(buf, r.steps);
-    put_u64(buf, r.merges);
-    put_u64(buf, r.merge_rejects);
-    put_u64(buf, r.max_worklist as u64);
-    put_u64(buf, r.ff_merged);
-    put_u64(buf, r.quarantined_states);
-    put_len(buf, out.covered.len());
-    for &(f, b) in &out.covered {
-        put_u32(buf, f);
-        put_u32(buf, b);
-    }
-    put_len(buf, r.tests.len());
-    for t in &r.tests {
-        put_test(buf, t);
-    }
-    put_len(buf, r.assert_failures.len());
-    for failure in &r.assert_failures {
-        let (f, b, i) = failure.loc;
-        put_str(buf, &failure.msg);
-        put_u32(buf, f);
-        put_u32(buf, b);
-        put_u32(buf, i);
-    }
-}
-
-/// Serializes a checkpoint to its on-disk byte layout.
-pub(crate) fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(&MAGIC);
-    put_u32(&mut buf, VERSION);
-    put_u64(&mut buf, ck.seed);
-    put_u64(&mut buf, ck.next_id);
-    for w in ck.rng {
-        put_u64(&mut buf, w);
-    }
-    put_results(&mut buf, &ck.results);
-    put_len(&mut buf, ck.frontier.len());
-    for st in &ck.frontier {
-        put_state(&mut buf, st);
-    }
-    buf
-}
-
-fn bv_op_tag(op: BvBinOp) -> u8 {
-    match op {
-        BvBinOp::Add => 0,
-        BvBinOp::Sub => 1,
-        BvBinOp::Mul => 2,
-        BvBinOp::UDiv => 3,
-        BvBinOp::URem => 4,
-        BvBinOp::SDiv => 5,
-        BvBinOp::SRem => 6,
-        BvBinOp::And => 7,
-        BvBinOp::Or => 8,
-        BvBinOp::Xor => 9,
-        BvBinOp::Shl => 10,
-        BvBinOp::LShr => 11,
-        BvBinOp::AShr => 12,
-    }
-}
-
-fn cmp_op_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ult => 1,
-        CmpOp::Ule => 2,
-        CmpOp::Slt => 3,
-        CmpOp::Sle => 4,
-    }
-}
-
-fn bool_op_tag(op: BoolBinOp) -> u8 {
-    match op {
-        BoolBinOp::And => 0,
-        BoolBinOp::Or => 1,
-        BoolBinOp::Xor => 2,
-    }
-}
-
-fn bv_op_from(tag: u8) -> Result<BvBinOp, String> {
-    Ok(match tag {
-        0 => BvBinOp::Add,
-        1 => BvBinOp::Sub,
-        2 => BvBinOp::Mul,
-        3 => BvBinOp::UDiv,
-        4 => BvBinOp::URem,
-        5 => BvBinOp::SDiv,
-        6 => BvBinOp::SRem,
-        7 => BvBinOp::And,
-        8 => BvBinOp::Or,
-        9 => BvBinOp::Xor,
-        10 => BvBinOp::Shl,
-        11 => BvBinOp::LShr,
-        12 => BvBinOp::AShr,
-        t => return Err(format!("bad bv op tag {t}")),
-    })
-}
-
-fn cmp_op_from(tag: u8) -> Result<CmpOp, String> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ult,
-        2 => CmpOp::Ule,
-        3 => CmpOp::Slt,
-        4 => CmpOp::Sle,
-        t => return Err(format!("bad cmp op tag {t}")),
-    })
-}
-
-fn bool_op_from(tag: u8) -> Result<BoolBinOp, String> {
-    Ok(match tag {
-        0 => BoolBinOp::And,
-        1 => BoolBinOp::Or,
-        2 => BoolBinOp::Xor,
-        t => return Err(format!("bad bool op tag {t}")),
-    })
-}
-
-// ----- decoding ------------------------------------------------------
-
-/// A bounds-checked little-endian reader over the checkpoint bytes.
+/// A bounds-checked reader over the checkpoint bytes.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -498,156 +383,364 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
-        }
-    }
-
-    /// A section length; also sanity-capped against the remaining
-    /// bytes so a corrupt length cannot trigger a huge allocation.
+    /// A `u32` count, capped against the remaining bytes (every item
+    /// takes at least one) so a corrupt count cannot trigger a huge
+    /// allocation.
     fn len(&mut self) -> Result<usize, String> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n > self.buf.len() - self.pos {
             return Err(format!("length {n} exceeds remaining bytes"));
         }
         Ok(n)
     }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
-    }
 }
 
-fn get_node(c: &mut Cursor<'_>) -> Result<PortableNode, String> {
-    Ok(match c.u8()? {
-        0 => PortableNode::BvConst { value: c.u64()?, width: c.u32()? },
-        1 => PortableNode::BoolConst(c.bool()?),
-        2 => PortableNode::Input { sym: c.u32()?, width: c.u32()? },
-        3 => PortableNode::Bv { op: bv_op_from(c.u8()?)?, lhs: c.u32()?, rhs: c.u32()? },
-        4 => PortableNode::Cmp { op: cmp_op_from(c.u8()?)?, lhs: c.u32()?, rhs: c.u32()? },
-        5 => PortableNode::Not(c.u32()?),
-        6 => PortableNode::Bool { op: bool_op_from(c.u8()?)?, lhs: c.u32()?, rhs: c.u32()? },
-        7 => PortableNode::Ite { cond: c.u32()?, then: c.u32()?, els: c.u32()? },
-        t => return Err(format!("bad node tag {t}")),
-    })
+/// The `u32` count written before a string's bytes or a vector's items.
+fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("checkpoint section over u32::MAX entries")
 }
 
-fn get_slot(c: &mut Cursor<'_>) -> Result<PortableSlot, String> {
-    Ok(match c.u8()? {
-        0 => PortableSlot::Int(c.u32()?),
-        1 => {
-            let n = c.len()?;
-            let mut rs = Vec::with_capacity(n);
-            for _ in 0..n {
-                rs.push(c.u32()?);
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
             }
-            PortableSlot::Array(rs)
+            fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+                let bytes = c.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("a slice of the type's size")))
+            }
         }
-        t => return Err(format!("bad slot tag {t}")),
-    })
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+impl Wire for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        Ok(f64::from_bits(u64::get(c)?))
+    }
 }
 
-fn get_state(c: &mut Cursor<'_>) -> Result<PortableState, String> {
-    let region = c.u32()?;
-    let origin_shard = c.u32()?;
-    let origin_seq = c.u64()?;
-    let n_sym = c.len()?;
-    let mut symbols = Vec::with_capacity(n_sym);
-    for _ in 0..n_sym {
-        symbols.push(c.str()?);
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self).put(buf);
     }
-    let n_nodes = c.len()?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        nodes.push(get_node(c)?);
-    }
-    let n_frames = c.len()?;
-    let mut frames = Vec::with_capacity(n_frames);
-    for _ in 0..n_frames {
-        let func = c.u32()?;
-        let block = c.u32()?;
-        let instr = c.u32()?;
-        let ret_dest = match c.u8()? {
-            0 => None,
-            1 => Some(c.u32()?),
-            t => return Err(format!("bad ret_dest tag {t}")),
-        };
-        let n_locals = c.len()?;
-        let mut locals = Vec::with_capacity(n_locals);
-        for _ in 0..n_locals {
-            locals.push(get_slot(c)?);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("bad bool byte {b}")),
         }
-        frames.push(PortableFrame { func, block, instr, ret_dest, locals });
     }
-    let n_globals = c.len()?;
-    let mut globals = Vec::with_capacity(n_globals);
-    for _ in 0..n_globals {
-        globals.push(get_slot(c)?);
-    }
-    let n_pc = c.len()?;
-    let mut pc = Vec::with_capacity(n_pc);
-    for _ in 0..n_pc {
-        pc.push(c.u32()?);
-    }
-    let n_out = c.len()?;
-    let mut outputs = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        outputs.push(c.u32()?);
-    }
-    let multiplicity = c.f64()?;
-    let steps = c.u64()?;
-    let n_sc = c.len()?;
-    let mut sym_counters = Vec::with_capacity(n_sc);
-    for _ in 0..n_sc {
-        let name = c.str()?;
-        sym_counters.push((name, c.u32()?));
-    }
-    let n_hist = c.len()?;
-    let mut history = Vec::with_capacity(n_hist);
-    for _ in 0..n_hist {
-        history.push(c.u64()?);
-    }
-    let ff = c.bool()?;
-    let warm_len = c.u32()?;
-    let st = PortableState {
-        region,
-        origin_shard,
-        origin_seq,
-        dag: PortableDag { symbols, nodes },
-        frames,
-        globals,
-        pc,
-        outputs,
-        multiplicity,
-        steps,
-        sym_counters,
-        history,
-        ff,
-        warm_len,
-    };
-    check_state(&st)?;
-    Ok(st)
 }
+
+impl Wire for usize {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let n = u64::get(c)?;
+        usize::try_from(n).map_err(|_| format!("{n} is out of range"))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        count(self.len()).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let n = c.len()?;
+        String::from_utf8(c.take(n)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        count(self.len()).put(buf);
+        self.iter().for_each(|item| item.put(buf));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let n = c.len()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(c)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => 0u8.put(buf),
+            Some(v) => {
+                1u8.put(buf);
+                v.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        match u8::get(c)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(c)?)),
+            t => Err(format!("bad option tag {t}")),
+        }
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+                Ok(($($t::get(c)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+wire_tuple!(A 0, B 1, C 2, D 3);
+
+/// The operator tables: an operator's tag is its index in its table.
+const BV_OPS: [BvBinOp; 13] = {
+    use BvBinOp::*;
+    [Add, Sub, Mul, UDiv, URem, SDiv, SRem, And, Or, Xor, Shl, LShr, AShr]
+};
+const CMP_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Ult, CmpOp::Ule, CmpOp::Slt, CmpOp::Sle];
+const BOOL_OPS: [BoolBinOp; 3] = [BoolBinOp::And, BoolBinOp::Or, BoolBinOp::Xor];
+
+macro_rules! wire_op {
+    ($($t:ty: $table:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let tag = $table.iter().position(|op| op == self).expect("a tabled operator");
+                (tag as u8).put(buf);
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+                let tag = u8::get(c)?;
+                let op = $table.get(usize::from(tag));
+                op.copied().ok_or_else(|| format!("bad {} tag {tag}", stringify!($t)))
+            }
+        }
+    )*};
+}
+wire_op!(BvBinOp: BV_OPS, CmpOp: CMP_OPS, BoolBinOp: BOOL_OPS);
+
+impl Wire for PortableNode {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match *self {
+            PortableNode::BvConst { value, width } => (0u8, value, width).put(buf),
+            PortableNode::BoolConst(b) => (1u8, b).put(buf),
+            PortableNode::Input { sym, width } => (2u8, sym, width).put(buf),
+            PortableNode::Bv { op, lhs, rhs } => (3u8, op, lhs, rhs).put(buf),
+            PortableNode::Cmp { op, lhs, rhs } => (4u8, op, lhs, rhs).put(buf),
+            PortableNode::Not(a) => (5u8, a).put(buf),
+            PortableNode::Bool { op, lhs, rhs } => (6u8, op, lhs, rhs).put(buf),
+            PortableNode::Ite { cond, then, els } => (7u8, cond, then, els).put(buf),
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        Ok(match u8::get(c)? {
+            0 => PortableNode::BvConst { value: Wire::get(c)?, width: Wire::get(c)? },
+            1 => PortableNode::BoolConst(Wire::get(c)?),
+            2 => PortableNode::Input { sym: Wire::get(c)?, width: Wire::get(c)? },
+            3 => PortableNode::Bv { op: Wire::get(c)?, lhs: Wire::get(c)?, rhs: Wire::get(c)? },
+            4 => PortableNode::Cmp { op: Wire::get(c)?, lhs: Wire::get(c)?, rhs: Wire::get(c)? },
+            5 => PortableNode::Not(Wire::get(c)?),
+            6 => PortableNode::Bool { op: Wire::get(c)?, lhs: Wire::get(c)?, rhs: Wire::get(c)? },
+            7 => PortableNode::Ite { cond: Wire::get(c)?, then: Wire::get(c)?, els: Wire::get(c)? },
+            t => return Err(format!("bad node tag {t}")),
+        })
+    }
+}
+
+impl Wire for PortableSlot {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            PortableSlot::Int(r) => (0u8, *r).put(buf),
+            PortableSlot::Array(rs) => {
+                1u8.put(buf);
+                rs.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        match u8::get(c)? {
+            0 => Ok(PortableSlot::Int(Wire::get(c)?)),
+            1 => Ok(PortableSlot::Array(Wire::get(c)?)),
+            t => Err(format!("bad slot tag {t}")),
+        }
+    }
+}
+
+impl Wire for PortableFrame {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.func, self.block, self.instr, self.ret_dest).put(buf);
+        self.locals.put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        Ok(PortableFrame {
+            func: Wire::get(c)?,
+            block: Wire::get(c)?,
+            instr: Wire::get(c)?,
+            ret_dest: Wire::get(c)?,
+            locals: Wire::get(c)?,
+        })
+    }
+}
+
+impl Wire for PortableState {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.region, self.origin_shard, self.origin_seq).put(buf);
+        self.dag.symbols.put(buf);
+        self.dag.nodes.put(buf);
+        self.frames.put(buf);
+        self.globals.put(buf);
+        self.pc.put(buf);
+        self.outputs.put(buf);
+        (self.multiplicity, self.steps).put(buf);
+        self.sym_counters.put(buf);
+        self.history.put(buf);
+        (self.ff, self.warm_len).put(buf);
+    }
+    /// Also refuses a state that is not self-consistent ([`check_state`]).
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let st = PortableState {
+            region: Wire::get(c)?,
+            origin_shard: Wire::get(c)?,
+            origin_seq: Wire::get(c)?,
+            dag: PortableDag { symbols: Wire::get(c)?, nodes: Wire::get(c)? },
+            frames: Wire::get(c)?,
+            globals: Wire::get(c)?,
+            pc: Wire::get(c)?,
+            outputs: Wire::get(c)?,
+            multiplicity: Wire::get(c)?,
+            steps: Wire::get(c)?,
+            sym_counters: Wire::get(c)?,
+            history: Wire::get(c)?,
+            ff: Wire::get(c)?,
+            warm_len: Wire::get(c)?,
+        };
+        check_state(&st)?;
+        Ok(st)
+    }
+}
+
+impl Wire for TestCase {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.inputs.put(buf);
+        self.predicted_outputs.put(buf);
+        match &self.kind {
+            TestKind::Halted => 0u8.put(buf),
+            TestKind::Returned => 1u8.put(buf),
+            TestKind::AssertFailure { msg } => {
+                2u8.put(buf);
+                msg.put(buf);
+            }
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let (inputs, predicted_outputs) = Wire::get(c)?;
+        let kind = match u8::get(c)? {
+            0 => TestKind::Halted,
+            1 => TestKind::Returned,
+            2 => TestKind::AssertFailure { msg: Wire::get(c)? },
+            t => return Err(format!("bad test kind tag {t}")),
+        };
+        Ok(TestCase { inputs, predicted_outputs, kind })
+    }
+}
+
+/// A failure's message and location; its path condition does not
+/// survive the pool boundary.
+impl Wire for AssertFailure {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.msg.put(buf);
+        self.loc.put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        Ok(AssertFailure { msg: Wire::get(c)?, loc: Wire::get(c)?, pc: Vec::new() })
+    }
+}
+
+/// The persisted subset of a run's results. The rest of the report is
+/// re-derived by the resuming run: gauges (coverage count, scheduler,
+/// DSM and solver stats, wall time, budget flag) describe the process
+/// that ran, and fleet hand-off counters describe the fleet.
+impl Wire for ShardOutput {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let r = &self.report;
+        (r.completed_paths, r.completed_multiplicity, r.pruned_by_assume).put(buf);
+        (r.tests_dropped_unknown, r.picks, r.steps, r.merges).put(buf);
+        (r.merge_rejects, r.max_worklist, r.ff_merged, r.quarantined_states).put(buf);
+        self.covered.put(buf);
+        r.tests.put(buf);
+        r.assert_failures.put(buf);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
+        let mut report = RunReport {
+            completed_paths: Wire::get(c)?,
+            completed_multiplicity: Wire::get(c)?,
+            pruned_by_assume: Wire::get(c)?,
+            tests_dropped_unknown: Wire::get(c)?,
+            picks: Wire::get(c)?,
+            steps: Wire::get(c)?,
+            merges: Wire::get(c)?,
+            merge_rejects: Wire::get(c)?,
+            max_worklist: Wire::get(c)?,
+            ff_merged: Wire::get(c)?,
+            quarantined_states: Wire::get(c)?,
+            ..RunReport::default()
+        };
+        let covered = Wire::get(c)?;
+        report.tests = Wire::get(c)?;
+        report.assert_failures = Wire::get(c)?;
+        Ok(ShardOutput { report, covered })
+    }
+}
+
+/// Serializes a checkpoint to its on-disk byte layout.
+pub(crate) fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4096);
+    buf.extend_from_slice(&MAGIC);
+    (VERSION, ck.seed, ck.next_id).put(&mut buf);
+    ck.rng.iter().for_each(|w| w.put(&mut buf));
+    ck.results.put(&mut buf);
+    ck.frontier.put(&mut buf);
+    buf
+}
+
+/// Parses the on-disk byte layout back into a [`Checkpoint`].
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
+    let mut c = Cursor { buf: bytes, pos: 0 };
+    if c.take(4)? != MAGIC {
+        return Err("not a symmerge checkpoint (bad magic)".into());
+    }
+    let version = u32::get(&mut c)?;
+    if version != VERSION {
+        return Err(format!("checkpoint version {version}, this build reads {VERSION}"));
+    }
+    let (seed, next_id) = Wire::get(&mut c)?;
+    let mut rng = [0u64; 4];
+    for w in &mut rng {
+        *w = u64::get(&mut c)?;
+    }
+    let results = Wire::get(&mut c)?;
+    let frontier = Wire::get(&mut c)?;
+    if c.pos != bytes.len() {
+        return Err(format!("{} trailing bytes after checkpoint", bytes.len() - c.pos));
+    }
+    Ok(Checkpoint { seed, next_id, rng, results, frontier })
+}
+
+// ----- validation ------------------------------------------------------
 
 /// Rejects a decoded state that would not import or run: a malformed
 /// dag ([`PortableDag::check`]), a pc conjunct that is not a boolean
@@ -726,97 +819,9 @@ fn fits_program(st: &PortableState, program: &Program) -> Result<(), String> {
     st.outputs.iter().try_for_each(|&r| root(r))
 }
 
-fn get_test(c: &mut Cursor<'_>) -> Result<TestCase, String> {
-    let n_in = c.len()?;
-    let mut inputs = Vec::with_capacity(n_in);
-    for _ in 0..n_in {
-        let name = c.str()?;
-        inputs.push((name, c.u64()?));
-    }
-    let n_out = c.len()?;
-    let mut predicted_outputs = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        predicted_outputs.push(c.u64()?);
-    }
-    let kind = match c.u8()? {
-        0 => TestKind::Halted,
-        1 => TestKind::Returned,
-        2 => TestKind::AssertFailure { msg: c.str()? },
-        t => return Err(format!("bad test kind tag {t}")),
-    };
-    Ok(TestCase { inputs, predicted_outputs, kind })
-}
-
-/// Reads what [`put_results`] wrote.
-fn get_results(c: &mut Cursor<'_>) -> Result<ShardOutput, String> {
-    // Fields are read in the order they are written here.
-    let mut report = RunReport {
-        completed_paths: c.u64()?,
-        completed_multiplicity: c.f64()?,
-        pruned_by_assume: c.u64()?,
-        tests_dropped_unknown: c.u64()?,
-        picks: c.u64()?,
-        steps: c.u64()?,
-        merges: c.u64()?,
-        merge_rejects: c.u64()?,
-        max_worklist: usize::try_from(c.u64()?).map_err(|_| "max_worklist out of range")?,
-        ff_merged: c.u64()?,
-        quarantined_states: c.u64()?,
-        ..RunReport::default()
-    };
-    let n_cov = c.len()?;
-    let mut covered = Vec::with_capacity(n_cov);
-    for _ in 0..n_cov {
-        let f = c.u32()?;
-        covered.push((f, c.u32()?));
-    }
-    let n_tests = c.len()?;
-    report.tests.reserve(n_tests);
-    for _ in 0..n_tests {
-        report.tests.push(get_test(c)?);
-    }
-    let n_fail = c.len()?;
-    report.assert_failures.reserve(n_fail);
-    for _ in 0..n_fail {
-        let msg = c.str()?;
-        let loc = (c.u32()?, c.u32()?, c.u32()?);
-        report.assert_failures.push(AssertFailure { msg, loc, pc: Vec::new() });
-    }
-    Ok(ShardOutput { report, covered })
-}
-
-/// Parses the on-disk byte layout back into a [`Checkpoint`].
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
-    if c.take(4)? != MAGIC {
-        return Err("not a symmerge checkpoint (bad magic)".into());
-    }
-    let version = c.u32()?;
-    if version != VERSION {
-        return Err(format!("checkpoint version {version}, this build reads {VERSION}"));
-    }
-    let seed = c.u64()?;
-    let next_id = c.u64()?;
-    let mut rng = [0u64; 4];
-    for w in &mut rng {
-        *w = c.u64()?;
-    }
-    let results = get_results(&mut c)?;
-    let n_front = c.len()?;
-    let mut frontier = Vec::with_capacity(n_front);
-    for _ in 0..n_front {
-        frontier.push(get_state(&mut c)?);
-    }
-    if c.pos != bytes.len() {
-        return Err(format!("{} trailing bytes after checkpoint", bytes.len() - c.pos));
-    }
-    Ok(Checkpoint { seed, next_id, rng, results, frontier })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmerge_expr::ExprPool;
 
     /// A checkpoint exercising every codec arm: all node variants,
     /// Int/Array slots, Some/None ret_dest, every test kind, failures,
@@ -936,6 +941,39 @@ mod tests {
         assert_eq!((bytes.len(), fnv), (810, 16334165246778481294));
     }
 
+    /// A one-state checkpoint whose dag applies each of the 21 binary
+    /// operators to the same two operands, so every operator tag of
+    /// the format is pinned: length and FNV-1a digest of the bytes.
+    #[test]
+    fn every_operator_tag_is_pinned() {
+        use BvBinOp::*;
+        let bv = [Add, Sub, Mul, UDiv, URem, SDiv, SRem, And, Or, Xor, Shl, LShr, AShr];
+        let cmp = [CmpOp::Eq, CmpOp::Ult, CmpOp::Ule, CmpOp::Slt, CmpOp::Sle];
+        let boolean = [BoolBinOp::And, BoolBinOp::Or, BoolBinOp::Xor];
+        let mut nodes = vec![
+            PortableNode::Input { sym: 0, width: 32 },
+            PortableNode::BvConst { value: 5, width: 32 },
+        ];
+        nodes.extend(bv.map(|op| PortableNode::Bv { op, lhs: 0, rhs: 1 }));
+        nodes.extend(cmp.map(|op| PortableNode::Cmp { op, lhs: 0, rhs: 1 }));
+        nodes.extend(boolean.map(|op| PortableNode::Bool { op, lhs: 15, rhs: 16 }));
+        let mut ck = sample();
+        ck.frontier.truncate(1);
+        let st = &mut ck.frontier[0];
+        st.dag = PortableDag { symbols: vec!["x".into()], nodes };
+        st.frames.truncate(1);
+        st.frames[0].locals = vec![PortableSlot::Int(2), PortableSlot::Array((3..15).collect())];
+        st.globals = vec![PortableSlot::Int(0)];
+        st.pc = (15..23).collect();
+        st.outputs = vec![14];
+        let bytes = encode_checkpoint(&ck);
+        assert_eq!(encode_checkpoint(&decode_checkpoint(&bytes).unwrap()), bytes);
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (745, 1001825084261304344));
+    }
+
     #[test]
     fn bad_magic_version_and_truncation_are_refused() {
         let ck = sample();
@@ -969,7 +1007,7 @@ mod tests {
                 bad[pos] ^= mask;
                 let Ok(ck) = decode_checkpoint(&bad) else { continue };
                 let imported = std::panic::catch_unwind(|| {
-                    crate::shard::import_frontier(&ck.frontier, &mut ExprPool::new(8)).len()
+                    import_frontier(&ck.frontier, &mut ExprPool::new(8)).len()
                 });
                 assert!(
                     imported.is_ok(),
@@ -1002,6 +1040,7 @@ mod tests {
         let bytes = std::fs::read(&path).expect("the run wrote a checkpoint");
         std::fs::remove_file(&path).ok();
         let ck = decode_checkpoint(&bytes).unwrap();
+        assert_eq!(encode_checkpoint(&ck), bytes, "re-encoding a real file moved a byte");
         assert!(!ck.frontier.is_empty(), "the checkpoint must carry a frontier");
         assert!(!ck.results.report.tests.is_empty(), "and tests the run already generated");
         ck.check_program(&program).unwrap();
@@ -1015,7 +1054,7 @@ mod tests {
                 let checked = std::panic::catch_unwind(|| {
                     let Ok(ck) = decode_checkpoint(&bad) else { return };
                     if ck.check_program(&program).is_ok() {
-                        crate::shard::import_frontier(&ck.frontier, &mut ExprPool::new(8));
+                        import_frontier(&ck.frontier, &mut ExprPool::new(8));
                     }
                 });
                 assert!(checked.is_ok(), "byte {pos} ^ {mask:#04x} panicked");
@@ -1045,8 +1084,7 @@ mod tests {
     /// scalar return destination, and an array local in each function;
     /// and a checkpoint whose one frontier state is inside the call.
     fn fitting() -> (Program, Checkpoint) {
-        use crate::state::{fresh_frame, LiveState, State, StateId};
-        use symmerge_ir::{FuncId, LocalId};
+        use crate::state::fresh_frame;
         let program = symmerge_ir::minic::compile_with_width(
             r#"
             global g = 7;
@@ -1068,7 +1106,7 @@ mod tests {
             fresh_frame(&program, &mut pool, FuncId(f as u32), &[x], Some(LocalId(r as u32)));
         state.frames.push(callee);
         state.outputs.push(x);
-        let st = PortableState::export(&pool, &LiveState::fresh(state), 0, 0, 1);
+        let st = PortableState::export(&pool, &LiveState::fresh(state), 0, 0, 1, 0);
         let ck = Checkpoint {
             seed: 0,
             next_id: 1,
@@ -1118,6 +1156,70 @@ mod tests {
             edit(&mut bad, a);
             assert!(bad.check_program(&program).is_err(), "{what} accepted");
         }
+    }
+
+    #[test]
+    fn portable_state_round_trips_across_pools() {
+        let program = symmerge_ir::minic::compile_with_width(
+            r#"
+            global g = 7;
+            global buf[3] = "ab";
+            fn main() {
+                let x = sym_int("x");
+                let y = sym_int("y");
+                if (x > 3) { putchar(x + y); }
+            }
+        "#,
+            8,
+        )
+        .unwrap();
+        let mut src = ExprPool::new(8);
+        let mut state = State::initial(&program, &mut src, StateId(0));
+        // Give the state some symbolic structure.
+        let x = src.input("x", 8);
+        let y = src.input("y", 8);
+        let s = src.add(x, y);
+        let three = src.bv_const(3, 8);
+        let c = src.ugt(x, three);
+        state.pc.push(c);
+        state.outputs.push(s);
+        state.frames[0].locals[0] = Slot::Int(x);
+        state.multiplicity = 2.0;
+        state.steps = 17;
+        state.sym_counters.insert("x".into(), 1);
+
+        let live = LiveState { state, history: vec![11, 22].into(), ff: true };
+        let ps = PortableState::export(&src, &live, 4, 1, 9, 1);
+        // The seed can never claim more than the pc itself.
+        let clamped = PortableState::export(&src, &live, 4, 1, 9, 99);
+        let state = live.state;
+        assert_eq!(clamped.warm_len as usize, state.pc.len());
+
+        let mut dst = ExprPool::new(8);
+        let _ = dst.input("y", 8); // different interning history
+        let moved = ps.import(&mut dst);
+        assert_eq!((moved.region, moved.order_key(), moved.warm_len), (4, (1, 9), 1));
+        assert_eq!(moved.live.history, live.history);
+        assert!(moved.live.ff);
+        let back = moved.live.state;
+        assert_eq!(back.multiplicity, 2.0);
+        assert_eq!(back.steps, 17);
+        assert_eq!(back.sym_counters.get("x"), Some(&1));
+        assert_eq!(back.frames.len(), state.frames.len());
+        assert_eq!(back.control_key(), state.control_key(), "control key is pool-independent");
+        // Semantics of the migrated pc/outputs match under x = 5, y = 2.
+        let env_src = |sym| match src.symbol_name(sym) {
+            "x" => 5u64,
+            "y" => 2,
+            _ => 0,
+        };
+        let env_dst = |sym| match dst.symbol_name(sym) {
+            "x" => 5u64,
+            "y" => 2,
+            _ => 0,
+        };
+        assert_eq!(src.eval(state.pc[0], &env_src), dst.eval(back.pc[0], &env_dst));
+        assert_eq!(src.eval(state.outputs[0], &env_src), dst.eval(back.outputs[0], &env_dst));
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! `∼` (the QCE similarity relation), with static or dynamic state merging
 //! layered on top.
 
+use crate::checkpoint::{import_frontier, PortableState};
 use crate::dsm::{DsmConfig, DsmIndex, DsmStats};
 use crate::exec::{AssertFailure, Completion, ExecCtx};
 use crate::merge::{classify_pair, merge_signature, merge_states, similar_qce, MergeConfig};
 use crate::qce::{HotSet, QceAnalysis, QceConfig};
-use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{RegionId, RegionMap, StolenState};
 use crate::state::{LiveState, State, StateId};
 use crate::strategy::{make_strategy, Oracle, StateMeta, Strategy, StrategyKind};
 use crate::testgen::{TestCase, TestKind};
@@ -1456,7 +1457,7 @@ impl Engine {
             .map(|(i, id)| {
                 let live = &self.states[id];
                 let region = self.region_of(&live.state);
-                PortableState::export(&self.pool, live, region, self.fault_worker, i as u64 + 1)
+                PortableState::export(&self.pool, live, region, self.fault_worker, i as u64 + 1, 0)
             })
             .collect();
         crate::checkpoint::Checkpoint {

@@ -34,6 +34,8 @@
 //!
 //! [`EngineConfig::fault_plan`]: crate::EngineConfig
 
+use symmerge_solver::splitmix64;
+
 /// A deterministic fault-injection plan (see the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -121,22 +123,13 @@ impl FaultPlan {
     }
 
     /// The forced-`Unknown` stream spec for `worker`: the plan's
-    /// `(num, den)` with the seed decorrelated per worker (splitmix64 of
-    /// seed and index), so the same plan forces *different* queries on
+    /// `(num, den)` with the seed decorrelated per worker ([`splitmix64`]
+    /// of seed and index), so the same plan forces *different* queries on
     /// different workers while staying bit-reproducible.
     pub fn unknown_spec(&self, worker: u32) -> Option<(u64, u64, u64)> {
         let (num, den, seed) = self.unknown?;
         Some((num, den, splitmix64(seed ^ (u64::from(worker) << 32 | 0x5EED))))
     }
-}
-
-/// The splitmix64 finalizer (the same constants the shard-seed stream
-/// and the solver's set hashing use).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -173,6 +166,12 @@ mod tests {
         let s1 = plan.unknown_spec(1).unwrap();
         assert_ne!(s0.2, s1.2, "distinct workers draw distinct streams");
         assert_eq!(s0, plan.unknown_spec(0).unwrap(), "the stream spec is stable");
+    }
+
+    #[test]
+    fn worker_unknown_seed_is_pinned() {
+        let plan = FaultPlan::parse("unknown=1/4:9").unwrap();
+        assert_eq!(plan.unknown_spec(1), Some((1, 4, 13808087316131835088)));
     }
 
     #[test]

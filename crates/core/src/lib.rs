@@ -60,7 +60,9 @@ pub mod state;
 pub mod strategy;
 pub mod testgen;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig};
+pub use checkpoint::{
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointConfig, PortableState,
+};
 pub use dsm::{DsmConfig, DsmStats};
 pub use engine::{
     Budgets, Engine, EngineBuilder, EngineConfig, ExploreStep, MergeMode, RunReport, ShardOutput,
@@ -70,7 +72,7 @@ pub use fault::FaultPlan;
 pub use merge::MergeConfig;
 pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind};
 pub use qce::{QceAnalysis, QceConfig, VarKey};
-pub use shard::{PortableState, RegionId, RegionMap, StolenState};
+pub use shard::{RegionId, RegionMap, StolenState};
 pub use state::{LiveState, State, StateId};
 pub use strategy::{Strategy, StrategyKind};
 pub use symmerge_solver::{SharedSolverCache, SolverConfig, SolverStats};

@@ -129,11 +129,13 @@
 //! # }
 //! ```
 
-use crate::checkpoint::{merge_parts, write_checkpoint, Checkpoint};
+use crate::checkpoint::{
+    import_frontier, merge_parts, write_checkpoint, Checkpoint, PortableState,
+};
 use crate::engine::{
     Budgets, Engine, EngineConfig, ExploreStep, MergeMode, RunReport, ShardOutput,
 };
-use crate::shard::{import_frontier, PortableState, RegionId, RegionMap, StolenState};
+use crate::shard::{RegionId, RegionMap, StolenState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
@@ -143,7 +145,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
-use symmerge_solver::SharedSolverCache;
+use symmerge_solver::{splitmix64, SharedSolverCache};
 
 /// Which scheduling discipline [`ParallelEngine`] drives the fleet with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,18 +220,19 @@ pub fn reduce_reports(parts: &[ShardOutput], total_blocks: usize) -> RunReport {
     out
 }
 
-/// Derives worker `shard`'s RNG stream from the run seed (splitmix64 of
-/// the pair, so streams are decorrelated but reproducible).
+/// Derives worker `shard`'s RNG stream from the run seed (the
+/// splitmix64 finalizer of `seed ^ shard·γ`, so streams are decorrelated
+/// but reproducible).
 fn shard_seed(seed: u64, shard: u32) -> u64 {
     if shard == 0 {
         // Worker 0 keeps the run seed: a 1-worker round-driven run then
         // matches the sequential engine's RNG stream exactly.
         return seed;
     }
-    let mut z = seed ^ (u64::from(shard).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // `splitmix64` adds γ before finalizing; this stream never did, so
+    // γ is taken back out first.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    splitmix64((seed ^ u64::from(shard).wrapping_mul(GAMMA)).wrapping_sub(GAMMA))
 }
 
 /// What every fleet worker's engine is built from, under either
@@ -487,7 +490,15 @@ impl ParallelEngine {
                             })
                             .collect();
                         view.sync();
-                        let extra = pending.iter().map(|s| s.export(&view)).collect();
+                        let extra = pending
+                            .iter()
+                            .map(|s| {
+                                let (shard, seq) = s.order_key();
+                                PortableState::export(
+                                    &view, &s.live, s.region, shard, seq, s.warm_len,
+                                )
+                            })
+                            .collect();
                         let merged = merge_parts(&parts, extra, resume);
                         if let Err(e) = write_checkpoint(&ckc.path, &merged) {
                             eprintln!(
@@ -1307,5 +1318,13 @@ mod tests {
             }
         }
         assert_eq!(shard_seed(7, 3), shard_seed(7, 3));
+    }
+
+    /// Worker RNG streams are pinned value for value (worker 1's drives
+    /// a 2-worker fleet's picks).
+    #[test]
+    fn shard_seeds_are_pinned() {
+        let s: Vec<u64> = (1..=3).map(|w| shard_seed(7, w)).collect();
+        assert_eq!(s, [17824971123127853533, 12918135221727111561, 16731224329868871185]);
     }
 }

@@ -1,7 +1,6 @@
 //! Sharding substrate for the parallel exploration engine: topological
-//! regions, the region → worker assignment, the [`StolenState`] hand-off
-//! that moves a state between workers, and the [`PortableState`] form a
-//! checkpoint stores it in.
+//! regions, the region → worker assignment, and the [`StolenState`]
+//! hand-off that moves a state between workers.
 //!
 //! # Regions
 //!
@@ -27,7 +26,7 @@
 //! never individual states, so mergeable groups stay together — and the
 //! decision depends only on deterministic load counts, never on timing.
 //!
-//! # Hand-off and checkpoints
+//! # Hand-off
 //!
 //! Every worker of a fleet interns into one
 //! [`symmerge_expr::SharedExprPool`], so a state's `ExprId`s mean the
@@ -43,16 +42,12 @@
 //! donor's solver clock, so the receiver resets it to 0 ("context cold
 //! here") and re-derives it from its own prewarmed context tree.
 //!
-//! [`PortableState`] is the checkpoint form of the same hand-off: the
-//! state flattened onto a pool-free [`PortableDag`], so a checkpoint
-//! outlives the process and resumes under any scheduler or job count.
-//! It is written only when a checkpoint is taken and read only when one
-//! is resumed.
+//! A checkpoint stores the same hand-off as a
+//! [`PortableState`](crate::checkpoint::PortableState): the state
+//! flattened onto a pool-free DAG, so a checkpoint outlives the process
+//! and resumes under any scheduler or job count.
 
-use crate::state::{Frame, LiveState, Slot, State, StateId};
-use std::collections::HashMap;
-use symmerge_expr::{DagExporter, ExprPool, PortableDag, PortableRef};
-use symmerge_ir::{BlockId, FuncId, LocalId};
+use crate::state::LiveState;
 
 /// A topological region identifier (see the [module docs](self)).
 pub type RegionId = u32;
@@ -146,166 +141,6 @@ impl RegionMap {
     }
 }
 
-/// One local slot of a [`PortableState`]. Crate-visible so the
-/// checkpoint codec ([`crate::checkpoint`]) can serialize it.
-#[derive(Debug, Clone)]
-pub(crate) enum PortableSlot {
-    Int(PortableRef),
-    Array(Vec<PortableRef>),
-}
-
-/// One call-stack frame of a [`PortableState`].
-#[derive(Debug, Clone)]
-pub(crate) struct PortableFrame {
-    pub(crate) func: u32,
-    pub(crate) block: u32,
-    pub(crate) instr: u32,
-    pub(crate) ret_dest: Option<u32>,
-    pub(crate) locals: Vec<PortableSlot>,
-}
-
-/// A [`LiveState`] record flattened into a pool-independent form for a
-/// checkpoint frontier (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct PortableState {
-    /// The state's region when it was written.
-    pub region: RegionId,
-    /// The writing worker's index.
-    pub origin_shard: u32,
-    /// Per-worker sequence number; `(origin_shard, origin_seq)` orders
-    /// a frontier deterministically when it is resumed.
-    pub origin_seq: u64,
-    pub(crate) dag: PortableDag,
-    pub(crate) frames: Vec<PortableFrame>,
-    pub(crate) globals: Vec<PortableSlot>,
-    pub(crate) pc: Vec<PortableRef>,
-    pub(crate) outputs: Vec<PortableRef>,
-    pub(crate) multiplicity: f64,
-    pub(crate) steps: u64,
-    pub(crate) sym_counters: Vec<(String, u32)>,
-    pub(crate) history: Vec<u64>,
-    pub(crate) ff: bool,
-    /// The warm-prefix seed ([`StolenState::warm_len`]), clamped to the
-    /// pc length.
-    pub(crate) warm_len: u32,
-}
-
-impl PortableState {
-    /// Serializes a live state's record under the given routing region
-    /// and origin key, with a cold (0) warm-prefix seed — chain
-    /// [`PortableState::with_warm_len`] to keep a hand-off's seed.
-    pub fn export(
-        pool: &ExprPool,
-        live: &LiveState,
-        region: RegionId,
-        origin_shard: u32,
-        origin_seq: u64,
-    ) -> PortableState {
-        let state = &live.state;
-        let mut exp = DagExporter::new(pool);
-        let slot = |exp: &mut DagExporter<'_>, s: &Slot| match s {
-            Slot::Int(e) => PortableSlot::Int(exp.add(*e)),
-            Slot::Array(cells) => PortableSlot::Array(cells.iter().map(|&c| exp.add(c)).collect()),
-        };
-        let frames = state
-            .frames
-            .iter()
-            .map(|f| PortableFrame {
-                func: f.func.0,
-                block: f.block.0,
-                instr: f.instr,
-                ret_dest: f.ret_dest.map(|d| d.0),
-                locals: f.locals.iter().map(|s| slot(&mut exp, s)).collect(),
-            })
-            .collect();
-        let globals = state.globals.iter().map(|s| slot(&mut exp, s)).collect();
-        let pc = state.pc.iter().map(|&c| exp.add(c)).collect();
-        let outputs = state.outputs.iter().map(|&o| exp.add(o)).collect();
-        let mut sym_counters: Vec<(String, u32)> =
-            state.sym_counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        sym_counters.sort();
-        PortableState {
-            region,
-            origin_shard,
-            origin_seq,
-            dag: exp.finish(),
-            frames,
-            globals,
-            pc,
-            outputs,
-            multiplicity: state.multiplicity,
-            steps: state.steps,
-            sym_counters,
-            history: live.history.iter().copied().collect(),
-            ff: live.ff,
-            warm_len: 0,
-        }
-    }
-
-    /// Attaches the warm-prefix seed, clamped to the pc length (the seed
-    /// can never claim more than the pc itself).
-    pub fn with_warm_len(mut self, warm_len: u32) -> PortableState {
-        self.warm_len = warm_len.min(self.pc.len() as u32);
-        self
-    }
-
-    /// Rebuilds the state in `pool` as a hand-off, ready for the
-    /// receiving engine to integrate (which gives it a fresh local id).
-    pub fn import(&self, pool: &mut ExprPool) -> StolenState {
-        let ids = self.dag.import(pool);
-        let slot = |s: &PortableSlot| match s {
-            PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),
-            PortableSlot::Array(cells) => {
-                Slot::Array(cells.iter().map(|&c| ids[c as usize]).collect())
-            }
-        };
-        let frames: Vec<Frame> = self
-            .frames
-            .iter()
-            .map(|f| Frame {
-                func: FuncId(f.func),
-                block: BlockId(f.block),
-                instr: f.instr,
-                locals: f.locals.iter().map(slot).collect(),
-                ret_dest: f.ret_dest.map(LocalId),
-            })
-            .collect();
-        let state = State {
-            id: StateId(0),
-            frames,
-            globals: self.globals.iter().map(slot).collect(),
-            pc: self.pc.iter().map(|&c| ids[c as usize]).collect(),
-            outputs: self.outputs.iter().map(|&o| ids[o as usize]).collect(),
-            multiplicity: self.multiplicity,
-            steps: self.steps,
-            sym_counters: self
-                .sym_counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect::<HashMap<String, u32>>(),
-            // Affinity never travels (see the module docs).
-            affinity: 0,
-        };
-        StolenState {
-            live: LiveState { state, history: self.history.iter().copied().collect(), ff: self.ff },
-            warm_len: self.warm_len,
-            region: self.region,
-            origin_shard: self.origin_shard,
-            origin_seq: self.origin_seq,
-        }
-    }
-}
-
-/// Imports a checkpoint frontier into `pool` in its deterministic
-/// `(origin_shard, origin_seq)` order — the one place a
-/// [`PortableState`] is read. The result integrates like any other
-/// hand-off batch.
-pub(crate) fn import_frontier(frontier: &[PortableState], pool: &mut ExprPool) -> Vec<StolenState> {
-    let mut sorted: Vec<&PortableState> = frontier.iter().collect();
-    sorted.sort_by_key(|p| (p.origin_shard, p.origin_seq));
-    sorted.into_iter().map(|p| p.import(pool)).collect()
-}
-
 /// A state handed from one worker to another: its worklist record, taken
 /// whole out of the donor's worklist, plus what the receiver needs to
 /// route, order and pre-warm it. Plain `Send` data whose `ExprId`s
@@ -335,20 +170,11 @@ impl StolenState {
     pub fn order_key(&self) -> (u32, u64) {
         (self.origin_shard, self.origin_seq)
     }
-
-    /// The hand-off's checkpoint form, the inverse of
-    /// [`PortableState::import`]; `pool` must mirror every node the
-    /// state refers to.
-    pub(crate) fn export(&self, pool: &ExprPool) -> PortableState {
-        PortableState::export(pool, &self.live, self.region, self.origin_shard, self.origin_seq)
-            .with_warm_len(self.warm_len)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmerge_ir::minic;
 
     #[test]
     fn region_map_balances_contiguously() {
@@ -409,69 +235,5 @@ mod tests {
     fn region_map_is_deterministic() {
         let loads: Vec<(RegionId, u64)> = vec![(1, 3), (2, 9), (5, 1), (8, 4)];
         assert_eq!(RegionMap::balance(&loads, 3), RegionMap::balance(&loads, 3));
-    }
-
-    #[test]
-    fn portable_state_round_trips_across_pools() {
-        let program = minic::compile_with_width(
-            r#"
-            global g = 7;
-            global buf[3] = "ab";
-            fn main() {
-                let x = sym_int("x");
-                let y = sym_int("y");
-                if (x > 3) { putchar(x + y); }
-            }
-        "#,
-            8,
-        )
-        .unwrap();
-        let mut src = ExprPool::new(8);
-        let mut state = State::initial(&program, &mut src, StateId(0));
-        // Give the state some symbolic structure.
-        let x = src.input("x", 8);
-        let y = src.input("y", 8);
-        let s = src.add(x, y);
-        let three = src.bv_const(3, 8);
-        let c = src.ugt(x, three);
-        state.pc.push(c);
-        state.outputs.push(s);
-        state.frames[0].locals[0] = Slot::Int(x);
-        state.multiplicity = 2.0;
-        state.steps = 17;
-        state.sym_counters.insert("x".into(), 1);
-
-        let live = LiveState { state, history: vec![11, 22].into(), ff: true };
-        let ps = PortableState::export(&src, &live, 4, 1, 9).with_warm_len(1);
-        // The seed can never claim more than the pc itself.
-        let clamped = PortableState::export(&src, &live, 4, 1, 9).with_warm_len(99);
-        let state = live.state;
-        assert_eq!(clamped.warm_len as usize, state.pc.len());
-
-        let mut dst = ExprPool::new(8);
-        let _ = dst.input("y", 8); // different interning history
-        let moved = ps.import(&mut dst);
-        assert_eq!((moved.region, moved.order_key(), moved.warm_len), (4, (1, 9), 1));
-        assert_eq!(moved.live.history, live.history);
-        assert!(moved.live.ff);
-        let back = moved.live.state;
-        assert_eq!(back.multiplicity, 2.0);
-        assert_eq!(back.steps, 17);
-        assert_eq!(back.sym_counters.get("x"), Some(&1));
-        assert_eq!(back.frames.len(), state.frames.len());
-        assert_eq!(back.control_key(), state.control_key(), "control key is pool-independent");
-        // Semantics of the migrated pc/outputs match under x = 5, y = 2.
-        let env_src = |sym| match src.symbol_name(sym) {
-            "x" => 5u64,
-            "y" => 2,
-            _ => 0,
-        };
-        let env_dst = |sym| match dst.symbol_name(sym) {
-            "x" => 5u64,
-            "y" => 2,
-            _ => 0,
-        };
-        assert_eq!(src.eval(state.pc[0], &env_src), dst.eval(back.pc[0], &env_dst));
-        assert_eq!(src.eval(state.outputs[0], &env_src), dst.eval(back.outputs[0], &env_dst));
     }
 }

@@ -80,4 +80,6 @@ pub use context::SolverContext;
 pub use model::Model;
 pub use sat::{SatSolver, SatStats, SolveOutcome};
 pub use shared::{Publication, SharedSolverCache};
-pub use solve::{ladder_budget, SatResult, Solver, SolverConfig, SolverStats, RETRY_BUDGET_CAP};
+pub use solve::{
+    ladder_budget, splitmix64, SatResult, Solver, SolverConfig, SolverStats, RETRY_BUDGET_CAP,
+};

@@ -726,11 +726,8 @@ impl Solver {
     /// Draws the next forced-`Unknown` decision (false without a stream).
     fn forced_unknown_hit(&mut self) -> bool {
         let Some(f) = self.forced.as_mut() else { return false };
-        f.state = f.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = f.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(f.state);
+        f.state = f.state.wrapping_add(SPLITMIX_GAMMA);
         z % f.den < f.num
     }
 
@@ -1546,15 +1543,27 @@ fn normalize_query(
     Ok(set)
 }
 
-/// Per-element hash (the `splitmix64` finalizer over the id): the shared
-/// primitive under the commutative set hash and the membership
-/// signatures, and the increment a [`SolverContext`] adds when its
-/// carried normalized set grows by one conjunct.
-pub(crate) fn elem_hash(id: ExprId) -> u64 {
-    let mut z = (id.index() as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// The golden-ratio increment of the splitmix64 sequence.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One splitmix64 output: `x` advanced by the golden-ratio increment,
+/// then finalized. The workspace's one mixer for reproducible streams
+/// and hashes: the per-element set hash, the forced-`Unknown` stream,
+/// and the fleet's per-worker seeds.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Per-element hash ([`splitmix64`] of the id): the shared primitive
+/// under the commutative set hash and the membership signatures, and
+/// the increment a [`SolverContext`] adds when its carried normalized
+/// set grows by one conjunct.
+pub(crate) fn elem_hash(id: ExprId) -> u64 {
+    splitmix64(id.index() as u64)
 }
 
 /// 64-bit hash of a normalized constraint set: the **wrapping sum** of
@@ -2553,5 +2562,25 @@ mod tests {
         assert_ne!(draws(7), draws(8), "distinct seeds must decorrelate");
         assert!(draws(7).iter().any(|&b| b), "1/4 rate must fire within 64 draws");
         assert!(!draws(7).iter().all(|&b| b), "1/4 rate must also miss");
+    }
+
+    /// The forced-`Unknown` stream is pinned draw for draw: bit `i` is
+    /// the `i`-th draw at rate 1/4 and seed 7.
+    #[test]
+    fn forced_unknown_stream_is_pinned() {
+        let mut s = Solver::new(bare());
+        s.set_forced_unknowns(1, 4, 7);
+        let draws = (0..64).fold(0u64, |m, i| m | u64::from(s.forced_unknown_hit()) << i);
+        assert_eq!(draws, 9223948257200744450);
+    }
+
+    /// The per-element set hash is pinned value for value.
+    #[test]
+    fn elem_hash_is_pinned() {
+        let mut p = pool();
+        let ids = [p.input("x", 8), p.bv_const(3, 8), p.bv_const(200, 8)];
+        let hashes: Vec<(usize, u64)> = ids.iter().map(|&id| (id.index(), elem_hash(id))).collect();
+        let want = [(2, 10905525725756348110), (3, 2092789425003139053), (4, 7958955049054603978)];
+        assert_eq!(hashes, want);
     }
 }

@@ -365,7 +365,7 @@ fn bsp_resume_carries_the_coordinators_pending_states() {
     assert_eq!(ck.results.report.picks, 10, "{workload}: checkpoint at the last barrier");
     // Worker 0's first hand-off and its own snapshot both carry the key
     // (0, 1), so two copies show the pending state was written.
-    let firsts = ck.frontier.iter().filter(|s| (s.origin_shard, s.origin_seq) == (0, 1)).count();
+    let firsts = ck.frontier.iter().filter(|s| s.order_key() == (0, 1)).count();
     assert_eq!(firsts, 2, "{workload}: the checkpoint must carry the pending state");
 
     let resumed =
@@ -487,13 +487,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// merges a live worker's snapshot, a crashed worker's final totals and
 /// the coordinator's pending states. A change to how runs keep their
 /// totals must not move a byte; a deliberate layout change bumps the
-/// format version and re-pins.
+/// format version and re-pins. Each file also survives a read and a
+/// rewrite byte for byte.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let (workload, cfg) = WORKLOADS[2];
     let program = by_name(workload).unwrap().program(&cfg);
     let digest = |path: &PathBuf| {
         let bytes = std::fs::read(path).expect("checkpoint written before the kill");
+        // Reading a real file back and writing it again is the identity.
+        let ck = read_checkpoint(path).expect("a written checkpoint reads back");
+        write_checkpoint(path, &ck).expect("the checkpoint rewrites");
+        let rewritten = std::fs::read(path).expect("the rewritten checkpoint");
+        assert!(rewritten == bytes, "{}: rewriting moved a byte", path.display());
         std::fs::remove_file(path).ok();
         (bytes.len(), fnv1a(&bytes))
     };
