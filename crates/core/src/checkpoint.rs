@@ -383,16 +383,31 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// A `u32` count, capped against the remaining bytes (every item
     /// takes at least one) so a corrupt count cannot trigger a huge
     /// allocation.
     fn len(&mut self) -> Result<usize, String> {
         let n = u32::get(self)? as usize;
-        if n > self.buf.len() - self.pos {
+        if n > self.remaining() {
             return Err(format!("length {n} exceeds remaining bytes"));
         }
         Ok(n)
     }
+}
+
+/// How many `T`s to reserve for a decoded count of `n` with `remaining`
+/// bytes left: no more than those bytes would hold in memory. An item
+/// can be far larger in memory than on the wire, so a forged count
+/// (which [`Cursor::len`] caps only at the byte count) would otherwise
+/// reserve many times the file's size; a real vector still grows to
+/// its full length as its items decode.
+fn reservation<T>(n: usize, remaining: usize) -> usize {
+    n.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 /// The `u32` count written before a string's bytes or a vector's items.
@@ -465,7 +480,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn get(c: &mut Cursor<'_>) -> Result<Self, String> {
         let n = c.len()?;
-        let mut items = Vec::with_capacity(n);
+        let mut items = Vec::with_capacity(reservation::<T>(n, c.remaining()));
         for _ in 0..n {
             items.push(T::get(c)?);
         }
@@ -930,6 +945,28 @@ mod tests {
         assert_eq!(back.results.covered, ck.results.covered);
     }
 
+    /// A forged count reserves at most the remaining bytes' worth of
+    /// memory: a frontier count that fills a 16 KB file reserves 16 KB,
+    /// not one state per byte. Below the cap a count reserves exactly,
+    /// and a vector whose items are larger in memory than on the wire
+    /// still decodes whole.
+    #[test]
+    fn decoding_reserves_no_more_than_the_remaining_bytes() {
+        let size = std::mem::size_of::<PortableState>();
+        let reserved = reservation::<PortableState>(16_384, 16_384);
+        assert_eq!(reserved, 16_384 / size);
+        assert!(reserved * size <= 16_384);
+        assert_eq!(reservation::<PortableState>(3, 16_384), 3);
+        assert_eq!(reservation::<()>(100, 100), 100, "zero-sized items reserve the count");
+
+        let nones = vec![None::<u64>; 64];
+        let mut buf = Vec::new();
+        nones.put(&mut buf);
+        assert_eq!(buf.len(), 4 + 64, "one tag byte per item, 16 in memory");
+        let back = Vec::<Option<u64>>::get(&mut Cursor { buf: &buf, pos: 0 }).unwrap();
+        assert_eq!(back, nones);
+    }
+
     /// The encoding of [`sample`] is pinned (format version 1): length
     /// and FNV-1a digest of the bytes.
     #[test]
@@ -1018,8 +1055,8 @@ mod tests {
     }
 
     /// The sweep above over a checkpoint a real run wrote: `wc` on two
-    /// stdin bytes, checkpointed at pick 200 of a 400-pick budget, with
-    /// states on its frontier and tests in its results (about 6 KB).
+    /// stdin bytes, checkpointed at pick 20 of a 40-pick budget, with
+    /// states on its frontier and tests in its results (about 4 KB).
     /// Every truncation is refused, and every single-byte corruption is
     /// refused or decodes to a checkpoint that checks against the
     /// program — and, when it fits, imports — without a panic.
@@ -1032,8 +1069,8 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("symmerge-checkpoint-sweep-{}.ck", std::process::id()));
         let config = EngineConfig {
-            budgets: Budgets { max_picks: Some(400), ..Budgets::default() },
-            checkpoint: Some(crate::CheckpointConfig { path: path.clone(), every: 200 }),
+            budgets: Budgets { max_picks: Some(40), ..Budgets::default() },
+            checkpoint: Some(crate::CheckpointConfig { path: path.clone(), every: 20 }),
             ..EngineConfig::default()
         };
         Engine::builder(program.clone()).config(config).build().unwrap().run();

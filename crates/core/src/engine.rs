@@ -59,10 +59,18 @@ impl Budgets {
         started: Instant,
         (steps, picks, completed): (u64, u64, u64),
     ) -> bool {
-        self.max_time.is_some_and(|t| started.elapsed() >= t)
-            || self.max_steps.is_some_and(|s| steps >= s)
+        self.stops_run(started, steps)
             || self.max_picks.is_some_and(|p| picks >= p)
             || self.max_completed.is_some_and(|c| completed >= c)
+    }
+
+    /// Whether a state's run must stop before its next instruction:
+    /// the time and step limits. The pick and completion totals cannot
+    /// move mid-run (a completion ends the run), so the check before the
+    /// pick covers them.
+    fn stops_run(&self, started: Instant, steps: u64) -> bool {
+        self.max_time.is_some_and(|t| started.elapsed() >= t)
+            || self.max_steps.is_some_and(|s| steps >= s)
     }
 }
 
@@ -115,10 +123,10 @@ pub struct EngineConfig {
     /// Injected faults never change results — see the [`crate::fault`]
     /// module docs.
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
-    /// Panic isolation: snapshot each picked state *before* executing
-    /// it, so a panic caught anywhere in the step can quarantine and
+    /// Panic isolation: snapshot each picked state *before* running
+    /// it, so a panic caught anywhere in the run can quarantine and
     /// re-queue the state (`Engine::drain_after_panic`) instead of
-    /// losing it. The snapshot clones the state every step, so it is
+    /// losing it. The snapshot clones the state at every pick, so it is
     /// armed only when asked for: this flag, or a
     /// [`EngineConfig::fault_plan`] that schedules panics.
     pub panic_isolation: bool,
@@ -324,7 +332,12 @@ pub struct RunReport {
     /// case. Nonzero values mean `tests` under-reports the explored
     /// behaviours.
     pub tests_dropped_unknown: u64,
-    /// States picked from the worklist.
+    /// States picked from the worklist. Without merging each pick runs
+    /// its state until it branches (see [`Engine::explore_step`]), and a
+    /// run cut short by a budget, the caller's step allowance or a region
+    /// boundary is counted by the pick that resumes it, not the one that
+    /// started it: the count is then the number of runs, however rounds
+    /// or budgets cut them.
     pub picks: u64,
     /// Ranked (worklist-ordering) picks the scheduler served — each one
     /// used to cost an O(n) scan; see
@@ -502,8 +515,8 @@ impl ShardOutput {
 /// The outcome of one [`Engine::explore_step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExploreStep {
-    /// A state was picked (and, unless it was stale, executed one
-    /// instruction); the engine can step again.
+    /// A state was picked and (unless it was stale) run; the engine can
+    /// step again.
     Progressed,
     /// The worklist is empty: exploration is exhausted.
     Exhausted,
@@ -527,12 +540,6 @@ struct ShardCtl {
     free: bool,
     outbox: Vec<StolenState>,
     seq: u64,
-}
-
-impl ShardCtl {
-    fn owns(&self, region: RegionId) -> bool {
-        self.free || self.owner.owner_of(region) == self.me
-    }
 }
 
 /// The symbolic execution engine.
@@ -815,6 +822,16 @@ impl Engine {
         }
     }
 
+    /// Whether this engine explores `state` where it stands: always,
+    /// unless it is a shard under region placement and another worker
+    /// owns the state's region.
+    fn owns(&self, state: &State) -> bool {
+        !self
+            .shard
+            .as_ref()
+            .is_some_and(|ctl| !ctl.free && ctl.owner.owner_of(self.region_of(state)) != ctl.me)
+    }
+
     /// The state's topological region: the loop-aware topo index of its
     /// outermost frame's block. Merge candidates (equal control keys)
     /// always share a region, so region sharding never splits them.
@@ -830,8 +847,7 @@ impl Engine {
     /// handed off to the outbox instead; the owning worker integrates it
     /// (and marks its coverage) on the next round.
     fn integrate(&mut self, live: LiveState) {
-        let region = self.region_of(&live.state);
-        if self.shard.as_ref().is_some_and(|ctl| !ctl.owns(region)) {
+        if !self.owns(&live.state) {
             let out = self.hand_off(live);
             self.shard.as_mut().expect("checked above").outbox.push(out);
             return;
@@ -1038,8 +1054,16 @@ impl Engine {
     }
 
     /// Advances the exploration by one scheduling step: checks budgets,
-    /// picks the next state (Algorithm 1 line 3 / Algorithm 2), executes
-    /// one instruction, and integrates the successors.
+    /// picks the next state (Algorithm 1 line 3 / Algorithm 2), runs it
+    /// and integrates the successors.
+    ///
+    /// Under the merging modes a pick executes one instruction, because
+    /// merges happen where successors integrate. Without merging the
+    /// picked state runs until it branches: its lone successor keeps
+    /// executing in place, with every block it enters marked covered,
+    /// until a step forks into two successors, completes, records an
+    /// assertion failure, trips a time or step budget, or leaves the
+    /// regions this engine owns.
     ///
     /// This is the re-entrant core of [`Engine::run`]: callers that need
     /// to interleave exploration with other work — the sharded
@@ -1048,13 +1072,25 @@ impl Engine {
     /// [`Engine::seed_initial`] and stop on
     /// [`ExploreStep::Exhausted`] / [`ExploreStep::BudgetExhausted`].
     pub fn explore_step(&mut self) -> ExploreStep {
+        self.explore_within(u64::MAX)
+    }
+
+    /// [`Engine::explore_step`] with a run of at most `allowance`
+    /// instructions (one at least): what is left of a fleet worker's
+    /// round quota or step budget. A run the allowance cuts short goes
+    /// back to the worklist.
+    pub(crate) fn explore_within(&mut self, allowance: u64) -> ExploreStep {
         let started = *self.started.get_or_insert_with(Instant::now);
         if self.config.budgets.exhausted(started, self.progress_counters()) {
             return ExploreStep::BudgetExhausted;
         }
         // Let the solver's adaptive context capacity track the live
-        // frontier (a field store — free at this frequency).
-        self.solver.set_frontier_hint(self.states.len());
+        // frontier (a field store — free at this frequency). Without
+        // merging that includes the picked state, which stays out of the
+        // worklist while its whole run queries; a merging mode's pick
+        // runs one instruction and counts the worklist alone.
+        let running = usize::from(self.by_control.is_none());
+        self.solver.set_frontier_hint(self.states.len() + running);
         let picked = {
             let mut oracle = OracleImpl {
                 program: &self.program,
@@ -1081,7 +1117,9 @@ impl Engine {
         // point — after the pick, before execution — is exactly where
         // quarantine is lossless: nothing about the state has been
         // recorded yet, so re-running it elsewhere neither loses nor
-        // duplicates work.
+        // duplicates work. A run records nothing but (idempotent)
+        // coverage before it ends, so the snapshot stays lossless for
+        // the whole run.
         if self.isolation_armed() {
             self.in_flight = Some(live.clone());
         }
@@ -1098,27 +1136,59 @@ impl Engine {
             }
         }
 
-        let LiveState { state, history, ff } = live;
-        let affinity_before = self.solver.last_affinity();
-        let result = {
-            let mut ctx = ExecCtx {
+        let LiveState { mut state, history, ff } = live;
+        // Instructions run since the pick; committed to the totals when
+        // the run ends, so a panic mid-run counts none of them.
+        let mut ran = 0;
+        let result = loop {
+            let affinity_before = self.solver.last_affinity();
+            let mut result = ExecCtx {
                 program: &self.program,
                 pool: &mut self.pool,
                 solver: &mut self.solver,
                 next_id: &mut self.next_id,
-            };
-            ctx.step(state)
+            }
+            .step(state);
+            ran += 1;
+            // If the step's branch queries touched (or built) the context
+            // of this state's pc prefix, the successors extend exactly
+            // that prefix and inherit the token the queries stamped —
+            // read before test generation below advances the solver
+            // clock. A step whose queries never reached a context
+            // (cache-served, or no query at all) leaves the token
+            // unchanged; stamping the stale value would mark cold states
+            // warm, so the successors keep the affinity they inherited
+            // from their parent instead.
+            let affinity_after = self.solver.last_affinity();
+            if affinity_after != affinity_before {
+                for succ in &mut result.successors {
+                    succ.affinity = affinity_after;
+                }
+            }
+            let straight = self.by_control.is_none()
+                && result.successors.len() == 1
+                && result.completed.is_none()
+                && result.failure.is_none();
+            if !straight {
+                break result;
+            }
+            let next = &result.successors[0];
+            let steps = self.totals.steps + ran;
+            if ran >= allowance || self.config.budgets.stops_run(started, steps) || !self.owns(next)
+            {
+                // Cut short: the state goes back to the worklist, and
+                // the pick that resumes its run counts it.
+                self.totals.picks -= 1;
+                break result;
+            }
+            state = result.successors.pop().expect("one successor");
+            if state.frame().instr == 0 {
+                // A block entry (a branch, a jump or a call): the only
+                // steps that reach a block not yet passed.
+                self.mark_covered(&state);
+            }
         };
-        self.totals.steps += 1;
-        // If the step's branch queries touched (or built) the context of
-        // this state's pc prefix, the successors extend exactly that
-        // prefix and inherit the token the queries stamped — read before
-        // test generation below advances the solver clock. A step whose
-        // queries never reached a context (cache-served, or no query at
-        // all) leaves the token unchanged; stamping the stale value
-        // would mark cold states warm, so the successors keep the
-        // affinity they inherited from their parent instead.
-        let affinity_after = self.solver.last_affinity();
+        self.totals.steps += ran;
         if let Some(failure) = result.failure {
             let outputs: Vec<symmerge_expr::ExprId> =
                 result.successors.first().map(|s| s.outputs.clone()).unwrap_or_default();
@@ -1127,10 +1197,7 @@ impl Engine {
         if let Some((s, completion)) = result.completed {
             self.record_completion(s, completion);
         }
-        for mut succ in result.successors {
-            if affinity_after != affinity_before {
-                succ.affinity = affinity_after;
-            }
+        for succ in result.successors {
             self.integrate(LiveState { state: succ, history: history.clone(), ff });
         }
         // The step committed; the quarantine snapshot is dead weight now
@@ -1163,7 +1230,7 @@ impl Engine {
     /// Catches the solver's shared-cache mirror up with everything the
     /// store holds. The engine never syncs on its own: the fleet does,
     /// BSP workers at each round start and steal workers before each
-    /// step.
+    /// run.
     pub fn sync_shared_cache(&mut self) {
         self.solver.sync_shared_cache();
     }
@@ -1171,7 +1238,7 @@ impl Engine {
     /// Publishes to the shared store what the solver queued since the
     /// last publication. The engine never publishes on its own: the
     /// fleet does, the BSP coordinator for every worker at each barrier
-    /// and steal workers before each step.
+    /// and steal workers before each run.
     pub fn publish_shared_cache(&mut self) {
         self.solver.publish_shared_cache();
     }

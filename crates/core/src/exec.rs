@@ -54,7 +54,7 @@ pub struct ExecCtx<'a> {
     pub next_id: &'a mut u64,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
     fn fresh_id(&mut self) -> StateId {
         let id = StateId(*self.next_id);
         *self.next_id += 1;
@@ -235,44 +235,46 @@ impl ExecCtx<'_> {
         let mut out = StepResult::default();
         state.steps += 1;
         let (func, block, instr_idx) = state.loc();
-        let block_ref = self.program.block(func, block);
-        if (instr_idx as usize) < block_ref.instrs.len() {
-            let instr = block_ref.instrs[instr_idx as usize].clone();
+        // The program outlives this context, so its instructions are
+        // borrowed, not cloned, while `self` is borrowed mutably below.
+        let program: &'a Program = self.program;
+        let block_ref = program.block(func, block);
+        if let Some(instr) = block_ref.instrs.get(instr_idx as usize) {
             state.frame_mut().instr += 1;
             match instr {
                 Instr::Assign { dest, rvalue } => {
-                    let v = self.eval_rvalue(&state, &rvalue);
+                    let v = self.eval_rvalue(&state, rvalue);
                     state.frame_mut().locals[dest.index()] = Slot::Int(v);
                 }
                 Instr::SetGlobal { dest, value } => {
-                    let v = self.read(&state, value);
+                    let v = self.read(&state, *value);
                     state.globals[dest.index()] = Slot::Int(v);
                 }
                 Instr::Load { dest, array, index } => {
-                    let i = self.read(&state, index);
-                    let cells = self.array_cells(&state, array).to_vec();
+                    let i = self.read(&state, *index);
+                    let cells = self.array_cells(&state, *array).to_vec();
                     let v = self.read_array(&cells, i);
                     state.frame_mut().locals[dest.index()] = Slot::Int(v);
                 }
                 Instr::Store { array, index, value } => {
-                    let i = self.read(&state, index);
-                    let v = self.read(&state, value);
-                    let mut cells = std::mem::take(self.array_cells_mut(&mut state, array));
+                    let i = self.read(&state, *index);
+                    let v = self.read(&state, *value);
+                    let mut cells = std::mem::take(self.array_cells_mut(&mut state, *array));
                     self.write_array(&mut cells, i, v);
-                    *self.array_cells_mut(&mut state, array) = cells;
+                    *self.array_cells_mut(&mut state, *array) = cells;
                 }
                 Instr::Call { dest, func: callee, args } => {
                     let arg_vals: Vec<ExprId> =
                         args.iter().map(|&a| self.read(&state, a)).collect();
-                    let frame = fresh_frame(self.program, self.pool, callee, &arg_vals, dest);
+                    let frame = fresh_frame(program, self.pool, *callee, &arg_vals, *dest);
                     state.frames.push(frame);
                 }
                 Instr::Output(o) => {
-                    let v = self.read(&state, o);
+                    let v = self.read(&state, *o);
                     state.outputs.push(v);
                 }
                 Instr::Assume(o) => {
-                    let v = self.read(&state, o);
+                    let v = self.read(&state, *o);
                     let cond = self.truthy(v);
                     if self.pool.is_false(cond) {
                         out.completed = Some((state, Completion::AssumeViolated));
@@ -291,7 +293,7 @@ impl ExecCtx<'_> {
                     }
                 }
                 Instr::Assert { cond, msg } => {
-                    let v = self.read(&state, cond);
+                    let v = self.read(&state, *cond);
                     let ok = self.truthy(v);
                     let bad = self.pool.not(ok);
                     if self.pool.is_true(ok) {
@@ -306,7 +308,7 @@ impl ExecCtx<'_> {
                             let mut failing_pc = state.pc.clone();
                             failing_pc.push(bad);
                             out.failure = Some(AssertFailure {
-                                msg,
+                                msg: msg.clone(),
                                 loc: (func.0, block.0, instr_idx),
                                 pc: failing_pc,
                             });
@@ -323,17 +325,17 @@ impl ExecCtx<'_> {
                     }
                 }
                 Instr::SymInt { dest, name } => {
-                    let sym = state.next_sym_name(&name);
+                    let sym = state.next_sym_name(name);
                     let v = self.pool.input(&sym, self.width());
                     state.frame_mut().locals[dest.index()] = Slot::Int(v);
                 }
                 Instr::SymArray { array, name } => {
-                    let label = state.next_sym_name(&name);
-                    let len = self.array_cells(&state, array).len();
+                    let label = state.next_sym_name(name);
+                    let len = self.array_cells(&state, *array).len();
                     let w = self.width();
                     let fresh: Vec<ExprId> =
                         (0..len).map(|i| self.pool.input(&format!("{label}[{i}]"), w)).collect();
-                    *self.array_cells_mut(&mut state, array) = fresh;
+                    *self.array_cells_mut(&mut state, *array) = fresh;
                 }
             }
             out.successors.push(state);
@@ -341,7 +343,7 @@ impl ExecCtx<'_> {
         }
 
         // Terminator.
-        match block_ref.terminator.clone() {
+        match block_ref.terminator {
             Terminator::Goto(b) => {
                 let f = state.frame_mut();
                 f.block = b;
@@ -370,21 +372,17 @@ impl ExecCtx<'_> {
                     let not_c = self.pool.not(c);
                     let then_ok = self.solver.may_be_sat_assuming(self.pool, &state.pc, c);
                     let else_ok = self.solver.may_be_sat_assuming(self.pool, &state.pc, not_c);
-                    let mut then_pc = state.pc.clone();
-                    then_pc.push(c);
-                    let mut else_pc = state.pc.clone();
-                    else_pc.push(not_c);
                     match (then_ok, else_ok) {
                         (true, true) => {
                             let mut other = state.clone();
                             other.id = self.fresh_id();
-                            other.pc = else_pc;
+                            other.pc.push(not_c);
                             {
                                 let f = other.frame_mut();
                                 f.block = else_bb;
                                 f.instr = 0;
                             }
-                            state.pc = then_pc;
+                            state.pc.push(c);
                             {
                                 let f = state.frame_mut();
                                 f.block = then_bb;
@@ -394,14 +392,14 @@ impl ExecCtx<'_> {
                             out.successors.push(other);
                         }
                         (true, false) => {
-                            state.pc = then_pc;
+                            state.pc.push(c);
                             let f = state.frame_mut();
                             f.block = then_bb;
                             f.instr = 0;
                             out.successors.push(state);
                         }
                         (false, true) => {
-                            state.pc = else_pc;
+                            state.pc.push(not_c);
                             let f = state.frame_mut();
                             f.block = else_bb;
                             f.instr = 0;

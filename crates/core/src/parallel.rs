@@ -45,7 +45,10 @@
 //! checkpoints and posts each worker's plan for the next round. In each
 //! round every worker (in parallel) integrates the states routed to it —
 //! in the deterministic `(origin worker, sequence)` order — and advances its
-//! local exploration by at most a fixed step quota; under region
+//! local exploration by a fixed quota of executed instructions (each
+//! run gets what is left of the quota; a run the quota cuts short goes
+//! back to the worklist, and the pick that resumes it counts the run, so
+//! pick counts do not depend on where rounds fall); under region
 //! placement, successors that cross into a region the worker does not
 //! own go to its outbox. At the barrier, the coordinator steals for the
 //! next round: under region placement it recomputes the region
@@ -59,7 +62,7 @@
 //! read mirror before playing the round, so a verdict found mid-round
 //! stays invisible to peers until the next one, and the store's
 //! contents and order follow from the rounds alone. Because quotas are
-//! counted in scheduler steps (not wall time), every stealing input is
+//! counted in executed instructions (not wall time), every stealing input is
 //! a deterministic count and every cache lookup sees the same store, the
 //! complete run — every merge, every test — is a pure function of
 //! `(program, config, jobs)`; thread scheduling cannot change it.
@@ -172,11 +175,11 @@ pub struct ParallelConfig {
     /// `jobs = 1` runs the shared-pool machinery (so its overhead is
     /// honestly measurable).
     pub jobs: u32,
-    /// Per-worker scheduler-step quota per round (BSP only). Smaller
-    /// quotas rebalance (steal) more often at the cost of more barriers;
-    /// the quota is counted in steps, not time, to keep runs
-    /// deterministic. Clamped to at least 1 (a zero quota could never
-    /// finish a round).
+    /// Per-worker quota of executed instructions per round (BSP only).
+    /// Smaller quotas rebalance (steal) more often at the cost of more
+    /// barriers; the quota is counted in instructions, not time, to keep
+    /// runs deterministic. Clamped to at least 1 (a zero quota could
+    /// never finish a round).
     pub steps_per_round: u64,
     /// Steal direction, honored identically by the BSP free-placement
     /// stealer and the steal-mode deques. `false` (default) steals the
@@ -520,15 +523,12 @@ impl ParallelEngine {
                 }
                 // A zero quota would make every round a no-op and spin
                 // the coordinator forever; one step per round is the
-                // (degenerate but terminating) floor. Step and pick
-                // budgets shrink the last rounds' quotas so the fleet
-                // lands near them (`exhausted` guarantees `used < limit`).
+                // (degenerate but terminating) floor. A step budget
+                // shrinks the last rounds' quotas so the fleet lands near
+                // it (`exhausted` guarantees `used < limit`).
                 let mut quota = self.par.steps_per_round.max(1);
-                for (limit, used) in [(budgets.max_steps, totals.0), (budgets.max_picks, totals.1)]
-                {
-                    if let Some(limit) = limit {
-                        quota = quota.min((limit - used).div_ceil(n_live));
-                    }
+                if let Some(limit) = budgets.max_steps {
+                    quota = quota.min((limit - totals.0).div_ceil(n_live));
                 }
 
                 // The round's verdicts reach the store here, in worker
@@ -779,8 +779,12 @@ fn steal_worker(
         }
     }
     // Mirrors of the engine's cumulative counters, for publishing deltas
-    // to the fleet totals after each step.
+    // to the fleet totals after each run.
     let (mut pub_steps, mut pub_picks, mut pub_completed) = (0u64, 0u64, 0u64);
+    // Under a step budget every run is one instruction long, so each
+    // worker still re-checks the fleet total before every instruction and
+    // holds at most one unpublished step.
+    let run_cap = if budgets.max_steps.is_some() { 1 } else { u64::MAX };
     loop {
         if fleet.stop.load(Ordering::Acquire) {
             break;
@@ -845,11 +849,11 @@ fn steal_worker(
             }
         }
         let before = engine.worklist_len() as i64;
-        // Publish what the last step solved and pull in whatever the
+        // Publish what the last run solved and pull in whatever the
         // peers published since (one atomic load when nothing changed).
         engine.publish_shared_cache();
         engine.sync_shared_cache();
-        let drained = match catch_unwind(AssertUnwindSafe(|| engine.explore_step())) {
+        let drained = match catch_unwind(AssertUnwindSafe(|| engine.explore_within(run_cap))) {
             Ok(ExploreStep::Progressed) => None,
             // The worklist was non-empty, so these are unreachable;
             // re-entering the loop is safe regardless.
@@ -863,10 +867,10 @@ fn steal_worker(
                 Some(engine.drain_after_panic(par.steal_newest))
             }
         };
-        // Publish the step's worklist delta (successors minus the
+        // Publish the run's worklist delta (successors minus the
         // consumed state): completions drive `outstanding` toward zero,
-        // forks away from it. The stepped state stayed counted for the
-        // step's whole duration, so no peer saw a false zero — and the
+        // forks away from it. The running state stayed counted for the
+        // run's whole duration, so no peer saw a false zero — and the
         // delta is exact even for a panic that landed mid-integration
         // (drained states are still live, on their way to the deque).
         let held = engine.worklist_len() + drained.as_ref().map_or(0, Vec::len);
@@ -898,7 +902,7 @@ struct RoundPlan {
     map: Option<RegionMap>,
     /// Migrated states this worker now owns.
     inbox: Vec<StolenState>,
-    /// Scheduler-step quota for the round.
+    /// Instruction quota for the round.
     quota: u64,
     /// Seed the initial state this round (worker 0, round 0).
     seed: bool,
@@ -1009,13 +1013,19 @@ fn play_round(engine: &mut Engine, plan: RoundPlan, steal_newest: bool) -> Vec<S
     // together (shared prefixes blasted once).
     inbox.sort_by_key(StolenState::order_key);
     engine.inject_direct(inbox);
-    for _ in 0..quota {
-        match engine.explore_step() {
+    // The quota counts executed instructions: each run gets what is left
+    // of it, so a round covers exactly `quota` of them (a stale pick,
+    // which runs none, uses up one).
+    let mut used = 0;
+    while used < quota {
+        let before = engine.progress_counters().0;
+        match engine.explore_within(quota - used) {
             ExploreStep::Progressed => {}
             // Worker budgets are cleared, so only exhaustion ends a round
             // early; stopping is the right response to either.
             ExploreStep::Exhausted | ExploreStep::BudgetExhausted => break,
         }
+        used += (engine.progress_counters().0 - before).max(1);
     }
     handoffs.extend(engine.take_outbox());
     handoffs
@@ -1276,9 +1286,10 @@ mod tests {
         cfg.budgets.max_steps = Some(40);
         let par = run_steal_jobs(src, cfg, 2);
         assert!(par.hit_budget, "budget must trip");
-        // Each worker re-checks the fleet counters before every step and
-        // publishes right after it, so the overshoot is at most one
-        // unpublished step per worker.
+        // Each worker re-checks the fleet counters before every run and
+        // publishes right after it, and the step budget caps runs at one
+        // instruction, so the overshoot is at most one unpublished step
+        // per worker.
         assert!(par.steps <= 40 + 2, "steps {} overshot the budget too far", par.steps);
         assert!(par.leftover_states > 0);
     }

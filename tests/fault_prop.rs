@@ -320,7 +320,7 @@ fn bsp_kill_and_resume_reproduces_the_run() {
         ParallelEngine::new(program.clone(), engine_config(None), par()).unwrap().run();
     assert!(!uninterrupted.hit_budget, "{workload}: reference run must be exhaustive");
 
-    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 8), 60);
+    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 8), 30);
     let killed = ParallelEngine::new(program.clone(), killed_cfg, par()).unwrap().run();
     assert!(killed.hit_budget, "{workload}: the killed run must stop early");
 
@@ -353,16 +353,16 @@ fn bsp_resume_carries_the_coordinators_pending_states() {
         ParallelEngine::new(program.clone(), engine_config(None), par()).unwrap().run();
 
     // BSP is deterministic per (seed, jobs), so the barrier a pick
-    // budget stops at is fixed. At 10 picks it is the barrier right
+    // budget stops at is fixed. At 2 picks it is the barrier right
     // after worker 0's first hand-off, with that state still pending;
     // checkpointing every pick writes exactly that barrier.
-    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 1), 10);
+    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 1), 2);
     let killed = ParallelEngine::new(program.clone(), killed_cfg, par()).unwrap().run();
     assert!(killed.hit_budget, "{workload}: the killed run must stop early");
 
     let ck = read_checkpoint(&path).expect("coordinator checkpoint written before the kill");
     std::fs::remove_file(&path).ok();
-    assert_eq!(ck.results.report.picks, 10, "{workload}: checkpoint at the last barrier");
+    assert_eq!(ck.results.report.picks, 2, "{workload}: checkpoint at the last barrier");
     // Worker 0's first hand-off and its own snapshot both carry the key
     // (0, 1), so two copies show the pending state was written.
     let firsts = ck.frontier.iter().filter(|s| s.order_key() == (0, 1)).count();
@@ -423,7 +423,7 @@ fn checkpoint_survives_a_worker_panic_before_the_kill() {
         ParallelEngine::new(program.clone(), engine_config(None), par()).unwrap().run();
 
     let killed_cfg =
-        with_pick_budget(with_checkpoint(engine_config(Some("panic=1:2")), path.clone(), 8), 60);
+        with_pick_budget(with_checkpoint(engine_config(Some("panic=1:2")), path.clone(), 8), 30);
     let killed = ParallelEngine::new(program.clone(), killed_cfg, par()).unwrap().run();
     assert!(killed.hit_budget, "{workload}: the killed run must stop early");
 
@@ -445,7 +445,7 @@ fn checkpoint_from_another_program_is_refused() {
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 4 };
     let program = by_name("wc").unwrap().program(&cfg);
     let path = ck_path("foreign");
-    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 8), 60);
+    let killed_cfg = with_pick_budget(with_checkpoint(engine_config(None), path.clone(), 8), 8);
     Engine::builder(program).config(killed_cfg).build().unwrap().run();
     let ck = read_checkpoint(&path).expect("checkpoint written before the kill");
     std::fs::remove_file(&path).ok();
@@ -511,10 +511,10 @@ fn checkpoint_bytes_are_pinned() {
 
     let bsp_path = ck_path("pin-bsp");
     let par = ParallelConfig { jobs: 2, steps_per_round: 8, ..Default::default() };
-    let faulted = engine_config(Some("panic=1:60"));
-    let bsp_cfg = with_pick_budget(with_checkpoint(faulted, bsp_path.clone(), 100), 450);
+    let faulted = engine_config(Some("panic=1:2"));
+    let bsp_cfg = with_pick_budget(with_checkpoint(faulted, bsp_path.clone(), 4), 14);
     ParallelEngine::new(program, bsp_cfg, par).unwrap().run();
 
     assert_eq!(digest(&seq_path), (14412, 13684487964213741232), "sequential dsm snapshot");
-    assert_eq!(digest(&bsp_path), (16045, 8494722680189623721), "bsp jobs=2 barrier checkpoint");
+    assert_eq!(digest(&bsp_path), (3848, 13541679318571554366), "bsp jobs=2 barrier checkpoint");
 }

@@ -212,9 +212,20 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// The stable digest of a run's generated tests, in generation order:
 /// kind, inputs and predicted outputs of each.
 fn tests_digest(report: &RunReport) -> u64 {
+    keys_digest(report.tests.iter().map(TestCase::sort_key))
+}
+
+/// The digest of a run's tests sorted by their canonical keys: the same
+/// for every search order that generates the same tests.
+fn canonical_digest(report: &RunReport) -> u64 {
+    let mut keys: Vec<_> = report.tests.iter().map(TestCase::sort_key).collect();
+    keys.sort();
+    keys_digest(keys)
+}
+
+fn keys_digest(keys: impl IntoIterator<Item = (String, Vec<(String, u64)>, Vec<u64>)>) -> u64 {
     let mut bytes = Vec::new();
-    for t in &report.tests {
-        let (class, inputs, outputs) = t.sort_key();
+    for (class, inputs, outputs) in keys {
         bytes.extend_from_slice(class.as_bytes());
         bytes.push(0);
         for (name, value) in inputs {
@@ -253,7 +264,7 @@ fn default_search_order_is_pinned() {
             3,
             MergeMode::None,
             StrategyKind::Random,
-            (2868, 239, 1309, 9613, 0, 71, 21237, 85, 3287446338801938944),
+            (2868, 239, 1309, 9613, 0, 71, 18975, 85, 2889807311675795582),
         ),
         (
             3,
@@ -265,7 +276,7 @@ fn default_search_order_is_pinned() {
             3,
             MergeMode::None,
             StrategyKind::Bfs,
-            (2868, 236, 1269, 9512, 0, 71, 21237, 85, 5766680493539772186),
+            (2868, 240, 1320, 9642, 0, 71, 19141, 85, 6222404444366571234),
         ),
         (
             3,
@@ -343,19 +354,19 @@ fn fleet_search_order_is_pinned() {
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             true,
-            (2868, 2868, 0, 0, 0, 0, 19, 239, 85, 1926985011960295610, 11, 0),
+            (2868, 175, 0, 0, 0, 0, 8, 239, 85, 632966248537036516, 3, 0),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             false,
-            (2868, 2868, 0, 0, 0, 0, 12, 299, 85, 18405241640646814255, 3, 24),
+            (2868, 175, 0, 0, 0, 0, 6, 287, 85, 13002090181756377506, 2, 20),
         ),
         (
             MergeMode::None,
             StrategyKind::Random,
             false,
-            (2868, 2868, 0, 0, 0, 0, 30, 340, 85, 14550787056083984852, 13, 20),
+            (2868, 175, 0, 0, 0, 0, 9, 297, 85, 4940791075407491723, 3, 15),
         ),
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
@@ -386,4 +397,92 @@ fn fleet_search_order_is_pinned() {
         );
         assert_eq!(got, pinned, "wc@3 jobs=2 {merge_mode:?}/{strategy:?} incr={use_incremental}");
     }
+}
+
+/// Pins what an unmerged run finds, independently of its search order:
+/// completed paths, covered blocks and the digest of the sorted
+/// canonical tests. Under `MergeMode::None` with canonical models these
+/// are a function of the program alone, so the sequential engine, a BSP
+/// fleet and a steal fleet must all land on the pinned values, and a
+/// change to how the engine schedules or steps states must never move
+/// them.
+#[test]
+fn unmerged_results_are_pinned_across_engines() {
+    let rows: [(&str, InputConfig, (u64, usize, u64)); 3] = [
+        ("wc", InputConfig::stdin(3), (85, 28, 4132762724694942552)),
+        ("echo", InputConfig::args(2, 2), (18, 40, 18007379985165895530)),
+        ("basename", InputConfig::args(1, 3), (15, 45, 3567166064428918570)),
+    ];
+    for (workload, cfg, pinned) in rows {
+        let program = by_name(workload).unwrap().program(&cfg);
+        let config = EngineConfig {
+            merge_mode: MergeMode::None,
+            solver: SolverConfig { canonical_models: true, ..SolverConfig::default() },
+            ..EngineConfig::default()
+        };
+        let sequential =
+            Engine::builder(program.clone()).config(config.clone()).build().unwrap().run();
+        let mut runs = vec![("sequential", sequential)];
+        for (label, scheduler) in [("bsp", SchedulerKind::Bsp), ("steal", SchedulerKind::Steal)] {
+            let par =
+                ParallelConfig { jobs: 2, steps_per_round: 48, scheduler, ..Default::default() };
+            runs.push((
+                label,
+                ParallelEngine::new(program.clone(), config.clone(), par).unwrap().run(),
+            ));
+        }
+        for (label, r) in runs {
+            assert!(!r.hit_budget, "{workload} {label}: must be exhaustive");
+            let got = (r.completed_paths, r.covered_blocks, canonical_digest(&r));
+            assert_eq!(got, pinned, "{workload} {label}");
+        }
+    }
+}
+
+/// A step budget binds exactly, and coverage is counted per block: on a
+/// program that is one long path (concrete loops, calls, straight-line
+/// code) with a symbolic branch at its end, a run stopped by
+/// `max_steps = k` has executed exactly `k` instructions, each further
+/// instruction covers at most the blocks it enters (one, or two at the
+/// fork), and the last budgeted run has covered what the unbudgeted run
+/// covers, which is every block of the program.
+#[test]
+fn step_budget_binds_exactly_and_coverage_is_per_block() {
+    let src = r#"
+        fn twice(v) { return v + v; }
+        fn main() {
+            let s = 0;
+            for (let i = 0; i < 6; i = i + 1) { s = s + twice(i); }
+            let t = 0;
+            while (t < 3) { t = t + 1; s = s - t; }
+            putchar(s);
+            let x = sym_int("x");
+            if (x > s) { putchar(1); } else { putchar(2); }
+        }
+    "#;
+    let program = minic::compile_with_width(src, 8).unwrap();
+    let run = |budgets: Budgets| {
+        Engine::builder(program.clone())
+            .merging(MergeMode::None)
+            .budgets(budgets)
+            .build()
+            .unwrap()
+            .run()
+    };
+    let full = run(Budgets::default());
+    assert!(!full.hit_budget);
+    assert_eq!(full.covered_blocks, full.total_blocks, "the one path passes every block");
+    let mut covered = 0;
+    for k in 1..full.steps {
+        let r = run(Budgets { max_steps: Some(k), ..Budgets::default() });
+        assert!(r.hit_budget, "k={k}: the budget must stop the run");
+        assert_eq!(r.steps, k, "k={k}: max_steps must bind exactly");
+        assert!(
+            (covered..=covered + 2).contains(&r.covered_blocks),
+            "k={k}: one instruction covers at most the blocks it enters ({covered} -> {})",
+            r.covered_blocks
+        );
+        covered = r.covered_blocks;
+    }
+    assert_eq!(covered, full.covered_blocks, "the last budgeted run has covered every block");
 }
