@@ -8,7 +8,7 @@
 //! fleet can be resumed sequentially and vice versa — a portable state
 //! does not care which scheduler re-hosts it. This module is the one
 //! place that knows the portable form: its export from a live state, its
-//! import as a hand-off ([`StolenState`]), and its bytes. It is written
+//! import as a hand-off (a `StolenState`), and its bytes. It is written
 //! only when a checkpoint is taken and read only when one is resumed.
 //!
 //! The results are a [`ShardOutput`], the shape a fleet worker reports
@@ -214,7 +214,7 @@ struct PortableFrame {
     locals: Vec<PortableSlot>,
 }
 
-/// A [`LiveState`] record flattened into a pool-independent form for a
+/// A `LiveState` record flattened into a pool-independent form for a
 /// checkpoint frontier (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PortableState {
@@ -244,7 +244,7 @@ impl PortableState {
     /// Flattens a live state's record under the given routing region,
     /// origin key and warm-prefix seed. The seed is clamped to the pc
     /// length: it can never claim more than the pc itself.
-    pub fn export(
+    pub(crate) fn export(
         pool: &ExprPool,
         live: &LiveState,
         region: RegionId,
@@ -300,7 +300,7 @@ impl PortableState {
 
     /// Rebuilds the state in `pool` as a hand-off, ready for the
     /// receiving engine to integrate (which gives it a fresh local id).
-    pub fn import(&self, pool: &mut ExprPool) -> StolenState {
+    pub(crate) fn import(&self, pool: &mut ExprPool) -> StolenState {
         let ids = self.dag.import(pool);
         let slot = |s: &PortableSlot| match s {
             PortableSlot::Int(r) => Slot::Int(ids[*r as usize]),

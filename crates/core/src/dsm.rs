@@ -3,7 +3,7 @@
 //! DSM is a `pickNext` layer beside an arbitrary *driving* strategy. Every
 //! worklist state carries a bounded history (depth `δ`) of merge
 //! signatures of its recent predecessors, in its
-//! [`LiveState`](crate::state::LiveState) record; [`DsmIndex`] indexes
+//! `LiveState` record; [`DsmIndex`] indexes
 //! those histories by signature. When some worklist state `a₁`'s
 //! current signature matches a signature in the history of another worklist
 //! state `a₂`, then `a₁` "lags at most δ steps behind" a position where it
@@ -51,7 +51,7 @@ impl DsmStats {
 /// The DSM index: the paper's `pickNext_F` beside the driving strategy.
 ///
 /// The engine owns both the strategy and each state's history (in its
-/// [`LiveState`](crate::state::LiveState) record); this index holds only
+/// `LiveState` record); this index holds only
 /// what Algorithm 2 looks up by signature. It must see every worklist
 /// state: [`DsmIndex::add`] on integration and [`DsmIndex::remove`],
 /// with the same history, when the state leaves the worklist.

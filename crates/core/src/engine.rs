@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprPool, SharedExprPool};
-use symmerge_ir::cfg::CfgInfo;
 use symmerge_ir::{BlockId, FuncId, Instr, Program, ValidateError};
 use symmerge_solver::{SatResult, SharedSolverCache, Solver, SolverConfig, SolverStats};
 
@@ -28,8 +27,9 @@ use symmerge_solver::{SatResult, SharedSolverCache, Solver, SolverConfig, Solver
 pub enum MergeMode {
     /// Never merge (plain search-based symbolic execution — the baseline).
     None,
-    /// Static state merging: topological exploration, merge at matching
-    /// locations (paper §5.4's SSM).
+    /// Static state merging: merge at matching locations (paper §5.4's
+    /// SSM). Pair it with [`StrategyKind::Topological`], the order SSM
+    /// requires.
     Static,
     /// Dynamic state merging: Algorithm 2 over the configured driving
     /// strategy.
@@ -74,7 +74,23 @@ impl Budgets {
     }
 }
 
-/// Full engine configuration.
+/// Full engine configuration: the one way to configure an [`Engine`],
+/// passed whole to [`EngineBuilder::config`]. Callers set the fields
+/// they need and take the rest from the default:
+///
+/// ```
+/// use symmerge_core::{EngineConfig, MergeMode, StrategyKind};
+///
+/// let config = EngineConfig {
+///     merge_mode: MergeMode::Static,
+///     strategy: StrategyKind::Topological,
+///     ..EngineConfig::default()
+/// };
+/// ```
+///
+/// No field changes another: static merging pays only when states meet
+/// at join points in topological order, so a static-merging caller
+/// chooses [`StrategyKind::Topological`] itself.
 ///
 /// [`EngineConfig::default`] is a constant and never reads the
 /// environment; binaries that take `SYMMERGE_*` variables map them onto
@@ -109,7 +125,7 @@ pub struct EngineConfig {
     /// Warm-context migration (fleet workers only): when a migrated
     /// state arrives with a warm-prefix seed (the pc-conjunct prefix that
     /// was resident in the *donor's* context tree, see
-    /// [`crate::shard::StolenState`]), pre-warm the local solver's
+    /// the `shard` module's `StolenState`), pre-warm the local solver's
     /// context tree for the whole incoming batch before any of the
     /// states run. Batching is what makes it pay: shared prefixes
     /// and divergence points across the inbox are bit-blasted **once**
@@ -164,106 +180,20 @@ impl Default for EngineConfig {
     }
 }
 
-/// Builder for [`Engine`].
+/// Builder for [`Engine`]: one [`EngineConfig`] value, plus the fleet
+/// wiring ([`EngineBuilder::shared_pool`],
+/// [`EngineBuilder::shared_solver_cache`]).
 #[derive(Debug)]
 pub struct EngineBuilder {
     program: Program,
     config: EngineConfig,
-    strategy_set: bool,
     shared_pool: Option<Arc<SharedExprPool>>,
     shared_cache: Option<Arc<SharedSolverCache>>,
 }
 
 impl EngineBuilder {
-    /// Selects the merging mode. Choosing [`MergeMode::Static`] also
-    /// switches the default strategy to topological order (the order SSM
-    /// requires) unless a strategy was set explicitly.
-    pub fn merging(mut self, mode: MergeMode) -> Self {
-        self.config.merge_mode = mode;
-        if mode == MergeMode::Static && !self.strategy_set {
-            self.config.strategy = StrategyKind::Topological;
-        }
-        self
-    }
-
-    /// Selects the (driving) search strategy.
-    pub fn strategy(mut self, kind: StrategyKind) -> Self {
-        self.config.strategy = kind;
-        self.strategy_set = true;
-        self
-    }
-
-    /// Sets the QCE parameters.
-    pub fn qce(mut self, qce: QceConfig) -> Self {
-        self.config.qce = qce;
-        self
-    }
-
-    /// Sets the DSM parameters.
-    pub fn dsm(mut self, dsm: DsmConfig) -> Self {
-        self.config.dsm = dsm;
-        self
-    }
-
-    /// Sets the merge-operation options.
-    pub fn merge_config(mut self, merge: MergeConfig) -> Self {
-        self.config.merge = merge;
-        self
-    }
-
-    /// Sets the solver options.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.config.solver = solver;
-        self
-    }
-
-    /// Sets the exploration budgets.
-    pub fn budgets(mut self, budgets: Budgets) -> Self {
-        self.config.budgets = budgets;
-        self
-    }
-
-    /// Convenience: wall-clock budget only.
-    pub fn max_time(mut self, d: Duration) -> Self {
-        self.config.budgets.max_time = Some(d);
-        self
-    }
-
-    /// Convenience: instruction budget only.
-    pub fn max_steps(mut self, n: u64) -> Self {
-        self.config.budgets.max_steps = Some(n);
-        self
-    }
-
-    /// Whether to generate test cases for completed paths.
-    pub fn generate_tests(mut self, yes: bool) -> Self {
-        self.config.generate_tests = yes;
-        self
-    }
-
-    /// Toggles context-affinity scheduling (see
-    /// [`EngineConfig::affinity_scheduling`]).
-    pub fn affinity_scheduling(mut self, yes: bool) -> Self {
-        self.config.affinity_scheduling = yes;
-        self
-    }
-
-    /// Toggles warm-context migration (see
-    /// [`EngineConfig::warm_migration`]).
-    pub fn warm_migration(mut self, yes: bool) -> Self {
-        self.config.warm_migration = yes;
-        self
-    }
-
-    /// Seeds the engine's RNG.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Replaces the entire configuration.
+    /// Sets the configuration, replacing [`EngineConfig::default`].
     pub fn config(mut self, config: EngineConfig) -> Self {
-        self.strategy_set = true;
         self.config = config;
         self
     }
@@ -361,7 +291,7 @@ pub struct RunReport {
     /// traffic in `stolen_states`). Kept under its historical name for
     /// the benchmark harness.
     pub envelope_exports: u64,
-    /// Always 0: fleet states cross workers as [`StolenState`]s over one
+    /// Always 0: fleet states cross workers as `StolenState`s over one
     /// shared expression pool, so nothing is serialized. Kept for the
     /// benchmark harness.
     pub envelope_nodes: u64,
@@ -547,8 +477,8 @@ pub struct Engine {
     program: Program,
     pool: ExprPool,
     solver: Solver,
+    /// The QCE tables and the per-function CFG facts they were built on.
     qce: QceAnalysis,
-    cfgs: Vec<CfgInfo>,
     config: EngineConfig,
     strategy: Box<dyn Strategy + Send>,
     /// Present iff merging dynamically: Algorithm 2's laggard index,
@@ -685,12 +615,13 @@ fn compute_distances(
 }
 
 impl Engine {
-    /// Starts building an engine for a program.
+    /// Starts building an engine for a program, under
+    /// [`EngineConfig::default`] until [`EngineBuilder::config`] sets
+    /// another: `Engine::builder(program).config(config).build()`.
     pub fn builder(program: Program) -> EngineBuilder {
         EngineBuilder {
             program,
             config: EngineConfig::default(),
-            strategy_set: false,
             shared_pool: None,
             shared_cache: None,
         }
@@ -703,7 +634,6 @@ impl Engine {
         shared_cache: Option<Arc<SharedSolverCache>>,
     ) -> Engine {
         let qce = QceAnalysis::run(&program, config.qce);
-        let cfgs: Vec<CfgInfo> = program.functions.iter().map(CfgInfo::analyze).collect();
         let pool = match shared_pool {
             Some(shared) => {
                 debug_assert_eq!(
@@ -736,7 +666,6 @@ impl Engine {
             pool,
             solver,
             qce,
-            cfgs,
             strategy: make_strategy(config.strategy),
             dsm: (config.merge_mode == MergeMode::Dynamic).then(|| DsmIndex::new(config.dsm)),
             states: HashMap::new(),
@@ -788,7 +717,7 @@ impl Engine {
                 // Loop-aware topological position: a loop's body orders
                 // before its exits, so SSM finishes loops before join
                 // points beyond them (plain RPO would do the opposite).
-                let pos = self.cfgs[f.func.index()].topo_index[f.block.index()];
+                let pos = self.qce.cfgs[f.func.index()].topo_index[f.block.index()];
                 (pos, f.instr)
             })
             .collect();
@@ -837,7 +766,7 @@ impl Engine {
     /// always share a region, so region sharding never splits them.
     fn region_of(&self, state: &State) -> RegionId {
         let f = &state.frames[0];
-        self.cfgs[f.func.index()].topo_index[f.block.index()]
+        self.qce.cfgs[f.func.index()].topo_index[f.block.index()]
     }
 
     /// Inserts a new state into the worklist, first attempting to merge it
@@ -1593,9 +1522,24 @@ mod tests {
     use super::*;
     use symmerge_ir::minic;
 
-    fn engine_for(src: &str, f: impl FnOnce(EngineBuilder) -> EngineBuilder) -> Engine {
+    fn engine_for(src: &str, config: EngineConfig) -> Engine {
         let program = minic::compile_with_width(src, 8).unwrap();
-        f(Engine::builder(program)).build().unwrap()
+        Engine::builder(program).config(config).build().unwrap()
+    }
+
+    /// Merge-everything (α = ∞) under `mode`, over the topological order
+    /// static merging requires.
+    fn merge_all(mode: MergeMode) -> EngineConfig {
+        EngineConfig {
+            merge_mode: mode,
+            strategy: if mode == MergeMode::Static {
+                StrategyKind::Topological
+            } else {
+                StrategyKind::CoverageOptimized
+            },
+            qce: QceConfig { alpha: f64::INFINITY, ..Default::default() },
+            ..EngineConfig::default()
+        }
     }
 
     /// The default is a constant, field for field the literal the
@@ -1640,7 +1584,7 @@ mod tests {
 
     #[test]
     fn plain_exploration_counts_paths() {
-        let mut e = engine_for(TWO_BRANCH, |b| b.merging(MergeMode::None));
+        let mut e = engine_for(TWO_BRANCH, EngineConfig::default());
         let report = e.run();
         // x>10/x>100 give 3 feasible combinations (x>100 ⊆ x>10 at 8 bits
         // signed: x>100 implies x>10).
@@ -1653,7 +1597,7 @@ mod tests {
 
     #[test]
     fn tests_replay_correctly() {
-        let mut e = engine_for(TWO_BRANCH, |b| b.merging(MergeMode::None));
+        let mut e = engine_for(TWO_BRANCH, EngineConfig::default());
         let report = e.run();
         for t in &report.tests {
             t.validate(e.program()).unwrap();
@@ -1664,10 +1608,7 @@ mod tests {
     fn static_merging_reduces_paths_but_preserves_tests() {
         // Merge-everything (α = ∞): y is merged at the join point, so the
         // second branch runs once instead of twice.
-        let mut e = engine_for(TWO_BRANCH, |b| {
-            b.merging(MergeMode::Static)
-                .qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-        });
+        let mut e = engine_for(TWO_BRANCH, merge_all(MergeMode::Static));
         let report = e.run();
         assert!(report.merges >= 1, "expected at least one merge");
         assert!(
@@ -1693,9 +1634,7 @@ mod tests {
             }
         "#;
         for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
-            let mut e = engine_for(src, |b| {
-                b.merging(mode).qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-            });
+            let mut e = engine_for(src, merge_all(mode));
             let report = e.run();
             assert!(!report.assert_failures.is_empty(), "{mode:?} lost the assertion failure");
             // The reproducer test must actually trigger the assert.
@@ -1713,11 +1652,10 @@ mod tests {
         // BFS interleaves the two branch sides, so the slower one becomes a
         // laggard (its signature appears in the faster one's history) and
         // is fast-forwarded into the join-point merge.
-        let mut e = engine_for(TWO_BRANCH, |b| {
-            b.merging(MergeMode::Dynamic)
-                .strategy(StrategyKind::Bfs)
-                .qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-        });
+        let mut e = engine_for(
+            TWO_BRANCH,
+            EngineConfig { strategy: StrategyKind::Bfs, ..merge_all(MergeMode::Dynamic) },
+        );
         let report = e.run();
         assert!(report.merges >= 1, "DSM should find the join-point merge");
         assert!(report.completed_multiplicity >= 3.0);
@@ -1728,20 +1666,23 @@ mod tests {
         // Depth-first runs each lineage to completion before starting its
         // sibling, so merge partners never coexist — documenting why DSM
         // needs interleaving strategies to shine (paper §4.1).
-        let mut e = engine_for(TWO_BRANCH, |b| {
-            b.merging(MergeMode::Dynamic)
-                .strategy(StrategyKind::Dfs)
-                .qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-        });
+        let mut e = engine_for(
+            TWO_BRANCH,
+            EngineConfig { strategy: StrategyKind::Dfs, ..merge_all(MergeMode::Dynamic) },
+        );
         let report = e.run();
         assert_eq!(report.completed_multiplicity, 3.0);
     }
 
     #[test]
     fn alpha_zero_blocks_merging_while_variables_live() {
-        let mut strict = engine_for(TWO_BRANCH, |b| {
-            b.merging(MergeMode::Static).qce(QceConfig { alpha: 0.0, ..Default::default() })
-        });
+        let mut strict = engine_for(
+            TWO_BRANCH,
+            EngineConfig {
+                qce: QceConfig { alpha: 0.0, ..Default::default() },
+                ..merge_all(MergeMode::Static)
+            },
+        );
         let strict_report = strict.run();
         // y differs concretely (1 vs 2) and is still read by the second
         // branch, so the first join must NOT merge: the similarity check
@@ -1751,10 +1692,7 @@ mod tests {
         // Merging where y is dead (after its last read) is still allowed —
         // that is QCE subsuming RWset-style pruning (paper §6) — so we only
         // require α = 0 to merge strictly less than α = ∞.
-        let mut lax = engine_for(TWO_BRANCH, |b| {
-            b.merging(MergeMode::Static)
-                .qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-        });
+        let mut lax = engine_for(TWO_BRANCH, merge_all(MergeMode::Static));
         let lax_report = lax.run();
         assert!(lax_report.merges > 0);
         assert!(strict_report.merge_rejects > lax_report.merge_rejects);
@@ -1774,13 +1712,13 @@ mod tests {
             }
         "#;
         let run = |zeta: Option<f64>| {
-            let mut e = engine_for(src, |b| {
-                b.merging(MergeMode::Static).qce(QceConfig {
-                    alpha: 1e-12,
-                    zeta,
-                    ..Default::default()
-                })
-            });
+            let mut e = engine_for(
+                src,
+                EngineConfig {
+                    qce: QceConfig { alpha: 1e-12, zeta, ..Default::default() },
+                    ..merge_all(MergeMode::Static)
+                },
+            );
             e.run()
         };
         let prototype = run(None);
@@ -1807,7 +1745,13 @@ mod tests {
                 putchar(s);
             }
         "#;
-        let mut e = engine_for(src, |b| b.merging(MergeMode::None).max_steps(50));
+        let mut e = engine_for(
+            src,
+            EngineConfig {
+                budgets: Budgets { max_steps: Some(50), ..Budgets::default() },
+                ..EngineConfig::default()
+            },
+        );
         let report = e.run();
         assert!(report.hit_budget);
         assert!(report.steps <= 51);
@@ -1830,17 +1774,17 @@ mod tests {
             }
         "#;
         let program = minic::compile_with_width(src, 16).unwrap();
-        let mut e = Engine::builder(program)
-            .merging(MergeMode::None)
-            .solver(symmerge_solver::SolverConfig {
+        let config = EngineConfig {
+            solver: SolverConfig {
                 max_conflicts: Some(1),
                 // Pin the retry ladder off: this test is about the drop
                 // accounting that fires only once every retry fails.
                 retry_ladder: Vec::new(),
                 ..Default::default()
-            })
-            .build()
-            .unwrap();
+            },
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::builder(program).config(config).build().unwrap();
         let report = e.run();
         assert_eq!(report.completed_paths, 2);
         assert!(
@@ -1879,16 +1823,15 @@ mod tests {
             }
         "#;
         let run = |by_clauses: bool| {
-            let mut e = engine_for(src, |bld| {
-                bld.merging(MergeMode::None).solver(symmerge_solver::SolverConfig {
-                    use_incremental: true,
-                    ctx_fork: true,
-                    max_contexts: 2,
-                    ctx_evict_by_clauses: by_clauses,
-                    canonical_models: true,
-                    ..symmerge_solver::SolverConfig::default()
-                })
-            });
+            let solver = SolverConfig {
+                use_incremental: true,
+                ctx_fork: true,
+                max_contexts: 2,
+                ctx_evict_by_clauses: by_clauses,
+                canonical_models: true,
+                ..SolverConfig::default()
+            };
+            let mut e = engine_for(src, EngineConfig { solver, ..EngineConfig::default() });
             e.run()
         };
         let adaptive = run(true);
@@ -1931,11 +1874,14 @@ mod tests {
         "#;
         let prep = |shard: bool| {
             let program = minic::compile_with_width(SRC, 8).unwrap();
+            let config = EngineConfig {
+                strategy: StrategyKind::Bfs,
+                warm_migration: false,
+                seed: 3,
+                ..EngineConfig::default()
+            };
             let mut e = Engine::builder(program)
-                .merging(MergeMode::None)
-                .strategy(crate::strategy::StrategyKind::Bfs)
-                .warm_migration(false)
-                .seed(3)
+                .config(config)
                 .shared_pool(SharedExprPool::new(8))
                 .build()
                 .unwrap();
@@ -1973,7 +1919,7 @@ mod tests {
 
     #[test]
     fn coverage_is_tracked() {
-        let mut e = engine_for(TWO_BRANCH, |b| b.merging(MergeMode::None));
+        let mut e = engine_for(TWO_BRANCH, EngineConfig::default());
         let report = e.run();
         assert!(report.covered_blocks > 0);
         assert!(report.coverage() > 0.5, "simple program should be mostly covered");
@@ -1982,9 +1928,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let mut e = engine_for(TWO_BRANCH, |b| {
-                b.merging(MergeMode::None).strategy(StrategyKind::Random).seed(seed)
-            });
+            let mut e = engine_for(
+                TWO_BRANCH,
+                EngineConfig { strategy: StrategyKind::Random, seed, ..EngineConfig::default() },
+            );
             let r = e.run();
             (r.completed_paths, r.steps, r.picks)
         };
@@ -2004,12 +1951,9 @@ mod tests {
                 if (b > 0) { putchar(x); } else { putchar(x + 1); }
             }
         "#;
-        let mut plain = engine_for(src, |b| b.merging(MergeMode::None));
+        let mut plain = engine_for(src, EngineConfig::default());
         let plain_paths = plain.run().completed_paths as f64;
-        let mut merged = engine_for(src, |b| {
-            b.merging(MergeMode::Static)
-                .qce(QceConfig { alpha: f64::INFINITY, ..Default::default() })
-        });
+        let mut merged = engine_for(src, merge_all(MergeMode::Static));
         let m = merged.run();
         assert_eq!(m.completed_multiplicity, plain_paths);
     }

@@ -24,7 +24,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use symmerge_core::{Engine, MergeMode, QceConfig, StrategyKind};
+//! use symmerge_core::{Engine, EngineConfig, MergeMode, StrategyKind};
 //! use symmerge_ir::minic;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,11 +36,13 @@
 //!         if (r == 1) { putchar('n'); } else { putchar('y'); }
 //!     }
 //! "#)?;
-//! let report = Engine::builder(program)
-//!     .merging(MergeMode::Dynamic)
-//!     .strategy(StrategyKind::CoverageOptimized)
-//!     .build()?
-//!     .run();
+//! // One configuration value; every field not named keeps its default.
+//! let config = EngineConfig {
+//!     merge_mode: MergeMode::Dynamic,
+//!     strategy: StrategyKind::CoverageOptimized,
+//!     ..EngineConfig::default()
+//! };
+//! let report = Engine::builder(program).config(config).build()?.run();
 //! assert_eq!(report.completed_multiplicity, 2.0);
 //! assert!(report.assert_failures.is_empty());
 //! # Ok(())
@@ -55,7 +57,7 @@ pub mod fault;
 pub mod merge;
 pub mod parallel;
 pub mod qce;
-pub mod shard;
+mod shard;
 pub mod state;
 pub mod strategy;
 pub mod testgen;
@@ -72,8 +74,7 @@ pub use fault::FaultPlan;
 pub use merge::MergeConfig;
 pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind};
 pub use qce::{QceAnalysis, QceConfig, VarKey};
-pub use shard::{RegionId, RegionMap, StolenState};
-pub use state::{LiveState, State, StateId};
+pub use state::{State, StateId};
 pub use strategy::{Strategy, StrategyKind};
 pub use symmerge_solver::{SharedSolverCache, SolverConfig, SolverStats};
 pub use testgen::{TestCase, TestKind};

@@ -6,7 +6,7 @@
 //! LRU pool, its own scheduler and RNG stream — built over one
 //! fleet-shared [`symmerge_expr::SharedExprPool`], so `ExprId`s are
 //! globally stable and a state moves between workers directly, as a
-//! [`StolenState`], with nothing serialized or re-interned. With
+//! `StolenState`, with nothing serialized or re-interned. With
 //! [`SolverConfig::shared_cache`](symmerge_solver::SolverConfig) on (the
 //! default) the workers also share one verdict store. Two scheduling
 //! disciplines ([`SchedulerKind`]) drive the fleet:
@@ -25,7 +25,7 @@
 //! Under BSP, placement follows the merge mode:
 //!
 //! * **Merging modes** partition the worklist by **topological region**
-//!   (the outermost frame's topo index, see [`crate::shard`]): states
+//!   (the outermost frame's topo index, see the `shard` module): states
 //!   that QCE/DSM could ever merge have equal control keys, hence equal
 //!   regions, hence always meet on the same worker, and regions move
 //!   between workers only whole.
@@ -52,7 +52,7 @@
 //! placement, successors that cross into a region the worker does not
 //! own go to its outbox. At the barrier, the coordinator steals for the
 //! next round: under region placement it recomputes the region
-//! assignment from the observed loads ([`RegionMap::balance`]) and
+//! assignment from the observed loads (`RegionMap::balance`) and
 //! workers evict whole regions they lost; under free placement it asks
 //! overloaded workers to shed their oldest states (shallow subtree
 //! roots, the Cilk steal) to the underloaded ones. The shared verdict
@@ -74,7 +74,7 @@
 //! clock (a deterministic counter), and a migrating state **drops** its
 //! token at hand-off — the receiving worker re-derives it as 0 ("context
 //! cold here"), so no cross-solver clock value can leak into scheduling
-//! (see [`crate::shard`]).
+//! (see the `shard` module).
 //!
 //! * `jobs = 1` takes the exact legacy sequential path (same code, same
 //!   report, byte for byte).

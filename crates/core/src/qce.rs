@@ -153,6 +153,9 @@ pub struct QceAnalysis {
     pub funcs: Vec<FuncQce>,
     /// The configuration the analysis was run with.
     pub config: QceConfig,
+    /// Per-function CFG facts, indexed by [`FuncId`]: computed once here
+    /// and read by the engine for its topological positions.
+    pub(crate) cfgs: Vec<CfgInfo>,
 }
 
 impl QceAnalysis {
@@ -173,7 +176,7 @@ impl QceAnalysis {
                 }
             }
         }
-        QceAnalysis { funcs: funcs.into_iter().map(Option::unwrap).collect(), config }
+        QceAnalysis { funcs: funcs.into_iter().map(Option::unwrap).collect(), config, cfgs }
     }
 
     /// Computes the hot set `H(ℓ)` for a call stack, following the paper's
@@ -373,7 +376,6 @@ impl Taint {
 fn build_taint(
     program: &Program,
     fid: FuncId,
-    summaries: &[Option<FuncQce>],
     ret_deps: &HashMap<FuncId, HashSet<VarKey>>,
 ) -> Taint {
     let func = program.func(fid);
@@ -457,7 +459,6 @@ fn build_taint(
                                 taint.add_operand(dk, *a);
                             }
                         }
-                        let _ = summaries; // summaries used by q-computation
                     }
                     // Conservative global side effects: any global the
                     // callee may write becomes tainted by every argument.
@@ -574,26 +575,19 @@ fn analyze_function(
 
     // 2. Flow-insensitive dependence (the paper's `(ℓ,v) ◁ (ℓ',e)`).
     let mut ret_deps_map = HashMap::new();
-    for (i, s) in summaries.iter().enumerate() {
-        if s.is_some() {
-            // Re-derive ret deps cheaply from prior taint? We recompute
-            // below instead; the map carries only already-analyzed callees.
-            let _ = i;
-        }
-    }
     // ret deps of *callees* come from their own taint graphs; compute on
     // demand (callees are analyzed before callers, so this terminates).
     for b in &func.blocks {
         for instr in &b.instrs {
             if let Instr::Call { func: callee, .. } = instr {
                 ret_deps_map.entry(*callee).or_insert_with(|| {
-                    let t = build_taint(program, *callee, summaries, &HashMap::new());
+                    let t = build_taint(program, *callee, &HashMap::new());
                     compute_ret_deps(program, *callee, &t)
                 });
             }
         }
     }
-    let taint = build_taint(program, fid, summaries, &ret_deps_map);
+    let taint = build_taint(program, fid, &ret_deps_map);
 
     // Per-branch / per-instruction dependence sets, as dense index sets.
     let deps_of = |seeds: Vec<VarKey>| -> Vec<usize> {

@@ -86,7 +86,7 @@ pub struct State {
     /// a state migrates to another shard and re-derived *locally* on
     /// arrival: 0 ("context cold here"), or the receiving solver's stamp
     /// for the warm-prefix trunk the incoming batch pre-warmed (see
-    /// [`crate::shard::StolenState`]).
+    /// the `shard` module's `StolenState`).
     pub affinity: u64,
 }
 
@@ -95,7 +95,7 @@ pub struct State {
 /// engine's worklist, its panic snapshot, a hand-off and a checkpoint
 /// all carry it whole.
 #[derive(Debug, Clone)]
-pub struct LiveState {
+pub(crate) struct LiveState {
     /// The state itself.
     pub state: State,
     /// Signatures of the state's δ nearest predecessors, oldest first

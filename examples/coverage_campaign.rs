@@ -29,15 +29,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut merges = 0;
         let mut ff = 0;
         for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
-            let mut builder = Engine::builder(w.program(&cfg))
-                .merging(mode)
-                .max_time(budget)
-                .generate_tests(false);
-            // SSM must run in topological order; the others drive coverage.
-            if mode != MergeMode::Static {
-                builder = builder.strategy(StrategyKind::CoverageOptimized);
-            }
-            let report = builder.build()?.run();
+            let config = EngineConfig {
+                merge_mode: mode,
+                // SSM must run in topological order; the others drive coverage.
+                strategy: match mode {
+                    MergeMode::Static => StrategyKind::Topological,
+                    _ => StrategyKind::CoverageOptimized,
+                },
+                budgets: Budgets { max_time: Some(budget), ..Budgets::default() },
+                generate_tests: false,
+                ..EngineConfig::default()
+            };
+            let report = Engine::builder(w.program(&cfg)).config(config).build()?.run();
             cov.push(report.coverage() * 100.0);
             if mode == MergeMode::Dynamic {
                 merges = report.merges;

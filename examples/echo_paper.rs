@@ -11,7 +11,7 @@
 //! cargo run --release --example echo_paper
 //! ```
 
-use symmerge::core::VarKey;
+use symmerge::core::{QceAnalysis, VarKey};
 use symmerge::prelude::*;
 use symmerge::workloads::by_name;
 
@@ -23,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = echo.program(&cfg);
 
     // --- the QCE analysis on `run` --------------------------------------
-    let engine = Engine::builder(program.clone()).merging(MergeMode::Static).build()?;
-    let qce = engine.qce();
+    let qce = QceAnalysis::run(&program, QceConfig::default());
     let run_fn = program.function_by_name("run").expect("run exists");
     let f = program.func(run_fn);
     let fq = &qce.funcs[run_fn.index()];
@@ -46,13 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- run all three configurations ------------------------------------
     println!("\n== exploration ({} symbolic bytes) ==", cfg.symbolic_bytes());
-    for (label, mode) in [
-        ("baseline (no merging)", MergeMode::None),
-        ("static merging + QCE ", MergeMode::Static),
-        ("dynamic merging + QCE", MergeMode::Dynamic),
+    for (label, mode, strategy) in [
+        ("baseline (no merging)", MergeMode::None, StrategyKind::CoverageOptimized),
+        ("static merging + QCE ", MergeMode::Static, StrategyKind::Topological),
+        ("dynamic merging + QCE", MergeMode::Dynamic, StrategyKind::CoverageOptimized),
     ] {
-        let report =
-            Engine::builder(program.clone()).merging(mode).generate_tests(false).build()?.run();
+        let config = EngineConfig {
+            merge_mode: mode,
+            strategy,
+            generate_tests: false,
+            ..EngineConfig::default()
+        };
+        let report = Engine::builder(program.clone()).config(config).build()?.run();
         println!(
             "{label}: picks={:6}  completed states={:4}  represented paths={:6}  merges={:4}  solver queries={:5}",
             report.picks,

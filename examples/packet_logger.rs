@@ -66,14 +66,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("dynamic merging + coverage", MergeMode::Dynamic, StrategyKind::CoverageOptimized),
     ] {
         let program = minic::compile_with_width(SRC, 16)?;
-        let report = Engine::builder(program)
-            .merging(mode)
-            .strategy(strategy)
-            .max_time(budget)
-            .generate_tests(false)
-            .seed(1)
-            .build()?
-            .run();
+        let config = EngineConfig {
+            merge_mode: mode,
+            strategy,
+            budgets: Budgets { max_time: Some(budget), ..Budgets::default() },
+            generate_tests: false,
+            seed: 1,
+            ..EngineConfig::default()
+        };
+        let report = Engine::builder(program).config(config).build()?.run();
         println!(
             "{label:34} {:>9.1}% {:>8} {:>8}",
             report.coverage() * 100.0,

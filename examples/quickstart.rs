@@ -37,11 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "#,
     )?;
 
-    let report = Engine::builder(program.clone())
-        .merging(MergeMode::Dynamic)
-        .strategy(StrategyKind::CoverageOptimized)
-        .build()?
-        .run();
+    // One configuration value: dynamic merging over coverage-optimized
+    // search, every other field at its default.
+    let config = EngineConfig {
+        merge_mode: MergeMode::Dynamic,
+        strategy: StrategyKind::CoverageOptimized,
+        ..EngineConfig::default()
+    };
+    let report = Engine::builder(program.clone()).config(config).build()?.run();
 
     println!(
         "explored {} paths ({} after merging; {} merges)",

@@ -15,11 +15,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = InputConfig { n_args: 2, arg_len: 1, stdin_len: 0 };
     let program = sleep.program(&cfg);
 
-    let report = Engine::builder(program.clone())
-        .merging(MergeMode::Dynamic)
-        .strategy(StrategyKind::Bfs)
-        .build()?
-        .run();
+    let config = EngineConfig {
+        merge_mode: MergeMode::Dynamic,
+        strategy: StrategyKind::Bfs,
+        ..EngineConfig::default()
+    };
+    let report = Engine::builder(program.clone()).config(config).build()?.run();
 
     println!(
         "sleep with {} symbolic bytes: {} paths completed ({} merged states), {} tests",

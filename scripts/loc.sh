@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Prints the non-test lines of each crate in two columns, then the totals:
-# all lines, and code lines.
+# all lines, and code lines. Then the knob counts: the `pub` fields of each
+# `*Config` struct and of `Budgets`, the methods of `EngineBuilder`, the
+# distinct `SYMMERGE_*` variables `src/config.rs` reads, and the steps of
+# the CI workflow.
 #
 # A file's non-test lines are the lines above its first `#[cfg(test)]`
 # (all of them when it has none). The first column counts all of them,
@@ -8,6 +11,11 @@
 # non-blank lines that are not `//` comments (doc comments included). The
 # crates are `crates/*/src` and the facade crate's `src/`; every `.rs`
 # file below each is counted.
+#
+# A struct's fields are the `pub name:` lines between its `pub struct`
+# line and the first `}` at the start of a line; a variable is read when
+# its quoted name appears above the first `#[cfg(test)]` of
+# `src/config.rs`.
 #
 # Usage: scripts/loc.sh [repository root]   (default: the current directory)
 set -eu
@@ -33,3 +41,33 @@ for dir in "$root"/crates/*/src "$root"/src; do
     total_code=$((total_code + code))
 done
 printf '%-24s %6d %6d\n' total "$total" "$total_code"
+
+srcs=()
+for dir in "$root"/crates/*/src "$root"/src; do
+    [ -d "$dir" ] && srcs+=("$dir")
+done
+echo
+echo knobs
+knobs=0
+while IFS=: read -r file name; do
+    n=$(awk -v name="$name" '
+        $0 ~ "^pub struct " name " \\{" { inside = 1; next }
+        inside && /^}/ { exit }
+        inside && /^[[:space:]]+pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }' "$file")
+    printf '  %-22s %6d\n' "$name" "$n"
+    knobs=$((knobs + n))
+done < <(grep -roE --include='*.rs' '^pub struct ([A-Za-z]*Config|Budgets) \{' "${srcs[@]}" \
+    | sed -E 's/^(.*):pub struct ([A-Za-z]*) \{$/\1:\2/' | sort -t: -k2)
+printf '  %-22s %6d\n' "fields total" "$knobs"
+builder=$(awk '
+    /^impl EngineBuilder \{/ { inside = 1; next }
+    inside && /^}/ { exit }
+    inside && /^[[:space:]]+(pub(\([a-z]+\))? )?fn / { n++ }
+    END { print n + 0 }' "$root"/crates/core/src/engine.rs)
+printf '%-24s %6d\n' "EngineBuilder methods" "$builder"
+vars=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$root"/src/config.rs \
+    | grep -oE '"SYMMERGE_[A-Z0-9_]+"' | sort -u | wc -l)
+printf '%-24s %6d\n' "SYMMERGE_* variables" "$vars"
+steps=$(grep -cE '^[[:space:]]*- (name|uses|run):' "$root"/.github/workflows/ci.yml)
+printf '%-24s %6d\n' "CI steps" "$steps"

@@ -3,6 +3,7 @@
 //! ```sh
 //! symmerge run program.mc                      # explore, report, list bugs
 //! symmerge run program.mc --merge dynamic      # none | static | dynamic
+//! symmerge run program.mc --merge static       # in topological order, unless --strategy is given
 //! symmerge run program.mc --tests out_dir      # write replayable test files
 //! symmerge qce program.mc                      # dump QCE hot-variable tables
 //! symmerge workloads                           # list bundled mini-COREUTILS
@@ -106,7 +107,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "dynamic" => MergeMode::Dynamic,
         other => return Err(format!("--merge: unknown mode `{other}`")),
     };
-    let strategy = match args.get("strategy").unwrap_or("coverage") {
+    // Static merging pays only when states meet at join points in
+    // topological order, so that is its default strategy.
+    let default_strategy = if merge == MergeMode::Static { "topological" } else { "coverage" };
+    let strategy = match args.get("strategy").unwrap_or(default_strategy) {
         "dfs" => StrategyKind::Dfs,
         "bfs" => StrategyKind::Bfs,
         "random" => StrategyKind::Random,
@@ -114,18 +118,23 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "topological" => StrategyKind::Topological,
         other => return Err(format!("--strategy: unknown strategy `{other}`")),
     };
-    let mut builder = Engine::builder(program.clone())
-        .config(symmerge::config::from_env().engine)
-        .merging(merge)
-        .strategy(strategy)
-        .qce(qce_config(args)?)
-        .dsm(DsmConfig { delta: args.num("delta", 8usize)? })
-        .seed(args.num("seed", 0u64)?);
+    let env = symmerge::config::from_env().engine;
+    let mut budgets = env.budgets;
     if let Some(ms) = args.get("budget-ms") {
         let ms: u64 = ms.parse().map_err(|_| "--budget-ms: invalid value".to_string())?;
-        builder = builder.max_time(Duration::from_millis(ms));
+        budgets.max_time = Some(Duration::from_millis(ms));
     }
-    let mut engine = builder.build().map_err(|e| e.to_string())?;
+    let config = EngineConfig {
+        merge_mode: merge,
+        strategy,
+        qce: qce_config(args)?,
+        dsm: DsmConfig { delta: args.num("delta", 8usize)? },
+        budgets,
+        seed: args.num("seed", 0u64)?,
+        ..env
+    };
+    let mut engine =
+        Engine::builder(program.clone()).config(config).build().map_err(|e| e.to_string())?;
     let report = engine.run();
 
     println!("== symmerge report for {path} ==");

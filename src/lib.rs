@@ -33,11 +33,13 @@
 //!     }
 //!     "#,
 //! )?;
-//! let report = Engine::builder(program)
-//!     .merging(MergeMode::Dynamic)
-//!     .strategy(StrategyKind::CoverageOptimized)
-//!     .build()?
-//!     .run();
+//! // One configuration value; every field not named keeps its default.
+//! let config = EngineConfig {
+//!     merge_mode: MergeMode::Dynamic,
+//!     strategy: StrategyKind::CoverageOptimized,
+//!     ..EngineConfig::default()
+//! };
+//! let report = Engine::builder(program).config(config).build()?.run();
 //! assert_eq!(report.assert_failures.len(), 1); // x = 42 found
 //! # Ok(())
 //! # }

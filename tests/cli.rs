@@ -3,26 +3,27 @@
 //! `symmerge run` explores sequentially, so a fleet variable
 //! (`symmerge::config::FLEET_VARS`) would do nothing there. Like a
 //! malformed variable, a set one stops the run instead of being ignored.
+//! And `--merge static` explores in the topological order static merging
+//! needs, unless `--strategy` says otherwise.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use symmerge::config::FLEET_VARS;
 
-/// A small MiniC program in a per-test file under the temp directory.
-fn program(tag: &str) -> PathBuf {
+/// The MiniC program `src` in a per-test file under the temp directory.
+fn program(tag: &str, src: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("symmerge-cli-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("demo.mc");
-    let src = "fn main() { let x = sym_int(\"x\"); if (x > 3) { putchar(x); } }\n";
     std::fs::write(&path, src).unwrap();
     path
 }
 
-/// Runs `symmerge run <path>` with the fleet variables cleared, then
-/// `set` applied.
-fn run(path: &PathBuf, set: &[(&str, &str)]) -> Output {
+/// Runs `symmerge run <path> <flags>` with the fleet variables cleared,
+/// then `set` applied.
+fn run(path: &PathBuf, flags: &[&str], set: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_symmerge"));
-    cmd.arg("run").arg(path).arg("--width").arg("8");
+    cmd.arg("run").arg(path).arg("--width").arg("8").args(flags);
     for var in FLEET_VARS {
         cmd.env_remove(var);
     }
@@ -31,8 +32,9 @@ fn run(path: &PathBuf, set: &[(&str, &str)]) -> Output {
 
 #[test]
 fn run_refuses_a_set_fleet_variable() {
-    let path = program("fleet");
-    let clean = run(&path, &[]);
+    let src = "fn main() { let x = sym_int(\"x\"); if (x > 3) { putchar(x); } }\n";
+    let path = program("fleet", src);
+    let clean = run(&path, &[], &[]);
     let stdout = String::from_utf8_lossy(&clean.stdout);
     assert!(clean.status.success(), "unset: {}", String::from_utf8_lossy(&clean.stderr));
     assert!(stdout.contains("symmerge report"), "unset: {stdout}");
@@ -42,11 +44,42 @@ fn run_refuses_a_set_fleet_variable() {
         ("SYMMERGE_PAR_QUOTA", "48"),
         ("SYMMERGE_PAR_STEAL_NEWEST", "1"),
     ] {
-        let out = run(&path, &[(var, value)]);
+        let out = run(&path, &[], &[(var, value)]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{var}={value} was ignored");
         assert!(stderr.contains(var) && stderr.contains("--jobs"), "{var}: {stderr}");
         assert!(out.stdout.is_empty(), "{var}: the run must not start");
     }
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// The merge count on a report's `paths` line.
+fn merges(stdout: &str) -> u64 {
+    let line = stdout.lines().find(|l| l.starts_with("paths")).expect("a paths line");
+    let (before, _) = line.split_once(" merges").expect("a merge count");
+    before.rsplit(' ').next().unwrap().parse().expect("a number")
+}
+
+#[test]
+fn static_merging_defaults_to_topological_order() {
+    // The paths meet at the join after each `if`, and no branch reads
+    // `y`, so QCE lets them merge there.
+    let path = program(
+        "static",
+        "fn main() { let x = sym_int(\"x\"); let y = 0;\n\
+         if (x > 10) { y = 1; } else { y = 2; }\n\
+         if (x > 20) { putchar(1); } else { putchar(2); }\n\
+         putchar(y); }\n",
+    );
+    let out = run(&path, &["--merge", "static"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("strategy: Topological"), "{stdout}");
+    assert!(merges(&stdout) >= 1, "static merging must merge at the join: {stdout}");
+    // An explicit strategy still wins.
+    let out = run(&path, &["--merge", "static", "--strategy", "coverage"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("strategy: CoverageOptimized"), "{stdout}");
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }

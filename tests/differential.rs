@@ -412,16 +412,16 @@ fn affinity_scheduling_is_result_invariant_without_merging() {
     for &(name, cfg) in &[WORKLOADS[8], WORKLOADS[6]] {
         let run = |affinity: bool| {
             let program = symmerge::workloads::by_name(name).unwrap().program(&cfg);
-            let report = Engine::builder(program)
-                .merging(MergeMode::None)
-                .strategy(StrategyKind::CoverageOptimized)
-                .qce(QceConfig { alpha: 1e-12, ..QceConfig::default() })
-                .solver(solver.clone())
-                .affinity_scheduling(affinity)
-                .seed(11)
-                .build()
-                .unwrap()
-                .run();
+            let config = EngineConfig {
+                merge_mode: MergeMode::None,
+                strategy: StrategyKind::CoverageOptimized,
+                qce: QceConfig { alpha: 1e-12, ..QceConfig::default() },
+                solver: solver.clone(),
+                affinity_scheduling: affinity,
+                seed: 11,
+                ..EngineConfig::default()
+            };
+            let report = Engine::builder(program).config(config).build().unwrap().run();
             assert!(!report.hit_budget, "{name}: affinity differential needs exhaustive runs");
             report
         };

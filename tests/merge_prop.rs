@@ -50,16 +50,16 @@ proptest! {
         let program = minic::compile_with_width(&src, 8).unwrap();
         let mut results = Vec::new();
         for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
-            let report = Engine::builder(program.clone())
-                .merging(mode)
-                .qce(QceConfig { alpha: f64::INFINITY, ..QceConfig::default() })
-                .strategy(match mode {
+            let config = EngineConfig {
+                merge_mode: mode,
+                strategy: match mode {
                     MergeMode::Static => StrategyKind::Topological,
                     _ => StrategyKind::Bfs,
-                })
-                .build()
-                .unwrap()
-                .run();
+                },
+                qce: QceConfig { alpha: f64::INFINITY, ..QceConfig::default() },
+                ..EngineConfig::default()
+            };
+            let report = Engine::builder(program.clone()).config(config).build().unwrap().run();
             prop_assert!(!report.hit_budget);
             for test in &report.tests {
                 prop_assert!(
@@ -98,12 +98,13 @@ proptest! {
         inputs.set("a", a);
         inputs.set("b", b);
         let concrete = Interp::new(&program, inputs).run();
-        let report = Engine::builder(program.clone())
-            .merging(MergeMode::Static)
-            .qce(QceConfig { alpha: f64::INFINITY, ..QceConfig::default() })
-            .build()
-            .unwrap()
-            .run();
+        let config = EngineConfig {
+            merge_mode: MergeMode::Static,
+            strategy: StrategyKind::Topological,
+            qce: QceConfig { alpha: f64::INFINITY, ..QceConfig::default() },
+            ..EngineConfig::default()
+        };
+        let report = Engine::builder(program.clone()).config(config).build().unwrap().run();
         prop_assert!(!report.hit_budget);
         match concrete.outcome {
             ExecOutcome::Returned => {

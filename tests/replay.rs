@@ -7,7 +7,12 @@ use symmerge::workloads::{all, by_name, InputKind};
 
 fn check_workload(name: &str, cfg: InputConfig, mode: MergeMode) -> usize {
     let program = by_name(name).unwrap().program(&cfg);
-    let report = Engine::builder(program.clone()).merging(mode).seed(3).build().unwrap().run();
+    let strategy = match mode {
+        MergeMode::Static => StrategyKind::Topological,
+        _ => StrategyKind::CoverageOptimized,
+    };
+    let config = EngineConfig { merge_mode: mode, strategy, seed: 3, ..EngineConfig::default() };
+    let report = Engine::builder(program.clone()).config(config).build().unwrap().run();
     assert!(!report.hit_budget, "{name} must finish");
     assert!(!report.tests.is_empty(), "{name} generated no tests");
     for (i, test) in report.tests.iter().enumerate() {
@@ -59,8 +64,12 @@ fn quick_replay_sweep_over_all_workloads() {
             InputKind::Both => InputConfig { n_args: 1, arg_len: 1, stdin_len: 1 },
         };
         let program = w.program(&cfg);
-        let report =
-            Engine::builder(program.clone()).merging(MergeMode::Static).build().unwrap().run();
+        let config = EngineConfig {
+            merge_mode: MergeMode::Static,
+            strategy: StrategyKind::Topological,
+            ..EngineConfig::default()
+        };
+        let report = Engine::builder(program.clone()).config(config).build().unwrap().run();
         assert!(!report.hit_budget, "{} must finish at minimal size", w.name);
         for test in &report.tests {
             test.validate(&program).unwrap_or_else(|e| panic!("{}: {e}", w.name));

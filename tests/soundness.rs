@@ -5,16 +5,30 @@
 use symmerge::prelude::*;
 use symmerge::workloads::by_name;
 
+/// The default configuration under a merge mode, over the topological
+/// order when merging statically (the order SSM requires).
+fn mode_config(mode: MergeMode) -> EngineConfig {
+    let strategy = match mode {
+        MergeMode::Static => StrategyKind::Topological,
+        _ => StrategyKind::CoverageOptimized,
+    };
+    EngineConfig { merge_mode: mode, strategy, ..EngineConfig::default() }
+}
+
+/// [`mode_config`] with QCE's α set.
+fn alpha_config(mode: MergeMode, alpha: f64) -> EngineConfig {
+    EngineConfig { qce: QceConfig { alpha, ..QceConfig::default() }, ..mode_config(mode) }
+}
+
+/// Runs `program` under `config`.
+fn explore(program: &Program, config: EngineConfig) -> RunReport {
+    Engine::builder(program.clone()).config(config).build().unwrap().run()
+}
+
 /// Runs a workload exhaustively under a merge mode.
 fn run(name: &str, cfg: InputConfig, mode: MergeMode, alpha: f64) -> (RunReport, Program) {
     let program = by_name(name).unwrap().program(&cfg);
-    let report = Engine::builder(program.clone())
-        .merging(mode)
-        .qce(QceConfig { alpha, ..QceConfig::default() })
-        .seed(7)
-        .build()
-        .unwrap()
-        .run();
+    let report = explore(&program, EngineConfig { seed: 7, ..alpha_config(mode, alpha) });
     assert!(!report.hit_budget, "{name} must explore exhaustively");
     (report, program)
 }
@@ -92,12 +106,7 @@ fn injected_bug_found_in_every_mode_and_alpha() {
     let program = minic::compile_with_width(src, 8).unwrap();
     for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
         for alpha in [0.0, 1e-12, 0.5, f64::INFINITY] {
-            let report = Engine::builder(program.clone())
-                .merging(mode)
-                .qce(QceConfig { alpha, ..QceConfig::default() })
-                .build()
-                .unwrap()
-                .run();
+            let report = explore(&program, alpha_config(mode, alpha));
             assert_eq!(
                 failure_msgs(&report),
                 vec!["v hit 77".to_string()],
@@ -120,12 +129,7 @@ fn alpha_changes_cost_not_results() {
     let program = by_name("echo").unwrap().program(&cfg);
     let (exact, _) = run("echo", cfg, MergeMode::None, 1e-12);
     for alpha in [0.0, 1e-12, 0.1, f64::INFINITY] {
-        let report = Engine::builder(program.clone())
-            .merging(MergeMode::Static)
-            .qce(QceConfig { alpha, ..QceConfig::default() })
-            .build()
-            .unwrap()
-            .run();
+        let report = explore(&program, alpha_config(MergeMode::Static, alpha));
         assert!(!report.hit_budget);
         assert!(failure_msgs(&report).is_empty());
         // Coverage is invariant; multiplicity may over-approximate
@@ -144,7 +148,7 @@ fn deterministic_across_repeat_runs() {
     for mode in [MergeMode::None, MergeMode::Static, MergeMode::Dynamic] {
         let go = || {
             let program = by_name("nice").unwrap().program(&cfg);
-            let r = Engine::builder(program).merging(mode).seed(99).build().unwrap().run();
+            let r = explore(&program, EngineConfig { seed: 99, ..mode_config(mode) });
             (r.completed_paths, r.completed_multiplicity, r.merges, r.steps, r.picks)
         };
         assert_eq!(go(), go(), "{mode:?} not deterministic");
@@ -168,12 +172,7 @@ fn budgets_halt_path_explosion_and_set_hit_budget() {
             Budgets { max_picks: Some(20), ..Budgets::default() },
             Budgets { max_completed: Some(2), ..Budgets::default() },
         ] {
-            let report = Engine::builder(program.clone())
-                .merging(mode)
-                .budgets(budgets)
-                .build()
-                .unwrap()
-                .run();
+            let report = explore(&program, EngineConfig { budgets, ..mode_config(mode) });
             assert!(
                 report.hit_budget,
                 "{mode:?} {budgets:?}: run on a path-exploding workload claims exhaustiveness"
@@ -191,12 +190,8 @@ fn budgets_halt_path_explosion_and_set_hit_budget() {
     // And the budgeted limits really bound the run (with slack for the
     // final in-flight state): a budget that is hit must have stopped the
     // engine near the limit, not merely been recorded after the fact.
-    let report = Engine::builder(program.clone())
-        .merging(MergeMode::None)
-        .max_steps(500)
-        .build()
-        .unwrap()
-        .run();
+    let budgets = Budgets { max_steps: Some(500), ..Budgets::default() };
+    let report = explore(&program, EngineConfig { budgets, ..EngineConfig::default() });
     assert!(report.hit_budget);
     assert!(report.steps < 5_000, "max_steps=500 run executed {} steps", report.steps);
 }
@@ -461,14 +456,8 @@ fn step_budget_binds_exactly_and_coverage_is_per_block() {
         }
     "#;
     let program = minic::compile_with_width(src, 8).unwrap();
-    let run = |budgets: Budgets| {
-        Engine::builder(program.clone())
-            .merging(MergeMode::None)
-            .budgets(budgets)
-            .build()
-            .unwrap()
-            .run()
-    };
+    let run =
+        |budgets: Budgets| explore(&program, EngineConfig { budgets, ..EngineConfig::default() });
     let full = run(Budgets::default());
     assert!(!full.hit_budget);
     assert_eq!(full.covered_blocks, full.total_blocks, "the one path passes every block");
