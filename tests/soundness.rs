@@ -434,6 +434,71 @@ fn unmerged_results_are_pinned_across_engines() {
     }
 }
 
+/// Pins what a merging run finds: completed paths, covered blocks,
+/// assertion failures and the digest of the sorted canonical tests, for
+/// static merging over the topological order and dynamic merging over
+/// coverage-optimized search. With canonical models the sequential
+/// engine and a two-worker BSP fleet land on the same values. They were
+/// captured before any change to how merging runs are scheduled or
+/// stepped, and such a change must never move them.
+#[test]
+fn merged_results_are_pinned() {
+    type Pin = (u64, usize, usize, u64);
+    let rows: [(&str, InputConfig, MergeMode, StrategyKind, Pin); 4] = [
+        (
+            "wc",
+            InputConfig::stdin(3),
+            MergeMode::Static,
+            StrategyKind::Topological,
+            (1, 28, 0, 17452741504002899575),
+        ),
+        (
+            "wc",
+            InputConfig::stdin(3),
+            MergeMode::Dynamic,
+            StrategyKind::CoverageOptimized,
+            (39, 28, 0, 18106414161910045707),
+        ),
+        (
+            "basename",
+            InputConfig::args(1, 3),
+            MergeMode::Static,
+            StrategyKind::Topological,
+            (3, 45, 0, 5966314116321287873),
+        ),
+        (
+            "basename",
+            InputConfig::args(1, 3),
+            MergeMode::Dynamic,
+            StrategyKind::CoverageOptimized,
+            (8, 45, 0, 9448890429996533912),
+        ),
+    ];
+    for (workload, cfg, merge_mode, strategy, pinned) in rows {
+        let program = by_name(workload).unwrap().program(&cfg);
+        let config = EngineConfig {
+            merge_mode,
+            strategy,
+            solver: SolverConfig { canonical_models: true, ..SolverConfig::default() },
+            ..EngineConfig::default()
+        };
+        let sequential =
+            Engine::builder(program.clone()).config(config.clone()).build().unwrap().run();
+        let par = ParallelConfig { jobs: 2, steps_per_round: 48, ..ParallelConfig::default() };
+        let bsp = ParallelEngine::new(program, config, par).unwrap().run();
+        for (label, r) in [("sequential", sequential), ("bsp", bsp)] {
+            assert!(!r.hit_budget, "{workload} {merge_mode:?} {label}: must be exhaustive");
+            let got = (
+                r.completed_paths,
+                r.covered_blocks,
+                r.assert_failures.len(),
+                canonical_digest(&r),
+            );
+            assert_eq!(got, pinned, "{workload} {merge_mode:?}/{strategy:?} {label}");
+        }
+    }
+}
+
 /// A step budget binds exactly, and coverage is counted per block: on a
 /// program that is one long path (concrete loops, calls, straight-line
 /// code) with a symbolic branch at its end, a run stopped by
