@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprPool, SharedExprPool};
 use symmerge_ir::{BlockId, FuncId, Instr, Program, ValidateError};
-use symmerge_solver::{SatResult, SharedSolverCache, Solver, SolverConfig, SolverStats};
+use symmerge_solver::{SatResult, Solver, SolverConfig, SolverStats};
 
 /// When and whether to merge states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,14 +181,12 @@ impl Default for EngineConfig {
 }
 
 /// Builder for [`Engine`]: one [`EngineConfig`] value, plus the fleet
-/// wiring ([`EngineBuilder::shared_pool`],
-/// [`EngineBuilder::shared_solver_cache`]).
+/// wiring ([`EngineBuilder::shared_pool`]).
 #[derive(Debug)]
 pub struct EngineBuilder {
     program: Program,
     config: EngineConfig,
     shared_pool: Option<Arc<SharedExprPool>>,
-    shared_cache: Option<Arc<SharedSolverCache>>,
 }
 
 impl EngineBuilder {
@@ -209,23 +207,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Joins a fleet-shared [`SharedSolverCache`]: the engine's solver
-    /// queues fresh verdicts for it and consults a private read mirror
-    /// after its own caches miss. Both move only when the caller says
-    /// so: [`Engine::publish_shared_cache`] hands the queue to the
-    /// store (until then it keeps growing), [`Engine::sync_shared_cache`]
-    /// catches the mirror up.
-    /// Requires globally stable `ExprId`s — i.e. every engine over the
-    /// store must be built over the same [`EngineBuilder::shared_pool`]
-    /// — since cache keys are `ExprId` sets. A no-op when [`SolverConfig::shared_cache`] is off (the
-    /// fleet then builds no store at all, though its workers still
-    /// share the pool), which is how `SYMMERGE_SHARED_CACHE=0` ablates
-    /// the verdict store.
-    pub fn shared_solver_cache(mut self, cache: Arc<SharedSolverCache>) -> Self {
-        self.shared_cache = Some(cache);
-        self
-    }
-
     /// Validates the program, runs the QCE static analysis, and constructs
     /// the engine.
     ///
@@ -234,7 +215,7 @@ impl EngineBuilder {
     /// Returns the program's structural [`ValidateError`], if any.
     pub fn build(self) -> Result<Engine, ValidateError> {
         self.program.validate()?;
-        Ok(Engine::from_parts(self.program, self.config, self.shared_pool, self.shared_cache))
+        Ok(Engine::from_parts(self.program, self.config, self.shared_pool))
     }
 }
 
@@ -619,19 +600,13 @@ impl Engine {
     /// [`EngineConfig::default`] until [`EngineBuilder::config`] sets
     /// another: `Engine::builder(program).config(config).build()`.
     pub fn builder(program: Program) -> EngineBuilder {
-        EngineBuilder {
-            program,
-            config: EngineConfig::default(),
-            shared_pool: None,
-            shared_cache: None,
-        }
+        EngineBuilder { program, config: EngineConfig::default(), shared_pool: None }
     }
 
     fn from_parts(
         program: Program,
         config: EngineConfig,
         shared_pool: Option<Arc<SharedExprPool>>,
-        shared_cache: Option<Arc<SharedSolverCache>>,
     ) -> Engine {
         let qce = QceAnalysis::run(&program, config.qce);
         let pool = match shared_pool {
@@ -646,14 +621,6 @@ impl Engine {
             None => ExprPool::new(program.width),
         };
         let mut solver = Solver::new(config.solver.clone());
-        if let Some(cache) = shared_cache {
-            debug_assert!(
-                pool.is_shared(),
-                "a shared solver cache requires the shared expression pool \
-                 (cache keys are ExprId sets, which must be globally stable)"
-            );
-            solver.attach_shared_cache(cache);
-        }
         // Worker 0 is the construction-time default coordinate, which a
         // sequential run keeps; fleet workers re-aim via
         // `set_fault_worker`, which re-derives this stream per worker.
@@ -1154,22 +1121,6 @@ impl Engine {
         {
             self.solver.set_forced_unknowns(num, den, seed);
         }
-    }
-
-    /// Catches the solver's shared-cache mirror up with everything the
-    /// store holds. The engine never syncs on its own: the fleet does,
-    /// BSP workers at each round start and steal workers before each
-    /// run.
-    pub fn sync_shared_cache(&mut self) {
-        self.solver.sync_shared_cache();
-    }
-
-    /// Publishes to the shared store what the solver queued since the
-    /// last publication. The engine never publishes on its own: the
-    /// fleet does, the BSP coordinator for every worker at each barrier
-    /// and steal workers before each run.
-    pub fn publish_shared_cache(&mut self) {
-        self.solver.publish_shared_cache();
     }
 
     /// Makes the fault plan's panic coordinate the fleet-global pick

@@ -76,5 +76,5 @@ pub use parallel::{reduce_reports, ParallelConfig, ParallelEngine, SchedulerKind
 pub use qce::{QceAnalysis, QceConfig, VarKey};
 pub use state::{State, StateId};
 pub use strategy::{Strategy, StrategyKind};
-pub use symmerge_solver::{SharedSolverCache, SolverConfig, SolverStats};
+pub use symmerge_solver::{SolverConfig, SolverStats};
 pub use testgen::{TestCase, TestKind};

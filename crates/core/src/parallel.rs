@@ -6,10 +6,10 @@
 //! LRU pool, its own scheduler and RNG stream — built over one
 //! fleet-shared [`symmerge_expr::SharedExprPool`], so `ExprId`s are
 //! globally stable and a state moves between workers directly, as a
-//! `StolenState`, with nothing serialized or re-interned. With
-//! [`SolverConfig::shared_cache`](symmerge_solver::SolverConfig) on (the
-//! default) the workers also share one verdict store. Two scheduling
-//! disciplines ([`SchedulerKind`]) drive the fleet:
+//! `StolenState`, with nothing serialized or re-interned. The pool is
+//! all the workers share: each solver's verdict caches are private to
+//! it, as KLEE's are to its process. Two scheduling disciplines
+//! ([`SchedulerKind`]) drive the fleet:
 //!
 //! * **BSP** (the default, and the deterministic reference oracle):
 //!   bulk-synchronous rounds; states change workers only at round
@@ -55,17 +55,12 @@
 //! assignment from the observed loads (`RegionMap::balance`) and
 //! workers evict whole regions they lost; under free placement it asks
 //! overloaded workers to shed their oldest states (shallow subtree
-//! roots, the Cilk steal) to the underloaded ones. The shared verdict
-//! store moves at the barrier too: workers only queue what they solve,
-//! the coordinator publishes every worker's queue in worker order
-//! ([`Engine::publish_shared_cache`]), and each worker syncs its private
-//! read mirror before playing the round, so a verdict found mid-round
-//! stays invisible to peers until the next one, and the store's
-//! contents and order follow from the rounds alone. Because quotas are
-//! counted in executed instructions (not wall time), every stealing input is
-//! a deterministic count and every cache lookup sees the same store, the
-//! complete run — every merge, every test — is a pure function of
-//! `(program, config, jobs)`; thread scheduling cannot change it.
+//! roots, the Cilk steal) to the underloaded ones. Because quotas are
+//! counted in executed instructions (not wall time), every stealing
+//! input is a deterministic count, and a worker's caches see only what
+//! its own solver found, the complete run — every merge, every test —
+//! is a pure function of `(program, config, jobs)`; thread scheduling
+//! cannot change it.
 //!
 //! # Determinism contract
 //!
@@ -148,7 +143,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use symmerge_expr::SharedExprPool;
 use symmerge_ir::{Program, ValidateError};
-use symmerge_solver::{splitmix64, SharedSolverCache};
+use symmerge_solver::splitmix64;
 
 /// Which scheduling discipline [`ParallelEngine`] drives the fleet with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,9 +242,6 @@ struct Substrate {
     config: EngineConfig,
     /// The one expression pool every worker interns into.
     pool: Arc<SharedExprPool>,
-    /// The fleet's verdict store, withheld when
-    /// [`symmerge_solver::SolverConfig::shared_cache`] is off.
-    cache: Option<Arc<SharedSolverCache>>,
 }
 
 impl Substrate {
@@ -257,15 +249,7 @@ impl Substrate {
         let mut worker = config.clone();
         worker.budgets = Budgets::default();
         worker.checkpoint = None;
-        // The counterexample logs are append-only (no eviction — mirrors
-        // must never lose entries), so they get 4× the private per-worker
-        // capacity: the store serves the whole fleet, and refusing
-        // publications early would waste its best tier.
-        let cache = config
-            .solver
-            .shared_cache
-            .then(|| SharedSolverCache::new(config.solver.cex_capacity.saturating_mul(4)));
-        Substrate { config: worker, pool: SharedExprPool::new(width), cache }
+        Substrate { config: worker, pool: SharedExprPool::new(width) }
     }
 
     /// Worker `shard`'s engine, on the shard's own RNG stream. Workers
@@ -276,17 +260,16 @@ impl Substrate {
     fn engine(
         config: EngineConfig,
         pool: Arc<SharedExprPool>,
-        cache: Option<Arc<SharedSolverCache>>,
         program: Program,
         shard: u32,
     ) -> Engine {
         let mut config = config;
         config.seed = shard_seed(config.seed, shard);
-        let mut builder = Engine::builder(program).config(config).shared_pool(pool);
-        if let Some(cache) = cache {
-            builder = builder.shared_solver_cache(cache);
-        }
-        let mut engine = builder.build().expect("program validated in ParallelEngine::new");
+        let mut engine = Engine::builder(program)
+            .config(config)
+            .shared_pool(pool)
+            .build()
+            .expect("program validated in ParallelEngine::new");
         engine.set_fault_worker(shard);
         engine
     }
@@ -377,7 +360,7 @@ impl ParallelEngine {
         // id-invariant fingerprints. `jobs = 1` never reaches this path,
         // so the sequential engine keeps its private pool bit for bit.
         let ck_cfg = self.config.checkpoint.as_ref().filter(|c| c.every > 0);
-        let Substrate { config, pool, cache } = Substrate::new(&self.config, self.program.width);
+        let Substrate { config, pool } = Substrate::new(&self.config, self.program.width);
         // The coordinator's own view of the pool: it imports a resumed
         // frontier and exports `pending` into fleet checkpoints.
         let mut view = pool.handle();
@@ -401,11 +384,11 @@ impl ParallelEngine {
         let hit_budget = std::thread::scope(|scope| {
             for shard in 0..jobs {
                 let (program, config) = (self.program.clone(), config.clone());
-                let (pool, cache) = (Arc::clone(&pool), cache.clone());
+                let pool = Arc::clone(&pool);
                 let (slot, rounds) = (&slots[shard as usize], &rounds);
                 let steal_newest = self.par.steal_newest;
                 scope.spawn(move || {
-                    let mut engine = Substrate::engine(config, pool, cache, program, shard);
+                    let mut engine = Substrate::engine(config, pool, program, shard);
                     engine.enable_shard(shard, RegionMap::all_to_zero(jobs), free);
                     bsp_worker(engine, slot, rounds, steal_newest);
                 });
@@ -531,13 +514,6 @@ impl ParallelEngine {
                     quota = quota.min((limit - totals.0).div_ceil(n_live));
                 }
 
-                // The round's verdicts reach the store here, in worker
-                // order, so the store's contents and order are the
-                // same on every run; each worker then syncs its mirror
-                // on its own thread before playing.
-                for slot in parked.iter_mut() {
-                    slot.engine().publish_shared_cache();
-                }
                 let mut inboxes: Vec<Vec<StolenState>> = (0..jobs).map(|_| Vec::new()).collect();
                 let mut keeps: Vec<Option<u64>> = vec![None; jobs as usize];
                 if free {
@@ -680,7 +656,7 @@ impl ParallelEngine {
         // never writes checkpoints — it can *resume* one (worker 0
         // injects the frontier instead of seeding), but periodic
         // checkpointing needs the BSP or sequential path.
-        let Substrate { config, pool, cache } = Substrate::new(&self.config, self.program.width);
+        let Substrate { config, pool } = Substrate::new(&self.config, self.program.width);
         let resume_frontier: Option<&[PortableState]> = resume.map(|ck| ck.frontier.as_slice());
 
         let fleet = Fleet {
@@ -709,12 +685,12 @@ impl ParallelEngine {
             let handles: Vec<_> = (0..jobs)
                 .map(|shard| {
                     let (program, config) = (self.program.clone(), config.clone());
-                    let (pool, cache) = (Arc::clone(&pool), cache.clone());
+                    let pool = Arc::clone(&pool);
                     let (par, fleet) = (self.par, &fleet);
                     let fault_clock = Arc::clone(&fault_clock);
                     let seed_frontier = if shard == 0 { resume_frontier } else { None };
                     scope.spawn(move || {
-                        let mut engine = Substrate::engine(config, pool, cache, program, shard);
+                        let mut engine = Substrate::engine(config, pool, program, shard);
                         engine.set_fault_clock(fault_clock);
                         steal_worker(shard, par, budgets, start, engine, fleet, seed_frontier)
                     })
@@ -849,10 +825,6 @@ fn steal_worker(
             }
         }
         let before = engine.worklist_len() as i64;
-        // Publish what the last run solved and pull in whatever the
-        // peers published since (one atomic load when nothing changed).
-        engine.publish_shared_cache();
-        engine.sync_shared_cache();
         let drained = match catch_unwind(AssertUnwindSafe(|| engine.explore_within(run_cap))) {
             Ok(ExploreStep::Progressed) => None,
             // The worklist was non-empty, so these are unreachable;
@@ -987,13 +959,12 @@ fn bsp_worker(engine: Engine, slot: &Mutex<Slot>, rounds: &Rounds, steal_newest:
     slot.output = engine.as_ref().map(|engine| engine.output());
 }
 
-/// One BSP round on a worker's engine: sync the verdict mirror, evict what the plan gives up, seed or integrate the
-/// inbox, and explore up to the quota. Returns the states leaving this
-/// worker (evicted and outbox), which the coordinator routes at the
-/// next barrier.
+/// One BSP round on a worker's engine: evict what the plan gives up,
+/// seed or integrate the inbox, and explore up to the quota. Returns the
+/// states leaving this worker (evicted and outbox), which the
+/// coordinator routes at the next barrier.
 fn play_round(engine: &mut Engine, plan: RoundPlan, steal_newest: bool) -> Vec<StolenState> {
     let RoundPlan { map, mut inbox, quota, seed, keep } = plan;
-    engine.sync_shared_cache();
     let mut handoffs = match (map, keep) {
         // Region policy: install the new map, evict lost regions.
         (Some(map), _) => engine.set_region_map(map),

@@ -41,12 +41,8 @@ fn arb_solver_stats() -> impl Strategy<Value = SolverStats> {
         0u64..500,
         (0u64..5000, 0u64..80, 0u64..400),
         (0u64..300, 0u64..60),
-        // Shared-cache fabric: the sync share is a *segment of*
-        // `cache_time` (not a fourth disjoint term), exactly how a real
-        // solver charges it.
-        // ... paired with the unknown-retry ladder counters (nested to
-        // stay under proptest's tuple-arity ceiling).
-        ((0u64..50, 0u64..50, 0u64..80, 0u64..500), (0u64..40, 0u64..10, 0u64..30, 0u64..40)),
+        // The unknown-retry ladder counters.
+        (0u64..40, 0u64..10, 0u64..30, 0u64..40),
     )
         .prop_map(
             |(
@@ -57,26 +53,19 @@ fn arb_solver_stats() -> impl Strategy<Value = SolverStats> {
                 slack_us,
                 (propagations, learnt, learnt_lits),
                 (gates_reused, ctx_clauses_compacted),
-                (
-                    (shared_query_hits, shared_cex_hits, shared_publishes, sync_us),
-                    (retry_attempts, retry_reblasts, retry_recovered, forced_unknowns),
-                ),
+                (retry_attempts, retry_reblasts, retry_recovered, forced_unknowns),
             )| SolverStats {
                 queries,
                 sat_calls: queries / 2,
                 sat_time: Duration::from_micros(sat_us),
-                cache_time: Duration::from_micros(cache_us + sync_us),
+                cache_time: Duration::from_micros(cache_us),
                 route_time: Duration::from_micros(route_us),
-                time: Duration::from_micros(sat_us + cache_us + sync_us + route_us + slack_us),
+                time: Duration::from_micros(sat_us + cache_us + route_us + slack_us),
                 propagations,
                 learnt,
                 learnt_lits,
                 gates_reused,
                 ctx_clauses_compacted,
-                shared_query_hits,
-                shared_cex_hits,
-                shared_publishes,
-                shared_sync_time: Duration::from_micros(sync_us),
                 retry_attempts,
                 retry_reblasts,
                 retry_recovered,
@@ -166,16 +155,13 @@ fn observable(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
             (r.solver.queries, r.solver.sat_calls),
             (r.solver.propagations, r.solver.learnt, r.solver.learnt_lits),
             (r.solver.gates_reused, r.solver.ctx_clauses_compacted),
-            (r.solver.shared_query_hits, r.solver.shared_cex_hits, r.solver.shared_publishes),
         ),
     )
 }
 
 /// Absorbing per-shard stats into a fleet total must preserve the
 /// per-shard timing contract: sums of `sat_time`, `cache_time` and
-/// `route_time` stay within the summed `time`. `shared_sync_time` is a
-/// segment of `cache_time` — folding it in must not break the split,
-/// and it can never exceed the cache share it lives inside.
+/// `route_time` stay within the summed `time`.
 fn assert_timing_split(r: &RunReport) {
     assert!(
         r.solver.time >= r.solver.sat_time + r.solver.cache_time + r.solver.route_time,
@@ -185,12 +171,6 @@ fn assert_timing_split(r: &RunReport) {
         r.solver.sat_time,
         r.solver.cache_time,
         r.solver.route_time
-    );
-    assert!(
-        r.solver.cache_time >= r.solver.shared_sync_time,
-        "shared_sync_time must stay a segment of cache_time: {:?} > {:?}",
-        r.solver.shared_sync_time,
-        r.solver.cache_time
     );
 }
 
@@ -260,9 +240,6 @@ proptest! {
             reduced.solver.ctx_clauses_compacted,
             sum(|s| s.ctx_clauses_compacted)
         );
-        prop_assert_eq!(reduced.solver.shared_query_hits, sum(|s| s.shared_query_hits));
-        prop_assert_eq!(reduced.solver.shared_cex_hits, sum(|s| s.shared_cex_hits));
-        prop_assert_eq!(reduced.solver.shared_publishes, sum(|s| s.shared_publishes));
         prop_assert_eq!(reduced.solver.retry_attempts, sum(|s| s.retry_attempts));
         prop_assert_eq!(reduced.solver.retry_reblasts, sum(|s| s.retry_reblasts));
         prop_assert_eq!(reduced.solver.retry_recovered, sum(|s| s.retry_recovered));
@@ -273,9 +250,6 @@ proptest! {
             reduced.quarantined_states,
             parts.iter().map(|p| p.report.quarantined_states).sum::<u64>()
         );
-        let sync_sum: Duration =
-            parts.iter().map(|p| p.report.solver.shared_sync_time).sum();
-        prop_assert_eq!(reduced.solver.shared_sync_time, sync_sum);
     }
 }
 

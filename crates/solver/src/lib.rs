@@ -71,7 +71,6 @@ pub mod sat;
 
 mod fxhash;
 mod model;
-mod shared;
 mod solve;
 mod tiers;
 
@@ -79,7 +78,6 @@ pub use cnf::{Cnf, Lit, Var};
 pub use context::SolverContext;
 pub use model::Model;
 pub use sat::{SatSolver, SatStats, SolveOutcome};
-pub use shared::{Publication, SharedSolverCache};
 pub use solve::{
     ladder_budget, splitmix64, SatResult, Solver, SolverConfig, SolverStats, RETRY_BUDGET_CAP,
 };

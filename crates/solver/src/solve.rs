@@ -4,7 +4,7 @@
 //! A [`Solver`] answers a query from the first of three stages that can:
 //!
 //! 1. the **verdict ladder** ([`crate::tiers`]) — exact-match caches,
-//!    model reuse and the counterexample caches, private and fleet-wide;
+//!    model reuse and the counterexample caches;
 //! 2. **incremental contexts** — for prefix-shaped queries
 //!    ([`Solver::check_assuming`]), a [`SolverContext`] from the
 //!    **fork-aware context tree** keeps the path-condition prefix
@@ -24,10 +24,8 @@ use crate::bitblast::BitBlaster;
 use crate::context::{minimize_model, SolverContext};
 use crate::model::Model;
 use crate::sat::{SatSolver, SolveOutcome};
-use crate::shared::SharedSolverCache;
 use crate::tiers::VerdictLadder;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symmerge_expr::{ExprId, ExprPool, SymbolId};
 
@@ -188,22 +186,10 @@ pub struct SolverConfig {
     /// How many unsat cores / sat sets the counterexample cache retains
     /// (each, FIFO-evicted).
     pub cex_capacity: usize,
-    /// Participate in a cross-worker [`SharedSolverCache`] when the
-    /// engine attaches one ([`Solver::attach_shared_cache`]): the
-    /// verdict ladder's exact and cex tiers consult the worker's read
-    /// mirror right after their private store misses, and fresh
-    /// verdicts and unsat cores are queued for the other workers. The
-    /// fleet decides when they move: in BSP the coordinator publishes
-    /// every worker's queue at the round barrier, in worker order, and
-    /// each worker syncs its mirror at round start, so neither what a
-    /// round's lookups see nor what the store holds depends on peer
-    /// timing. Only parallel runs ever attach a store — a
-    /// sequential engine (`jobs = 1`) keeps the private path bit-for-bit
-    /// regardless of this flag — and the shared cex tiers sit behind the
-    /// same warm-route [`SolverConfig::tier_gate`] as the private ones.
-    /// Turning it off withholds only the verdict store: a fleet's
-    /// workers still share one expression pool.
-    /// `false` is an ablation row.
+    /// Frozen for `mergebench`, and ignored: it switched the fleet's
+    /// cross-worker verdict store, which is gone. The standalone
+    /// `mergebench` package writes every field of this struct, so the
+    /// field stays until that package's next change.
     pub shared_cache: bool,
 }
 
@@ -341,22 +327,15 @@ pub struct SolverStats {
     /// compaction (level-0 satisfied-clause sweep over the whole DB +
     /// learnt-store self-subsumption on `SolverContext::fork`).
     pub ctx_clauses_compacted: u64,
-    /// Queries answered from the shared cache's mirrored exact tier —
-    /// a verdict some *other* worker published (entries this worker
-    /// published itself are found in its private cache first).
+    /// Frozen for `mergebench`, and always 0, like `shared_cex_hits`
+    /// and `shared_sync_time`: the three counters of the fleet's
+    /// cross-worker verdict store, which is gone. The standalone
+    /// `mergebench` package reads them, so they stay until that
+    /// package's next change.
     pub shared_query_hits: u64,
-    /// Queries answered by the shared cache's mirrored counterexample
-    /// tiers (a foreign unsat core proving the query unsat, or a
-    /// foreign sat superset donating its model).
+    /// Always 0 (see `shared_query_hits`).
     pub shared_cex_hits: u64,
-    /// Entries this solver newly published to the shared cache (a
-    /// verdict another worker already published counts nowhere).
-    pub shared_publishes: u64,
-    /// Cumulative time spent syncing the shared-cache mirror and
-    /// publishing to the store ([`Solver::sync_shared_cache`],
-    /// [`Solver::publish_shared_cache`]). Folded into `cache_time` (and
-    /// `time`), so the `time >= sat_time + cache_time + route_time`
-    /// split is unchanged; this counter makes the sync share visible.
+    /// Always 0 (see `shared_query_hits`).
     pub shared_sync_time: Duration,
     /// Retry-ladder re-dispatches: one per rung actually run after a
     /// query came back `Unknown` (including the injection-free recovery
@@ -409,10 +388,6 @@ impl SolverStats {
         self.learnt_lits += other.learnt_lits;
         self.gates_reused += other.gates_reused;
         self.ctx_clauses_compacted += other.ctx_clauses_compacted;
-        self.shared_query_hits += other.shared_query_hits;
-        self.shared_cex_hits += other.shared_cex_hits;
-        self.shared_publishes += other.shared_publishes;
-        self.shared_sync_time += other.shared_sync_time;
         self.retry_attempts += other.retry_attempts;
         self.retry_reblasts += other.retry_reblasts;
         self.retry_recovered += other.retry_recovered;
@@ -660,8 +635,7 @@ struct CtxRoute<'a> {
 pub struct Solver {
     config: SolverConfig,
     /// The query tiers in front of the solving paths (see
-    /// [`crate::tiers`]), the fleet's included when the engine attached
-    /// a shared store ([`Solver::attach_shared_cache`]).
+    /// [`crate::tiers`]).
     verdicts: VerdictLadder,
     tree: ContextTree,
     ctx_clock: u64,
@@ -736,53 +710,6 @@ impl Solver {
     /// budget otherwise.
     fn effective_budget(&self) -> Option<u64> {
         self.budget_override.unwrap_or(self.config.max_conflicts)
-    }
-
-    /// Joins a cross-worker [`SharedSolverCache`]: builds this solver's
-    /// private read mirror and its queue of fresh entries for the store.
-    /// A no-op when [`SolverConfig::shared_cache`] is off, so the
-    /// ablation reaches through engines that attach unconditionally.
-    pub fn attach_shared_cache(&mut self, cache: Arc<SharedSolverCache>) {
-        if self.config.shared_cache {
-            self.verdicts.attach(cache);
-        }
-    }
-
-    /// Catches the shared-cache mirror (empty when attached) up with
-    /// everything the store holds (one atomic load when nothing
-    /// changed); a no-op without a store. The time lands in
-    /// `shared_sync_time` and `cache_time`.
-    pub fn sync_shared_cache(&mut self) {
-        self.fleet_io(|ladder, _| ladder.sync());
-    }
-
-    /// Publishes the verdicts and cores this solver found since its last
-    /// publication, in the order it found them: the solver only queues
-    /// them as it solves, so the owner decides when peers can see them.
-    /// A no-op without a store. The time lands where a sync's does.
-    pub fn publish_shared_cache(&mut self) {
-        self.fleet_io(VerdictLadder::publish);
-    }
-
-    /// Runs one exchange with the shared store, timed into
-    /// `shared_sync_time` and `cache_time`.
-    fn fleet_io(&mut self, io: impl FnOnce(&mut VerdictLadder, &mut SolverStats)) {
-        if !self.verdicts.has_fleet() {
-            return;
-        }
-        let start = Instant::now();
-        io(&mut self.verdicts, &mut self.stats);
-        let elapsed = start.elapsed();
-        self.stats.shared_sync_time += elapsed;
-        self.stats.cache_time += elapsed;
-        self.stats.time += elapsed;
-    }
-
-    /// Entries currently visible in this solver's shared-cache mirror
-    /// (0 without one). Observability for the sync monotonicity
-    /// property: the count never decreases.
-    pub fn shared_mirror_entries(&self) -> usize {
-        self.verdicts.mirror_entries()
     }
 
     /// Reports the caller's live exploration-frontier size. Under
@@ -1402,11 +1329,9 @@ impl Solver {
     }
 
     /// Donates a dead context's asserted prefix to the counterexample
-    /// cache as an unsat core — the ladder queues it for the fleet
-    /// too: dead-prefix cores are the finest cores the incremental path
-    /// produces, and a foreign worker whose states extend a sibling of
-    /// the dead prefix refutes them by subset without ever building a
-    /// context.
+    /// cache as an unsat core: dead-prefix cores are the finest cores
+    /// the incremental path produces, and a later query that extends
+    /// the dead prefix is refuted by subset without building a context.
     fn note_dead_prefix(&mut self, pool: &ExprPool, node: usize) {
         if !self.config.use_cex_cache {
             return;
@@ -1443,12 +1368,11 @@ impl Solver {
             if remaining == Some(0) {
                 return SatResult::Unknown; // shared budget exhausted
             }
-            // Slice-level refutation: a stored unsat core (private or
-            // the fleet's) inside one slice kills the whole conjunction
-            // before any CNF is built. Only multi-slice queries are
-            // checked — a single slice is the full set, which the ladder
-            // already screened — and the scan is charged to the cache
-            // window like every other tier.
+            // Slice-level refutation: a stored unsat core inside one
+            // slice kills the whole conjunction before any CNF is built.
+            // Only multi-slice queries are checked — a single slice is
+            // the full set, which the ladder already screened — and the
+            // scan is charged to the cache window like every other tier.
             if slices.len() > 1 && self.config.use_cex_cache {
                 let cex_start = Instant::now();
                 let hit = self.verdicts.refutes(&mut self.stats, slice);

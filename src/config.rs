@@ -84,7 +84,6 @@ pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
     }
     env.num("SYMMERGE_MAX_CTX_CLAUSES", &mut solver.max_context_clauses);
     env.num("SYMMERGE_MAX_CONTEXTS", &mut solver.max_contexts);
-    env.flag("SYMMERGE_SHARED_CACHE", &mut solver.shared_cache);
 
     env.flag("SYMMERGE_WARM_MIGRATION", &mut engine.warm_migration);
     if let Some(v) = env.get("SYMMERGE_FAULT_PLAN").filter(|v| !v.is_empty()) {
@@ -283,7 +282,6 @@ mod tests {
                 c.engine.solver.max_context_clauses = 1000
             }),
             (&[("SYMMERGE_MAX_CONTEXTS", "16")], |c| c.engine.solver.max_contexts = 16),
-            (&[("SYMMERGE_SHARED_CACHE", "0")], |c| c.engine.solver.shared_cache = false),
             (&[("SYMMERGE_WARM_MIGRATION", "0")], |c| c.engine.warm_migration = false),
             (&[("SYMMERGE_FAULT_PLAN", "panic=1:40,unknown=1/16:7")], |c| {
                 let plan = FaultPlan::parse("panic=1:40,unknown=1/16:7").unwrap();
@@ -325,6 +323,6 @@ mod tests {
         let read = read.into_inner();
         let read: BTreeSet<&str> = read.iter().map(String::as_str).collect();
         assert_eq!(read, covered, "the table must cover exactly the variables read");
-        assert_eq!(covered.len(), 23);
+        assert_eq!(covered.len(), 22);
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! The solver tiers inherited from KLEE (query cache, model reuse,
 //! independence slicing, counterexample cache), the incremental context
-//! tree, the query-shrinking levers, the shared verdict store and the
-//! fault-tolerance layer are each switched off (or, for faults,
-//! injected) through one named row of [`ROWS`]. Each row is an explicit
-//! [`EngineConfig`] value, so the walk needs no environment. For each
-//! row, over the 12 core `WORKLOADS`:
+//! tree, the query-shrinking levers and the fault-tolerance layer are
+//! each switched off (or, for faults, injected) through one named row
+//! of [`ROWS`]. Each row is an explicit [`EngineConfig`] value, so the
+//! walk needs no environment. For each row, over the 12 core
+//! `WORKLOADS`:
 //!
 //! * every exploration is exhaustive and every generated test is
 //!   replayed on the concrete interpreter (`common::observe`);
@@ -52,7 +52,6 @@ fn bare(c: &mut EngineConfig) {
     s.cex_prefilter = false;
     s.sat_ccmin = false;
     s.ite_factor = false;
-    s.shared_cache = false;
     s.retry_ladder = Vec::new();
 }
 
@@ -68,7 +67,6 @@ const ROWS: &[Row] = &[
     Row { name: "cex-prefilter-off", edit: |c| c.solver.cex_prefilter = false, fleet: false },
     Row { name: "sat-ccmin-off", edit: |c| c.solver.sat_ccmin = false, fleet: false },
     Row { name: "ite-factor-off", edit: |c| c.solver.ite_factor = false, fleet: false },
-    Row { name: "shared-cache-off", edit: |c| c.solver.shared_cache = false, fleet: true },
     Row { name: "retry-ladder-off", edit: |c| c.solver.retry_ladder = Vec::new(), fleet: false },
     Row { name: "bare", edit: bare, fleet: true },
     // Worker 1 panics at its 40th pick (so only fleets see the panic)
@@ -219,7 +217,6 @@ ablation_tests! {
     ablation_cex_prefilter_off => "cex-prefilter-off",
     ablation_sat_ccmin_off => "sat-ccmin-off",
     ablation_ite_factor_off => "ite-factor-off",
-    ablation_shared_cache_off => "shared-cache-off",
     ablation_retry_ladder_off => "retry-ladder-off",
     ablation_bare => "bare",
     ablation_fault_plan => "fault-plan",

@@ -2,6 +2,7 @@
 //! *results* (DESIGN.md invariants 1, 3, 4). These exercise MiniC →
 //! IR → QCE → engine → solver → test generation → concrete replay.
 
+use std::time::Duration;
 use symmerge::prelude::*;
 use symmerge::workloads::by_name;
 
@@ -323,74 +324,72 @@ fn default_search_order_is_pinned() {
 /// `MergeMode::None`, all at jobs 2 with 48 steps per round. Between them
 /// they hand states off, merge, reject merges and fast-forward laggards.
 /// The last two rows re-blast every query (`use_incremental: false`),
-/// the path where the fleet's counterexample logs answer queries, so the
-/// shared verdict store's exact and cex hits are pinned with them. The
-/// `Random` row is one where workers that synced their verdict mirrors
-/// at every step read verdicts their peer published in the same round,
-/// so its counts moved with thread timing; mirrors synced at the round
-/// barrier make them a fixed function of the run.
+/// the path where the counterexample cache answers the most queries.
+/// Each worker's verdict caches are its own, so the frozen
+/// `SolverConfig::shared_cache` field must not move a row, and the
+/// three frozen `shared_*` counters must read 0.
 #[test]
 fn fleet_search_order_is_pinned() {
-    type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64, u64, u64);
+    type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64);
     let rows: [(MergeMode, StrategyKind, bool, Pin); 5] = [
         (
             MergeMode::Static,
             StrategyKind::Topological,
             true,
-            (465, 465, 38, 540, 0, 0, 0, 80, 1, 11216982687399032055, 0, 0),
+            (465, 465, 38, 540, 0, 0, 0, 80, 1, 11216982687399032055),
         ),
         (
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
             true,
-            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411, 0, 0),
+            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             true,
-            (2868, 175, 0, 0, 0, 0, 8, 239, 85, 632966248537036516, 3, 0),
+            (2868, 175, 0, 0, 0, 0, 8, 239, 85, 632966248537036516),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             false,
-            (2868, 175, 0, 0, 0, 0, 6, 287, 85, 13002090181756377506, 2, 20),
+            (2868, 175, 0, 0, 0, 0, 6, 287, 85, 13002090181756377506),
         ),
         (
             MergeMode::None,
             StrategyKind::Random,
             false,
-            (2868, 175, 0, 0, 0, 0, 9, 297, 85, 4940791075407491723, 3, 15),
+            (2868, 175, 0, 0, 0, 0, 9, 297, 85, 4940791075407491723),
         ),
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
     for (merge_mode, strategy, use_incremental, pinned) in rows {
-        let program = by_name("wc").unwrap().program(&cfg);
-        let config = EngineConfig {
-            merge_mode,
-            strategy,
-            solver: SolverConfig { use_incremental, ..SolverConfig::default() },
-            seed: 0,
-            ..EngineConfig::default()
-        };
-        let par = ParallelConfig { jobs: 2, steps_per_round: 48, ..ParallelConfig::default() };
-        let r = ParallelEngine::new(program, config, par).unwrap().run();
-        let got = (
-            r.steps,
-            r.picks,
-            r.merges,
-            r.merge_rejects,
-            r.ff_merged,
-            r.dsm.ff_picks,
-            r.envelope_exports,
-            r.solver.sat_calls,
-            r.tests.len(),
-            tests_digest(&r),
-            r.solver.shared_query_hits,
-            r.solver.shared_cex_hits,
-        );
-        assert_eq!(got, pinned, "wc@3 jobs=2 {merge_mode:?}/{strategy:?} incr={use_incremental}");
+        for shared_cache in [true, false] {
+            let program = by_name("wc").unwrap().program(&cfg);
+            let solver = SolverConfig { use_incremental, shared_cache, ..SolverConfig::default() };
+            let config =
+                EngineConfig { merge_mode, strategy, solver, seed: 0, ..EngineConfig::default() };
+            let par = ParallelConfig { jobs: 2, steps_per_round: 48, ..ParallelConfig::default() };
+            let r = ParallelEngine::new(program, config, par).unwrap().run();
+            let row = (merge_mode, strategy, use_incremental, shared_cache);
+            let got = (
+                r.steps,
+                r.picks,
+                r.merges,
+                r.merge_rejects,
+                r.ff_merged,
+                r.dsm.ff_picks,
+                r.envelope_exports,
+                r.solver.sat_calls,
+                r.tests.len(),
+                tests_digest(&r),
+            );
+            assert_eq!(got, pinned, "wc@3 jobs=2 {row:?}");
+            let frozen =
+                (r.solver.shared_query_hits, r.solver.shared_cex_hits, r.solver.shared_sync_time);
+            assert_eq!(frozen, (0, 0, Duration::ZERO), "wc@3 jobs=2 {row:?}");
+        }
     }
 }
 
