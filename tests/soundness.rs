@@ -348,19 +348,19 @@ fn fleet_search_order_is_pinned() {
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             true,
-            (2868, 175, 0, 0, 0, 0, 8, 239, 85, 632966248537036516),
+            (2868, 175, 0, 0, 0, 0, 8, 242, 85, 16270553411640764902),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             false,
-            (2868, 175, 0, 0, 0, 0, 6, 287, 85, 13002090181756377506),
+            (2868, 175, 0, 0, 0, 0, 6, 303, 85, 3850971435549633376),
         ),
         (
             MergeMode::None,
             StrategyKind::Random,
             false,
-            (2868, 175, 0, 0, 0, 0, 9, 297, 85, 4940791075407491723),
+            (2868, 175, 0, 0, 0, 0, 9, 312, 85, 4940791075407491723),
         ),
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
