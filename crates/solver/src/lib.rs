@@ -33,9 +33,12 @@
 //!   answer the lexicographically least model, so generated tests are
 //!   identical across solver configurations and runs.
 //!
-//! Each tier can be disabled through [`SolverConfig`] for ablation
-//! benchmarks. The library never reads the environment; binaries map
-//! `SYMMERGE_*` variables onto the config at their edge.
+//! Every cache is private to the one [`Solver`] that fills it, as
+//! KLEE's are to its process: a parallel fleet gives each worker its
+//! own solver and shares nothing but the expression pool. Each tier can
+//! be disabled through [`SolverConfig`] for ablation benchmarks. The
+//! library never reads the environment; binaries map `SYMMERGE_*`
+//! variables onto the config at their edge.
 //!
 //! # Example
 //!
