@@ -16,11 +16,11 @@
 //!
 //! * an **exact-match result cache** keyed on the full constraint set
 //!   (hash-bucketed with key verification, so collisions cannot alias);
-//! * **model reuse**: recent satisfying models are re-evaluated on new
-//!   queries (the cheap half of KLEE's counterexample cache);
-//! * a **counterexample cache** with subset/superset reasoning: stored
-//!   unsat cores refute superset queries, stored sat sets donate their
-//!   model to subset queries;
+//! * a **counterexample cache** with subset/superset reasoning, in front
+//!   of the re-blast path: stored unsat cores refute superset queries,
+//!   stored sat sets donate their model to subset queries (a query routed
+//!   to an incremental context goes from the exact cache straight to its
+//!   context);
 //! * **independent-constraint slicing**: the constraint set is partitioned
 //!   into connected components by shared input symbols and each component
 //!   is decided separately, under one *shared* conflict budget;

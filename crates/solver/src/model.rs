@@ -65,10 +65,9 @@ impl Model {
     /// Checks that every constraint evaluates to true under this model.
     ///
     /// Evaluates the whole conjunction in one walk ([`ExprPool::all_true`])
-    /// — path-condition conjuncts overwhelmingly share subgraphs, and this
-    /// check runs once per retained model on every model-reuse probe, so
-    /// the per-conjunct re-walk the naive `iter().all(eval_bool)` paid was
-    /// a measurable slice of the solver's per-query cache overhead.
+    /// — path-condition conjuncts overwhelmingly share subgraphs, so one
+    /// memoized walk beats the per-conjunct re-walk of the naive
+    /// `iter().all(eval_bool)`.
     pub fn satisfies(&self, pool: &ExprPool, constraints: &[ExprId]) -> bool {
         pool.all_true(constraints, &|sym| self.value(sym))
     }

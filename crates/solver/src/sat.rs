@@ -306,7 +306,7 @@ impl SatSolver {
     /// Note: the high-level `Solver` currently assumes a single extra
     /// literal per query, where this core is degenerate (it is that
     /// literal); its counterexample cache instead refines unsat cores
-    /// from independence slices and dead context prefixes. This API is
+    /// from independence slices. This API is
     /// for multi-assumption callers of the incremental solver.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.failed_assumptions

@@ -3,8 +3,9 @@
 //!
 //! A [`Solver`] answers a query from the first of three stages that can:
 //!
-//! 1. the **verdict ladder** ([`crate::tiers`]) — exact-match caches,
-//!    model reuse and the counterexample caches;
+//! 1. the **verdict ladder** ([`crate::tiers`]) — the exact-match cache
+//!    for every query, then the counterexample cache for re-blast
+//!    queries;
 //! 2. **incremental contexts** — for prefix-shaped queries
 //!    ([`Solver::check_assuming`]), a [`SolverContext`] from the
 //!    **fork-aware context tree** keeps the path-condition prefix
@@ -65,16 +66,15 @@ impl SatResult {
 pub struct SolverConfig {
     /// Enable the query result cache (exact match on the constraint set).
     pub use_cache: bool,
-    /// Try recently produced models on new queries before invoking SAT
-    /// (the cheap half of KLEE's counterexample cache).
-    pub use_model_reuse: bool,
     /// Partition the constraint set into independent slices by shared
     /// input symbols and decide each slice separately (re-blast path
     /// only; incremental contexts are monolithic by construction).
     pub use_independence: bool,
     /// Enable the subset/superset counterexample cache: stored unsat
     /// cores answer superset queries, stored sat sets answer subset
-    /// queries.
+    /// queries. Re-blast queries only: a query routed to an incremental
+    /// context is answered from the exact cache or decided in its
+    /// context, and neither scans nor feeds this cache.
     pub use_cex_cache: bool,
     /// Prefilter counterexample-cache subset scans with per-set 64-bit
     /// membership signatures (the OR of each element's hash mapped to
@@ -85,26 +85,6 @@ pub struct SolverConfig {
     /// never hit. `false` restores the unfiltered scans (an ablation
     /// row; results are identical, only the scan cost moves).
     pub cex_prefilter: bool,
-    /// Query-size gate for the model-reuse and counterexample tiers on
-    /// **warm context-served** queries: a prefix-shaped query whose
-    /// normalized set has at most this many conjuncts, and whose
-    /// prefix a resident context covers up to at most one uncovered
-    /// conjunct, skips the model re-evaluation and cex subset scans —
-    /// for those queries a context hit (one incremental solve under
-    /// assumptions on an already-blasted prefix) is cheaper than the
-    /// tiers that were supposed to short-circuit it. The coverage
-    /// condition matters: the context's cost scales with the tail it
-    /// still has to blast — tail ≤ 1 is the steady-state branch query,
-    /// while a longer tail (a migrated state on a sharded worker whose
-    /// context holds only the trunk) pays a real blast-and-solve,
-    /// which the tiers *do* profitably shield (gating all context
-    /// routes at `wc`@6 jobs = 2 doubled the wall). The exact-match
-    /// cache (tier 1) stays on for every query, and re-blast-path
-    /// queries are never gated (there a tier hit still saves a full
-    /// CNF build). `0` disables the gate (an ablation row). Both
-    /// measurements: EXPERIMENTS.md, "The cache-tier pipeline,
-    /// re-priced"; see [`SolverConfig::default`].
-    pub tier_gate: usize,
     /// Answer prefix-shaped queries ([`Solver::check_assuming`]) on
     /// persistent incremental [`SolverContext`]s instead of re-blasting.
     pub use_incremental: bool,
@@ -134,8 +114,8 @@ pub struct SolverConfig {
     /// expression pools of a sharded parallel run (name order, unlike
     /// [`symmerge_expr::SymbolId`] order, does not depend on interning
     /// history), at the cost of extra incremental probes per sat answer.
-    /// Disables model reuse and sat-superset donation, which would
-    /// return non-minimal models.
+    /// Disables sat-superset donation to the counterexample cache, which
+    /// would return non-minimal models.
     pub canonical_models: bool,
     /// Conflict budget *per query* (shared across independence slices and
     /// canonicalization probes); `None` means unbounded.
@@ -151,8 +131,6 @@ pub struct SolverConfig {
     /// ladder (an ablation row; `[4, 16]` is the default). Unbounded-budget solvers never return
     /// budget `Unknown`s, so the ladder is inert for them.
     pub retry_ladder: Vec<u64>,
-    /// How many recent models to retain for model reuse.
-    pub model_history: usize,
     /// The context-count *floor* of the fork-aware tree's residency
     /// policy (evicted subtree-LRU, leaves first — a live ancestor of a
     /// resident context is never evicted); `0` disables the incremental
@@ -186,10 +164,19 @@ pub struct SolverConfig {
     /// How many unsat cores / sat sets the counterexample cache retains
     /// (each, FIFO-evicted).
     pub cex_capacity: usize,
-    /// Frozen for `mergebench`, and ignored: it switched the fleet's
-    /// cross-worker verdict store, which is gone. The standalone
-    /// `mergebench` package writes every field of this struct, so the
-    /// field stays until that package's next change.
+    /// Frozen for `mergebench`, and ignored, like `model_history`,
+    /// `tier_gate` and `shared_cache`. The four switched model reuse,
+    /// its history length, the size gate in front of the
+    /// counterexample scans and the fleet's cross-worker verdict store,
+    /// all of which are gone. The standalone `mergebench` package
+    /// writes every field of this struct, so they stay until that
+    /// package's next change.
+    pub use_model_reuse: bool,
+    /// Frozen for `mergebench`, and ignored (see `use_model_reuse`).
+    pub model_history: usize,
+    /// Frozen for `mergebench`, and ignored (see `use_model_reuse`).
+    pub tier_gate: usize,
+    /// Frozen for `mergebench`, and ignored (see `use_model_reuse`).
     pub shared_cache: bool,
 }
 
@@ -197,17 +184,9 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             use_cache: true,
-            use_model_reuse: true,
             use_independence: true,
             use_cex_cache: true,
             cex_prefilter: true,
-            // Swept on `wc`@6 Random (EXPERIMENTS.md, "The cache-tier
-            // pipeline, re-priced"): query sizes concentrate at 20–36
-            // conjuncts and a context hit beats the skipped tiers across
-            // the whole range, so the default sits above them; larger
-            // values were indistinguishable (the tiers only win on
-            // re-blast queries, which are never gated).
-            tier_gate: 64,
             use_incremental: true,
             ctx_fork: true,
             sat_ccmin: true,
@@ -215,7 +194,6 @@ impl Default for SolverConfig {
             canonical_models: false,
             max_conflicts: None,
             retry_ladder: vec![4, 16],
-            model_history: 32,
             // 4 → 16 in PR 3 (measured rebuild thrash under interleaving
             // strategies); 16 → 64 with the fork-aware tree: forked
             // divergence contexts are only worth keeping if they survive
@@ -235,6 +213,10 @@ impl Default for SolverConfig {
             // keeping residency bounded on deeper runs.
             max_context_clauses: 1_000_000,
             cex_capacity: 256,
+            // The frozen fields keep the values `mergebench` writes.
+            use_model_reuse: true,
+            model_history: 32,
+            tier_gate: 64,
             shared_cache: true,
         }
     }
@@ -263,8 +245,6 @@ pub struct SolverStats {
     pub unknown: u64,
     /// Queries answered from the exact-match cache.
     pub cache_hits: u64,
-    /// Queries answered by re-evaluating a recent model.
-    pub model_reuse_hits: u64,
     /// Queries proved unsat by a stored unsat core (subset of the query).
     pub cex_unsat_hits: u64,
     /// Queries answered by a stored sat superset's model.
@@ -367,7 +347,6 @@ impl SolverStats {
         self.unsat += other.unsat;
         self.unknown += other.unknown;
         self.cache_hits += other.cache_hits;
-        self.model_reuse_hits += other.model_reuse_hits;
         self.cex_unsat_hits += other.cex_unsat_hits;
         self.cex_sat_hits += other.cex_sat_hits;
         self.ctx_hits += other.ctx_hits;
@@ -922,16 +901,15 @@ impl Solver {
         // sat windows below are measured separately, keeping the three
         // counters disjoint inside `time`.
         self.stats.route_time += start.elapsed();
-        // Tier gate (`SolverConfig::tier_gate`): a small query whose
-        // prefix a resident context covers up to at most one conjunct
-        // skips the ladder's rungs below the exact caches.
-        let warm = route
-            .as_ref()
-            .is_some_and(|r| r.prefound.0.is_some() && r.prefix.len() - r.prefound.1 <= 1);
-        let gated = warm && self.config.tier_gate > 0 && set.len() <= self.config.tier_gate;
+        // Only a re-blast query walks the counterexample rungs: a query
+        // routed to a context is decided there after an exact miss.
+        let reblast = route.is_none();
 
         let cache_start = Instant::now();
-        let hit = self.verdicts.lookup(&self.config, &mut self.stats, pool, h, set, gated);
+        let mut hit = self.verdicts.lookup(&self.config, &mut self.stats, pool, h, set);
+        if hit.is_none() && reblast {
+            hit = self.verdicts.lookup_cex(&self.config, &mut self.stats, pool, h, set);
+        }
         self.stats.cache_time += cache_start.elapsed();
         if let Some(hit) = hit {
             self.stats.time += start.elapsed();
@@ -950,6 +928,9 @@ impl Solver {
         }
         let record_start = Instant::now();
         self.verdicts.record(&self.config, &mut self.stats, pool, h, set, &result);
+        if reblast {
+            self.verdicts.record_cex(&self.config, set, &result);
+        }
         self.stats.cache_time += record_start.elapsed();
         self.stats.time += start.elapsed();
         result
@@ -1144,8 +1125,7 @@ impl Solver {
         if self.tree.ctx(node).is_dead() {
             // The context's asserted prefix — possibly a strict subset
             // of the query's, when a dead ancestor answered — is unsat
-            // on its own: donate it as a core and skip solving.
-            self.note_dead_prefix(pool, node);
+            // on its own: skip solving.
             self.stats.route_time += route_start.elapsed();
             return SatResult::Unsat;
         }
@@ -1180,15 +1160,7 @@ impl Solver {
                 };
                 SatResult::Sat(model)
             }
-            SolveOutcome::Unsat => {
-                if self.tree.ctx(node).is_dead() {
-                    // A level-0 conflict is assumption-independent: the
-                    // prefix *alone* is unsat — a strictly smaller core
-                    // than the full query set.
-                    self.note_dead_prefix(pool, node);
-                }
-                SatResult::Unsat
-            }
+            SolveOutcome::Unsat => SatResult::Unsat,
             SolveOutcome::Unknown => SatResult::Unknown,
         };
         let after = self.tree.ctx(node).sat_stats();
@@ -1326,21 +1298,6 @@ impl Solver {
                 _ => 0,
             })
             .collect()
-    }
-
-    /// Donates a dead context's asserted prefix to the counterexample
-    /// cache as an unsat core: dead-prefix cores are the finest cores
-    /// the incremental path produces, and a later query that extends
-    /// the dead prefix is refuted by subset without building a context.
-    fn note_dead_prefix(&mut self, pool: &ExprPool, node: usize) {
-        if !self.config.use_cex_cache {
-            return;
-        }
-        let mut p: Vec<ExprId> =
-            self.tree.ctx(node).prefix().iter().copied().filter(|&c| !pool.is_true(c)).collect();
-        p.sort_unstable();
-        p.dedup();
-        self.verdicts.note_core(&p);
     }
 
     // ----- re-blast path ------------------------------------------------
@@ -1562,7 +1519,6 @@ mod tests {
     fn bare() -> SolverConfig {
         SolverConfig {
             use_cache: false,
-            use_model_reuse: false,
             use_independence: false,
             use_cex_cache: false,
             use_incremental: false,
@@ -1600,40 +1556,6 @@ mod tests {
         assert!(s.check(&p, &[c]).is_sat());
         assert_eq!(s.stats().sat_calls, calls_before);
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn model_history_zero_is_safe() {
-        // `remember_model` used to call `Vec::remove(0)` on an empty vec
-        // when `model_history == 0`, panicking on the first sat query.
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let one = p.bv_const(1, 8);
-        let two = p.bv_const(2, 8);
-        let c1 = p.eq(x, one);
-        let c2 = p.eq(y, two);
-        let mut s = Solver::new(SolverConfig { model_history: 0, ..bare() });
-        assert!(s.check(&p, &[c1]).is_sat());
-        assert!(s.check(&p, &[c2]).is_sat());
-        assert!(s.check(&p, &[c1, c2]).is_sat());
-        assert_eq!(s.stats().model_reuse_hits, 0);
-    }
-
-    #[test]
-    fn model_reuse_avoids_sat_calls() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let ten = p.bv_const(10, 8);
-        let five = p.bv_const(5, 8);
-        let c1 = p.ult(x, ten);
-        let c2 = p.ult(x, five); // implied by any model with x < 5
-        let mut s = Solver::new(SolverConfig { use_model_reuse: true, ..SolverConfig::default() });
-        // First query: x < 5 gives a model (likely x = 0).
-        assert!(s.check(&p, &[c2]).is_sat());
-        // Second query x < 10 can reuse the model.
-        assert!(s.check(&p, &[c1]).is_sat());
-        assert_eq!(s.stats().model_reuse_hits, 1);
     }
 
     #[test]
@@ -2175,25 +2097,34 @@ mod tests {
     }
 
     #[test]
-    fn dead_context_prefix_feeds_the_cex_cache() {
+    fn context_routed_queries_neither_scan_nor_feed_the_cex_cache() {
         let mut p = pool();
         let x = p.input("x", 8);
         let y = p.input("y", 8);
+        let three = p.bv_const(3, 8);
         let five = p.bv_const(5, 8);
         let ten = p.bv_const(10, 8);
         let a = p.ult(x, five);
         let b = p.ugt(x, ten);
         let c = p.ult(y, five);
+        let d = p.ult(x, three);
         let mut s =
             Solver::new(SolverConfig { use_incremental: true, use_cex_cache: true, ..bare() });
-        // The prefix {a, b} itself is unsat: the context dies and donates
-        // the prefix (not the full query) as an unsat core.
+        // Context queries: an unsat extension, a dead prefix and a sat
+        // extension, none of which may reach the counterexample cache.
+        assert!(s.check_assuming(&p, &[a], b).is_unsat());
         assert!(s.check_assuming(&p, &[a, b], c).is_unsat());
-        // Any superset of {a, b} is now answered without solving.
+        assert!(s.check_assuming(&p, &[a, c], d).is_sat());
+        // Re-blast queries that a stored core or sat superset would
+        // answer must reach the SAT solver instead.
         let calls = s.stats().sat_calls;
-        assert!(s.check(&p, &[a, b]).is_unsat());
-        assert_eq!(s.stats().sat_calls, calls);
-        assert!(s.stats().cex_unsat_hits >= 1);
+        assert!(s.check(&p, &[a, b, c]).is_unsat());
+        assert!(s.check(&p, &[a, d]).is_sat());
+        assert_eq!(s.stats().sat_calls, calls + 2);
+        // A context query never reads what a re-blast query stored.
+        assert!(s.check_assuming(&p, &[a, c], b).is_unsat());
+        assert!(s.check_assuming(&p, &[d], a).is_sat());
+        assert_eq!((s.stats().cex_unsat_hits, s.stats().cex_sat_hits), (0, 0));
     }
 
     #[test]
@@ -2313,40 +2244,6 @@ mod tests {
             st.route_time > std::time::Duration::ZERO,
             "queries that reached a solving path must have accrued routing time"
         );
-    }
-
-    #[test]
-    fn tier_gate_skips_cex_scans_on_small_context_queries() {
-        let mut p = pool();
-        let x = p.input("x", 8);
-        let y = p.input("y", 8);
-        let five = p.bv_const(5, 8);
-        let ten = p.bv_const(10, 8);
-        let a = p.ult(x, five);
-        let b = p.ugt(x, ten);
-        let c = p.ult(y, five);
-        let run = |tier_gate: usize| {
-            let mut s = Solver::new(SolverConfig {
-                use_incremental: true,
-                use_cex_cache: true,
-                tier_gate,
-                ..bare()
-            });
-            // Warm a context covering the full prefix [a] (the first
-            // context-served query rebuilds; partial or cold coverage
-            // is never gated).
-            assert!(s.check_assuming(&p, &[a], c).is_sat());
-            // Seed a stored core via the (never gated) re-blast path.
-            assert!(s.check(&p, &[a, b]).is_unsat());
-            // A fully-warm context-served superset query of the core:
-            // with the gate at or above its size the cex scan is
-            // skipped and the verdict comes from the warm context;
-            // ungated it comes from the stored core.
-            assert!(s.check_assuming(&p, &[a], b).is_unsat());
-            s.stats().cex_unsat_hits
-        };
-        assert_eq!(run(0), 1, "ungated reference answers from the stored core");
-        assert_eq!(run(64), 0, "gated query must bypass the cex scan");
     }
 
     #[test]

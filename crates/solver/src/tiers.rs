@@ -1,20 +1,23 @@
 //! The verdict ladder: every store a query can be answered from without
 //! solving, walked in one fixed order.
 //!
-//! A [`VerdictLadder`] owns the exact cache ([`QueryCache`]), the
-//! counterexample cache ([`CexCache`]) and the recent-model history, all
-//! private to the solver that fills them, as KLEE's caches are private
-//! to its process. [`VerdictLadder::lookup`] tries, in order:
+//! A [`VerdictLadder`] owns the exact cache ([`QueryCache`]) and the
+//! counterexample cache ([`CexCache`]), both private to the solver that
+//! fills them, as KLEE's caches are private to its process. Every query
+//! tries the exact cache first ([`VerdictLadder::lookup`]). Which rungs
+//! follow depends on the path the query is routed to:
 //!
-//! 1. the exact cache;
-//! 2. the tier gate: a gated query ([`SolverConfig::tier_gate`]) stops
-//!    here;
-//! 3. model reuse over the recent-model history;
-//! 4. the unsat cores;
-//! 5. the sat supersets.
+//! - a query the solver re-blasts then tries the unsat cores and the sat
+//!   supersets ([`VerdictLadder::lookup_cex`]), and its fresh verdict
+//!   feeds them ([`VerdictLadder::record_cex`]);
+//! - a query routed to an incremental context goes straight to its
+//!   context, which decides it under assumptions on an already-blasted
+//!   prefix for less than the subset scans cost, and whose dead-ancestor
+//!   check already refutes an unsat prefix. Such a query neither scans
+//!   nor feeds the counterexample cache.
 //!
 //! Every hit is answered in one place, and every fresh verdict enters
-//! through [`VerdictLadder::record`].
+//! the exact cache through [`VerdictLadder::record`].
 
 use crate::model::Model;
 use crate::solve::{elem_hash, SatResult, SolverConfig, SolverStats};
@@ -63,8 +66,7 @@ impl QueryCache {
 ///
 /// The stores are kept minimal-ish by subsumption — inserting a new core
 /// drops stored supersets, and cores that come from independence slices
-/// or dead context prefixes are smaller than the queries that produced
-/// them. Both stores enforce `capacity` by FIFO eviction independently —
+/// are smaller than the queries that produced them. Both stores enforce `capacity` by FIFO eviction independently —
 /// overfilling one side can never evict the other's entries.
 ///
 /// Every scan asserts the sorted-set invariant [`is_subset`] relies on,
@@ -167,7 +169,6 @@ fn signature(set: &[ExprId]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     Exact,
-    Reuse,
     CexUnsat,
     CexSat,
 }
@@ -177,9 +178,31 @@ impl Tier {
     fn counter(self, stats: &mut SolverStats) -> &mut u64 {
         match self {
             Tier::Exact => &mut stats.cache_hits,
-            Tier::Reuse => &mut stats.model_reuse_hits,
             Tier::CexUnsat => &mut stats.cex_unsat_hits,
             Tier::CexSat => &mut stats.cex_sat_hits,
+        }
+    }
+
+    /// Counts a hit on this tier and turns its stored verdict into the
+    /// query's answer.
+    fn answer(
+        self,
+        stats: &mut SolverStats,
+        pool: &ExprPool,
+        set: &[ExprId],
+        verdict: Option<Model>,
+    ) -> SatResult {
+        *self.counter(stats) += 1;
+        match verdict {
+            Some(m) => {
+                debug_assert!(m.satisfies(pool, set), "{self:?} model must satisfy");
+                stats.sat += 1;
+                SatResult::Sat(m)
+            }
+            None => {
+                stats.unsat += 1;
+                SatResult::Unsat
+            }
         }
     }
 }
@@ -190,7 +213,6 @@ impl Tier {
 pub(crate) struct VerdictLadder {
     cache: QueryCache,
     cex: CexCache,
-    recent_models: VecDeque<Model>,
 }
 
 impl VerdictLadder {
@@ -198,80 +220,57 @@ impl VerdictLadder {
         VerdictLadder {
             cache: QueryCache::default(),
             cex: CexCache::new(config.cex_capacity, config.cex_prefilter),
-            recent_models: VecDeque::new(),
         }
     }
 
-    /// Walks the ladder for the normalized `set` with [`set_hash`](crate::solve)
-    /// `h`. `gated` stops the walk after the exact tier. A hit is
-    /// counted, copied into the exact cache and returned.
+    /// The exact cache, tried by every query, for the normalized `set`
+    /// with [`set_hash`](crate::solve) `h`. A hit is counted and
+    /// returned.
     pub(crate) fn lookup(
+        &self,
+        config: &SolverConfig,
+        stats: &mut SolverStats,
+        pool: &ExprPool,
+        h: u64,
+        set: &[ExprId],
+    ) -> Option<SatResult> {
+        if !config.use_cache {
+            return None;
+        }
+        let verdict = self.cache.get(h, set)?.clone();
+        Some(Tier::Exact.answer(stats, pool, set, verdict))
+    }
+
+    /// The counterexample rungs a re-blast query tries after an exact
+    /// miss: the unsat cores, then the sat supersets. A hit is counted,
+    /// copied into the exact cache and returned.
+    pub(crate) fn lookup_cex(
         &mut self,
         config: &SolverConfig,
         stats: &mut SolverStats,
         pool: &ExprPool,
         h: u64,
         set: &[ExprId],
-        gated: bool,
     ) -> Option<SatResult> {
-        let (tier, verdict) = self.find(config, pool, h, set, gated)?;
-        *tier.counter(stats) += 1;
-        if config.use_cache && tier != Tier::Exact {
-            self.cache.insert(h, set, verdict.clone());
-        }
-        Some(match verdict {
-            Some(m) => {
-                debug_assert!(m.satisfies(pool, set), "{tier:?} model must satisfy");
-                stats.sat += 1;
-                SatResult::Sat(m)
-            }
-            None => {
-                stats.unsat += 1;
-                SatResult::Unsat
-            }
-        })
-    }
-
-    /// The first tier that answers `set`, with its verdict.
-    fn find(
-        &self,
-        config: &SolverConfig,
-        pool: &ExprPool,
-        h: u64,
-        set: &[ExprId],
-        gated: bool,
-    ) -> Option<(Tier, Option<Model>)> {
-        if config.use_cache {
-            if let Some(v) = self.cache.get(h, set) {
-                return Some((Tier::Exact, v.clone()));
-            }
-        }
-        if gated {
+        if !config.use_cex_cache {
             return None;
         }
-        // Model-based shortcuts return whatever model happens to fit, so
-        // they are skipped in canonical mode (the answer must be *the*
-        // minimal model).
-        if config.use_model_reuse && !config.canonical_models {
-            if let Some(m) = self.recent_models.iter().find(|m| m.satisfies(pool, set)) {
-                return Some((Tier::Reuse, Some(m.clone())));
-            }
+        let sig = signature(set);
+        // In canonical mode no sat set is ever stored (see `record_cex`),
+        // so the second rung cannot answer there.
+        let (tier, verdict) = if self.cex.implies_unsat(sig, set) {
+            (Tier::CexUnsat, None)
+        } else {
+            (Tier::CexSat, Some(self.cex.model_for_subset(sig, set)?.clone()))
+        };
+        if config.use_cache {
+            self.cache.insert(h, set, verdict.clone());
         }
-        if config.use_cex_cache {
-            let sig = signature(set);
-            if self.cex.implies_unsat(sig, set) {
-                return Some((Tier::CexUnsat, None));
-            }
-            if !config.canonical_models {
-                if let Some(m) = self.cex.model_for_subset(sig, set) {
-                    return Some((Tier::CexSat, Some(m.clone())));
-                }
-            }
-        }
-        None
+        Some(tier.answer(stats, pool, set, verdict))
     }
 
-    /// Feeds a freshly computed result into the stats and the stores.
+    /// Feeds a freshly computed result into the stats and the exact
+    /// cache.
     pub(crate) fn record(
         &mut self,
         config: &SolverConfig,
@@ -296,24 +295,22 @@ impl VerdictLadder {
                 return; // never cached: a retry may have a bigger budget
             }
         };
-        // The model-donating tiers (reuse, cex sat-superset) are off in
-        // canonical mode, so nothing would ever read what they store.
-        let donate = !config.canonical_models;
-        if let Some(m) = model.filter(|_| donate && config.model_history > 0) {
-            while self.recent_models.len() >= config.model_history {
-                self.recent_models.pop_front();
-            }
-            self.recent_models.push_back(m.clone());
-        }
         if config.use_cache {
             self.cache.insert(h, set, model.cloned());
         }
-        if config.use_cex_cache {
-            match model {
-                Some(m) if donate => self.cex.note_sat(set, m),
-                Some(_) => {}
-                None => self.cex.note_unsat(set),
-            }
+    }
+
+    /// Feeds a re-blast query's fresh verdict into the counterexample
+    /// cache. A sat set is not stored in canonical mode: the model it
+    /// would donate is whichever model fitted, not *the* minimal one.
+    pub(crate) fn record_cex(&mut self, config: &SolverConfig, set: &[ExprId], result: &SatResult) {
+        if !config.use_cex_cache {
+            return;
+        }
+        match result {
+            SatResult::Sat(m) if !config.canonical_models => self.cex.note_sat(set, m),
+            SatResult::Unsat => self.cex.note_unsat(set),
+            _ => {}
         }
     }
 

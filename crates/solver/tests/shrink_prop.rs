@@ -112,7 +112,6 @@ fn base_config() -> SolverConfig {
         ctx_fork: true,
         canonical_models: true,
         use_cache: false,
-        use_model_reuse: false,
         use_cex_cache: false,
         ..Default::default()
     }

@@ -13,9 +13,12 @@
 # file below each is counted.
 #
 # A struct's fields are the `pub name:` lines between its `pub struct`
-# line and the first `}` at the start of a line; a variable is read when
-# its quoted name appears above the first `#[cfg(test)]` of
-# `src/config.rs`.
+# line and the first `}` at the start of a line. A field is frozen when its
+# doc comment starts with "Frozen for `mergebench`": it is kept only
+# because the standalone benchmark package names it, and nothing reads it.
+# A struct with frozen fields prints their count beside its own, and
+# `fields total` counts only the live ones. A variable is read when its
+# quoted name appears above the first `#[cfg(test)]` of `src/config.rs`.
 #
 # Usage: scripts/loc.sh [repository root]   (default: the current directory)
 set -eu
@@ -50,16 +53,27 @@ echo
 echo knobs
 knobs=0
 while IFS=: read -r file name; do
-    n=$(awk -v name="$name" '
+    read -r n frozen < <(awk -v name="$name" '
         $0 ~ "^pub struct " name " \\{" { inside = 1; next }
-        inside && /^}/ { exit }
-        inside && /^[[:space:]]+pub [a-z_0-9]+:/ { n++ }
-        END { print n + 0 }' "$file")
-    printf '  %-22s %6d\n' "$name" "$n"
-    knobs=$((knobs + n))
+        !inside { next }
+        /^}/ { exit }
+        /^[[:space:]]*\/\/\// {
+            if (!doc) frozen_doc = $0 ~ /^[[:space:]]*\/\/\/ Frozen for `mergebench`/
+            doc = 1
+            next
+        }
+        /^[[:space:]]+pub [a-z_0-9]+:/ { n++; if (doc && frozen_doc) f++ }
+        { doc = 0 }
+        END { print n + 0, f + 0 }' "$file")
+    if [ "$frozen" -gt 0 ]; then
+        printf '  %-22s %6d (%d frozen)\n' "$name" "$n" "$frozen"
+    else
+        printf '  %-22s %6d\n' "$name" "$n"
+    fi
+    knobs=$((knobs + n - frozen))
 done < <(grep -roE --include='*.rs' '^pub struct ([A-Za-z]*Config|Budgets) \{' "${srcs[@]}" \
     | sed -E 's/^(.*):pub struct ([A-Za-z]*) \{$/\1:\2/' | sort -t: -k2)
-printf '  %-22s %6d\n' "fields total" "$knobs"
+printf '  %-22s %6d\n' "fields total (live)" "$knobs"
 builder=$(awk '
     /^impl EngineBuilder \{/ { inside = 1; next }
     inside && /^}/ { exit }

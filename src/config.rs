@@ -8,13 +8,19 @@
 //!
 //! Unset variables keep the library default. A set variable that does
 //! not parse panics: a misspelled knob silently running the default
-//! would defeat the reason for setting it.
+//! would defeat the reason for setting it. For the same reason
+//! [`from_env`] panics on a set `SYMMERGE_*` name it does not read, a
+//! misspelled or retired one.
 //!
 //! [`from_lookup`] reads the variables in field order, one line per
-//! variable; the README's "Environment" section tables them.
+//! variable; the README's "Environment" section tables them. It is also
+//! the one list of names: the names it asks for are the names
+//! [`from_env`] knows.
 //!
 //! A bool is one of `1`/`0`, `true`/`false`, `on`/`off`, `yes`/`no`.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -42,8 +48,10 @@ pub const FLEET_VARS: [&str; 3] =
 ///
 /// # Panics
 ///
-/// Panics on a set variable whose value does not parse.
+/// Panics on a set `SYMMERGE_*` variable that [`from_lookup`] does not
+/// read, and on a set variable whose value does not parse.
 pub fn from_env() -> EnvConfig {
+    refuse_unread(std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()));
     from_lookup(|name| match std::env::var(name) {
         Ok(v) => Some(v),
         Err(std::env::VarError::NotPresent) => None,
@@ -63,11 +71,9 @@ pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
     let mut engine = EngineConfig::default();
     let solver = &mut engine.solver;
     env.flag("SYMMERGE_SOLVER_CACHE", &mut solver.use_cache);
-    env.flag("SYMMERGE_SOLVER_MODEL_REUSE", &mut solver.use_model_reuse);
     env.flag("SYMMERGE_SOLVER_INDEPENDENCE", &mut solver.use_independence);
     env.flag("SYMMERGE_SOLVER_CEX_CACHE", &mut solver.use_cex_cache);
     env.flag("SYMMERGE_SOLVER_CEX_PREFILTER", &mut solver.cex_prefilter);
-    env.num("SYMMERGE_SOLVER_TIER_GATE", &mut solver.tier_gate);
     env.flag("SYMMERGE_SOLVER_INCREMENTAL", &mut solver.use_incremental);
     env.flag("SYMMERGE_SOLVER_CTX_FORK", &mut solver.ctx_fork);
     env.flag("SYMMERGE_SAT_CCMIN", &mut solver.sat_ccmin);
@@ -117,6 +123,26 @@ pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
     EnvConfig { engine, parallel }
 }
 
+/// Panics on the first `SYMMERGE_*` name in `set` that [`from_lookup`]
+/// does not read.
+fn refuse_unread(set: impl IntoIterator<Item = String>) {
+    let read = read_names();
+    if let Some(name) = set.into_iter().find(|n| n.starts_with("SYMMERGE_") && !read.contains(n)) {
+        panic!("{name} is set, but symmerge reads no such variable (misspelled or retired)");
+    }
+}
+
+/// Every name [`from_lookup`] asks for. It asks for each one whatever
+/// the values, so a walk over an empty environment lists them all.
+fn read_names() -> BTreeSet<String> {
+    let read = RefCell::new(BTreeSet::new());
+    from_lookup(|name| {
+        read.borrow_mut().insert(name.to_owned());
+        None
+    });
+    read.into_inner()
+}
+
 /// A variable lookup with typed setters.
 struct Env<'a>(&'a dyn Fn(&str) -> Option<String>);
 
@@ -163,8 +189,6 @@ fn parse_retry_ladder(v: &str) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::collections::BTreeSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A lookup over a fixed variable list.
@@ -240,7 +264,7 @@ mod tests {
     #[test]
     fn malformed_values_are_refused() {
         for list in [
-            &[("SYMMERGE_SOLVER_TIER_GATE", "many")][..],
+            &[("SYMMERGE_MAX_CONTEXTS", "many")][..],
             &[("SYMMERGE_CTX_EVICT", "lru")],
             &[("SYMMERGE_FAULT_PLAN", "panic=oops")],
             &[("SYMMERGE_SOLVER_RETRY_LADDER", "4,x")],
@@ -261,15 +285,11 @@ mod tests {
         type Edit = fn(&mut EnvConfig);
         let table: &[(&[(&str, &str)], Edit)] = &[
             (&[("SYMMERGE_SOLVER_CACHE", "0")], |c| c.engine.solver.use_cache = false),
-            (&[("SYMMERGE_SOLVER_MODEL_REUSE", "off")], |c| {
-                c.engine.solver.use_model_reuse = false
-            }),
             (&[("SYMMERGE_SOLVER_INDEPENDENCE", "no")], |c| {
                 c.engine.solver.use_independence = false
             }),
             (&[("SYMMERGE_SOLVER_CEX_CACHE", "false")], |c| c.engine.solver.use_cex_cache = false),
             (&[("SYMMERGE_SOLVER_CEX_PREFILTER", "0")], |c| c.engine.solver.cex_prefilter = false),
-            (&[("SYMMERGE_SOLVER_TIER_GATE", "7")], |c| c.engine.solver.tier_gate = 7),
             (&[("SYMMERGE_SOLVER_INCREMENTAL", "0")], |c| c.engine.solver.use_incremental = false),
             (&[("SYMMERGE_SOLVER_CTX_FORK", "0")], |c| c.engine.solver.ctx_fork = false),
             (&[("SYMMERGE_SAT_CCMIN", "0")], |c| c.engine.solver.sat_ccmin = false),
@@ -314,15 +334,33 @@ mod tests {
                 assert_eq!(want.parallel, default.parallel, "{list:?}");
             }
         }
-        // Record every name the parser asks for.
-        let read = RefCell::new(BTreeSet::new());
-        from_lookup(|name| {
-            read.borrow_mut().insert(name.to_owned());
-            None
-        });
-        let read = read.into_inner();
+        let read = read_names();
         let read: BTreeSet<&str> = read.iter().map(String::as_str).collect();
         assert_eq!(read, covered, "the table must cover exactly the variables read");
-        assert_eq!(covered.len(), 22);
+        assert_eq!(covered.len(), 20);
+    }
+
+    /// A set `SYMMERGE_*` name the parser does not read is refused, so a
+    /// retired knob cannot silently run the default; every read name
+    /// and every name outside `SYMMERGE_*` passes.
+    #[test]
+    fn unread_variables_are_refused() {
+        let refused = |names: &[&str]| {
+            let names: Vec<String> = names.iter().map(|&n| n.to_owned()).collect();
+            catch_unwind(|| refuse_unread(names)).is_err()
+        };
+        for retired in [
+            "SYMMERGE_SHARED_CACHE",
+            "SYMMERGE_COV_HEAP",
+            "SYMMERGE_SOLVER_MODEL_REUSE",
+            "SYMMERGE_SOLVER_TIER_GATE",
+            "SYMMERGE_SOLVER_CACH",
+        ] {
+            assert!(refused(&["PATH", retired]), "{retired} must be refused");
+        }
+        let read = read_names();
+        let mut ok: Vec<&str> = read.iter().map(String::as_str).collect();
+        ok.extend(["PATH", "HOME", "SYMMERGE"]);
+        assert!(!refused(&ok));
     }
 }

@@ -1,8 +1,8 @@
 //! In-process ablation walk: every optimization layer and every fault
 //! the engine tolerates may change effort, never results.
 //!
-//! The solver tiers inherited from KLEE (query cache, model reuse,
-//! independence slicing, counterexample cache), the incremental context
+//! The solver tiers inherited from KLEE (query cache, independence
+//! slicing, counterexample cache), the incremental context
 //! tree, the query-shrinking levers and the fault-tolerance layer are
 //! each switched off (or, for faults, injected) through one named row
 //! of [`ROWS`]. Each row is an explicit [`EngineConfig`] value, so the
@@ -42,13 +42,11 @@ struct Row {
 fn bare(c: &mut EngineConfig) {
     let s = &mut c.solver;
     s.use_cache = false;
-    s.use_model_reuse = false;
     s.use_independence = false;
     s.use_cex_cache = false;
     s.use_incremental = false;
     s.ctx_fork = false;
     s.ctx_evict_by_clauses = false;
-    s.tier_gate = 0;
     s.cex_prefilter = false;
     s.sat_ccmin = false;
     s.ite_factor = false;
@@ -57,13 +55,11 @@ fn bare(c: &mut EngineConfig) {
 
 const ROWS: &[Row] = &[
     Row { name: "no-cache", edit: |c| c.solver.use_cache = false, fleet: false },
-    Row { name: "no-model-reuse", edit: |c| c.solver.use_model_reuse = false, fleet: false },
     Row { name: "no-independence", edit: |c| c.solver.use_independence = false, fleet: false },
     Row { name: "no-cex-cache", edit: |c| c.solver.use_cex_cache = false, fleet: false },
     Row { name: "no-incremental", edit: |c| c.solver.use_incremental = false, fleet: false },
     Row { name: "no-ctx-fork", edit: |c| c.solver.ctx_fork = false, fleet: false },
     Row { name: "ctx-evict-count", edit: |c| c.solver.ctx_evict_by_clauses = false, fleet: false },
-    Row { name: "tier-gate-off", edit: |c| c.solver.tier_gate = 0, fleet: false },
     Row { name: "cex-prefilter-off", edit: |c| c.solver.cex_prefilter = false, fleet: false },
     Row { name: "sat-ccmin-off", edit: |c| c.solver.sat_ccmin = false, fleet: false },
     Row { name: "ite-factor-off", edit: |c| c.solver.ite_factor = false, fleet: false },
@@ -207,13 +203,11 @@ macro_rules! ablation_tests {
 
 ablation_tests! {
     ablation_no_cache => "no-cache",
-    ablation_no_model_reuse => "no-model-reuse",
     ablation_no_independence => "no-independence",
     ablation_no_cex_cache => "no-cex-cache",
     ablation_no_incremental => "no-incremental",
     ablation_no_ctx_fork => "no-ctx-fork",
     ablation_ctx_evict_count => "ctx-evict-count",
-    ablation_tier_gate_off => "tier-gate-off",
     ablation_cex_prefilter_off => "cex-prefilter-off",
     ablation_sat_ccmin_off => "sat-ccmin-off",
     ablation_ite_factor_off => "ite-factor-off",

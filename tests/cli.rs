@@ -2,13 +2,13 @@
 //!
 //! `symmerge run` explores sequentially, so a fleet variable
 //! (`symmerge::config::FLEET_VARS`) would do nothing there. Like a
-//! malformed variable, a set one stops the run instead of being ignored.
+//! malformed variable or a `SYMMERGE_*` name symmerge does not read, a
+//! set one stops the run instead of being ignored.
 //! And `--merge static` explores in the topological order static merging
 //! needs, unless `--strategy` says otherwise.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use symmerge::config::FLEET_VARS;
 
 /// The MiniC program `src` in a per-test file under the temp directory.
 fn program(tag: &str, src: &str) -> PathBuf {
@@ -19,13 +19,15 @@ fn program(tag: &str, src: &str) -> PathBuf {
     path
 }
 
-/// Runs `symmerge run <path> <flags>` with the fleet variables cleared,
-/// then `set` applied.
+/// Runs `symmerge run <path> <flags>` with the inherited `SYMMERGE_*`
+/// variables cleared, then `set` applied.
 fn run(path: &PathBuf, flags: &[&str], set: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_symmerge"));
     cmd.arg("run").arg(path).arg("--width").arg("8").args(flags);
-    for var in FLEET_VARS {
-        cmd.env_remove(var);
+    for (var, _) in std::env::vars_os() {
+        if var.to_string_lossy().starts_with("SYMMERGE_") {
+            cmd.env_remove(var);
+        }
     }
     cmd.envs(set.iter().copied()).output().expect("the symmerge binary runs")
 }
@@ -50,6 +52,17 @@ fn run_refuses_a_set_fleet_variable() {
         assert!(stderr.contains(var) && stderr.contains("--jobs"), "{var}: {stderr}");
         assert!(out.stdout.is_empty(), "{var}: the run must not start");
     }
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn run_refuses_a_retired_variable() {
+    let path = program("retired", "fn main() { let x = sym_int(\"x\"); putchar(x); }\n");
+    let out = run(&path, &[], &[("SYMMERGE_SOLVER_MODEL_REUSE", "0")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a retired variable was ignored");
+    assert!(stderr.contains("SYMMERGE_SOLVER_MODEL_REUSE"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the run must not start");
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 

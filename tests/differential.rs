@@ -192,36 +192,26 @@ fn solver_differential_stdin_and_mixed_workloads() {
     solver_differential_for(&WORKLOADS[8..]);
 }
 
-/// The cache-tier differential: the tier gate (small context-served
-/// queries skip the cex scan and model re-evaluation) and the cex
-/// signature prefilter are pure shortcuts — they may change which tier
-/// answers a query, never the answer. Running the default (gated,
-/// prefiltered) pipeline against a reference with both shortcuts
-/// disabled, on both solver paths, must be byte-identical under
-/// canonical models. The default gate (64) and a low one (8) both run,
-/// so the gate is checked on either side of most query sizes.
+/// The cache-tier differential: the cex signature prefilter is a pure
+/// shortcut — it may skip a subset merge, never change an answer.
+/// Running the prefiltered pipeline against an unfiltered reference on
+/// the re-blast path, the only path that scans the counterexample cache,
+/// must be byte-identical under canonical models.
 fn tier_pipeline_differential_for(workloads: &[(&str, InputConfig)]) {
     for &(name, cfg) in workloads {
-        for use_incremental in [true, false] {
-            let ungated = SolverConfig {
-                use_incremental,
-                canonical_models: true,
-                cex_prefilter: false,
-                tier_gate: 0,
-                ..SolverConfig::default()
-            };
-            for (mode, strategy) in [
-                (MergeMode::None, StrategyKind::Bfs),
-                (MergeMode::Static, StrategyKind::Topological),
-            ] {
-                let b = run_with_solver(name, cfg, mode, strategy, ungated.clone());
-                for tier_gate in [8, 64] {
-                    let gated = SolverConfig { cex_prefilter: true, tier_gate, ..ungated.clone() };
-                    let a = run_with_solver(name, cfg, mode, strategy, gated);
-                    let what = format!("tier-gated ({tier_gate}) vs ungated");
-                    assert_solver_config_invariant(name, &what, &a, &b);
-                }
-            }
+        let plain = SolverConfig {
+            use_incremental: false,
+            canonical_models: true,
+            cex_prefilter: false,
+            ..SolverConfig::default()
+        };
+        let filtered = SolverConfig { cex_prefilter: true, ..plain.clone() };
+        for (mode, strategy) in
+            [(MergeMode::None, StrategyKind::Bfs), (MergeMode::Static, StrategyKind::Topological)]
+        {
+            let b = run_with_solver(name, cfg, mode, strategy, plain.clone());
+            let a = run_with_solver(name, cfg, mode, strategy, filtered.clone());
+            assert_solver_config_invariant(name, "prefiltered vs unfiltered", &a, &b);
         }
     }
 }

@@ -251,7 +251,9 @@ fn keys_digest(keys: impl IntoIterator<Item = (String, Vec<(String, u64)>, Vec<u
 /// the most conflicts, so learnt clauses and their compaction at fork
 /// time are pinned too. A change meant to alter the
 /// search (a new heuristic) updates the pinned values; a change meant to
-/// be a pure speed-up must leave them alone.
+/// be a pure speed-up must leave them alone. Every row also runs with
+/// the fields frozen for `mergebench` flipped ([`frozen_variants`]),
+/// which must not move it.
 #[test]
 fn default_search_order_is_pinned() {
     type Pin = (u64, u64, u64, u64, u64, u64, u64, usize, u64);
@@ -289,29 +291,42 @@ fn default_search_order_is_pinned() {
     ];
     for (stdin_len, merge_mode, strategy, pinned) in rows {
         let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len };
-        let program = by_name("wc").unwrap().program(&cfg);
-        let config = EngineConfig {
-            merge_mode,
-            strategy,
-            solver: SolverConfig::default(),
-            seed: 0,
-            ..EngineConfig::default()
-        };
-        let r = Engine::builder(program).config(config).build().unwrap().run();
-        let s = &r.solver;
-        let got = (
-            r.steps,
-            s.sat_calls,
-            s.decisions,
-            s.propagations,
-            s.conflicts,
-            s.ctx_forks,
-            s.ctx_clauses_resident,
-            r.tests.len(),
-            tests_digest(&r),
-        );
-        assert_eq!(got, pinned, "wc@{stdin_len} {merge_mode:?}/{strategy:?}");
+        for (flipped, solver) in frozen_variants(SolverConfig::default()).into_iter().enumerate() {
+            let program = by_name("wc").unwrap().program(&cfg);
+            let config =
+                EngineConfig { merge_mode, strategy, solver, seed: 0, ..EngineConfig::default() };
+            let r = Engine::builder(program).config(config).build().unwrap().run();
+            let s = &r.solver;
+            let got = (
+                r.steps,
+                s.sat_calls,
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.ctx_forks,
+                s.ctx_clauses_resident,
+                r.tests.len(),
+                tests_digest(&r),
+            );
+            let row = (stdin_len, merge_mode, strategy, flipped == 1);
+            assert_eq!(got, pinned, "wc@{stdin_len} {row:?}");
+        }
     }
+}
+
+/// `solver`, then `solver` with the four fields frozen for `mergebench`
+/// flipped together (`use_model_reuse`, `model_history`, `tier_gate`,
+/// `shared_cache`). The library ignores them, so a pin that moves
+/// between the two has wired a frozen field back into a decision.
+fn frozen_variants(solver: SolverConfig) -> [SolverConfig; 2] {
+    let flipped = SolverConfig {
+        use_model_reuse: !solver.use_model_reuse,
+        model_history: if solver.model_history == 0 { 32 } else { 0 },
+        tier_gate: if solver.tier_gate == 0 { 64 } else { 0 },
+        shared_cache: !solver.shared_cache,
+        ..solver.clone()
+    };
+    [solver, flipped]
 }
 
 /// Pins the search order of a two-worker BSP fleet, as
@@ -324,10 +339,9 @@ fn default_search_order_is_pinned() {
 /// `MergeMode::None`, all at jobs 2 with 48 steps per round. Between them
 /// they hand states off, merge, reject merges and fast-forward laggards.
 /// The last two rows re-blast every query (`use_incremental: false`),
-/// the path where the counterexample cache answers the most queries.
-/// Each worker's verdict caches are its own, so the frozen
-/// `SolverConfig::shared_cache` field must not move a row, and the
-/// three frozen `shared_*` counters must read 0.
+/// the one path that consults the counterexample cache. The fields
+/// frozen for `mergebench` must not move a row ([`frozen_variants`]),
+/// and the three frozen `shared_*` counters must read 0.
 #[test]
 fn fleet_search_order_is_pinned() {
     type Pin = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64);
@@ -365,14 +379,14 @@ fn fleet_search_order_is_pinned() {
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
     for (merge_mode, strategy, use_incremental, pinned) in rows {
-        for shared_cache in [true, false] {
+        let solver = SolverConfig { use_incremental, ..SolverConfig::default() };
+        for (flipped, solver) in frozen_variants(solver).into_iter().enumerate() {
             let program = by_name("wc").unwrap().program(&cfg);
-            let solver = SolverConfig { use_incremental, shared_cache, ..SolverConfig::default() };
             let config =
                 EngineConfig { merge_mode, strategy, solver, seed: 0, ..EngineConfig::default() };
             let par = ParallelConfig { jobs: 2, steps_per_round: 48, ..ParallelConfig::default() };
             let r = ParallelEngine::new(program, config, par).unwrap().run();
-            let row = (merge_mode, strategy, use_incremental, shared_cache);
+            let row = (merge_mode, strategy, use_incremental, flipped == 1);
             let got = (
                 r.steps,
                 r.picks,
