@@ -262,13 +262,13 @@ fn default_search_order_is_pinned() {
             3,
             MergeMode::None,
             StrategyKind::Random,
-            (2868, 239, 1309, 9613, 0, 71, 18975, 85, 2889807311675795582),
+            (2868, 240, 1320, 9642, 0, 71, 18975, 85, 2889807311675795582),
         ),
         (
             3,
             MergeMode::None,
             StrategyKind::Dfs,
-            (2868, 235, 1257, 9453, 0, 71, 18293, 85, 928238929201085142),
+            (2868, 240, 1320, 9642, 0, 71, 18293, 85, 928238929201085142),
         ),
         (
             3,
@@ -286,7 +286,7 @@ fn default_search_order_is_pinned() {
             5,
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
-            (4666, 478, 7919, 84684, 32, 169, 38770, 112, 14419730063140683367),
+            (4666, 499, 8652, 92054, 50, 179, 38770, 112, 7799235925872557257),
         ),
     ];
     for (stdin_len, merge_mode, strategy, pinned) in rows {
@@ -356,25 +356,25 @@ fn fleet_search_order_is_pinned() {
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
             true,
-            (1518, 1518, 13, 163, 8, 39, 1, 140, 39, 9601563475405021411),
+            (1518, 1518, 13, 163, 8, 39, 1, 147, 39, 12902910254162403314),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             true,
-            (2868, 175, 0, 0, 0, 0, 8, 242, 85, 16270553411640764902),
+            (2868, 175, 0, 0, 0, 0, 8, 243, 85, 16270553411640764902),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             false,
-            (2868, 175, 0, 0, 0, 0, 6, 303, 85, 3850971435549633376),
+            (2868, 175, 0, 0, 0, 0, 6, 613, 85, 2708986401831329950),
         ),
         (
             MergeMode::None,
             StrategyKind::Random,
             false,
-            (2868, 175, 0, 0, 0, 0, 9, 312, 85, 4940791075407491723),
+            (2868, 175, 0, 0, 0, 0, 9, 619, 85, 2708986401831329950),
         ),
     ];
     let cfg = InputConfig { n_args: 0, arg_len: 1, stdin_len: 3 };
