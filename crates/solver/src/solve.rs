@@ -245,9 +245,10 @@ pub struct SolverStats {
     pub unknown: u64,
     /// Queries answered from the exact-match cache.
     pub cache_hits: u64,
-    /// Queries proved unsat by a stored unsat core (subset of the query).
+    /// Re-blast queries, or their independence slices, proved unsat by
+    /// a stored unsat core (a subset of the query or slice).
     pub cex_unsat_hits: u64,
-    /// Queries answered by a stored sat superset's model.
+    /// Re-blast queries answered by a stored sat superset's model.
     pub cex_sat_hits: u64,
     /// Queries decided on a reused incremental context (exact prefix
     /// match or warm ancestor).

@@ -66,8 +66,9 @@ impl QueryCache {
 ///
 /// The stores are kept minimal-ish by subsumption — inserting a new core
 /// drops stored supersets, and cores that come from independence slices
-/// are smaller than the queries that produced them. Both stores enforce `capacity` by FIFO eviction independently —
-/// overfilling one side can never evict the other's entries.
+/// are smaller than the queries that produced them. Both stores enforce
+/// `capacity` by FIFO eviction independently — overfilling one side can
+/// never evict the other's entries.
 ///
 /// Every scan asserts the sorted-set invariant [`is_subset`] relies on,
 /// so an unsorted caller fails a debug build instead of silently missing
@@ -166,7 +167,7 @@ fn signature(set: &[ExprId]) -> u64 {
 }
 
 /// The rungs of the ladder that answer a query, in lookup order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Tier {
     Exact,
     CexUnsat,
@@ -174,15 +175,6 @@ enum Tier {
 }
 
 impl Tier {
-    /// The hit counter this tier bumps.
-    fn counter(self, stats: &mut SolverStats) -> &mut u64 {
-        match self {
-            Tier::Exact => &mut stats.cache_hits,
-            Tier::CexUnsat => &mut stats.cex_unsat_hits,
-            Tier::CexSat => &mut stats.cex_sat_hits,
-        }
-    }
-
     /// Counts a hit on this tier and turns its stored verdict into the
     /// query's answer.
     fn answer(
@@ -192,7 +184,11 @@ impl Tier {
         set: &[ExprId],
         verdict: Option<Model>,
     ) -> SatResult {
-        *self.counter(stats) += 1;
+        *match self {
+            Tier::Exact => &mut stats.cache_hits,
+            Tier::CexUnsat => &mut stats.cex_unsat_hits,
+            Tier::CexSat => &mut stats.cex_sat_hits,
+        } += 1;
         match verdict {
             Some(m) => {
                 debug_assert!(m.satisfies(pool, set), "{self:?} model must satisfy");

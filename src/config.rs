@@ -132,8 +132,8 @@ fn refuse_unread(set: impl IntoIterator<Item = String>) {
     }
 }
 
-/// Every name [`from_lookup`] asks for. It asks for each one whatever
-/// the values, so a walk over an empty environment lists them all.
+/// Every name [`from_lookup`] reads: with nothing set it asks for each
+/// one, so a walk over an empty lookup lists them all.
 fn read_names() -> BTreeSet<String> {
     let read = RefCell::new(BTreeSet::new());
     from_lookup(|name| {
