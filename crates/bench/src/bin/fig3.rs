@@ -9,13 +9,13 @@
 //! constant per tool), which is what licenses multiplicity as a path-count
 //! estimator in Figures 4–6.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{linear_fit, run_workload, RunOpts, Setup};
 use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(20_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig3", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let sweeps: Vec<(&str, Vec<InputConfig>)> = vec![
         (

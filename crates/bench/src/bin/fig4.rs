@@ -8,7 +8,7 @@
 //! (orders of magnitude for merge-friendly ones) with a small minority
 //! below 1.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{run_workload, RunOpts, Setup};
 use symmerge_workloads::{all, InputConfig, InputKind};
 
@@ -24,7 +24,7 @@ fn saturating_config(kind: InputKind, quick: bool) -> InputConfig {
 
 fn main() {
     let opts = HarnessOpts::parse(5_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig4", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create("fig4", "tool,paths_baseline,multiplicity_dsm,ratio");
     println!("# Figure 4: path ratio P_DSM+QCE / P_baseline under a {:?} budget", opts.budget);

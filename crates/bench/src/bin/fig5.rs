@@ -13,13 +13,13 @@
 //! the third column shows how much of that the incremental layer buys
 //! back.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{run_workload, timed, RunOpts, Setup};
 use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(30_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig5", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let reblast_opts = RunOpts { incremental: false, ..run_opts.clone() };
     if opts.jobs > 1 {

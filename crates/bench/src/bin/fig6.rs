@@ -6,13 +6,13 @@
 //! Expected shape: the vast majority of points below the `T_SSM = T_base`
 //! diagonal, with larger inputs further below.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{exhaustive_sweep, run_workload, timed, RunOpts, Setup};
 use symmerge_workloads::all;
 
 fn main() {
     let opts = HarnessOpts::parse(10_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig6", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let mut csv =
         CsvOut::create("fig6", "tool,symbolic_bytes,t_baseline_ms,t_ssm_ms,baseline_timeout");

@@ -7,13 +7,13 @@
 //! merges everything mergeable. Expected shape: an intermediate α is
 //! fastest for tools with genuinely hot variables; both extremes lose.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{run_workload, timed, RunOpts, Setup};
 use symmerge_workloads::{by_name, InputConfig};
 
 fn main() {
     let opts = HarnessOpts::parse(20_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig7", symmerge::config::from_env());
     let l = if opts.quick { 3 } else { 4 };
     let tools: Vec<(&str, InputConfig)> = vec![
         ("link", InputConfig::args(2, l)),

@@ -8,7 +8,7 @@
 //! the §5.5 statistic: the fraction of fast-forwarded states that merged
 //! (paper: 69 % on average).
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{run_workload, RunOpts, Setup};
 use symmerge_workloads::{all, InputConfig, InputKind};
 
@@ -23,7 +23,7 @@ fn big_config(kind: InputKind, quick: bool) -> InputConfig {
 
 fn main() {
     let opts = HarnessOpts::parse(3_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig8", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create(
         "fig8",

@@ -6,13 +6,13 @@
 //! hash-history bookkeeping and of merges missed when states don't
 //! coexist.
 
-use symmerge_bench::harness::{CsvOut, HarnessOpts};
+use symmerge_bench::harness::{config_or_exit, CsvOut, HarnessOpts};
 use symmerge_bench::{exhaustive_sweep, run_workload, timed, RunOpts, Setup};
 use symmerge_workloads::all;
 
 fn main() {
     let opts = HarnessOpts::parse(10_000);
-    let env = symmerge::config::from_env();
+    let env = config_or_exit("fig9", symmerge::config::from_env());
     let run_opts = RunOpts::from(&opts);
     let mut csv = CsvOut::create("fig9", "tool,symbolic_bytes,t_ssm_ms,t_dsm_ms");
     println!("# Figure 9: T_SSM vs T_DSM for exhaustive exploration (budget {:?})", opts.budget);

@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn configs_map_setups() {
         let opts = RunOpts::default();
-        let env = symmerge::config::from_lookup(|_| None);
+        let env = symmerge::config::from_lookup(|_| None).unwrap();
         let config = |setup| config_for(setup, &opts, &env);
         assert_eq!(config(Setup::Baseline).merge_mode, MergeMode::None);
         assert_eq!(config(Setup::SsmQce).merge_mode, MergeMode::Static);
@@ -191,6 +191,7 @@ pub mod harness {
     use std::io::Write;
     use std::path::PathBuf;
     use std::time::Duration;
+    use symmerge::config::EnvConfig;
 
     /// Options every figure binary accepts:
     /// `--budget-ms N`, `--seed N`, `--quick`, `--alpha X`, `--jobs N`.
@@ -255,6 +256,16 @@ pub mod harness {
             }
             opts
         }
+    }
+
+    /// A figure binary's configuration: the [`symmerge::config::from_env`]
+    /// result its `main` read, or, for a bad `SYMMERGE_*` variable, the
+    /// one-line error on stderr and exit code 1.
+    pub fn config_or_exit(bin: &str, env: Result<EnvConfig, String>) -> EnvConfig {
+        env.unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(1)
+        })
     }
 
     /// Appends rows to `target/figures/<name>.csv` (truncating first).

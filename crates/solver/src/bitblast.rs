@@ -9,7 +9,7 @@
 //! which the crate's property tests cross-check against the expression
 //! evaluator.
 
-use crate::cnf::{Cnf, Lit};
+use crate::cnf::{Cnf, Lit, Renumbering};
 use crate::fxhash::FxHashMap;
 use crate::model::Model;
 use crate::sat::SolveOutcome;
@@ -111,6 +111,24 @@ impl BitBlaster {
     /// order, and removes them (see [`Cnf::drain_clauses`]).
     pub fn drain_clauses(&mut self, sink: impl FnMut(&[Lit])) {
         self.cnf.drain_clauses(sink);
+    }
+
+    /// Carries every memoized translation, input and gate over to the
+    /// numbering of `r` (see [`SatSolver::compact_learnts`]): a bit fixed
+    /// at level 0 becomes the constant it equals, so circuits built later
+    /// over it fold. The CNF must be drained.
+    ///
+    /// [`SatSolver::compact_learnts`]: crate::sat::SatSolver::compact_learnts
+    pub fn renumber(&mut self, r: &Renumbering) {
+        for l in &mut self.arena {
+            *l = r.lit(*l);
+        }
+        // Input slots point into the arena; boolean slots hold their
+        // literal in place.
+        for slot in self.cache.values_mut().filter(|s| s.len == BOOL_SLOT) {
+            slot.start = r.lit(Lit(slot.start)).0;
+        }
+        self.cnf.renumber(r);
     }
 
     /// Consumes the blaster, returning the CNF.

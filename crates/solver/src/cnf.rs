@@ -73,6 +73,38 @@ impl fmt::Display for Lit {
     }
 }
 
+/// A variable map from [`SatSolver::compact_learnts`]: every variable
+/// fixed at level 0 goes to the constant literal it equals, and the
+/// unassigned ones are numbered densely from 1 in their old order, so
+/// the map is monotone on them and keeps every sorted operand pair
+/// sorted.
+///
+/// [`SatSolver::compact_learnts`]: crate::sat::SatSolver::compact_learnts
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Renumbering {
+    /// The literal each old variable's positive literal becomes.
+    map: Vec<Lit>,
+    num_vars: usize,
+}
+
+impl Renumbering {
+    /// Builds the map from each old variable's literal and the new
+    /// variable count.
+    pub(crate) fn new(map: Vec<Lit>, num_vars: usize) -> Self {
+        Renumbering { map, num_vars }
+    }
+
+    /// The literal `l` becomes.
+    pub fn lit(&self, l: Lit) -> Lit {
+        Lit(self.map[l.var().index()].0 ^ (l.0 & 1))
+    }
+
+    /// The variable count after renumbering, the constant included.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+}
+
 /// Structural key of an emitted gate: tag plus canonicalized operands.
 /// Binary gates leave the third slot as [`GATE_KEY_FILL`]; constant
 /// operands never reach the memo (they are folded first), so the filler
@@ -211,6 +243,26 @@ impl Cnf {
         }
         self.lits.clear();
         self.ends.clear();
+    }
+
+    /// Carries the variable count and the gate memo over to the numbering
+    /// of `r`. A gate whose operands are all still free keeps its memo
+    /// entry, its output mapped (to a constant, if level 0 fixed it). A
+    /// gate with a fixed operand loses its entry: the same gate built
+    /// again folds that operand first and never looks it up. The CNF must
+    /// be drained.
+    pub(crate) fn renumber(&mut self, r: &Renumbering) {
+        debug_assert_eq!(self.num_clauses(), 0, "renumbering a CNF with staged clauses");
+        self.num_vars = u32::try_from(r.num_vars()).expect("variables fit in u32");
+        let memo = std::mem::take(&mut self.gate_memo);
+        self.gate_memo.reserve(memo.len());
+        let operand = |l: Lit| if l == GATE_KEY_FILL { l } else { r.lit(l) };
+        for ((tag, a, b, c), out) in memo {
+            let ops = [operand(a), operand(b), operand(c)];
+            if ops.iter().all(|&l| self.is_const(l).is_none()) {
+                self.gate_memo.insert((tag, ops[0], ops[1], ops[2]), r.lit(out));
+            }
+        }
     }
 
     /// Number of clauses (since the last [`Cnf::drain_clauses`]).

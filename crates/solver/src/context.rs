@@ -22,7 +22,7 @@
 //! context down the path (see `solve.rs`).
 
 use crate::bitblast::BitBlaster;
-use crate::cnf::Lit;
+use crate::cnf::{Lit, Var};
 use crate::model::Model;
 use crate::sat::{SatSolver, SatStats, SolveOutcome};
 use crate::solve::elem_hash;
@@ -113,15 +113,16 @@ impl SolverContext {
     /// and the blaster's memo is one literal arena plus two tables of
     /// slots, so a fork is a handful of `memcpy`s — no allocation per
     /// clause or per memo entry, and dropping a context frees as few.
-    /// Before snapshotting, the clause database is compacted
-    /// ([`SatSolver::compact_learnts`]: a level-0 satisfied-clause sweep
-    /// over the *whole* DB — original Tseitin clauses included — plus
-    /// self-subsumption over the learnt store, then arena garbage
-    /// collection), so parent and fork both carry the smaller DB — the
+    /// Before snapshotting, the context is compacted in place
+    /// ([`SolverContext::compact_learnts`]) so that it holds only what
+    /// level 0 has not decided: satisfied clauses (level-0 reasons
+    /// included) are deleted and, once enough variables are fixed, the
+    /// fixed ones are renumbered out of the solver and the blaster alike.
+    /// Parent and fork then both carry the smaller database, and the
     /// clause-weighted residency a warm fork charges drops with it. The
     /// work is observable through [`SolverContext::clauses_compacted`].
     pub fn fork(&mut self) -> SolverContext {
-        self.compacted += self.sat.compact_learnts();
+        self.compact_learnts();
         SolverContext {
             blaster: self.blaster.clone(),
             sat: self.sat.fork(),
@@ -139,6 +140,13 @@ impl SolverContext {
     /// compaction on *this* context (forks start at zero).
     pub fn clauses_compacted(&self) -> u64 {
         self.compacted
+    }
+
+    /// Variables this context's SAT solver holds, the constant included.
+    /// Fork-time compaction renumbers the fixed ones away, so this can
+    /// shrink as the prefix grows.
+    pub fn num_vars(&self) -> usize {
+        self.sat.num_vars()
     }
 
     /// The constraints permanently asserted so far, in assertion order.
@@ -164,16 +172,23 @@ impl SolverContext {
         self.blaster.gates_reused()
     }
 
-    /// Compacts the clause database in place (level-0 satisfied-clause
-    /// sweep + learnt-store self-subsumption; see
-    /// [`SatSolver::compact_learnts`]), returning the number of clauses
-    /// removed or strengthened. [`fork`] does this automatically; the
-    /// explicit entry point exists for tests ablating compaction against
-    /// a pristine clone.
+    /// Compacts the context in place ([`SatSolver::compact_learnts`]: a
+    /// level-0 sweep over the whole clause database, renumbering of the
+    /// fixed variables when enough are fixed, and self-subsumption over
+    /// the learnt store), carrying the blaster's memo over to any new
+    /// numbering. Returns the number of clauses removed or strengthened.
+    /// [`fork`] does this automatically; the explicit entry point exists
+    /// for tests ablating compaction against a pristine clone.
     ///
     /// [`fork`]: SolverContext::fork
     pub fn compact_learnts(&mut self) -> u64 {
-        let n = self.sat.compact_learnts();
+        // The map covers the solver's variables only: hand it everything
+        // blasted so far first.
+        self.sync();
+        let (n, renumbering) = self.sat.compact_learnts();
+        if let Some(r) = renumbering {
+            self.blaster.renumber(&r);
+        }
         self.compacted += n;
         n
     }
@@ -307,8 +322,9 @@ impl SolverContext {
 ///
 /// The minimization runs bit-by-bit under assumptions on the *same*
 /// incremental solver, so each probe reuses all learnt clauses; bits that
-/// are already 0 in the best model found so far are fixed without a
-/// solver call. Because the minimum is unique, every solving path
+/// are already 0 in the best model found so far, and bits fork-time
+/// compaction mapped to a constant, are fixed without a solver call.
+/// Because the minimum is unique, every solving path
 /// (incremental context, monolithic re-blast, independence slices) lands
 /// on the same model — which is what makes whole-behaviour sets
 /// comparable across runs and lets the differential harness assert exact
@@ -344,7 +360,10 @@ pub(crate) fn minimize_model(
         for i in (0..bits.len()).rev() {
             let l = bits[i];
             let bit_now = lit_is_true(&cur, l);
-            if aborted {
+            if aborted || l.var() == Var(0) {
+                // Past an abort, bits come from the best model so far. A
+                // bit compaction mapped to the constant has its value in
+                // every model, so no probe can move it.
                 if bit_now {
                     value |= 1 << i;
                 }

@@ -11,7 +11,7 @@
 //! query — how KLEE drives STP in the paper's prototype) is the special
 //! case [`SatSolver::from_cnf`] + [`SatSolver::solve`].
 
-use crate::cnf::{Cnf, Lit, Var};
+use crate::cnf::{Cnf, Lit, Renumbering, Var};
 
 /// The result of a SAT call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +85,12 @@ fn cref(i: usize) -> u32 {
 }
 
 const UNASSIGNED: i8 = -1;
+
+/// [`SatSolver::compact_learnts`] renumbers when at least one variable
+/// in this many is fixed at level 0. Below that share the renumbering
+/// (every clause literal, every per-variable table and the caller's
+/// memo) costs more than the copies it saves.
+const RENUMBER_MIN_FIXED: usize = 4;
 
 /// Copies `v` into a buffer with growth room of a quarter of its length
 /// plus 64 elements. A fork is extended right away (every fork is
@@ -204,8 +210,11 @@ impl SatSolver {
     /// nothing is shared, so parent and fork diverge freely. Each copy
     /// gets growth room (a quarter of its length plus 64), so the fork's
     /// first clauses and variables land without copying any vector
-    /// again. Call [`SatSolver::compact_learnts`] first to leave the
-    /// arena's garbage behind.
+    /// again. Call [`SatSolver::compact_learnts`] first, as
+    /// [`SolverContext::fork`](crate::SolverContext::fork) does: it
+    /// leaves the arena's garbage behind and shrinks every per-variable
+    /// table to the variables level 0 has not fixed, so the copy holds
+    /// only what is still undecided.
     ///
     /// Forking is only meaningful between queries —
     /// [`SatSolver::solve_under_assumptions`] always backtracks to
@@ -290,6 +299,11 @@ impl SatSolver {
     /// charges by. O(1): maintained incrementally.
     pub fn num_clauses(&self) -> usize {
         self.live_clauses
+    }
+
+    /// Number of variables, the constant included.
+    pub fn num_vars(&self) -> usize {
+        self.assigns.len()
     }
 
     /// Whether the clause database is still consistent. Once this turns
@@ -779,46 +793,60 @@ impl SatSolver {
         self.rebuild_watches();
     }
 
-    /// Fork-time clause-DB compaction: a level-0 satisfied-clause sweep
-    /// over the whole clause database plus bounded self-subsumption over
-    /// the learnt store, then garbage collection of the deleted clauses'
-    /// header slots and of the literal arena.
-    /// Returns the number of clauses removed or strengthened.
+    /// Fork-time compaction: leaves the solver holding only what level 0
+    /// has not decided. Returns the number of clauses removed or
+    /// strengthened, and the variable map when the variables were
+    /// renumbered.
     ///
-    /// A fork copies the whole clause database, so every clause the
-    /// parent carries is paid again in each child (the "bigger warm DB"
-    /// tax). Compacting just before the snapshot drops clauses
-    /// already satisfied by level-0 facts, strips falsified literals,
-    /// and applies self-subsumption (`C` strengthens `D` when
-    /// `C ⊆ D ∪ {¬l}` for exactly one flipped literal `l` — `D` minus
-    /// `¬l` is still implied). Level-0 facts are permanent (the prefix
-    /// is append-only and level 0 is never backtracked), so the sweep is
-    /// sound for original Tseitin clauses too, not just learnt ones —
-    /// and a merged prefix's satisfied clauses overwhelmingly live in
-    /// the original CNF. Everything removed is redundant with the
-    /// remaining database plus the trail, so verdicts are unchanged for
-    /// parent and fork alike. Deleted and strengthened clauses leave
-    /// their header slots and literals behind; the closing collection
-    /// packs the live clauses together so neither side of a fork copies
-    /// them.
+    /// A fork copies the whole solver, so every clause and every
+    /// per-variable entry the parent carries is paid again in each
+    /// child. Level-0 facts are permanent (the prefix is append-only and
+    /// level 0 is never backtracked), so everything they decide can go:
+    ///
+    /// 1. *Sweep.* Clauses satisfied at level 0 are deleted, the reasons
+    ///    of level-0 assignments among them (their `reason` entries are
+    ///    cleared, as MiniSat's `removeClause` does: `analyze`,
+    ///    `lit_redundant` and `analyze_final` never read a level-0
+    ///    reason), and falsified literals are stripped. The sweep covers
+    ///    original Tseitin clauses too, where a merged prefix's satisfied
+    ///    clauses overwhelmingly live. It visits the whole database only
+    ///    when the level-0 trail has grown since the last compaction;
+    ///    otherwise only the (small) learnt store can have changed.
+    /// 2. *Renumber.* In the same pass, when at least one variable in
+    ///    `RENUMBER_MIN_FIXED` is fixed, every fixed variable is mapped
+    ///    to the constant literal (variable 0) and the free ones are
+    ///    numbered densely from 1 in their old order. Activities, saved
+    ///    phases and learnt clauses carry over; the trail is reset to the
+    ///    constant, and the order heap is rebuilt in O(n). The caller
+    ///    must carry its own literals over through the returned map.
+    /// 3. *Subsume.* Bounded self-subsumption over the learnt store (`C`
+    ///    strengthens `D` when `C ⊆ D ∪ {¬l}` for exactly one flipped
+    ///    literal `l` — `D` minus `¬l` is still implied).
+    ///
+    /// Everything removed is redundant with the remaining database plus
+    /// the level-0 facts, so verdicts are unchanged for parent and fork
+    /// alike. The deleted clauses' header slots and arena literals are
+    /// collected at the end, and the watch lists are rebuilt once.
     /// Must be called between queries (decision level 0).
-    pub fn compact_learnts(&mut self) -> u64 {
+    pub fn compact_learnts(&mut self) -> (u64, Option<Renumbering>) {
         debug_assert_eq!(self.decision_level(), 0, "compact mid-query");
         if !self.ok {
-            return 0;
+            return (0, None);
         }
         let mut compacted = 0u64;
         let mut units: Vec<Lit> = Vec::new();
-        // Pass 1: sweep against the level-0 trail — delete satisfied
-        // clauses, strip falsified literals. Locked clauses (reasons for
-        // level-0 implied literals) are left untouched. The full-DB part
-        // is gated on the trail having grown since the last sweep;
-        // without new level-0 facts only the (small) learnt store can
-        // have changed, so repeated forks of one parent stay cheap.
+        // Every assignment is at level 0 here, so clearing the trail's
+        // reasons unlocks all of them for the sweep.
+        for &l in &self.trail {
+            self.reason[l.var().index()] = None;
+        }
         let sweep_originals = self.trail.len() > self.compacted_trail;
+        let renumbering = (sweep_originals && self.worth_renumbering()).then(|| self.renumbering());
+        // Pass 1: sweep against the level-0 trail, renumbering the
+        // literals that stay.
         for i in 0..self.clauses.len() {
             let c = self.clauses[i];
-            if c.deleted || (!c.learnt && !sweep_originals) || self.locked(i) {
+            if c.deleted || (!c.learnt && !sweep_originals) {
                 continue;
             }
             // Unassigned literals slide down in place, keeping their
@@ -835,7 +863,7 @@ impl SatSolver {
                     }
                     Some(false) => {}
                     None => {
-                        self.arena[start + kept] = l;
+                        self.arena[start + kept] = renumbering.as_ref().map_or(l, |r| r.lit(l));
                         kept += 1;
                     }
                 }
@@ -855,20 +883,115 @@ impl SatSolver {
                 }
             }
         }
+        if let Some(r) = &renumbering {
+            self.renumber_vars(r);
+        }
         self.compacted_trail = self.trail.len();
-        // Pass 2: bounded self-subsumption among the surviving learnt
-        // clauses, shortest subsumers first. Variable signatures reject
-        // most pairs in O(1); the exact check tolerates one flipped
-        // literal (self-subsumption) or zero (plain subsumption).
+        compacted += self.subsume_learnts(&mut units);
+        if compacted > 0 || renumbering.is_some() {
+            // Strengthened clauses may have lost a watched literal, and
+            // renumbered ones watch new codes: rebuild the watch lists
+            // wholesale, as `reduce_db` does, before any propagation
+            // touches them. The rebuild lists clauses in ref order, which
+            // renumbering keeps, so the deleted slots can go first.
+            self.drop_deleted_slots();
+            self.rebuild_watches();
+            for l in units {
+                match self.value(l) {
+                    Some(true) => {}
+                    Some(false) => self.ok = false,
+                    None => {
+                        self.enqueue(l, None);
+                        if self.propagate().is_some() {
+                            self.ok = false;
+                        }
+                    }
+                }
+            }
+        }
+        if self.garbage > 0 {
+            self.collect_garbage();
+        }
+        (compacted, renumbering)
+    }
+
+    /// Whether enough variables are fixed at level 0 to pay for
+    /// renumbering them away: see `RENUMBER_MIN_FIXED`. The constant
+    /// (variable 0, true at level 0) is where the fixed ones go.
+    fn worth_renumbering(&self) -> bool {
+        let fixed = self.trail.len() - 1;
+        self.assigns[0] == 1 && fixed > 0 && fixed * RENUMBER_MIN_FIXED >= self.assigns.len()
+    }
+
+    /// The map [`SatSolver::compact_learnts`] renumbers by: a fixed
+    /// variable goes to the constant literal of its value, a free one to
+    /// the next dense index.
+    fn renumbering(&self) -> Renumbering {
+        let mut next = 0u32;
+        let map = self
+            .assigns
+            .iter()
+            .map(|&a| match a {
+                UNASSIGNED => {
+                    next += 1;
+                    Var(next).positive()
+                }
+                1 => Var(0).positive(),
+                _ => Var(0).negative(),
+            })
+            .collect();
+        Renumbering::new(map, next as usize + 1)
+    }
+
+    /// Rebuilds the per-variable tables in the numbering of `r`: the free
+    /// variables keep their activity and saved phase, the trail holds
+    /// only the constant, and the order heap is heapified over the free
+    /// variables. The clause literals were renumbered by the sweep, and
+    /// the caller rebuilds the watch lists.
+    fn renumber_vars(&mut self, r: &Renumbering) {
+        let n = r.num_vars();
+        let mut activity = vec![0.0; n];
+        let mut phase = vec![false; n];
+        for (v, &a) in self.assigns.iter().enumerate() {
+            if a == UNASSIGNED {
+                let w = r.lit(Var(v as u32).positive()).var().index();
+                activity[w] = self.activity[v];
+                phase[w] = self.phase[v];
+            }
+        }
+        self.activity = activity;
+        self.phase = phase;
+        self.assigns = vec![UNASSIGNED; n];
+        self.level = vec![0; n];
+        self.reason = vec![None; n];
+        self.seen = vec![false; n];
+        self.watches = vec![EMPTY_WATCHES; 2 * n];
+        self.trail.clear();
+        self.enqueue(Var(0).positive(), None);
+        self.qhead = 1;
+        self.heap = (1..n as u32).collect();
+        self.heap_pos = (0..n as i32).map(|v| v - 1).collect();
+        for i in (0..self.heap.len() / 2).rev() {
+            self.heap_sift_down(i);
+        }
+        // The last query's core names old variables.
+        self.failed_assumptions.clear();
+    }
+
+    /// Bounded self-subsumption among the live learnt clauses, shortest
+    /// subsumers first; literals a strengthening reduces to a unit go to
+    /// `units`. Returns the number of clauses removed or strengthened.
+    fn subsume_learnts(&mut self, units: &mut Vec<Lit>) -> u64 {
+        // Variable signatures reject most pairs in O(1); the exact check
+        // tolerates one flipped literal (self-subsumption) or zero
+        // (plain subsumption).
         const SUBSUMER_MAX_LITS: usize = 8;
+        let mut compacted = 0u64;
         let mut check_budget: usize = 200_000;
         let var_sig =
             |lits: &[Lit]| lits.iter().fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64));
         let mut refs: Vec<u32> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learnt && !c.deleted && !self.locked(i)
-            })
+            .filter(|&i| self.clauses[i].learnt && !self.clauses[i].deleted)
             .map(cref)
             .collect();
         refs.sort_by_key(|&r| self.clauses[r as usize].len);
@@ -954,30 +1077,6 @@ impl SatSolver {
                 }
             }
         }
-        if compacted > 0 {
-            // Strengthened clauses may have lost a watched literal:
-            // rebuild the watch lists wholesale, as `reduce_db` does,
-            // before any propagation touches them. The rebuild lists
-            // clauses in ref order, which renumbering keeps, so the
-            // deleted slots can go first.
-            self.drop_deleted_slots();
-            self.rebuild_watches();
-            for l in units {
-                match self.value(l) {
-                    Some(true) => {}
-                    Some(false) => self.ok = false,
-                    None => {
-                        self.enqueue(l, None);
-                        if self.propagate().is_some() {
-                            self.ok = false;
-                        }
-                    }
-                }
-            }
-        }
-        if self.garbage > 0 {
-            self.collect_garbage();
-        }
         compacted
     }
 
@@ -1018,8 +1117,8 @@ impl SatSolver {
         self.dropped_slots += self.clauses.len() - live;
         self.clauses.truncate(live);
         // Only assigned variables hold a reason (backtracking clears
-        // it), and an assigned variable's reason is locked, so it is
-        // never deleted.
+        // it), and compaction clears the reasons of the level-0 ones
+        // before it deletes anything.
         for r in self.reason.iter_mut().flatten() {
             debug_assert_ne!(renumbered[*r as usize], NIL, "a reason was deleted");
             *r = renumbered[*r as usize];
@@ -1546,15 +1645,16 @@ mod tests {
         assert!(s.is_consistent());
     }
 
-    /// A solver that has learnt clauses, a level-0 trail beyond the
-    /// constant, and compacted: pigeonhole(5, 4) with every clause
-    /// guarded by `g ∨ h`, refuted under the assumptions `¬g, ¬h`, plus
-    /// a unit fact `u` that satisfies a clause for compaction to sweep
-    /// and implies `w` through a reason clause.
+    /// A solver that has learnt clauses and compacted with renumbering:
+    /// pigeonhole(5, 4) with every clause guarded by `g ∨ h`, refuted
+    /// under the assumptions `¬g, ¬h`, plus a unit fact `u` that
+    /// satisfies a clause for compaction to sweep, implies `w₀..w₂`
+    /// through reason clauses and takes the last pigeon out of every
+    /// hole: 8 of 27 variables fixed.
     fn warm_compacted_solver() -> SatSolver {
         let mut cnf = Cnf::new();
-        let (g, h) = (cnf.new_lit(), cnf.new_lit());
-        let (u, w) = (cnf.new_lit(), cnf.new_lit());
+        let (g, h, u) = (cnf.new_lit(), cnf.new_lit(), cnf.new_lit());
+        let ws: Vec<Lit> = (0..3).map(|_| cnf.new_lit()).collect();
         let holes = 4;
         let rows: Vec<Vec<Lit>> =
             (0..=holes).map(|_| (0..holes).map(|_| cnf.new_lit()).collect()).collect();
@@ -1571,12 +1671,20 @@ mod tests {
             }
         }
         cnf.add_clause(&[u, rows[0][0], rows[1][1]]);
-        cnf.add_clause(&[!u, w]);
+        for &w in &ws {
+            cnf.add_clause(&[!u, w]);
+        }
+        for &r in &rows[holes] {
+            cnf.add_clause(&[!u, !r]);
+        }
         let mut s = SatSolver::from_cnf(&cnf);
         assert_eq!(s.solve_under_assumptions(&[!g, !h]), SolveOutcome::Unsat);
         s.add_clause(&[u]);
-        s.compact_learnts();
-        assert!(!s.learnt_clauses().is_empty() && s.trail.len() > 1, "the solver must be warm");
+        let n = s.num_vars();
+        let (_, renumbering) = s.compact_learnts();
+        let r = renumbering.expect("8 of 27 variables are fixed: enough to renumber");
+        assert_eq!((n, r.num_vars()), (27, 27 - 8));
+        assert!(!s.learnt_clauses().is_empty(), "the solver must be warm");
         s
     }
 
@@ -1600,23 +1708,27 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_deleted_slots_and_keeps_reasons() {
+    fn compaction_leaves_only_free_variables() {
         let s = warm_compacted_solver();
-        assert!(s.dropped_slots > 0, "the unit fact satisfies a clause to delete");
+        assert_eq!(s.trail, [Var(0).positive()], "the trail holds only the constant");
+        assert!(s.dropped_slots > 0, "the unit fact satisfies clauses to delete");
         assert!(s.clauses.iter().all(|c| !c.deleted));
         assert_eq!(s.clauses.iter().filter(|c| c.len > 0).count(), s.num_clauses());
-        let mut reasons = 0;
-        for &l in &s.trail {
-            if let Some(r) = s.reason[l.var().index()] {
+        for i in 0..s.clauses.len() {
+            let free = s.lits(i).iter().filter(|&&l| s.value(l).is_none()).count();
+            assert!(free >= 2, "clause {i} keeps at least two unassigned literals");
+        }
+        for (v, r) in s.reason.iter().enumerate() {
+            if let Some(r) = r {
+                let implied = s.lits(*r as usize)[0];
                 assert_eq!(
-                    s.lits(r as usize)[0],
-                    l,
+                    implied.var().index(),
+                    v,
                     "a reason's first literal is the one it implied"
                 );
-                reasons += 1;
+                assert_eq!(s.value(implied), Some(true));
             }
         }
-        assert!(reasons > 0, "`u` implies `w`");
     }
 
     #[test]

@@ -493,10 +493,61 @@ fn cnf_of(n: usize, clauses: &[Vec<Lit>]) -> Cnf {
     cnf
 }
 
+/// A solver and the literal each of the test's variables has in it:
+/// compaction may renumber the solver's variables.
+struct Tracked {
+    sat: SatSolver,
+    to: Vec<Lit>,
+}
+
+impl Tracked {
+    /// A fresh solver over `n` variables and `clauses`, numbered as given.
+    fn new(n: usize, clauses: &[Vec<Lit>]) -> Tracked {
+        let cnf = cnf_of(n, clauses);
+        let mut numbering = Cnf::new();
+        let mut to = vec![numbering.lit_true()];
+        to.extend((0..n).map(|_| numbering.new_lit()));
+        Tracked { sat: SatSolver::from_cnf(&cnf), to }
+    }
+
+    /// The solver's literal for the test's `l`.
+    fn lit(&self, l: Lit) -> Lit {
+        let m = self.to[l.var().index()];
+        if l.is_negative() {
+            !m
+        } else {
+            m
+        }
+    }
+
+    fn add_clause(&mut self, clause: &[Lit]) {
+        let mapped: Vec<Lit> = clause.iter().map(|&l| self.lit(l)).collect();
+        self.sat.add_clause(&mapped);
+    }
+
+    /// Compacts, following any renumbering.
+    fn compact(&mut self) {
+        if let (_, Some(r)) = self.sat.compact_learnts() {
+            for l in &mut self.to {
+                *l = r.lit(*l);
+            }
+        }
+    }
+
+    fn fork(&self) -> Tracked {
+        Tracked { sat: self.sat.fork(), to: self.to.clone() }
+    }
+}
+
 /// Decides `assumptions` on `s`, checking a sat model against `clauses`.
-fn verdict(s: &mut SatSolver, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
-    let holds = |m: &[bool], l: &Lit| m[l.var().index()] != l.is_negative();
-    match s.solve_under_assumptions(assumptions) {
+fn verdict(s: &mut Tracked, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
+    let mapped: Vec<Lit> = assumptions.iter().map(|&l| s.lit(l)).collect();
+    let outcome = s.sat.solve_under_assumptions(&mapped);
+    let holds = |m: &[bool], l: &Lit| {
+        let l = s.lit(*l);
+        m[l.var().index()] != l.is_negative()
+    };
+    match outcome {
         SolveOutcome::Sat(m) => {
             assert!(
                 clauses.iter().all(|c| c.iter().any(|l| holds(&m, l))),
@@ -512,7 +563,7 @@ fn verdict(s: &mut SatSolver, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool
 
 /// The verdict of a fresh solver over exactly `clauses`.
 fn fresh_verdict(n: usize, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
-    verdict(&mut SatSolver::from_cnf(&cnf_of(n, clauses)), clauses, assumptions)
+    verdict(&mut Tracked::new(n, clauses), clauses, assumptions)
 }
 
 proptest! {
@@ -525,7 +576,8 @@ proptest! {
     /// parent and child then take different clauses and queries. Every
     /// verdict on either side equals a fresh solver over the same clause
     /// list, and the parent answers its queries the same before and after
-    /// everything done to the child.
+    /// everything done to the child. Compaction may renumber either side's
+    /// variables, so queries, clauses and models go through [`Tracked`].
     #[test]
     fn sat_fork_is_independent_of_its_parent(seed in 1u64..u64::MAX, n in 30usize..50) {
         let mut rng = Stream(seed);
@@ -535,7 +587,7 @@ proptest! {
         // Random 3-SAT just below its threshold: mostly sat, but the
         // queries conflict and learn.
         let mut base = rng.clauses(&vars, n * 4);
-        let mut parent = SatSolver::from_cnf(&cnf_of(n, &base));
+        let mut parent = Tracked::new(n, &base);
         let queries: Vec<Vec<Lit>> = (0..6)
             .map(|_| {
                 let k = 1 + rng.below(3);
@@ -551,7 +603,7 @@ proptest! {
             parent.add_clause(u);
         }
         base.extend(units);
-        parent.compact_learnts();
+        parent.compact();
         let mut child = parent.fork();
         let before: Vec<bool> = queries.iter().map(|q| verdict(&mut parent, &base, q)).collect();
         for (q, &v) in queries.iter().zip(&before) {
@@ -566,7 +618,7 @@ proptest! {
                 let want = fresh_verdict(n, &child_clauses, q);
                 prop_assert_eq!(verdict(&mut child, &child_clauses, q), want, "child verdict");
             }
-            child.compact_learnts();
+            child.compact();
         }
         let after: Vec<bool> = queries.iter().map(|q| verdict(&mut parent, &base, q)).collect();
         prop_assert_eq!(&before, &after, "the child's work changed the parent's answers");

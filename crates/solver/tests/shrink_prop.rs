@@ -1,6 +1,7 @@
 //! Property tests for the merged-state query-shrinking pipeline: learnt-
 //! clause minimization (`SYMMERGE_SAT_CCMIN`), ite-aware blasting
-//! (`SYMMERGE_ITE_FACTOR`), and fork-time clause-DB compaction. Each
+//! (`SYMMERGE_ITE_FACTOR`), and fork-time compaction, which renumbers
+//! the variables level 0 fixed out of a context. Each
 //! shrinking layer is ablated against a reference configuration — the
 //! layers may shrink the CNF and the learnt store, never the answer.
 
@@ -327,6 +328,162 @@ proptest! {
             (&[pre, not_ext], ext),
         ];
         assert_result_invariant(&p, &mut on, &mut off, &queries, "query-shrinking")?;
+    }
+
+    /// Fork-time compaction renumbers the variables level 0 fixed out of
+    /// a context. A depth-first walk over random branch conditions forks
+    /// a context at every branch with two live sides, as the solver's
+    /// context tree does, so every context on the walk has compacted.
+    /// Each answer must equal that of a twin that never forks (a fresh
+    /// context over the same prefix), and each sat model, read back
+    /// through the renumbered blaster, must satisfy the twin's clauses
+    /// when its input values are assumed there. The same queries on a
+    /// forking and a non-forking solver give byte-identical canonical
+    /// models.
+    #[test]
+    fn forking_contexts_answer_like_a_twin_that_never_forks(
+        terms in proptest::collection::vec(recipe(), 1..4),
+        cmps in proptest::collection::vec((cmp_op(), 0u64..256), 2..5),
+        pins in proptest::collection::vec((0u8..NUM_INPUTS as u8, 0u64..256), 1..3),
+        walk in 1u64..u64::MAX,
+    ) {
+        let mut p = ExprPool::new(WIDTH);
+        let mut conds = Vec::new();
+        for (i, &(op, k)) in cmps.iter().enumerate() {
+            let t = build(&mut p, &terms[i % terms.len()]);
+            let k = p.bv_const(k, WIDTH);
+            conds.push(p.cmp(op, t, k));
+        }
+        // Pinning an input fixes its bits, and every gate over them
+        // folds at level 0: the state renumbering removes.
+        for &(i, k) in &pins {
+            let x = build(&mut p, &Recipe::Input(i));
+            let k = p.bv_const(k, WIDTH);
+            conds.push(p.eq(x, k));
+        }
+        let mut walk = Walk { conds, rng: walk, queries: Vec::new() };
+        walk.branch(&mut p, &mut SolverContext::with_options(true, true), &[], 3)?;
+
+        let queries: Vec<(&[ExprId], ExprId)> =
+            walk.queries.iter().map(|(pc, e)| (&pc[..], *e)).collect();
+        let mut forking = Solver::new(base_config());
+        let mut moving = Solver::new(SolverConfig { ctx_fork: false, ..base_config() });
+        assert_result_invariant(&p, &mut forking, &mut moving, &queries, "fork-time renumbering")?;
+        prop_assert_eq!(moving.stats().ctx_forks, 0, "the twin solver forked");
+    }
+}
+
+/// A depth-first walk over random branch conditions (see
+/// `forking_contexts_answer_like_a_twin_that_never_forks`), recording
+/// each `(prefix, extra)` query it asks.
+struct Walk {
+    conds: Vec<ExprId>,
+    rng: u64,
+    queries: Vec<(Vec<ExprId>, ExprId)>,
+}
+
+impl Walk {
+    fn next_cond(&mut self) -> ExprId {
+        // xorshift64
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.conds[(self.rng % self.conds.len() as u64) as usize]
+    }
+
+    /// Asks both sides of a random condition on `ctx`, whose prefix is
+    /// `pc`, checking each answer against a twin; then descends into each
+    /// live side, forking `ctx` for the first of two and moving it into
+    /// the last.
+    fn branch(
+        &mut self,
+        p: &mut ExprPool,
+        ctx: &mut SolverContext,
+        pc: &[ExprId],
+        depth: u32,
+    ) -> Result<(), TestCaseError> {
+        if depth == 0 {
+            return Ok(());
+        }
+        let c = self.next_cond();
+        let not_c = p.not(c);
+        let mut live = Vec::new();
+        for e in [c, not_c] {
+            self.queries.push((pc.to_vec(), e));
+            let got = ctx.solve_assuming(p, &[e], None);
+            let mut twin = twin_of(p, pc);
+            let want = twin.solve_assuming_probe(p, &[e], None);
+            prop_assert_eq!(
+                matches!(got, SolveOutcome::Sat(_)),
+                matches!(want, SolveOutcome::Sat(_)),
+                "a forked context and its twin disagree on {:?} ∧ {:?}",
+                pc,
+                e
+            );
+            if matches!(got, SolveOutcome::Sat(_)) {
+                let syms: Vec<_> =
+                    (0..NUM_INPUTS).map(|i| p.intern_symbol(&format!("in{i}"))).collect();
+                let model = ctx.extract_model_for(&got, &syms);
+                let mut at_model = vec![e];
+                for &s in &syms {
+                    let x = p.input_for(s, WIDTH);
+                    let v = p.bv_const(model.value(s), WIDTH);
+                    at_model.push(p.eq(x, v));
+                }
+                let back = twin.solve_assuming_probe(p, &at_model, None);
+                prop_assert!(
+                    matches!(back, SolveOutcome::Sat(_)),
+                    "a forked context's model violates its twin's clauses"
+                );
+                live.push(e);
+            }
+        }
+        let n = live.len();
+        for (i, e) in live.into_iter().enumerate() {
+            let mut next = if i + 1 < n { ctx.fork() } else { std::mem::take(ctx) };
+            next.assert_constraint(p, e);
+            let mut pc = pc.to_vec();
+            pc.push(e);
+            self.branch(p, &mut next, &pc, depth - 1)?;
+        }
+        Ok(())
+    }
+}
+
+/// A context over `pc` that has never forked, and so never compacted.
+fn twin_of(p: &ExprPool, pc: &[ExprId]) -> SolverContext {
+    let mut twin = SolverContext::with_options(true, true);
+    for &c in pc {
+        twin.assert_constraint(p, c);
+    }
+    twin
+}
+
+/// Once an input is pinned, a fork renumbers its bits and the gates over
+/// them out of both sides, and both sides still answer as a twin does.
+#[test]
+fn fork_renumbers_pinned_inputs_away() {
+    let mut p = ExprPool::new(WIDTH);
+    let chain = ite_chain(&mut p, 6);
+    let sel = p.input("sel", WIDTH);
+    let three = p.bv_const(3, WIDTH);
+    let pin = p.eq(sel, three);
+    let forty = p.bv_const(40, WIDTH);
+    let query = p.ult(chain, forty);
+    let mut ctx = SolverContext::with_options(true, true);
+    ctx.assert_constraint(&p, pin);
+    assert!(matches!(ctx.solve_assuming(&p, &[query], None), SolveOutcome::Sat(_)));
+    let before = ctx.num_vars();
+    let mut child = ctx.fork();
+    assert!(ctx.num_vars() < before, "the pinned selector's bits stayed numbered");
+    assert_eq!(child.num_vars(), ctx.num_vars());
+    let mut twin = twin_of(&p, &[pin]);
+    let not_query = p.not(query);
+    for extras in [&[query][..], &[not_query][..], &[][..]] {
+        let want = matches!(twin.solve_assuming(&p, extras, None), SolveOutcome::Sat(_));
+        for side in [&mut ctx, &mut child] {
+            assert_eq!(matches!(side.solve_assuming(&p, extras, None), SolveOutcome::Sat(_)), want);
+        }
     }
 }
 

@@ -42,6 +42,38 @@ if diff -u "$pin" "$observed"; then
     echo "counters: equal to $pin"
 else
     echo "counters: differ from $pin (diff above: - pinned, + observed)"
+    # One row per field that moved: workload, line, field, pinned → observed.
+    awk '
+        # "wc: # second seed 1 counters Counters { a: 1, b: 2 } c=3" gives
+        # the label "wc second seed 1 counters" and the fields a, b and c.
+        function parse(line, vals, order,   at, body, toks, n, i, eq) {
+            at = index(line, " Counters {")
+            label = substr(line, 1, at - 1)
+            sub(/: # /, " ", label)
+            body = substr(line, at + length(" Counters {"))
+            gsub(/[{},]/, " ", body)
+            gsub(/: /, "=", body)
+            n = split(body, toks, " ")
+            for (i = 1; i <= n; i++) {
+                eq = index(toks[i], "=")
+                vals[substr(toks[i], 1, eq - 1)] = substr(toks[i], eq + 1)
+                order[i] = substr(toks[i], 1, eq - 1)
+            }
+            return n
+        }
+        FNR == NR { parse($0, v, o); pinned[label] = $0; next }
+        {
+            n = parse($0, seen, order)
+            if (!(label in pinned)) { print "  " label ": not pinned"; next }
+            delete want
+            parse(pinned[label], want, o)
+            for (i = 1; i <= n; i++) {
+                f = order[i]
+                if (want[f] != seen[f]) print "  " label " " f ": " want[f] " → " seen[f]
+            }
+            delete seen
+        }
+    ' "$pin" "$observed"
     status=1
 fi
 exit $status

@@ -118,7 +118,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         "topological" => StrategyKind::Topological,
         other => return Err(format!("--strategy: unknown strategy `{other}`")),
     };
-    let env = symmerge::config::from_env().engine;
+    let env = symmerge::config::from_env()?.engine;
     let mut budgets = env.budgets;
     if let Some(ms) = args.get("budget-ms") {
         let ms: u64 = ms.parse().map_err(|_| "--budget-ms: invalid value".to_string())?;

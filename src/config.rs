@@ -7,10 +7,11 @@
 //! in `main`. Tests build their configurations as values instead.
 //!
 //! Unset variables keep the library default. A set variable that does
-//! not parse panics: a misspelled knob silently running the default
+//! not parse is an error: a misspelled knob silently running the default
 //! would defeat the reason for setting it. For the same reason
-//! [`from_env`] panics on a set `SYMMERGE_*` name it does not read, a
-//! misspelled or retired one.
+//! [`from_env`] refuses a set `SYMMERGE_*` name it does not read, a
+//! misspelled or retired one. Each error is one line naming the
+//! variable; the binaries print it and exit 1.
 //!
 //! [`from_lookup`] reads the variables in field order, one line per
 //! variable; the README's "Environment" section tables them. It is also
@@ -46,64 +47,72 @@ pub const FLEET_VARS: [&str; 3] =
 /// Reads the `SYMMERGE_*` process environment (see the
 /// [module docs](self)).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a set `SYMMERGE_*` variable that [`from_lookup`] does not
-/// read, and on a set variable whose value does not parse.
-pub fn from_env() -> EnvConfig {
-    refuse_unread(std::env::vars_os().map(|(name, _)| name.to_string_lossy().into_owned()));
-    from_lookup(|name| match std::env::var(name) {
-        Ok(v) => Some(v),
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}: {v:?} is not UTF-8"),
-    })
+/// A one-line message for a set `SYMMERGE_*` variable that
+/// [`from_lookup`] does not read, or one whose value does not parse.
+pub fn from_env() -> Result<EnvConfig, String> {
+    let mut set = Vec::new();
+    for (name, value) in std::env::vars_os() {
+        let name = name.to_string_lossy().into_owned();
+        if name.starts_with("SYMMERGE_") && value.to_str().is_none() {
+            return Err(format!("{name}: {value:?} is not UTF-8"));
+        }
+        set.push(name);
+    }
+    refuse_unread(set)?;
+    // Every set `SYMMERGE_*` value is UTF-8 by now.
+    from_lookup(|name| std::env::var(name).ok())
 }
 
 /// [`from_env`] over an arbitrary variable lookup, so callers (and
 /// tests) can supply variables without touching the process
 /// environment.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a set variable whose value does not parse.
-pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
+/// A one-line message for the first set variable whose value does not
+/// parse.
+pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<EnvConfig, String> {
     let env = Env(&lookup);
     let mut engine = EngineConfig::default();
     let solver = &mut engine.solver;
-    env.flag("SYMMERGE_SOLVER_CACHE", &mut solver.use_cache);
-    env.flag("SYMMERGE_SOLVER_INDEPENDENCE", &mut solver.use_independence);
-    env.flag("SYMMERGE_SOLVER_CEX_CACHE", &mut solver.use_cex_cache);
-    env.flag("SYMMERGE_SOLVER_CEX_PREFILTER", &mut solver.cex_prefilter);
-    env.flag("SYMMERGE_SOLVER_INCREMENTAL", &mut solver.use_incremental);
-    env.flag("SYMMERGE_SOLVER_CTX_FORK", &mut solver.ctx_fork);
-    env.flag("SYMMERGE_SAT_CCMIN", &mut solver.sat_ccmin);
-    env.flag("SYMMERGE_ITE_FACTOR", &mut solver.ite_factor);
+    env.flag("SYMMERGE_SOLVER_CACHE", &mut solver.use_cache)?;
+    env.flag("SYMMERGE_SOLVER_INDEPENDENCE", &mut solver.use_independence)?;
+    env.flag("SYMMERGE_SOLVER_CEX_CACHE", &mut solver.use_cex_cache)?;
+    env.flag("SYMMERGE_SOLVER_CEX_PREFILTER", &mut solver.cex_prefilter)?;
+    env.flag("SYMMERGE_SOLVER_INCREMENTAL", &mut solver.use_incremental)?;
+    env.flag("SYMMERGE_SOLVER_CTX_FORK", &mut solver.ctx_fork)?;
+    env.flag("SYMMERGE_SAT_CCMIN", &mut solver.sat_ccmin)?;
+    env.flag("SYMMERGE_ITE_FACTOR", &mut solver.ite_factor)?;
     if let Some(v) = env.get("SYMMERGE_SOLVER_RETRY_LADDER") {
-        solver.retry_ladder = parse_retry_ladder(&v);
+        solver.retry_ladder = parse_retry_ladder(&v)?;
     }
     if let Some(v) = env.get("SYMMERGE_CTX_EVICT") {
         solver.ctx_evict_by_clauses = match v.as_str() {
             "clauses" => true,
             "count" => false,
-            _ => panic!("SYMMERGE_CTX_EVICT takes `clauses` or `count`, got `{v}`"),
+            _ => return Err(format!("SYMMERGE_CTX_EVICT takes `clauses` or `count`, got `{v}`")),
         };
     }
-    env.num("SYMMERGE_MAX_CTX_CLAUSES", &mut solver.max_context_clauses);
-    env.num("SYMMERGE_MAX_CONTEXTS", &mut solver.max_contexts);
+    env.num("SYMMERGE_MAX_CTX_CLAUSES", &mut solver.max_context_clauses)?;
+    env.num("SYMMERGE_MAX_CONTEXTS", &mut solver.max_contexts)?;
 
-    env.flag("SYMMERGE_WARM_MIGRATION", &mut engine.warm_migration);
+    env.flag("SYMMERGE_WARM_MIGRATION", &mut engine.warm_migration)?;
     if let Some(v) = env.get("SYMMERGE_FAULT_PLAN").filter(|v| !v.is_empty()) {
-        let plan = FaultPlan::parse(&v).unwrap_or_else(|e| panic!("SYMMERGE_FAULT_PLAN: {e}"));
+        let plan = FaultPlan::parse(&v).map_err(|e| format!("SYMMERGE_FAULT_PLAN: {e}"))?;
         engine.fault_plan = Some(Arc::new(plan));
     }
-    env.flag("SYMMERGE_PANIC_ISOLATION", &mut engine.panic_isolation);
+    env.flag("SYMMERGE_PANIC_ISOLATION", &mut engine.panic_isolation)?;
     let path = env.get("SYMMERGE_CHECKPOINT_PATH").filter(|p| !p.is_empty());
     if let Some(every) = env.get("SYMMERGE_CHECKPOINT_EVERY").filter(|_| path.is_none()) {
-        panic!("SYMMERGE_CHECKPOINT_EVERY=`{every}` needs SYMMERGE_CHECKPOINT_PATH set as well");
+        return Err(format!(
+            "SYMMERGE_CHECKPOINT_EVERY=`{every}` needs SYMMERGE_CHECKPOINT_PATH set as well"
+        ));
     }
     if let Some(path) = path {
         let mut every = 256;
-        env.num("SYMMERGE_CHECKPOINT_EVERY", &mut every);
+        env.num("SYMMERGE_CHECKPOINT_EVERY", &mut every)?;
         if every > 0 {
             engine.checkpoint = Some(CheckpointConfig { path: PathBuf::from(path), every });
         }
@@ -114,29 +123,32 @@ pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> EnvConfig {
         parallel.scheduler = match v.as_str() {
             "bsp" => SchedulerKind::Bsp,
             "steal" => SchedulerKind::Steal,
-            _ => panic!("SYMMERGE_SCHEDULER takes `bsp` or `steal`, got `{v}`"),
+            _ => return Err(format!("SYMMERGE_SCHEDULER takes `bsp` or `steal`, got `{v}`")),
         };
     }
-    env.num("SYMMERGE_PAR_QUOTA", &mut parallel.steps_per_round);
-    env.flag("SYMMERGE_PAR_STEAL_NEWEST", &mut parallel.steal_newest);
+    env.num("SYMMERGE_PAR_QUOTA", &mut parallel.steps_per_round)?;
+    env.flag("SYMMERGE_PAR_STEAL_NEWEST", &mut parallel.steal_newest)?;
 
-    EnvConfig { engine, parallel }
+    Ok(EnvConfig { engine, parallel })
 }
 
-/// Panics on the first `SYMMERGE_*` name in `set` that [`from_lookup`]
+/// Refuses the first `SYMMERGE_*` name in `set` that [`from_lookup`]
 /// does not read.
-fn refuse_unread(set: impl IntoIterator<Item = String>) {
+fn refuse_unread(set: impl IntoIterator<Item = String>) -> Result<(), String> {
     let read = read_names();
-    if let Some(name) = set.into_iter().find(|n| n.starts_with("SYMMERGE_") && !read.contains(n)) {
-        panic!("{name} is set, but symmerge reads no such variable (misspelled or retired)");
+    match set.into_iter().find(|n| n.starts_with("SYMMERGE_") && !read.contains(n)) {
+        Some(name) => Err(format!(
+            "{name} is set, but symmerge reads no such variable (misspelled or retired)"
+        )),
+        None => Ok(()),
     }
 }
 
 /// Every name [`from_lookup`] reads: with nothing set it asks for each
-/// one, so a walk over an empty lookup lists them all.
+/// one, so a walk over an empty lookup lists them all (and cannot fail).
 fn read_names() -> BTreeSet<String> {
     let read = RefCell::new(BTreeSet::new());
-    from_lookup(|name| {
+    let _ = from_lookup(|name| {
         read.borrow_mut().insert(name.to_owned());
         None
     });
@@ -153,35 +165,41 @@ impl Env<'_> {
     }
 
     /// Sets `field` from a bool variable, if set: the one boolean rule.
-    fn flag(&self, name: &str, field: &mut bool) {
+    fn flag(&self, name: &str, field: &mut bool) -> Result<(), String> {
         if let Some(v) = self.get(name) {
             *field = match v.as_str() {
                 "1" | "true" | "on" | "yes" => true,
                 "0" | "false" | "off" | "no" => false,
-                _ => panic!("{name} takes 1/0, true/false, on/off or yes/no, got `{v}`"),
+                _ => {
+                    return Err(format!(
+                        "{name} takes 1/0, true/false, on/off or yes/no, got `{v}`"
+                    ))
+                }
             };
         }
+        Ok(())
     }
 
     /// Sets `field` from a numeric variable, if set.
-    fn num<T: FromStr>(&self, name: &str, field: &mut T) {
+    fn num<T: FromStr>(&self, name: &str, field: &mut T) -> Result<(), String> {
         if let Some(v) = self.get(name) {
-            *field = v.parse().unwrap_or_else(|_| panic!("{name}: `{v}` is not a number"));
+            *field = v.parse().map_err(|_| format!("{name}: `{v}` is not a number"))?;
         }
+        Ok(())
     }
 }
 
 /// Parses a retry ladder: comma-separated budget multipliers, or
 /// `0`/`off`/`false`/`no`/empty to disable it.
-fn parse_retry_ladder(v: &str) -> Vec<u64> {
+fn parse_retry_ladder(v: &str) -> Result<Vec<u64>, String> {
     if matches!(v, "" | "0" | "false" | "off" | "no") {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     v.split(',')
         .map(|m| {
-            m.trim()
-                .parse()
-                .expect("SYMMERGE_SOLVER_RETRY_LADDER takes comma-separated multipliers")
+            m.trim().parse().map_err(|_| {
+                format!("SYMMERGE_SOLVER_RETRY_LADDER takes comma-separated multipliers, got `{v}`")
+            })
         })
         .collect()
 }
@@ -189,7 +207,6 @@ fn parse_retry_ladder(v: &str) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A lookup over a fixed variable list.
     fn vars<'a>(list: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
@@ -197,12 +214,12 @@ mod tests {
     }
 
     fn parses(list: &[(&str, &str)]) -> bool {
-        catch_unwind(AssertUnwindSafe(|| from_lookup(vars(list)))).is_ok()
+        from_lookup(vars(list)).is_ok()
     }
 
     #[test]
     fn empty_environment_is_the_library_default() {
-        let config = from_lookup(|_| None);
+        let config = from_lookup(|_| None).unwrap();
         assert_eq!(config.engine, EngineConfig::default());
         assert_eq!(config.parallel, ParallelConfig::default());
     }
@@ -226,25 +243,26 @@ mod tests {
             ("disabled", None),
         ] {
             let list = [("SYMMERGE_PANIC_ISOLATION", value)];
-            let got = catch_unwind(|| from_lookup(vars(&list)).engine.panic_isolation).ok();
+            let got = from_lookup(vars(&list)).ok().map(|c| c.engine.panic_isolation);
             assert_eq!(got, want, "{value:?}");
         }
         // The three misreadings the rule fixes: `0` used to turn
         // steal-newest on (only presence was checked), `true` used to
         // leave panic isolation off (only `1` counted), and a typo used
         // to leave a solver tier on.
-        let steal = from_lookup(vars(&[("SYMMERGE_PAR_STEAL_NEWEST", "0")]));
+        let steal = from_lookup(vars(&[("SYMMERGE_PAR_STEAL_NEWEST", "0")])).unwrap();
         assert!(!steal.parallel.steal_newest);
-        let isolation = from_lookup(vars(&[("SYMMERGE_PANIC_ISOLATION", "true")]));
+        let isolation = from_lookup(vars(&[("SYMMERGE_PANIC_ISOLATION", "true")])).unwrap();
         assert!(isolation.engine.panic_isolation);
         assert!(!parses(&[("SYMMERGE_SOLVER_CACHE", "flase")]));
     }
 
     #[test]
     fn scheduler_env_parse_rejects_unknown_values() {
-        assert_eq!(from_lookup(|_| None).parallel.scheduler, SchedulerKind::Bsp, "unset is BSP");
+        let unset = from_lookup(|_| None).unwrap();
+        assert_eq!(unset.parallel.scheduler, SchedulerKind::Bsp, "unset is BSP");
         for (value, kind) in [("bsp", SchedulerKind::Bsp), ("steal", SchedulerKind::Steal)] {
-            let parsed = from_lookup(vars(&[("SYMMERGE_SCHEDULER", value)]));
+            let parsed = from_lookup(vars(&[("SYMMERGE_SCHEDULER", value)])).unwrap();
             assert_eq!(parsed.parallel.scheduler, kind, "{value}");
         }
         for value in ["Steal", "", "work-stealing"] {
@@ -254,11 +272,12 @@ mod tests {
 
     #[test]
     fn retry_ladder_parse_accepts_lists_and_off_values() {
-        assert_eq!(parse_retry_ladder("4,16"), vec![4, 16]);
-        assert_eq!(parse_retry_ladder("2 , 8 , 32"), vec![2, 8, 32]);
-        assert_eq!(parse_retry_ladder("off"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder("0"), Vec::<u64>::new());
-        assert_eq!(parse_retry_ladder(""), Vec::<u64>::new());
+        assert_eq!(parse_retry_ladder("4,16"), Ok(vec![4, 16]));
+        assert_eq!(parse_retry_ladder("2 , 8 , 32"), Ok(vec![2, 8, 32]));
+        assert_eq!(parse_retry_ladder("off"), Ok(Vec::new()));
+        assert_eq!(parse_retry_ladder("0"), Ok(Vec::new()));
+        assert_eq!(parse_retry_ladder(""), Ok(Vec::new()));
+        assert!(parse_retry_ladder("4,x").is_err());
     }
 
     #[test]
@@ -274,7 +293,9 @@ mod tests {
             &[("SYMMERGE_CHECKPOINT_EVERY", "9")],
             &[("SYMMERGE_CHECKPOINT_PATH", ""), ("SYMMERGE_CHECKPOINT_EVERY", "9")],
         ] {
-            assert!(!parses(list), "{list:?} must be refused");
+            let err = from_lookup(vars(list)).expect_err("a malformed value must be refused");
+            let named = list.iter().any(|(name, _)| err.contains(name));
+            assert!(named && !err.contains('\n'), "one line naming the variable: {err:?}");
         }
     }
 
@@ -320,11 +341,11 @@ mod tests {
             (&[("SYMMERGE_PAR_STEAL_NEWEST", "1")], |c| c.parallel.steal_newest = true),
         ];
         let mut covered = BTreeSet::new();
-        let default = from_lookup(|_| None);
+        let default = from_lookup(|_| None).unwrap();
         for &(list, edit) in table {
             let mut want = default.clone();
             edit(&mut want);
-            assert_eq!(from_lookup(vars(list)), want, "{list:?}");
+            assert_eq!(from_lookup(vars(list)), Ok(want.clone()), "{list:?}");
             covered.extend(list.iter().map(|&(name, _)| name));
             // `FLEET_VARS` lists exactly the variables that set the fleet.
             if list.iter().all(|(name, _)| FLEET_VARS.contains(name)) {
@@ -347,7 +368,7 @@ mod tests {
     fn unread_variables_are_refused() {
         let refused = |names: &[&str]| {
             let names: Vec<String> = names.iter().map(|&n| n.to_owned()).collect();
-            catch_unwind(|| refuse_unread(names)).is_err()
+            refuse_unread(names).is_err()
         };
         for retired in [
             "SYMMERGE_SHARED_CACHE",

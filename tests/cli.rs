@@ -60,7 +60,8 @@ fn run_refuses_a_retired_variable() {
     let path = program("retired", "fn main() { let x = sym_int(\"x\"); putchar(x); }\n");
     let out = run(&path, &[], &[("SYMMERGE_SOLVER_MODEL_REUSE", "0")]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "a retired variable was ignored");
+    assert_eq!(out.status.code(), Some(1), "a retired variable is bad input: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one error line: {stderr}");
     assert!(stderr.contains("SYMMERGE_SOLVER_MODEL_REUSE"), "{stderr}");
     assert!(out.stdout.is_empty(), "the run must not start");
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
