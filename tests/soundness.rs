@@ -356,13 +356,13 @@ fn fleet_search_order_is_pinned() {
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
             true,
-            (1518, 1518, 13, 163, 8, 39, 1, 147, 39, 12902910254162403314),
+            (1518, 1518, 13, 163, 8, 39, 1, 147, 39, 17906886452608557038),
         ),
         (
             MergeMode::None,
             StrategyKind::CoverageOptimized,
             true,
-            (2868, 175, 0, 0, 0, 0, 8, 243, 85, 16270553411640764902),
+            (2868, 175, 0, 0, 0, 0, 8, 243, 85, 13687484259671398031),
         ),
         (
             MergeMode::None,
