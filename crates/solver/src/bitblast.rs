@@ -119,7 +119,7 @@ impl BitBlaster {
     /// over it fold. The CNF must be drained.
     ///
     /// [`SatSolver::compact_learnts`]: crate::sat::SatSolver::compact_learnts
-    pub fn renumber(&mut self, r: &Renumbering) {
+    pub(crate) fn renumber(&mut self, r: &Renumbering) {
         for l in &mut self.arena {
             *l = r.lit(*l);
         }

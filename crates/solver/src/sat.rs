@@ -893,7 +893,7 @@ impl SatSolver {
             // renumbered ones watch new codes: rebuild the watch lists
             // wholesale, as `reduce_db` does, before any propagation
             // touches them. The rebuild lists clauses in ref order, which
-            // renumbering keeps, so the deleted slots can go first.
+            // dropping the deleted slots keeps, so they can go first.
             self.drop_deleted_slots();
             self.rebuild_watches();
             for l in units {
@@ -919,8 +919,10 @@ impl SatSolver {
     /// renumbering them away: see `RENUMBER_MIN_FIXED`. The constant
     /// (variable 0, true at level 0) is where the fixed ones go.
     fn worth_renumbering(&self) -> bool {
-        let fixed = self.trail.len() - 1;
-        self.assigns[0] == 1 && fixed > 0 && fixed * RENUMBER_MIN_FIXED >= self.assigns.len()
+        let fixed = self.trail.len().saturating_sub(1);
+        self.assigns.first() == Some(&1)
+            && fixed > 0
+            && fixed * RENUMBER_MIN_FIXED >= self.assigns.len()
     }
 
     /// The map [`SatSolver::compact_learnts`] renumbers by: a fixed
@@ -1102,27 +1104,14 @@ impl SatSolver {
     }
 
     /// Drops the headers of deleted clauses, renumbering the live ones in
-    /// ref order, and remaps the reasons. Watch links still hold the old
-    /// refs: the caller rebuilds the watch lists next.
+    /// ref order. Watch links still hold the old refs, so the caller
+    /// rebuilds the watch lists next; no reason may be set, as it would
+    /// too (compaction clears them all before it deletes anything).
     fn drop_deleted_slots(&mut self) {
-        let mut renumbered = vec![NIL; self.clauses.len()];
-        let mut live = 0;
-        for (i, new_ref) in renumbered.iter_mut().enumerate() {
-            if !self.clauses[i].deleted {
-                *new_ref = cref(live);
-                self.clauses[live] = self.clauses[i];
-                live += 1;
-            }
-        }
-        self.dropped_slots += self.clauses.len() - live;
-        self.clauses.truncate(live);
-        // Only assigned variables hold a reason (backtracking clears
-        // it), and compaction clears the reasons of the level-0 ones
-        // before it deletes anything.
-        for r in self.reason.iter_mut().flatten() {
-            debug_assert_ne!(renumbered[*r as usize], NIL, "a reason was deleted");
-            *r = renumbered[*r as usize];
-        }
+        debug_assert!(self.reason.iter().all(Option::is_none), "a reason would dangle");
+        let before = self.clauses.len();
+        self.clauses.retain(|c| !c.deleted);
+        self.dropped_slots += before - self.clauses.len();
     }
 
     /// Packs the live clauses' literals to the front of the arena, in
