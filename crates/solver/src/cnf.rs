@@ -80,7 +80,7 @@ impl fmt::Display for Lit {
 /// sorted.
 ///
 /// [`SatSolver::compact_learnts`]: crate::sat::SatSolver::compact_learnts
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Renumbering {
     /// The literal each old variable's positive literal becomes.
     map: Vec<Lit>,

@@ -1105,8 +1105,9 @@ impl SatSolver {
 
     /// Drops the headers of deleted clauses, renumbering the live ones in
     /// ref order. Watch links still hold the old refs, so the caller
-    /// rebuilds the watch lists next; no reason may be set, as it would
-    /// too (compaction clears them all before it deletes anything).
+    /// rebuilds the watch lists next. A reason would hold one too, so
+    /// none may be set: compaction clears them all before it deletes
+    /// anything.
     fn drop_deleted_slots(&mut self) {
         debug_assert!(self.reason.iter().all(Option::is_none), "a reason would dangle");
         let before = self.clauses.len();
