@@ -116,8 +116,8 @@ impl SolverContext {
     /// Before snapshotting, the context is compacted in place
     /// ([`SolverContext::compact_learnts`]) so that it holds only what
     /// level 0 has not decided: satisfied clauses (level-0 reasons
-    /// included) are deleted and, once enough variables are fixed, the
-    /// fixed ones are renumbered out of the solver and the blaster alike.
+    /// included) are deleted and the variables it fixed are renumbered
+    /// out of the solver and the blaster alike.
     /// Parent and fork then both carry the smaller database, and the
     /// clause-weighted residency a warm fork charges drops with it. The
     /// work is observable through [`SolverContext::clauses_compacted`].
@@ -174,7 +174,7 @@ impl SolverContext {
 
     /// Compacts the context in place ([`SatSolver::compact_learnts`]: a
     /// level-0 sweep over the whole clause database, renumbering of the
-    /// fixed variables when enough are fixed, and self-subsumption over
+    /// fixed variables, and self-subsumption over
     /// the learnt store), carrying the blaster's memo over to any new
     /// numbering. Returns the number of clauses removed or strengthened.
     /// [`fork`] does this automatically; the explicit entry point exists

@@ -86,12 +86,6 @@ fn cref(i: usize) -> u32 {
 
 const UNASSIGNED: i8 = -1;
 
-/// [`SatSolver::compact_learnts`] renumbers when at least one variable
-/// in this many is fixed at level 0. Below that share the renumbering
-/// (every clause literal, every per-variable table and the caller's
-/// memo) costs more than the copies it saves.
-const RENUMBER_MIN_FIXED: usize = 4;
-
 /// Copies `v` into a buffer with growth room of a quarter of its length
 /// plus 64 elements. A fork is extended right away (every fork is
 /// followed by a new conjunct), and a `Vec::clone` leaves capacity equal
@@ -812,9 +806,9 @@ impl SatSolver {
     ///    clauses overwhelmingly live. It visits the whole database only
     ///    when the level-0 trail has grown since the last compaction;
     ///    otherwise only the (small) learnt store can have changed.
-    /// 2. *Renumber.* In the same pass, when at least one variable in
-    ///    `RENUMBER_MIN_FIXED` is fixed, every fixed variable is mapped
-    ///    to the constant literal (variable 0) and the free ones are
+    /// 2. *Renumber.* In the same pass, when a variable besides the
+    ///    constant is fixed, every fixed variable is mapped to the
+    ///    constant literal (variable 0) and the free ones are
     ///    numbered densely from 1 in their old order. Activities, saved
     ///    phases and learnt clauses carry over; the trail is reset to the
     ///    constant, and the order heap is rebuilt in O(n). The caller
@@ -841,7 +835,7 @@ impl SatSolver {
             self.reason[l.var().index()] = None;
         }
         let sweep_originals = self.trail.len() > self.compacted_trail;
-        let renumbering = (sweep_originals && self.worth_renumbering()).then(|| self.renumbering());
+        let renumbering = (sweep_originals && self.can_renumber()).then(|| self.renumbering());
         // Pass 1: sweep against the level-0 trail, renumbering the
         // literals that stay.
         for i in 0..self.clauses.len() {
@@ -915,14 +909,11 @@ impl SatSolver {
         (compacted, renumbering)
     }
 
-    /// Whether enough variables are fixed at level 0 to pay for
-    /// renumbering them away: see `RENUMBER_MIN_FIXED`. The constant
-    /// (variable 0, true at level 0) is where the fixed ones go.
-    fn worth_renumbering(&self) -> bool {
-        let fixed = self.trail.len().saturating_sub(1);
-        self.assigns.first() == Some(&1)
-            && fixed > 0
-            && fixed * RENUMBER_MIN_FIXED >= self.assigns.len()
+    /// Whether the solver has the constant (variable 0, true at level 0)
+    /// for fixed variables to go to, and some variable besides it is
+    /// fixed.
+    fn can_renumber(&self) -> bool {
+        self.assigns.first() == Some(&1) && self.trail.len() > 1
     }
 
     /// The map [`SatSolver::compact_learnts`] renumbers by: a fixed
@@ -1672,7 +1663,7 @@ mod tests {
         s.add_clause(&[u]);
         let n = s.num_vars();
         let (_, renumbering) = s.compact_learnts();
-        let r = renumbering.expect("8 of 27 variables are fixed: enough to renumber");
+        let r = renumbering.expect("8 of 27 variables are fixed");
         assert_eq!((n, r.num_vars()), (27, 27 - 8));
         assert!(!s.learnt_clauses().is_empty(), "the solver must be warm");
         s
