@@ -262,31 +262,31 @@ fn default_search_order_is_pinned() {
             3,
             MergeMode::None,
             StrategyKind::Random,
-            (2868, 240, 1588, 7941, 0, 71, 7004, 85, 2889807311675795582),
+            (2868, 240, 1736, 7941, 0, 71, 7004, 85, 2889807311675795582),
         ),
         (
             3,
             MergeMode::None,
             StrategyKind::Dfs,
-            (2868, 240, 1588, 7941, 0, 71, 6226, 85, 928238929201085142),
+            (2868, 240, 1736, 7941, 0, 71, 6226, 85, 928238929201085142),
         ),
         (
             3,
             MergeMode::None,
             StrategyKind::Bfs,
-            (2868, 240, 1588, 7941, 0, 71, 7096, 85, 6222404444366571234),
+            (2868, 240, 1736, 7941, 0, 71, 7096, 85, 6222404444366571234),
         ),
         (
             3,
             MergeMode::Static,
             StrategyKind::Topological,
-            (465, 80, 1222, 6403, 3, 17, 3517, 1, 11216982687399032055),
+            (465, 80, 1267, 6409, 5, 17, 3520, 1, 11216982687399032055),
         ),
         (
             5,
             MergeMode::Dynamic,
             StrategyKind::CoverageOptimized,
-            (4666, 499, 9863, 61990, 39, 179, 20095, 112, 2556008591655183468),
+            (4666, 499, 9894, 62050, 44, 179, 20097, 112, 6585693527596162513),
         ),
     ];
     for (stdin_len, merge_mode, strategy, pinned) in rows {
